@@ -1,7 +1,8 @@
 //! The discrete-event simulation kernel: a deterministic event queue, the
 //! mutable `FleetState` it drives, and the main loop that turns a job
-//! stream plus a [`ControlPolicy`](crate::ControlPolicy) into placements,
-//! a set-point timeline and (optionally) a telemetry trace.
+//! stream plus a [`ControlPolicy`](crate::ControlPolicy) into placements
+//! — whose energy is integrated as they happen — and (optionally) a
+//! telemetry trace.
 //!
 //! Everything in here is sequential and byte-deterministic: events are
 //! ordered by a stable `(time, class, seq)` key, so two runs of the same
@@ -30,9 +31,9 @@ use crate::dispatch::{
     ServerTable,
 };
 use crate::fleet::{Fleet, FleetConfig};
-use crate::job::Job;
+use crate::job::{pair_index, Job};
 use crate::metrics::{
-    integrate_energy, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
+    EnergyIntegrator, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::{CalendarQueue, KernelQueue, QueueStats};
@@ -224,10 +225,10 @@ impl EventQueue {
 ///
 /// Invariant note: the heat-sum / water-multiset / pin-drained-to-zero
 /// bookkeeping here is mirrored (over different windows and orderings)
-/// by the kernel's `RunningSet` and by `integrate_energy`'s event sweep
-/// — a change to the accumulation rules must land in all three, and the
-/// property tests plus the golden bit-for-bit fleet test pin the
-/// behavior.
+/// by the kernel's `RunningSet` and by the streaming `EnergyIntegrator`
+/// (`metrics.rs`) — a change to the accumulation rules must land in all
+/// three, and the property tests (including the integrator's post-pass
+/// oracle) plus the golden bit-for-bit fleet test pin the behavior.
 #[derive(Debug)]
 pub struct RackLoads {
     heat: Vec<f64>,
@@ -763,8 +764,11 @@ struct RunningRec {
 /// lazily for telemetry and control snapshots. Distinct from
 /// [`RackLoads`], which tracks *committed* (running or queued) load —
 /// the quantity dispatch decisions are made against. Shares its
-/// accumulation rules with [`RackLoads`] and `integrate_energy` (see the
-/// invariant note on [`RackLoads`]).
+/// accumulation rules with [`RackLoads`] and the `EnergyIntegrator` (see
+/// the invariant note on [`RackLoads`]), but not its state: it settles
+/// every start at an instant before the ends, where the integrator folds
+/// ends first, so its float sums — and the trace bytes they print —
+/// differ from the integrator's.
 #[derive(Debug)]
 struct RunningSet {
     /// Placements not yet started: `(start_bits, seq) → rec`.
@@ -920,31 +924,39 @@ impl FleetState {
 }
 
 /// Runs the event loop with the production [`CalendarQueue`].
+#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
 pub(crate) fn run(
     fleet: &Fleet,
     jobs: &[Job],
+    pairs: &[(Benchmark, QosClass)],
     dispatcher: &mut dyn FleetDispatcher,
     control: &mut dyn ControlPolicy,
     telemetry: Option<&TelemetryConfig>,
     cache: &OutcomeCache,
     table: Option<&SolveTable>,
 ) -> Result<SimResult, RunError> {
-    run_impl::<CalendarQueue>(fleet, jobs, dispatcher, control, telemetry, cache, table)
+    run_impl::<CalendarQueue>(
+        fleet, jobs, pairs, dispatcher, control, telemetry, cache, table,
+    )
 }
 
 /// Runs the event loop with the original binary-heap [`EventQueue`] — the
 /// ordering oracle the determinism regression tests pit the calendar
 /// queue against.
+#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
 pub(crate) fn run_with_heap(
     fleet: &Fleet,
     jobs: &[Job],
+    pairs: &[(Benchmark, QosClass)],
     dispatcher: &mut dyn FleetDispatcher,
     control: &mut dyn ControlPolicy,
     telemetry: Option<&TelemetryConfig>,
     cache: &OutcomeCache,
     table: Option<&SolveTable>,
 ) -> Result<SimResult, RunError> {
-    run_impl::<EventQueue>(fleet, jobs, dispatcher, control, telemetry, cache, table)
+    run_impl::<EventQueue>(
+        fleet, jobs, pairs, dispatcher, control, telemetry, cache, table,
+    )
 }
 
 /// Runs the event loop: arrivals dispatched against settled state,
@@ -956,10 +968,13 @@ pub(crate) fn run_with_heap(
 /// publishes a covering table first); keys the table lacks — and the
 /// whole resolution when `table` is `None`, the mutex-map oracle path —
 /// fall back to [`OutcomeCache::get_or_solve`], still correct, just
-/// locked.
+/// locked. `pairs` are the stream's sorted distinct `(bench, qos)` pairs
+/// (see `job::demand_pairs`); a pair's position is its demand signature.
+#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
 fn run_impl<Q: KernelQueue + Default>(
     fleet: &Fleet,
     jobs: &[Job],
+    pairs: &[(Benchmark, QosClass)],
     dispatcher: &mut dyn FleetDispatcher,
     control: &mut dyn ControlPolicy,
     telemetry: Option<&TelemetryConfig>,
@@ -1014,9 +1029,12 @@ fn run_impl<Q: KernelQueue + Default>(
     // the per-arrival cache round-trip collapses to a slice index. The
     // per-job fields (runtime, wait budget) are derived per arrival from
     // the shared steady state with the exact same expressions as before.
-    let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
+    // Each arrival finds its signature by direct index into a dense
+    // |Benchmark|×|QosClass| table of pair positions.
+    let mut sig_of = [u32::MAX; Benchmark::ALL.len() * QosClass::ALL.len()];
+    for (sig, &(bench, qos)) in pairs.iter().enumerate() {
+        sig_of[pair_index(bench, qos)] = sig as u32;
+    }
     // With a published table, each class's `(policy, inlet)` solve slot
     // resolves once and every `(bench, qos)` lookup after that is pure
     // arithmetic on the shared frozen epoch — zero lock acquisitions.
@@ -1029,7 +1047,7 @@ fn run_impl<Q: KernelQueue + Default>(
     let mut table_hits = 0usize;
     let mut miss_solves = 0usize;
     let mut pair_states: Vec<Vec<SteadyState>> = Vec::with_capacity(pairs.len());
-    for &(bench, qos) in &pairs {
+    for &(bench, qos) in pairs {
         let mut per_class = Vec::with_capacity(solvers.len());
         for (ci, solver) in solvers.iter().enumerate() {
             let frozen = table
@@ -1065,15 +1083,17 @@ fn run_impl<Q: KernelQueue + Default>(
     // unpushed arrival is no earlier than the latest pending one, and on
     // exact time ties the arrival class pops last anyway, so nothing can
     // pop before the window catches up to it.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    let n_jobs = u32::try_from(jobs.len()).expect("a job stream holds at most u32::MAX jobs");
+    let mut order: Vec<u32> = (0..n_jobs).collect();
     order.sort_by(|&a, &b| {
-        jobs[a]
-            .arrival
+        let (a, b) = (&jobs[a as usize], &jobs[b as usize]);
+        a.arrival
             .value()
-            .total_cmp(&jobs[b].arrival.value())
-            .then(jobs[a].id.cmp(&jobs[b].id))
+            .total_cmp(&b.arrival.value())
+            .then(a.id.cmp(&b.id))
     });
     for &ji in order.iter().take(ARRIVAL_LOOKAHEAD) {
+        let ji = ji as usize;
         queue.push(jobs[ji].arrival, Event::JobArrival(ji));
     }
     let mut next_arrival = order.len().min(ARRIVAL_LOOKAHEAD);
@@ -1100,7 +1120,7 @@ fn run_impl<Q: KernelQueue + Default>(
     // the rack layout before the first event; reactive policies no-op.
     control.begin_run(&RunContext {
         jobs,
-        pairs: &pairs,
+        pairs,
         pair_states: &pair_states,
         chiller: &config.chiller,
         servers: &servers,
@@ -1117,13 +1137,15 @@ fn run_impl<Q: KernelQueue + Default>(
     // event stream degenerates to arrivals only and the replay runs at
     // the pre-kernel simulator's speed.
     let closed_loop = telemetry.is_some() || tick.is_some();
-    let mut placements: Vec<Placement> = Vec::with_capacity(jobs.len());
-    let mut setpoints: Vec<(Seconds, Celsius)> = Vec::new();
+    // Energy integrates online: each placement's window and each
+    // set-point or activation change is fed as it happens, and folded
+    // once no later event can precede it.
+    let mut energy = EnergyIntegrator::new(config, &fleet.class_names());
     // Serving mode: per-request latency (dispatch wait + runtime, known
     // at placement time) feeds two integer-bucket sketches — the whole
     // run for reported percentiles, plus a per-tick window the
-    // autoscaler reads and clears. The active-server timeline mirrors
-    // the set-point timeline into the energy integration.
+    // autoscaler reads and clears. The active-server timeline also
+    // yields the run's mean active-server count.
     let serving = config.serving;
     let mut latency_all = LatencyHistogram::default();
     let mut latency_window = LatencyHistogram::default();
@@ -1160,7 +1182,7 @@ fn run_impl<Q: KernelQueue + Default>(
                 state.chiller = config.chiller.with_ambient(c);
                 state.chiller_epoch += 1;
                 state.setpoint = c;
-                setpoints.push((now, c));
+                energy.setpoint(now, c);
             }
             Event::ControlTick => {
                 if !state.done() {
@@ -1191,7 +1213,7 @@ fn run_impl<Q: KernelQueue + Default>(
                                 state.chiller = config.chiller.with_ambient(c);
                                 state.chiller_epoch += 1;
                                 state.setpoint = c;
-                                setpoints.push((now, c));
+                                energy.setpoint(now, c);
                             }
                             ControlAction::SetShedding(on) => state.shedding = on,
                             ControlAction::SetActiveServers(n) => {
@@ -1199,6 +1221,7 @@ fn run_impl<Q: KernelQueue + Default>(
                                 let actual = state.servers.set_active_servers(n);
                                 if actual != prev {
                                     activations.push((now, actual));
+                                    energy.activation(now, actual);
                                 }
                             }
                         }
@@ -1225,7 +1248,7 @@ fn run_impl<Q: KernelQueue + Default>(
                 // Stream the next arrival in to replace this one, keeping
                 // the lookahead window full until the stream runs dry.
                 if next_arrival < order.len() {
-                    let nj = order[next_arrival];
+                    let nj = order[next_arrival] as usize;
                     queue.push(jobs[nj].arrival, Event::JobArrival(nj));
                     next_arrival += 1;
                 }
@@ -1255,10 +1278,7 @@ fn run_impl<Q: KernelQueue + Default>(
                 // The job's demand on every catalog class: the same
                 // workload runs hotter (or slower) on one hardware bin
                 // than another, and the dispatcher ranks those options.
-                let pair = pairs
-                    .binary_search(&(job.bench, job.qos))
-                    .expect("every (bench, qos) pair was precomputed")
-                    as u32;
+                let pair = sig_of[pair_index(job.bench, job.qos)];
                 class_scratch.clear();
                 for steady in &pair_states[pair as usize] {
                     class_scratch.push(ClassDemand {
@@ -1326,17 +1346,18 @@ fn run_impl<Q: KernelQueue + Default>(
                 if violated {
                     state.violations += 1;
                 }
-                placements.push(Placement {
-                    job: job.id,
-                    server: placed,
-                    rack,
-                    class,
-                    start,
-                    end,
-                    wait,
-                    violated,
-                    state: steady,
-                });
+                energy.place(
+                    now,
+                    &Placement {
+                        rack,
+                        class,
+                        start,
+                        end,
+                        wait,
+                        violated,
+                        state: steady,
+                    },
+                );
                 state.loads.add(rack, &steady, end);
                 state.servers.set_free_at(placed, end);
                 if closed_loop {
@@ -1354,16 +1375,7 @@ fn run_impl<Q: KernelQueue + Default>(
     }
 
     let qstats = queue.stats();
-    let mut outcome = integrate_energy(
-        dispatcher.name(),
-        control.name(),
-        placements,
-        state.shed,
-        config,
-        &fleet.class_names(),
-        &setpoints,
-        &activations,
-    );
+    let mut outcome = energy.finish(dispatcher.name(), control.name(), state.shed);
     if serving {
         // Time-weighted mean of the active-server timeline over the run,
         // plus the envelope the autoscaler actually explored.
@@ -1388,7 +1400,7 @@ fn run_impl<Q: KernelQueue + Default>(
             cur as f64
         };
         outcome.serving = Some(ServingOutcome {
-            requests: outcome.placements.len(),
+            requests: outcome.class_placements.iter().sum(),
             latency_p50: latency_all.quantile(0.5).unwrap_or(Seconds::ZERO),
             latency_p95: latency_all.quantile(0.95).unwrap_or(Seconds::ZERO),
             latency_p99: latency_all.quantile(0.99).unwrap_or(Seconds::ZERO),

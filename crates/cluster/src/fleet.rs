@@ -7,13 +7,14 @@
 //! then hand the job stream, dispatcher, control policy and telemetry
 //! settings to the sequential event loop.
 
-use crate::cache::{ClassSolve, OutcomeCache};
+use crate::cache::{ClassSolve, OutcomeCache, SolveTable};
 use crate::catalog::{ClassId, FleetCatalog};
 use crate::control::{ControlPolicy, StaticControl};
 use crate::dispatch::FleetDispatcher;
 use crate::engine;
-use crate::job::Job;
+use crate::job::{demand_pairs, Job};
 use crate::metrics::{FleetOutcome, SimResult, TelemetryConfig};
+use std::sync::Arc;
 use tps_cooling::Chiller;
 use tps_core::{
     CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector, PackedMapping,
@@ -356,34 +357,43 @@ impl Fleet {
         // published (solving only the missing keys, in parallel), or warm
         // the mutex map on the oracle path. Either way the work is one
         // solve per distinct (class, bench, qos).
-        let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
-        pairs.sort();
-        pairs.dedup();
-        let table = if self.config.solve_table {
-            let solvers = self.class_solvers();
-            Some(cache.ensure_published(
-                &solvers,
-                &pairs,
-                &MinPowerSelector,
-                self.config.t_case_max,
-                self.config.threads,
-            )?)
-        } else {
-            self.warm(&pairs, cache, self.config.threads)?;
-            None
-        };
+        let pairs = demand_pairs(jobs);
+        let table = self.publish(&pairs, cache)?;
 
         // Sequential phase: the deterministic event loop, reading the
         // frozen epoch lock-free (or the mutex map on the oracle path).
         engine::run(
             self,
             jobs,
+            &pairs,
             dispatcher,
             control,
             telemetry,
             cache,
             table.as_deref(),
         )
+    }
+
+    /// Publishes a table epoch covering `pairs` (or warms the mutex map
+    /// when the table is off) — the run-start synchronization point.
+    fn publish(
+        &self,
+        pairs: &[(Benchmark, QosClass)],
+        cache: &OutcomeCache,
+    ) -> Result<Option<Arc<SolveTable>>, RunError> {
+        if self.config.solve_table {
+            let solvers = self.class_solvers();
+            Ok(Some(cache.ensure_published(
+                &solvers,
+                pairs,
+                &MinPowerSelector,
+                self.config.t_case_max,
+                self.config.threads,
+            )?))
+        } else {
+            self.warm(pairs, cache, self.config.threads)?;
+            Ok(None)
+        }
     }
 
     /// [`simulate_with`](Self::simulate_with), but driven by the original
@@ -406,25 +416,12 @@ impl Fleet {
         telemetry: Option<&TelemetryConfig>,
         cache: &OutcomeCache,
     ) -> Result<SimResult, RunError> {
-        let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
-        pairs.sort();
-        pairs.dedup();
-        let table = if self.config.solve_table {
-            let solvers = self.class_solvers();
-            Some(cache.ensure_published(
-                &solvers,
-                &pairs,
-                &MinPowerSelector,
-                self.config.t_case_max,
-                self.config.threads,
-            )?)
-        } else {
-            self.warm(&pairs, cache, self.config.threads)?;
-            None
-        };
+        let pairs = demand_pairs(jobs);
+        let table = self.publish(&pairs, cache)?;
         engine::run_with_heap(
             self,
             jobs,
+            &pairs,
             dispatcher,
             control,
             telemetry,
@@ -439,10 +436,49 @@ mod tests {
     use super::*;
     use crate::catalog::ServerClass;
     use crate::control::{LoadSheddingControl, SetpointScheduler};
-    use crate::dispatch::RoundRobin;
+    use crate::dispatch::{FleetView, JobDemand, RoundRobin};
     use crate::job::{synthesize_jobs, JobMix};
     use tps_units::Seconds;
     use tps_workload::ConstantDemand;
+
+    /// Wraps a dispatcher and logs each placement as `(job, server,
+    /// start, end)`, deriving the execution window from the view with the
+    /// kernel's own expressions.
+    struct Recording<D> {
+        inner: D,
+        log: Vec<(usize, usize, Seconds, Seconds)>,
+    }
+
+    impl<D> Recording<D> {
+        fn new(inner: D) -> Self {
+            Self {
+                inner,
+                log: Vec::new(),
+            }
+        }
+    }
+
+    impl<D: FleetDispatcher> FleetDispatcher for Recording<D> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+            let server = self.inner.place(demand, view);
+            let start = Seconds::new(view.now.value().max(view.servers.free_at(server).value()));
+            let end = start + demand.class(view.servers.class_of(server)).runtime;
+            self.log.push((demand.job.id, server, start, end));
+            server
+        }
+
+        fn begin_run(&mut self) {
+            self.inner.begin_run();
+        }
+
+        fn wants_hall_fanout(&self) -> bool {
+            self.inner.wants_hall_fanout()
+        }
+    }
 
     #[test]
     fn fleet_simulation_is_deterministic() {
@@ -470,22 +506,24 @@ mod tests {
         cfg.grid_pitch_mm = 3.0;
         let fleet = Fleet::new(cfg);
         let cache = OutcomeCache::new();
-        let out = fleet
-            .simulate(&jobs, &mut RoundRobin::default(), &cache)
-            .unwrap();
-        assert_eq!(out.placements.len(), 30);
+        let mut rec = Recording::new(RoundRobin::default());
+        let out = fleet.simulate(&jobs, &mut rec, &cache).unwrap();
+        assert_eq!(out.class_placements, vec![30]);
+        let mut ids: Vec<usize> = rec.log.iter().map(|&(job, ..)| job).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..30).collect::<Vec<_>>());
         // Per server: non-overlapping, ordered executions.
         for s in 0..6 {
-            let mut on_server: Vec<_> = out.placements.iter().filter(|p| p.server == s).collect();
-            on_server.sort_by(|a, b| a.start.value().total_cmp(&b.start.value()));
+            let mut on_server: Vec<_> = rec.log.iter().filter(|r| r.1 == s).collect();
+            on_server.sort_by(|a, b| a.2.value().total_cmp(&b.2.value()));
             for w in on_server.windows(2) {
-                assert!(w[0].end.value() <= w[1].start.value() + 1e-9);
+                assert!(w[0].3.value() <= w[1].2.value() + 1e-9);
             }
         }
         // Jobs never start before they arrive.
-        for p in &out.placements {
-            let job = jobs.iter().find(|j| j.id == p.job).unwrap();
-            assert!(p.start.value() >= job.arrival.value() - 1e-9);
+        for &(id, _, start, _) in &rec.log {
+            let job = jobs.iter().find(|j| j.id == id).unwrap();
+            assert!(start.value() >= job.arrival.value() - 1e-9);
         }
     }
 
@@ -498,7 +536,7 @@ mod tests {
         let out = fleet
             .simulate(&[], &mut RoundRobin::default(), &cache)
             .unwrap();
-        assert_eq!(out.placements.len(), 0);
+        assert_eq!(out.class_placements, vec![0]);
         assert_eq!(out.it_energy.value(), 0.0);
         assert_eq!(out.cooling_energy.value(), 0.0);
     }
@@ -560,7 +598,6 @@ mod tests {
             .simulate(&jobs, &mut RoundRobin::default(), &fresh)
             .unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.placements.len(), 20);
         assert_eq!(a.class_names, vec!["dense", "sparse"]);
         assert_eq!(a.class_placements.iter().sum::<usize>(), 20);
         // Round-robin strides rack 1's second slot every 4th job: the
@@ -586,7 +623,7 @@ mod tests {
                 &cache,
             )
             .unwrap();
-        assert_eq!(result.outcome.placements.len(), 0);
+        assert_eq!(result.outcome.class_placements, vec![0]);
         assert_eq!(result.outcome.shed, 0);
         assert!(result.trace.expect("telemetry was on").is_empty());
     }
@@ -622,9 +659,8 @@ mod tests {
         cfg.grid_pitch_mm = 3.0;
         let fleet = Fleet::new(cfg);
         let cache = OutcomeCache::new();
-        let stat = fleet
-            .simulate(&jobs, &mut RoundRobin::default(), &cache)
-            .unwrap();
+        let mut stat_log = Recording::new(RoundRobin::default());
+        let stat = fleet.simulate(&jobs, &mut stat_log, &cache).unwrap();
         // Drop the 70 °C heat-reuse loop to 40 °C mid-stream: supplies
         // above 45 °C free-cool from then on, so cooling energy falls
         // while IT energy and placements stay identical (round-robin
@@ -632,11 +668,12 @@ mod tests {
         let mid = stat.makespan * 0.4;
         let mut sched =
             SetpointScheduler::new(vec![(Seconds::new(mid.value()), Celsius::new(40.0))]);
+        let mut ctrl_log = Recording::new(RoundRobin::default());
         let ctrl = fleet
-            .simulate_with(&jobs, &mut RoundRobin::default(), &mut sched, None, &cache)
+            .simulate_with(&jobs, &mut ctrl_log, &mut sched, None, &cache)
             .unwrap()
             .outcome;
-        assert_eq!(ctrl.placements, stat.placements);
+        assert_eq!(ctrl_log.log, stat_log.log);
         assert_eq!(ctrl.it_energy, stat.it_energy);
         assert!(
             ctrl.cooling_energy.value() < stat.cooling_energy.value(),
@@ -672,7 +709,10 @@ mod tests {
             .unwrap()
             .outcome;
         assert!(shed.shed > 0, "overload never triggered shedding");
-        assert_eq!(shed.placements.len() + shed.shed, jobs.len());
+        assert_eq!(
+            shed.class_placements.iter().sum::<usize>() + shed.shed,
+            jobs.len()
+        );
         assert!(shed.makespan <= open.makespan);
         assert!(shed.max_wait <= open.max_wait);
         assert_eq!(shed.control, "shed");

@@ -35,6 +35,27 @@ impl Job {
     }
 }
 
+/// The row-major position of `(bench, qos)` in the dense
+/// |Benchmark|×|QosClass| grid. Both enums declare their variants in
+/// `ALL` order, so ascending positions are the pairs' sort order.
+pub(crate) fn pair_index(bench: Benchmark, qos: QosClass) -> usize {
+    bench as usize * QosClass::ALL.len() + qos as usize
+}
+
+/// The sorted distinct `(bench, qos)` pairs of a job stream, read off a
+/// presence table filled in one pass over the jobs.
+pub(crate) fn demand_pairs(jobs: &[Job]) -> Vec<(Benchmark, QosClass)> {
+    let mut present = [false; Benchmark::ALL.len() * QosClass::ALL.len()];
+    for job in jobs {
+        present[pair_index(job.bench, job.qos)] = true;
+    }
+    Benchmark::ALL
+        .iter()
+        .flat_map(|&bench| QosClass::ALL.iter().map(move |&qos| (bench, qos)))
+        .filter(|&(bench, qos)| present[pair_index(bench, qos)])
+        .collect()
+}
+
 /// The composition of a synthesized job stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobMix {
@@ -187,6 +208,23 @@ mod tests {
         };
         let jobs = synthesize_jobs(40, &d, mix, 3);
         assert!(jobs.iter().all(|j| j.qos == QosClass::OneX));
+    }
+
+    #[test]
+    fn demand_pairs_match_a_sort_and_dedup() {
+        let d = ConstantDemand::new(1.0);
+        for (count, seed) in [(0, 1), (5, 2), (400, 3)] {
+            let jobs = synthesize_jobs(count, &d, JobMix::default(), seed);
+            let mut sorted: Vec<(Benchmark, QosClass)> =
+                jobs.iter().map(|j| (j.bench, j.qos)).collect();
+            sorted.sort();
+            sorted.dedup();
+            assert_eq!(demand_pairs(&jobs), sorted);
+            for (i, &(bench, qos)) in sorted.iter().enumerate().skip(1) {
+                let (pb, pq) = sorted[i - 1];
+                assert!(pair_index(pb, pq) < pair_index(bench, qos));
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! let outcome = fleet
 //!     .simulate(&jobs, &mut ThermalAwareDispatch::default(), &cache)
 //!     .expect("paper workloads are feasible");
-//! assert_eq!(outcome.placements.len(), 8);
+//! assert_eq!(outcome.class_placements.iter().sum::<usize>(), 8);
 //! assert!(outcome.total_energy() > outcome.it_energy);
 //! println!("fleet PUE {:.3}", outcome.pue());
 //! ```
@@ -119,7 +119,7 @@ pub use engine::{Event, EventQueue, HallLoads, OccupiedRack, RackLoads, ARRIVAL_
 pub use fleet::{thread_budget, Fleet, FleetConfig, PolicyId, ServerPolicy};
 pub use job::{synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{
-    FleetOutcome, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
+    FleetOutcome, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 pub use plan::{PlanSolver, PlannerControl};

@@ -4,31 +4,29 @@
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;
 use crate::fleet::FleetConfig;
-use std::collections::VecDeque;
-use tps_cooling::pue;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+use tps_cooling::{pue, Chiller};
 use tps_units::{Celsius, Joules, Seconds, Watts};
 
-/// One job's placement and execution window.
+/// One job's placement and execution window, as the kernel hands it to
+/// the [`EnergyIntegrator`] at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Placement {
-    /// The job's id.
-    pub job: usize,
-    /// Global server index.
-    pub server: usize,
+pub(crate) struct Placement {
     /// Rack index.
-    pub rack: usize,
-    /// Catalog class of the server it ran on.
-    pub class: ClassId,
+    pub(crate) rack: usize,
+    /// Catalog class of the server it runs on.
+    pub(crate) class: ClassId,
     /// Execution start (arrival + queueing).
-    pub start: Seconds,
+    pub(crate) start: Seconds,
     /// Execution end.
-    pub end: Seconds,
+    pub(crate) end: Seconds,
     /// Queueing delay.
-    pub wait: Seconds,
+    pub(crate) wait: Seconds,
     /// Whether the wait blew the job's QoS budget.
-    pub violated: bool,
+    pub(crate) violated: bool,
     /// The cached per-server outcome backing this placement.
-    pub state: SteadyState,
+    pub(crate) state: SteadyState,
 }
 
 /// A fixed-bucket latency histogram: the streaming percentile sketch for
@@ -173,8 +171,6 @@ pub struct FleetOutcome {
     /// The control policy that steered the run (`"static"` for the
     /// open-loop simulator).
     pub control: &'static str,
-    /// All placements, in dispatch order.
-    pub placements: Vec<Placement>,
     /// End of the last execution.
     pub makespan: Seconds,
     /// IT energy: active packages plus the idle floor of empty servers.
@@ -276,7 +272,7 @@ pub struct HallStats {
 /// the aggregate outcome plus the telemetry trace when sampling was on.
 #[derive(Debug)]
 pub struct SimResult {
-    /// The aggregate outcome (energy, QoS, placements).
+    /// The aggregate outcome (energy, QoS, per-class placement counts).
     pub outcome: FleetOutcome,
     /// The sampled time series (`None` when telemetry was off).
     pub trace: Option<FleetTrace>,
@@ -543,20 +539,422 @@ impl FleetTrace {
     }
 }
 
-/// Integrates fleet power over the piecewise-constant event timeline.
+/// Same-instant fold order of the [`EnergyIntegrator`]'s boundaries: a
+/// placement covers `[start, end)`, so removals fold before set-point
+/// changes, set-point changes before activation changes, and those before
+/// additions.
+const REMOVE: u8 = 0;
+const SETPOINT: u8 = 1;
+const ACTIVATION: u8 = 2;
+const ADD: u8 = 3;
+
+/// One boundary of the piecewise-constant power timeline, waiting in the
+/// integrator until it is final. Ordered *descending* by the total key
+/// `(time, kind, rack, seq)`, so the std max-heap pops the earliest
+/// boundary first.
+#[derive(Debug, Clone, Copy)]
+struct Boundary {
+    time: f64,
+    kind: u8,
+    /// The placement's rack; the new active-server count for an
+    /// activation change; 0 for a set-point change.
+    rack: usize,
+    /// Feed order: the last tie-break, which makes the key total.
+    seq: u64,
+    class: ClassId,
+    heat: f64,
+    /// Tolerable-water key of a placement (`to_bits` is monotone for the
+    /// non-negative temperatures in play, and round-trips the exact f64),
+    /// or the bits of a set-point change's new temperature.
+    water_bits: u64,
+    power: f64,
+}
+
+impl Ord for Boundary {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.kind.cmp(&self.kind))
+            .then(other.rack.cmp(&self.rack))
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Boundary {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Boundary {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Boundary {}
+
+/// Per-rack window state packed into one struct: the window walk reads
+/// heat, the cached chiller draw and its validity per occupied rack, and
+/// one cache line beats four scattered arrays.
+#[derive(Debug, Clone)]
+struct RackAcc {
+    heat: f64,
+    power: f64,
+    era: u64,
+    dirty: bool,
+}
+
+/// Integrates fleet power into energy over the piecewise-constant event
+/// timeline *while the kernel runs*.
 ///
 /// Between consecutive placement starts/ends nothing changes, so each
-/// interval contributes `power × dt`: per rack, the chiller electricity of
-/// the interval's heat at the interval's shared water temperature
-/// (minimum of the co-hosted jobs' tolerable maxima); fleet-wide, the
-/// active packages plus the idle floor of unoccupied servers. Set-point
-/// changes from the control timeline swap the chiller between windows
-/// (an empty timeline reproduces the fixed-chiller integration exactly,
-/// bit for bit). Activation changes from the autoscale timeline move the
-/// idle-floor base between windows: only *active* unoccupied servers burn
-/// idle power, while servers still draining a placement keep their active
-/// package power regardless (an empty activation timeline reproduces the
-/// full-fleet idle floor exactly).
+/// window contributes `power × dt`: per rack, the chiller electricity of
+/// the window's heat at the window's shared water temperature (minimum
+/// of the co-hosted jobs' tolerable maxima); fleet-wide, the active
+/// packages plus the idle floor of the *active* unoccupied servers.
+/// Set-point changes swap the chiller between windows, activation changes
+/// move the idle-floor base; servers still draining a placement after a
+/// scale-down keep their package power regardless.
+///
+/// The kernel feeds each placement's start and end at dispatch time and
+/// each set-point or activation change as it happens. Boundaries wait in
+/// a min-heap under the total order `(time, kind, rack, feed order)` and
+/// fold once they are *final*: no placement starts before its own
+/// arrival, so nothing fed later can land before the instant the kernel
+/// is processing, and every boundary earlier than it is settled. Folding
+/// in that order replays the whole-run sort it replaces, so every float
+/// accumulates in the same order, bit for bit. A change only opens a
+/// window once a later placement boundary exists: changes at or before
+/// the first start set the initial chiller and activation, and changes
+/// at or after the last end never open a window (neither may stretch the
+/// idle-floor integration past the makespan).
+///
+/// The heat/water/pin-to-zero rules mirror `engine::RackLoads` (see its
+/// invariant note): a change to one accumulation must land in both, or
+/// the dispatch-time and integration-time views of rack state diverge.
+/// The per-class accumulators ride along in separate sums: they never
+/// feed the fleet-wide `it`/`cooling` totals, so the homogeneous
+/// integration stays bit-identical.
+#[derive(Debug)]
+pub(crate) struct EnergyIntegrator {
+    /// The configured chiller, re-based by every set-point change.
+    base_chiller: Chiller,
+    idle_server_power: f64,
+    class_names: Vec<String>,
+    pending: BinaryHeap<Boundary>,
+    seq: u64,
+    /// Earliest fed start (`∞` until one is fed).
+    first_start: f64,
+    /// Latest fed end (`0` until one is fed): the makespan.
+    last_end: f64,
+    /// Instant of the last folded boundary: the open window's left edge.
+    window_start: Option<f64>,
+    chiller: Chiller,
+    /// Bumped per folded set-point change; keys the chiller-draw cache.
+    era: u64,
+    active: usize,
+    busy: usize,
+    active_power: f64,
+    acc: Vec<RackAcc>,
+    /// Ascending sorted `(key, count)` vectors, not `BTreeMap`s: few
+    /// distinct keys per rack, and the capacity survives rack drains, so
+    /// the fold never allocates tree nodes.
+    rack_water: Vec<Vec<(u64, u32)>>,
+    /// Only racks with committed water contribute cooling (and drained
+    /// racks are pinned to exactly 0.0 heat, so they can't move the peak
+    /// either): each window walks the occupied set, ascending by rack so
+    /// the float accumulation order matches a full `0..racks` scan. Each
+    /// rack's chiller draw is cached and recomputed only when its load
+    /// (dirty flag) or the chiller (era) moved — the same pure expression
+    /// either way, so the cached value is bit-identical. A sorted vector,
+    /// not a `BTreeSet`: the per-window walk dominates, and a contiguous
+    /// ascending scan is both faster and exactly the same visit order.
+    occupied: Vec<u32>,
+    class_busy: Vec<usize>,
+    class_power: Vec<f64>,
+    it: f64,
+    cooling: f64,
+    class_it: Vec<f64>,
+    peak_rack_heat: f64,
+    wait_sum: f64,
+    max_wait: Seconds,
+    violations: usize,
+    class_violations: Vec<usize>,
+    class_placements: Vec<usize>,
+}
+
+impl EnergyIntegrator {
+    /// An integrator over `config`'s racks and chiller, with one energy,
+    /// violation and placement tally per catalog class.
+    pub(crate) fn new(config: &FleetConfig, class_names: &[String]) -> Self {
+        let n_classes = class_names.len();
+        Self {
+            base_chiller: config.chiller.clone(),
+            idle_server_power: config.idle_server_power.value(),
+            class_names: class_names.to_vec(),
+            pending: BinaryHeap::new(),
+            seq: 0,
+            first_start: f64::INFINITY,
+            last_end: 0.0,
+            window_start: None,
+            chiller: config.chiller.clone(),
+            era: 0,
+            active: config.total_servers(),
+            busy: 0,
+            active_power: 0.0,
+            acc: vec![
+                RackAcc {
+                    heat: 0.0,
+                    power: 0.0,
+                    era: 0,
+                    dirty: true,
+                };
+                config.racks
+            ],
+            rack_water: vec![Vec::new(); config.racks],
+            occupied: Vec::new(),
+            class_busy: vec![0; n_classes],
+            class_power: vec![0.0; n_classes],
+            it: 0.0,
+            cooling: 0.0,
+            class_it: vec![0.0; n_classes],
+            peak_rack_heat: 0.0,
+            wait_sum: 0.0,
+            max_wait: Seconds::ZERO,
+            violations: 0,
+            class_violations: vec![0; n_classes],
+            class_placements: vec![0; n_classes],
+        }
+    }
+
+    fn push(&mut self, time: f64, kind: u8, rack: usize, class: ClassId, state: &SteadyState) {
+        self.pending.push(Boundary {
+            time,
+            kind,
+            rack,
+            seq: self.seq,
+            class,
+            heat: state.heat.value(),
+            water_bits: state.max_water_temp.value().to_bits(),
+            power: state.package_power.value(),
+        });
+        self.seq += 1;
+    }
+
+    fn push_change(&mut self, time: f64, kind: u8, rack: usize, water_bits: u64) {
+        self.pending.push(Boundary {
+            time,
+            kind,
+            rack,
+            seq: self.seq,
+            class: 0,
+            heat: 0.0,
+            water_bits,
+            power: 0.0,
+        });
+        self.seq += 1;
+    }
+
+    /// Records a placement dispatched at `now` (its start is never
+    /// earlier), then folds every boundary that is final at `now`.
+    /// Zero-length placements count toward the wait and violation tallies
+    /// but never open a window.
+    pub(crate) fn place(&mut self, now: Seconds, p: &Placement) {
+        debug_assert!(
+            p.start.value() >= now.value(),
+            "a placement starts after it arrives"
+        );
+        self.wait_sum += p.wait.value();
+        self.max_wait = self.max_wait.max(p.wait);
+        self.class_placements[p.class] += 1;
+        if p.violated {
+            self.violations += 1;
+            self.class_violations[p.class] += 1;
+        }
+        if p.end.value() > p.start.value() {
+            self.push(p.start.value(), ADD, p.rack, p.class, &p.state);
+            self.push(p.end.value(), REMOVE, p.rack, p.class, &p.state);
+            self.first_start = self.first_start.min(p.start.value());
+            self.last_end = self.last_end.max(p.end.value());
+        }
+        self.fold_before(now.value());
+    }
+
+    /// Records a chiller set-point change at `now`. At or before the first
+    /// start it only sets the chiller the first window sees.
+    pub(crate) fn setpoint(&mut self, now: Seconds, setpoint: Celsius) {
+        if self.first_start < now.value() {
+            self.push_change(now.value(), SETPOINT, 0, setpoint.value().to_bits());
+        } else {
+            self.chiller = self.base_chiller.with_ambient(setpoint);
+        }
+    }
+
+    /// Records an active-server count change at `now`. At or before the
+    /// first start it only sets the count the first window sees.
+    pub(crate) fn activation(&mut self, now: Seconds, active: usize) {
+        if self.first_start < now.value() {
+            self.push_change(now.value(), ACTIVATION, active, 0);
+        } else {
+            self.active = active;
+        }
+    }
+
+    /// Folds, in key order, every pending boundary earlier than `limit`.
+    /// A change waits while no placement boundary later than it has been
+    /// fed: until one is, it may yet lie at or past the last end.
+    fn fold_before(&mut self, limit: f64) {
+        while let Some(b) = self.pending.peek() {
+            let change = b.kind == SETPOINT || b.kind == ACTIVATION;
+            if b.time >= limit || (change && b.time >= self.last_end) {
+                break;
+            }
+            let b = self.pending.pop().expect("peeked above");
+            self.fold(&b);
+        }
+    }
+
+    /// Closes the open window if `b` starts a new instant, then applies
+    /// `b` to the fleet state.
+    fn fold(&mut self, b: &Boundary) {
+        if let Some(t) = self.window_start.filter(|&t| t != b.time) {
+            self.close_window(b.time - t);
+        }
+        self.window_start = Some(b.time);
+        match b.kind {
+            REMOVE => {
+                self.busy -= 1;
+                self.active_power -= b.power;
+                self.acc[b.rack].heat -= b.heat;
+                self.class_busy[b.class] -= 1;
+                self.class_power[b.class] -= b.power;
+                let water = &mut self.rack_water[b.rack];
+                if let Ok(at) = water.binary_search_by_key(&b.water_bits, |w| w.0) {
+                    water[at].1 -= 1;
+                    if water[at].1 == 0 {
+                        water.remove(at);
+                    }
+                }
+                // Pin drained sums back to exact zero so float residue
+                // never leaks into later windows.
+                if water.is_empty() {
+                    self.acc[b.rack].heat = 0.0;
+                    if let Ok(at) = self.occupied.binary_search(&(b.rack as u32)) {
+                        self.occupied.remove(at);
+                    }
+                }
+                self.acc[b.rack].dirty = true;
+                if self.class_busy[b.class] == 0 {
+                    self.class_power[b.class] = 0.0;
+                }
+                if self.busy == 0 {
+                    self.active_power = 0.0;
+                }
+            }
+            SETPOINT => {
+                self.chiller = self
+                    .base_chiller
+                    .with_ambient(Celsius::new(f64::from_bits(b.water_bits)));
+                self.era += 1;
+            }
+            ACTIVATION => self.active = b.rack,
+            _ => {
+                self.busy += 1;
+                self.active_power += b.power;
+                self.acc[b.rack].heat += b.heat;
+                // The running max only ever grows at additions (heat is
+                // non-negative and drains pin back to zero), so observing
+                // it here sees every candidate a per-window pass would.
+                self.peak_rack_heat = self.peak_rack_heat.max(self.acc[b.rack].heat);
+                self.class_busy[b.class] += 1;
+                self.class_power[b.class] += b.power;
+                let water = &mut self.rack_water[b.rack];
+                if water.is_empty() {
+                    if let Err(at) = self.occupied.binary_search(&(b.rack as u32)) {
+                        self.occupied.insert(at, b.rack as u32);
+                    }
+                }
+                match water.binary_search_by_key(&b.water_bits, |w| w.0) {
+                    Ok(at) => water[at].1 += 1,
+                    Err(at) => water.insert(at, (b.water_bits, 1)),
+                }
+                self.acc[b.rack].dirty = true;
+            }
+        }
+    }
+
+    /// Adds one window of length `dt` at the current fleet state.
+    fn close_window(&mut self, dt: f64) {
+        // Draining servers past a scale-down outnumbering `active` is
+        // fine: their package power is in `active_power` and no idle
+        // floor remains.
+        let idle = self.active.saturating_sub(self.busy) as f64 * self.idle_server_power;
+        self.it += (self.active_power + idle) * dt;
+        for (sum, power) in self.class_it.iter_mut().zip(&self.class_power) {
+            *sum += power * dt;
+        }
+        for &r in &self.occupied {
+            let a = &mut self.acc[r as usize];
+            if a.dirty || a.era != self.era {
+                let &(bits, _) = self.rack_water[r as usize]
+                    .first()
+                    .expect("occupied racks have committed water");
+                a.power = self
+                    .chiller
+                    .electrical_power(
+                        Watts::new(a.heat.max(0.0)),
+                        Celsius::new(f64::from_bits(bits)),
+                    )
+                    .value();
+                a.dirty = false;
+                a.era = self.era;
+            }
+            self.cooling += a.power * dt;
+        }
+    }
+
+    /// Folds everything still pending and assembles the outcome. Changes
+    /// left waiting lie at or past the last end and open no window.
+    pub(crate) fn finish(
+        mut self,
+        dispatcher: &'static str,
+        control: &'static str,
+        shed: usize,
+    ) -> FleetOutcome {
+        self.fold_before(f64::INFINITY);
+        let n: usize = self.class_placements.iter().sum();
+        FleetOutcome {
+            dispatcher,
+            control,
+            makespan: Seconds::new(self.last_end),
+            it_energy: Joules::new(self.it),
+            cooling_energy: Joules::new(self.cooling),
+            violations: self.violations,
+            shed,
+            mean_wait: if n == 0 {
+                Seconds::ZERO
+            } else {
+                Seconds::new(self.wait_sum) / n as f64
+            },
+            max_wait: self.max_wait,
+            peak_rack_heat: Watts::new(self.peak_rack_heat),
+            class_names: self.class_names,
+            class_it_energy: self.class_it.into_iter().map(Joules::new).collect(),
+            class_violations: self.class_violations,
+            class_placements: self.class_placements,
+            serving: None,
+        }
+    }
+}
+
+/// The post-run integration the [`EnergyIntegrator`] replaced: every
+/// placement boundary of a finished run sorted into one timeline and swept
+/// window by window. Kept as the oracle the streaming fold is tested
+/// against, bit for bit.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)] // a whole finished run, as one call
 pub(crate) fn integrate_energy(
     dispatcher: &'static str,
     control: &'static str,
@@ -862,7 +1260,6 @@ pub(crate) fn integrate_energy(
     FleetOutcome {
         dispatcher,
         control,
-        placements,
         makespan,
         it_energy: Joules::new(it),
         cooling_energy: Joules::new(cooling),
@@ -887,6 +1284,7 @@ pub(crate) fn integrate_energy(
 mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
+    use proptest::prelude::*;
     use tps_units::Celsius;
 
     fn state(heat: f64, max_water: f64) -> SteadyState {
@@ -900,10 +1298,8 @@ mod tests {
         }
     }
 
-    fn placement(server: usize, rack: usize, start: f64, end: f64, s: SteadyState) -> Placement {
+    fn placement(rack: usize, start: f64, end: f64, s: SteadyState) -> Placement {
         Placement {
-            job: 0,
-            server,
             rack,
             class: 0,
             start: Seconds::new(start),
@@ -924,14 +1320,48 @@ mod tests {
         vec!["default".to_owned()]
     }
 
+    /// Feeds a finished run to the streaming [`EnergyIntegrator`] the way
+    /// the kernel does, under the post-pass oracle's signature: each
+    /// placement at its arrival (`start − wait`, non-decreasing in
+    /// `placements` order), each change at its instant, ahead of the
+    /// arrivals sharing it.
+    #[allow(clippy::too_many_arguments)] // mirrors `integrate_energy`
+    fn stream(
+        dispatcher: &'static str,
+        control: &'static str,
+        placements: Vec<Placement>,
+        shed: usize,
+        config: &FleetConfig,
+        class_names: &[String],
+        setpoints: &[(Seconds, Celsius)],
+        activations: &[(Seconds, usize)],
+    ) -> FleetOutcome {
+        let mut energy = EnergyIntegrator::new(config, class_names);
+        let mut setpoints = setpoints.iter().peekable();
+        let mut activations = activations.iter().peekable();
+        for p in &placements {
+            let now = p.start - p.wait;
+            while let Some(&(t, c)) = setpoints.next_if(|s| s.0.value() <= now.value()) {
+                energy.setpoint(t, c);
+            }
+            while let Some(&(t, n)) = activations.next_if(|a| a.0.value() <= now.value()) {
+                energy.activation(t, n);
+            }
+            energy.place(now, p);
+        }
+        setpoints.for_each(|&(t, c)| energy.setpoint(t, c));
+        activations.for_each(|&(t, n)| energy.activation(t, n));
+        energy.finish(dispatcher, control, shed)
+    }
+
     fn integrate(placements: Vec<Placement>, cfg: &FleetConfig) -> FleetOutcome {
-        integrate_energy("test", "static", placements, 0, cfg, &names(), &[], &[])
+        stream("test", "static", placements, 0, cfg, &names(), &[], &[])
     }
 
     #[test]
     fn it_energy_is_power_times_time() {
         let cfg = tiny_config();
-        let out = integrate(vec![placement(0, 0, 0.0, 10.0, state(50.0, 80.0))], &cfg);
+        let out = integrate(vec![placement(0, 0.0, 10.0, state(50.0, 80.0))], &cfg);
         assert!((out.it_energy.value() - 500.0).abs() < 1e-9);
         assert_eq!(out.makespan, Seconds::new(10.0));
         assert_eq!(out.peak_rack_heat, Watts::new(50.0));
@@ -947,17 +1377,11 @@ mod tests {
         let cold = state(70.0, 60.0); // below the 65 °C bypass threshold
         let warm = state(70.0, 80.0); // free-cools
         let together = integrate(
-            vec![
-                placement(0, 0, 0.0, 10.0, cold),
-                placement(0, 0, 0.0, 10.0, warm),
-            ],
+            vec![placement(0, 0.0, 10.0, cold), placement(0, 0.0, 10.0, warm)],
             &cfg,
         );
         let apart = integrate(
-            vec![
-                placement(0, 0, 0.0, 10.0, cold),
-                placement(1, 1, 0.0, 10.0, warm),
-            ],
+            vec![placement(0, 0.0, 10.0, cold), placement(1, 0.0, 10.0, warm)],
             &cfg,
         );
         assert!(
@@ -973,7 +1397,7 @@ mod tests {
     fn idle_floor_counts_toward_it_energy() {
         let mut cfg = tiny_config();
         cfg.idle_server_power = Watts::new(10.0);
-        let out = integrate(vec![placement(0, 0, 0.0, 10.0, state(50.0, 80.0))], &cfg);
+        let out = integrate(vec![placement(0, 0.0, 10.0, state(50.0, 80.0))], &cfg);
         // One busy server at 50 W + one idle at 10 W over 10 s.
         assert!((out.it_energy.value() - 600.0).abs() < 1e-9);
     }
@@ -981,10 +1405,10 @@ mod tests {
     #[test]
     fn waits_and_violations_aggregate() {
         let cfg = tiny_config();
-        let mut a = placement(0, 0, 5.0, 10.0, state(50.0, 80.0));
+        let mut a = placement(0, 5.0, 10.0, state(50.0, 80.0));
         a.wait = Seconds::new(5.0);
         a.violated = true;
-        let b = placement(1, 1, 0.0, 10.0, state(50.0, 80.0));
+        let b = placement(1, 0.0, 10.0, state(50.0, 80.0));
         let out = integrate(vec![a, b], &cfg);
         assert_eq!(out.violations, 1);
         assert_eq!(out.max_wait, Seconds::new(5.0));
@@ -999,11 +1423,11 @@ mod tests {
         // cooling (supply ≥ ambient + approach).
         let cfg = tiny_config();
         let job = state(70.0, 60.0);
-        let fixed = integrate(vec![placement(0, 0, 0.0, 10.0, job)], &cfg);
-        let stepped = integrate_energy(
+        let fixed = integrate(vec![placement(0, 0.0, 10.0, job)], &cfg);
+        let stepped = stream(
             "test",
             "setpoint",
-            vec![placement(0, 0, 0.0, 10.0, job)],
+            vec![placement(0, 0.0, 10.0, job)],
             0,
             &cfg,
             &names(),
@@ -1036,10 +1460,10 @@ mod tests {
     fn setpoints_before_the_first_start_set_the_initial_chiller() {
         let cfg = tiny_config();
         let job = state(70.0, 60.0);
-        let programmed = integrate_energy(
+        let programmed = stream(
             "test",
             "setpoint",
-            vec![placement(0, 0, 10.0, 20.0, job)],
+            vec![placement(0, 10.0, 20.0, job)],
             0,
             &cfg,
             &names(),
@@ -1057,17 +1481,17 @@ mod tests {
     fn setpoints_past_the_makespan_are_ignored() {
         let cfg = tiny_config();
         let job = state(50.0, 80.0);
-        let out = integrate_energy(
+        let out = stream(
             "test",
             "setpoint",
-            vec![placement(0, 0, 0.0, 10.0, job)],
+            vec![placement(0, 0.0, 10.0, job)],
             0,
             &cfg,
             &names(),
             &[(Seconds::new(10.0), Celsius::new(40.0))],
             &[],
         );
-        let plain = integrate(vec![placement(0, 0, 0.0, 10.0, job)], &cfg);
+        let plain = integrate(vec![placement(0, 0.0, 10.0, job)], &cfg);
         assert_eq!(out.makespan, Seconds::new(10.0));
         assert_eq!(out.it_energy, plain.it_energy);
         assert_eq!(out.cooling_energy, plain.cooling_energy);
@@ -1177,10 +1601,10 @@ mod tests {
     fn activation_timeline_shrinks_the_idle_floor() {
         let mut cfg = FleetConfig::new(2, 1);
         cfg.idle_server_power = Watts::new(10.0);
-        let run = vec![placement(0, 0, 0.0, 10.0, state(50.0, 80.0))];
+        let run = vec![placement(0, 0.0, 10.0, state(50.0, 80.0))];
         let full = integrate(run.clone(), &cfg);
         // Deactivate the second server from t = 5: its idle power stops.
-        let scaled = integrate_energy(
+        let scaled = stream(
             "test",
             "autoscale",
             run.clone(),
@@ -1199,7 +1623,7 @@ mod tests {
 
         // A pre-start activation sets the initial count; draining jobs on
         // deactivated servers never produce a negative idle floor.
-        let drained = integrate_energy(
+        let drained = stream(
             "test",
             "autoscale",
             run,
@@ -1210,5 +1634,225 @@ mod tests {
             &[(Seconds::ZERO, 0)],
         );
         assert!((drained.it_energy.value() - 500.0).abs() < 1e-9);
+    }
+
+    /// One step of a kernel-shaped feed: a placement dispatched at its
+    /// arrival instant, or a change at its own instant.
+    #[derive(Debug, Clone, Copy)]
+    enum Feed {
+        Place(Seconds, Placement),
+        Setpoint(Seconds, Celsius),
+        Activation(Seconds, usize),
+    }
+
+    /// SplitMix64 over `(seed, i)`, the random source of [`random_feed`].
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random kernel-shaped run on a half-second grid, so instants tie
+    /// across racks and kinds: arrivals in time order, starts queued past
+    /// arrivals, zero-length placements, every class, and set-point and
+    /// activation changes before the first start, inside idle gaps, at
+    /// the last end and after it — fed before or after the arrivals
+    /// sharing their instant.
+    fn random_feed(
+        seed: u64,
+        steps: usize,
+        racks: usize,
+        servers: usize,
+        classes: usize,
+    ) -> Vec<Feed> {
+        let mut i = 0u64;
+        let mut draw = |n: usize| {
+            i += 1;
+            (mix(seed, i) % n as u64) as usize
+        };
+        let (mut now, mut last_end) = (0.0f64, 0.0f64);
+        let mut feed = Vec::with_capacity(steps + 3);
+        for _ in 0..steps {
+            // Mostly short steps or none (same-instant ties); now and then
+            // a jump past every running job (an idle gap).
+            now += match draw(8) {
+                0..=2 => 0.0,
+                7 => 20.0,
+                k => 0.5 * k as f64,
+            };
+            let at = Seconds::new(now);
+            match draw(10) {
+                0 | 1 => feed.push(Feed::Setpoint(
+                    at,
+                    Celsius::new([40.0, 55.0, 70.0][draw(3)]),
+                )),
+                2 => feed.push(Feed::Activation(at, draw(racks * servers + 1))),
+                _ => {
+                    let start = now + 0.5 * [0.0, 0.0, 1.0, 3.0][draw(4)];
+                    // A zero draw makes a zero-length placement.
+                    let end = start + 0.5 * draw(9) as f64;
+                    last_end = last_end.max(end);
+                    // Non-dyadic watts, so a changed summation order
+                    // shows in the low bits.
+                    let heat = [0.0, 35.1, 70.37, 120.53][draw(4)];
+                    let mut s = state(heat, [55.0, 60.0, 66.5, 80.0][draw(4)]);
+                    s.package_power = Watts::new(heat + 12.29 * draw(3) as f64);
+                    feed.push(Feed::Place(
+                        at,
+                        Placement {
+                            rack: draw(racks),
+                            class: draw(classes),
+                            start: Seconds::new(start),
+                            end: Seconds::new(end),
+                            wait: Seconds::new(start - now),
+                            violated: draw(3) == 0,
+                            state: s,
+                        },
+                    ));
+                }
+            }
+        }
+        // Changes exactly at the last end and past it, when the clock has
+        // not moved beyond it already.
+        if last_end >= now {
+            feed.push(Feed::Setpoint(Seconds::new(last_end), Celsius::new(45.0)));
+            feed.push(Feed::Activation(Seconds::new(last_end), 1));
+            feed.push(Feed::Setpoint(
+                Seconds::new(last_end + 1.0),
+                Celsius::new(40.0),
+            ));
+        }
+        feed
+    }
+
+    /// Runs `feed` through the streaming integrator and the post-pass
+    /// oracle; returns both outcomes.
+    fn both(feed: &[Feed], config: &FleetConfig, names: &[String]) -> (FleetOutcome, FleetOutcome) {
+        let mut energy = EnergyIntegrator::new(config, names);
+        let (mut placements, mut setpoints, mut activations) = (Vec::new(), Vec::new(), Vec::new());
+        for step in feed {
+            match *step {
+                Feed::Place(now, p) => {
+                    energy.place(now, &p);
+                    placements.push(p);
+                }
+                Feed::Setpoint(t, c) => {
+                    energy.setpoint(t, c);
+                    setpoints.push((t, c));
+                }
+                Feed::Activation(t, n) => {
+                    energy.activation(t, n);
+                    activations.push((t, n));
+                }
+            }
+        }
+        let oracle = integrate_energy(
+            "d",
+            "c",
+            placements,
+            7,
+            config,
+            names,
+            &setpoints,
+            &activations,
+        );
+        (energy.finish("d", "c", 7), oracle)
+    }
+
+    /// Every float field of an outcome as raw bits.
+    fn bits(o: &FleetOutcome) -> Vec<u64> {
+        [
+            o.makespan.value(),
+            o.it_energy.value(),
+            o.cooling_energy.value(),
+            o.mean_wait.value(),
+            o.max_wait.value(),
+            o.peak_rack_heat.value(),
+        ]
+        .into_iter()
+        .chain(o.class_it_energy.iter().map(|e| e.value()))
+        .map(f64::to_bits)
+        .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The streaming fold reproduces the post-pass oracle bit for bit
+        /// on random kernel-shaped runs (see [`random_feed`]).
+        #[test]
+        fn streaming_integration_matches_the_post_pass_bit_for_bit(
+            seed in 0u64..1_000_000,
+            steps in 0usize..48,
+            racks in 1usize..4,
+            servers in 1usize..3,
+            classes in 1usize..3,
+        ) {
+            let config = FleetConfig::new(racks, servers);
+            let names: Vec<String> = (0..classes).map(|c| format!("c{c}")).collect();
+            let feed = random_feed(seed, steps, racks, servers, classes);
+            let (streamed, oracle) = both(&feed, &config, &names);
+            prop_assert_eq!(bits(&streamed), bits(&oracle), "feed {:?}", feed);
+            prop_assert_eq!(streamed, oracle);
+        }
+    }
+
+    /// The random feeds really reach every case the oracle property is
+    /// meant to cover.
+    #[test]
+    fn random_feeds_cover_every_boundary_case() {
+        let mut hit = [false; 9];
+        for seed in 0..400u64 {
+            let feed = random_feed(seed, 40, 3, 2, 2);
+            let places: Vec<(Seconds, Placement)> = feed
+                .iter()
+                .filter_map(|f| match *f {
+                    Feed::Place(now, p) => Some((now, p)),
+                    _ => None,
+                })
+                .collect();
+            let live: Vec<&Placement> = places
+                .iter()
+                .map(|(_, p)| p)
+                .filter(|p| p.end.value() > p.start.value())
+                .collect();
+            let first = live
+                .iter()
+                .map(|p| p.start.value())
+                .fold(f64::INFINITY, f64::min);
+            let last = live.iter().map(|p| p.end.value()).fold(0.0, f64::max);
+            let idle_at = |t: f64| {
+                first < t
+                    && t < last
+                    && live
+                        .iter()
+                        .all(|p| !(p.start.value() <= t && t < p.end.value()))
+            };
+            hit[0] |= live.iter().any(|a| {
+                live.iter().any(|b| {
+                    a.rack != b.rack && (a.start == b.start || a.end == b.end || a.end == b.start)
+                })
+            });
+            hit[1] |= places.iter().any(|(_, p)| p.end == p.start);
+            hit[2] |= places.iter().any(|(now, p)| p.start.value() > now.value());
+            hit[3] |= live.iter().any(|p| p.class == 1);
+            for f in &feed {
+                match *f {
+                    Feed::Setpoint(t, _) => {
+                        let t = t.value();
+                        hit[4] |= t <= first && first.is_finite();
+                        hit[5] |= idle_at(t);
+                        hit[6] |= t == last && last > 0.0;
+                        hit[7] |= t > last && last > 0.0;
+                    }
+                    Feed::Activation(t, _) => hit[8] |= first < t.value() && t.value() < last,
+                    Feed::Place(..) => {}
+                }
+            }
+        }
+        // Ties across racks, zero-length, queued starts, two classes,
+        // set-points before the first start / in an idle gap / at and
+        // past the last end, activations inside the timeline.
+        assert_eq!(hit, [true; 9]);
     }
 }

@@ -525,7 +525,7 @@ mod tests {
         // never.
         let mut cal = CalendarQueue::new();
         let mut heap = EventQueue::new();
-        let mut push = |cal: &mut CalendarQueue, heap: &mut EventQueue, t: f64, e: Event| {
+        let push = |cal: &mut CalendarQueue, heap: &mut EventQueue, t: f64, e: Event| {
             cal.push(Seconds::new(t), e);
             heap.push(Seconds::new(t), e);
         };

@@ -115,10 +115,7 @@ fn thermal_aware_beats_round_robin_on_the_mixed_catalog() {
     // Per-class accounting reconciles with the totals.
     for out in [&rr, &ta] {
         assert_eq!(out.class_violations.iter().sum::<usize>(), out.violations);
-        assert_eq!(
-            out.class_placements.iter().sum::<usize>(),
-            out.placements.len()
-        );
+        assert_eq!(out.class_placements.iter().sum::<usize>(), jobs.len());
         let class_it: f64 = out.class_it_energy.iter().map(|e| e.value()).sum();
         // Active energy per class excludes the fleet-wide idle floor.
         assert!(class_it <= out.it_energy.value() + 1e-6);
@@ -157,7 +154,7 @@ fn hundred_thousand_server_shape_stays_deterministic_across_threads() {
         let outcome = fleet
             .simulate(&jobs, &mut ThermalAwareDispatch::default(), &cache)
             .unwrap();
-        assert_eq!(outcome.placements.len(), jobs.len());
+        assert_eq!(outcome.class_placements.iter().sum::<usize>(), jobs.len());
         outcomes.push(format!("{outcome:?}"));
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 threads");

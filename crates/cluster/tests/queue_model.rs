@@ -5,7 +5,7 @@
 //! far-future times that ride the overflow list.
 
 use proptest::prelude::*;
-use tps_cluster::{CalendarQueue, Event, EventQueue, KernelQueue};
+use tps_cluster::{CalendarQueue, Event, EventQueue};
 use tps_units::{Celsius, Seconds};
 
 /// SplitMix64, the same deterministic mix the workload layer uses.

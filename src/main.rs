@@ -130,8 +130,8 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         other => return fail(format!("unknown selector `{other}`")),
     };
     let pitch: f64 = match args.parsed("pitch", 1.0) {
-        Ok(p) if p > 0.0 => p,
-        Ok(_) => return fail("--pitch must be a positive number of millimetres"),
+        Ok(p) if positive(p) => p,
+        Ok(_) => return fail("--pitch must be a positive, finite number of millimetres"),
         Err(e) => return fail(e),
     };
 
@@ -558,28 +558,34 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
     if out.servers == 0
         || out.jobs == 0
         || out.racks == Some(0)
-        || out.rate <= 0.0
-        || out.pitch <= 0.0
+        || !positive(out.rate)
+        || !positive(out.pitch)
         || out.threads == 0
         || out.shards == 0
-        || out.sample <= 0.0
+        || !positive(out.sample)
     {
         return Err(
             "--servers, --racks, --jobs, --rate, --pitch, --threads, --shards and --sample \
-             must be positive"
+             must be positive and finite"
                 .to_owned(),
         );
     }
     match &out.control {
-        ControlSpec::Shed { tick } | ControlSpec::Autoscale { tick } if *tick <= 0.0 => {
-            return Err("--tick must be positive".to_owned());
+        ControlSpec::Shed { tick } | ControlSpec::Autoscale { tick } if !positive(*tick) => {
+            return Err("--tick must be positive and finite".to_owned());
         }
-        ControlSpec::Planner { tick, horizon, .. } if *tick <= 0.0 || *horizon <= 0.0 => {
-            return Err("--tick and --horizon must be positive".to_owned());
+        ControlSpec::Planner { tick, horizon, .. } if !positive(*tick) || !positive(*horizon) => {
+            return Err("--tick and --horizon must be positive and finite".to_owned());
         }
         _ => {}
     }
     Ok(out)
+}
+
+/// Whether a real-valued flag is usable as a rate, length or interval: a
+/// bare `x <= 0.0` test lets NaN and ∞ through to constructor asserts.
+fn positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 fn synthesize_fleet_jobs(a: &FleetArgs) -> Result<Vec<Job>, String> {
@@ -798,7 +804,7 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
                         result.stats.arena_high_water,
                     );
                     println!(
-                        "  cache: {} table hits, {} miss solves, {} lock acquisitions",
+                        "  cache (this run): {} table hits, {} miss solves, {} lock acquisitions",
                         result.stats.table_hits,
                         result.stats.miss_solves,
                         result.stats.lock_acquisitions,
@@ -859,7 +865,7 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         }
     }
     println!(
-        "\nserver-physics cache: {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}",
+        "\nserver-physics cache (process total): {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}",
         cache.solves(),
         cache.hits(),
         cache.table_hits(),
@@ -938,7 +944,7 @@ fn cmd_sweep(raw: &[String]) -> ExitCode {
         }
     };
     println!(
-        "executed {} grid point(s) in {:.2} s — server-physics cache: {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}\n",
+        "executed {} grid point(s) in {:.2} s — server-physics cache (this run): {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}\n",
         report.rows.len(),
         started.elapsed().as_secs_f64(),
         report.cache_solves,
