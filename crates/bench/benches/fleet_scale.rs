@@ -1,16 +1,13 @@
 //! Criterion: the million-job kernel's scale trajectory — fleet replay
 //! wall time at 1k/10k/100k servers with proportionally sized job
-//! streams, per dispatcher and hall count, on a warm physics cache.
+//! streams, per dispatcher, on a warm physics cache.
 //!
-//! These are the same (servers, jobs, dispatcher, shards) points the
+//! These are the same (servers, jobs, dispatcher) points the
 //! `bench_kernel` binary measures into `BENCH_kernel.json`; run the
 //! binary for the machine-readable trajectory and this bench for
-//! criterion's interactive timings. The shard axis here is the compact
-//! {1, 8} pair (the bench binary walks the full 1/2/4/8 ladder); both
-//! ends replay the identical stream to the identical outcome, so the
-//! timing delta is pure sharded-dispatch speedup. The environment
-//! variable `TPS_BENCH_SCALE=smoke` trims the grid to the 1k tier so CI
-//! smoke jobs stay inside their time budget.
+//! criterion's interactive timings. The environment variable
+//! `TPS_BENCH_SCALE=smoke` trims the grid to the 1k tier so CI smoke
+//! jobs stay inside their time budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -25,9 +22,6 @@ use tps_workload::{Benchmark, DiurnalDemand, QosClass};
 /// The pinned scale grid: (servers, jobs). 100k × 1M is the headline
 /// million-job point; smoke keeps only the first tier.
 const SCALES: &[(usize, usize)] = &[(1_000, 10_000), (10_000, 100_000), (100_000, 1_000_000)];
-
-/// Hall counts: sequential baseline vs the widest sharded layout.
-const SHARDS: &[usize] = &[1, 8];
 
 fn dispatchers() -> Vec<(&'static str, Box<dyn FleetDispatcher>)> {
     vec![
@@ -51,27 +45,18 @@ fn bench_fleet_scale(c: &mut Criterion) {
         let demand = DiurnalDemand::new(0.7 * 0.2, 0.7, Seconds::new(600.0));
         let stream = synthesize_jobs(jobs, &demand, JobMix::default(), 42);
         let cache = OutcomeCache::new();
-        {
-            let mut config = FleetConfig::new(racks, servers / racks);
-            config.grid_pitch_mm = 3.0;
-            Fleet::new(config)
-                .simulate(&stream, &mut RoundRobin::default(), &cache)
-                .expect("warm-up run");
-        }
-        for &shards in SHARDS {
-            let mut config = FleetConfig::new(racks, servers / racks);
-            config.grid_pitch_mm = 3.0;
-            config.shards = shards;
-            let fleet = Fleet::new(config);
-            for (name, mut dispatcher) in dispatchers() {
-                group.bench_with_input(
-                    BenchmarkId::new(name, format!("{servers}x{jobs}/shards{shards}")),
-                    &stream,
-                    |b, stream| {
-                        b.iter(|| fleet.simulate(stream, dispatcher.as_mut(), &cache).unwrap())
-                    },
-                );
-            }
+        let mut config = FleetConfig::new(racks, servers / racks);
+        config.grid_pitch_mm = 3.0;
+        let fleet = Fleet::new(config);
+        fleet
+            .simulate(&stream, &mut RoundRobin::default(), &cache)
+            .expect("warm-up run");
+        for (name, mut dispatcher) in dispatchers() {
+            group.bench_with_input(
+                BenchmarkId::new(name, format!("{servers}x{jobs}")),
+                &stream,
+                |b, stream| b.iter(|| fleet.simulate(stream, dispatcher.as_mut(), &cache).unwrap()),
+            );
         }
     }
     group.finish();

@@ -14,10 +14,10 @@
 //! * a **frozen dense [`SolveTable`]** — a flat `Vec` indexed by a dense
 //!   `(solve slot, class, bench, qos)` key computed arithmetically (no
 //!   hashing, no tree walk, no lock), published as an immutable epoch and
-//!   shared read-only (`Arc`) across halls and sweep workers. This is the
-//!   steady-state hot path: once a run's keys are published, resolving
-//!   its demand states acquires **zero** locks.
-//! * a **sharded on-demand miss path** — the mutable `BTreeMap`, striped
+//!   shared read-only (`Arc`) across runs and sweep workers. Every run
+//!   reads its demand states through it: once a run's keys are published,
+//!   resolving them acquires **zero** locks.
+//! * a **striped on-demand miss path** — the mutable `BTreeMap`, split
 //!   across [`STRIPES`] locks by key hash, that absorbs keys the table
 //!   does not cover yet (a new `inlet_milli` from a swept set-point, a
 //!   planner grid, lazily-solved pairs). Misses are folded into a *new*
@@ -25,7 +25,7 @@
 //!   the same place the kernel's chiller epoch advances — so readers
 //!   never observe a torn table: they hold the epoch they started with.
 //!
-//! Counter taxonomy: `hits`/`solves` account the striped map (the oracle
+//! Counter taxonomy: `hits`/`solves` account the striped map (the miss
 //! tier), `table_hits`/`miss_solves` account the dense tier, and
 //! `lock_acquisitions` counts every stripe or publication lock taken —
 //! the determinism smoke asserts it stays flat across a steady-state run.
@@ -156,7 +156,7 @@ const STRIPES: usize = 16;
 /// ((slot · classes + class) · |Benchmark| + bench) · |QosClass| + qos
 /// ```
 ///
-/// — no hash, no tree, no lock, shared read-only via `Arc` across halls
+/// — no hash, no tree, no lock, shared read-only via `Arc` across runs
 /// and sweep workers. Absent keys hold `None` and fall through to the
 /// striped miss path.
 ///
@@ -373,7 +373,7 @@ impl OutcomeCache {
     }
 
     /// The cached outcome for `(class, bench, qos)` without solving —
-    /// the striped-map oracle read (micro-bench and test hook).
+    /// the striped-map read (micro-bench and test hook).
     pub fn peek(
         &self,
         class: &ClassSolve<'_>,
@@ -392,7 +392,7 @@ impl OutcomeCache {
 
     /// Returns the cached outcome for `(bench, qos)` on the given server
     /// class, solving the coupled problem on a miss. This is the striped
-    /// miss/oracle path; steady-state readers go through a published
+    /// miss path; steady-state readers go through a published
     /// [`SolveTable`] instead.
     ///
     /// # Errors
@@ -438,7 +438,7 @@ impl OutcomeCache {
     /// and publishes it. Call only at global synchronization points (run
     /// starts, sweep phase boundaries): readers that fetched an earlier
     /// epoch keep it — `Arc` keeps every epoch alive while referenced, so
-    /// publication can never tear a table out from under a hall.
+    /// publication can never tear a table out from under a run in progress.
     pub fn publish(&self) -> Arc<SolveTable> {
         let mut entries: Vec<(CacheKey, SteadyState)> = Vec::new();
         for stripe in &self.stripes {

@@ -12,15 +12,15 @@
 //! the baseline and [`CoolestRackFirst`] balances heat across racks
 //! before picking the cheapest class within the winner.
 //!
-//! # Scaling: the indexed fast path
+//! # Scaling: the indexed ranking
 //!
-//! A [`FleetView`] is a plain snapshot; on small fleets the dispatchers
-//! enumerate every `(rack, class)` slot. At 100 k servers that
-//! enumeration is the simulator's whole runtime, so the kernel also hands
-//! dispatchers a [`FleetIndex`]: the committed racks ordered by heat, the
+//! Enumerating every `(rack, class)` slot per arrival would be the
+//! simulator's whole runtime at 100 k servers, so every [`FleetView`]
+//! carries a [`FleetIndex`]: the committed racks ordered by heat, the
 //! idle racks grouped by class pattern, and a per-rack mutation stamp.
-//! Two facts make the indexed walk *bit-identical* to the full
-//! enumeration:
+//! The full enumeration survives only as the oracle in this module's
+//! tests and in `tests/properties.rs`. Two facts make the indexed walk
+//! *bit-identical* to it:
 //!
 //! * every idle rack of one class pattern has the exact same
 //!   [`RackView`] (`0.0` heat — drained racks are pinned to exact zero —
@@ -49,7 +49,7 @@
 
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;
-use crate::engine::{OccupiedRack, RackLoads};
+use crate::engine::OccupiedRack;
 use crate::job::Job;
 use tps_cooling::Chiller;
 use tps_units::{Celsius, Seconds, Watts};
@@ -284,9 +284,10 @@ pub struct FleetIndex<'a> {
     /// one contiguous read.
     pub occupied: &'a [OccupiedRack],
     /// Per-group lowest idle rack (`None` while the group has no idle
-    /// racks). The sets themselves stay inside [`RackLoads`]: every
-    /// dispatch decision only ever needs each group's representative —
-    /// its minimum — and the cached minimum is read in O(1).
+    /// racks). The sets themselves stay inside
+    /// [`RackLoads`](crate::RackLoads): every dispatch decision only ever
+    /// needs each group's representative — its minimum — and the cached
+    /// minimum is read in O(1).
     pub idle_min: &'a [Option<u32>],
     /// Rack → rack-group id (racks in one group host the same class
     /// pattern).
@@ -299,46 +300,12 @@ pub struct FleetIndex<'a> {
     pub stamps: &'a [u64],
 }
 
-/// The sharded-kernel fleet snapshot: one [`RackLoads`] per hall, each
-/// owning a contiguous rack range. Dispatchers reduce one candidate per
-/// hall on the same total tie-break key the global walk sorts by, so the
-/// pick — and therefore the whole run — is bit-identical to `shards = 1`.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetHalls<'a> {
-    /// Per-hall committed load, ascending by rack range. Each hall's
-    /// vectors are full-size and globally indexed; only its owned range
-    /// is live.
-    pub parts: &'a [RackLoads],
-    /// Hall → `[lo, hi)` owned rack range.
-    pub bounds: &'a [(usize, usize)],
-    /// Rack → owning hall.
-    pub hall_of: &'a [u32],
-    /// Rack-group → distinct classes hosted, ascending by class id
-    /// (groups span halls; an idle rack's view is bit-identical in every
-    /// hall, so per-group scores are shared).
-    pub group_classes: &'a [Vec<ClassId>],
-}
-
-impl FleetHalls<'_> {
-    /// The live dispatch view of `rack`, read from its owning hall.
-    pub fn rack_view(&self, rack: usize) -> &RackView {
-        &self.parts[self.hall_of[rack] as usize].view_slice()[rack]
-    }
-
-    /// Total racks across all halls.
-    pub fn racks(&self) -> usize {
-        self.hall_of.len()
-    }
-}
-
 /// A read-only snapshot of the fleet as one job arrives.
 #[derive(Debug)]
 pub struct FleetView<'a> {
     /// The arrival instant.
     pub now: Seconds,
-    /// Per-rack committed load (empty under a sharded kernel — the live
-    /// views then hang off [`FleetView::halls`], see
-    /// [`rack_view`](FleetView::rack_view)).
+    /// Per-rack committed load.
     pub racks: &'a [RackView],
     /// Per-server state: availability, class and rack columns.
     pub servers: &'a ServerTable,
@@ -347,26 +314,15 @@ pub struct FleetView<'a> {
     /// Bumped whenever the run's chiller changes (set-point events);
     /// scores cached under an older epoch are stale.
     pub chiller_epoch: u64,
-    /// The kernel's incremental occupancy index, `None` when the caller
-    /// assembled the view by hand — dispatchers then fall back to the
-    /// full-enumeration path (same results, linear cost).
-    pub index: Option<FleetIndex<'a>>,
-    /// The per-hall state of a sharded kernel (`--shards ≥ 2`); `None`
-    /// for unsharded runs and hand-assembled views. Mutually exclusive
-    /// with [`index`](FleetView::index).
-    pub halls: Option<FleetHalls<'a>>,
+    /// The kernel's incremental occupancy index over
+    /// [`racks`](FleetView::racks), which the ranking dispatchers walk
+    /// instead of enumerating every rack. A hand-assembled view must keep
+    /// it consistent with the rack views (idle racks have nothing
+    /// committed and every server free).
+    pub index: FleetIndex<'a>,
 }
 
 impl FleetView<'_> {
-    /// The live dispatch view of `rack`, wherever it lives: the global
-    /// slice for unsharded views, the owning hall under `--shards ≥ 2`.
-    pub fn rack_view(&self, rack: usize) -> &RackView {
-        match &self.halls {
-            Some(h) => h.rack_view(rack),
-            None => &self.racks[rack],
-        }
-    }
-
     /// The server of `rack` that frees up first (lowest index on ties).
     pub fn earliest_free_in(&self, rack: usize) -> (usize, Seconds) {
         self.servers.earliest_free_in(rack)
@@ -402,16 +358,6 @@ pub trait FleetDispatcher {
     /// carries across runs (e.g. [`RoundRobin`]'s stride counter) stays
     /// untouched by this default no-op.
     fn begin_run(&mut self) {}
-
-    /// Whether this dispatcher's candidate fold benefits from the hall
-    /// partition. Dispatchers whose per-arrival work is already O(1) or
-    /// a group-min scan (round-robin, coolest-rack-first, hint replay)
-    /// return `false` and the kernel keeps the cheaper single-hall
-    /// indexed path — the `--shards` knob still yields bit-identical
-    /// results, it just stops paying a merge that buys nothing.
-    fn wants_hall_fanout(&self) -> bool {
-        true
-    }
 }
 
 /// Thermally blind striping: job `k` goes to server `k mod N`. Also
@@ -430,10 +376,6 @@ impl FleetDispatcher for RoundRobin {
         let server = self.next % view.servers.active_servers();
         self.next += 1;
         server
-    }
-
-    fn wants_hall_fanout(&self) -> bool {
-        false
     }
 }
 
@@ -479,72 +421,32 @@ impl FleetDispatcher for CoolestRackFirst {
 
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let active_racks = view.servers.active_racks();
-        let rack = if let Some(hv) = &view.halls {
-            // Sharded: each hall's occupied set and idle sets are ordered
-            // by the same keys the global index uses, so folding their
-            // per-hall minima reproduces the global minimum exactly.
-            let idle_min = hv
-                .parts
-                .iter()
-                .flat_map(|p| p.idle_group_mins().iter())
-                .filter_map(|&m| m.filter(|&r| (r as usize) < active_racks))
-                .min()
-                .map(|r| (0u64, r));
-            let occ_min = hv
-                .parts
-                .iter()
-                .filter_map(|p| {
-                    p.occupied_racks()
-                        .iter()
-                        .map(|e| e.key())
-                        .find(|&(_, r)| (r as usize) < active_racks)
-                })
-                .min();
-            [idle_min, occ_min]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("at least one rack is active")
-                .1 as usize
-        } else {
-            match &view.index {
-                // The coolest rack in O(log racks): the lowest-index idle rack
-                // (exact 0.0 heat) versus the occupied set's first element,
-                // compared on the same (heat bits, rack) key the linear scan
-                // minimizes — `0.0f64.to_bits() == 0`, so an idle rack wins
-                // any tie an occupied zero-heat rack doesn't win by index.
-                // Candidates past the active prefix are skipped (each idle
-                // set and the occupied set ascend by their key, so the first
-                // in-prefix element is the set's in-prefix minimum).
-                Some(ix) => {
-                    let idle_min = ix
-                        .idle_min
-                        .iter()
-                        .filter_map(|&m| m.filter(|&r| (r as usize) < active_racks))
-                        .min()
-                        .map(|r| (0u64, r));
-                    let occ_min = ix
-                        .occupied
-                        .iter()
-                        .map(|e| e.key())
-                        .find(|&(_, r)| (r as usize) < active_racks);
-                    [idle_min, occ_min]
-                        .into_iter()
-                        .flatten()
-                        .min()
-                        .expect("at least one rack is active")
-                        .1 as usize
-                }
-                None => view
-                    .racks
-                    .iter()
-                    .enumerate()
-                    .take(active_racks)
-                    .min_by(|a, b| a.1.heat.value().total_cmp(&b.1.heat.value()))
-                    .map(|(i, _)| i)
-                    .expect("at least one rack is active"),
-            }
-        };
+        let ix = &view.index;
+        // The coolest rack in O(log racks): the lowest-index idle rack
+        // (exact 0.0 heat) versus the occupied set's first element,
+        // compared on the (heat bits, rack) key a linear scan would
+        // minimize — `0.0f64.to_bits() == 0`, so an idle rack wins any tie
+        // an occupied zero-heat rack doesn't win by index. Candidates past
+        // the active prefix are skipped (each idle set and the occupied set
+        // ascend by their key, so the first in-prefix element is the set's
+        // in-prefix minimum).
+        let idle_min = ix
+            .idle_min
+            .iter()
+            .filter_map(|&m| m.filter(|&r| (r as usize) < active_racks))
+            .min()
+            .map(|r| (0u64, r));
+        let occ_min = ix
+            .occupied
+            .iter()
+            .map(|e| e.key())
+            .find(|&(_, r)| (r as usize) < active_racks);
+        let rack = [idle_min, occ_min]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("at least one rack is active")
+            .1 as usize;
         // One marginal-power evaluation per class (not per comparison);
         // ties break toward the lower class id.
         let class = view
@@ -552,7 +454,7 @@ impl FleetDispatcher for CoolestRackFirst {
             .iter()
             .map(|&c| {
                 (
-                    marginal_power(view.chiller, view.rack_view(rack), &demand.class(c).state),
+                    marginal_power(view.chiller, &view.racks[rack], &demand.class(c).state),
                     c,
                 )
             })
@@ -562,13 +464,6 @@ impl FleetDispatcher for CoolestRackFirst {
         view.earliest_free_of_class(rack, class)
             .expect("classes_in_rack only returns hosted classes")
             .0
-    }
-
-    /// The O(log racks) group-min/occupied-head lookup gains nothing from
-    /// a per-hall fold — sharding only added the merge cost (the 1072 →
-    /// 1249 ms regression the kernel bench caught).
-    fn wants_hall_fanout(&self) -> bool {
-        false
     }
 }
 
@@ -662,11 +557,11 @@ impl ScoreMemo {
 /// or run at high COP, while the few jobs that need cold supply are
 /// concentrated instead of contaminating every rack.
 ///
-/// With a [`FleetIndex`] the ranking is built from the occupied racks
-/// plus one representative per idle rack group, re-scoring only racks
-/// whose committed heat moved since the last arrival with the same
-/// demand signature (the dirty-stamp memo) — bit-identical to the full
-/// `(rack, class)` enumeration it replaces (see the module docs).
+/// The ranking is built from the [`FleetIndex`]'s occupied racks plus
+/// one representative per idle rack group, re-scoring only racks whose
+/// committed heat moved since the last arrival with the same demand
+/// signature (the dirty-stamp memo) — bit-identical to the full
+/// `(rack, class)` enumeration (see the module docs).
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
     memo: ScoreMemo,
@@ -799,19 +694,20 @@ impl ThermalAwareDispatch {
     /// Scores candidates from the incremental index and picks the
     /// cheapest slot meeting its wait budget.
     ///
-    /// Fast path first: the same single-pass minimum fold the hall path
-    /// runs — contiguous [`OccupiedRack`] entries plus one representative
-    /// per idle group, reduced under the `(power, heat, rack, class)`
-    /// total key. When the fold's winner meets its wait budget (the
-    /// overwhelmingly common case) no ranking is materialized at all;
-    /// otherwise [`walk_indexed`](Self::walk_indexed) rebuilds and walks
-    /// the full sorted ranking, bit-identical to the fold's order.
-    fn place_indexed(
-        &mut self,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-        ix: &FleetIndex<'_>,
-    ) -> usize {
+    /// Fast path first: a single-pass minimum fold over the contiguous
+    /// [`OccupiedRack`] entries plus one representative per idle group,
+    /// reduced under the `(power, heat, rack, class)` total key. The key
+    /// is a total order, so the fold's minimum is exactly the sorted
+    /// ranking's first element. When that winner meets its wait budget
+    /// (the overwhelmingly common case) no ranking is materialized at
+    /// all; otherwise [`walk_indexed`](Self::walk_indexed) rebuilds and
+    /// walks the full sorted ranking, bit-identical to the fold's order.
+    ///
+    /// The fold reads only the contiguous entries — heat, group and
+    /// supply travel with the rack id — so scoring an occupied rack costs
+    /// one cache line instead of four scattered rack-indexed loads.
+    fn place_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let ix = &view.index;
         let sig = demand.sig as usize;
         let epoch = view.chiller_epoch;
         let active_racks = view.servers.active_racks();
@@ -845,11 +741,15 @@ impl ThermalAwareDispatch {
                 );
             }
         }
-        // Hoist the single-group single-class fleet (the uniform catalog)
-        // out of the fold: the class constants live in registers and the
-        // inner loop disappears. Bit-identical unrolling of
-        // `marginal_power` over the entry's cached bits either way — see
-        // `place_halls` for the argument.
+        // `heat()`/`supply()` replay the rack view's fields bit-for-bit
+        // (the entry caches their raw bits), and `group_classes[e.group]`
+        // is `classes_in_rack(r)` by construction (groups are keyed on
+        // exact slice equality). Bit-identical unrolling of
+        // `marginal_power`: both branches of
+        // `min(supply, max_water_temp)` replay the same pure COP on the
+        // same input (a tie gives equal COP bits either way). The uniform
+        // catalog's single `(group, class)` is hoisted so the class
+        // constants live in registers across the whole fold.
         match ix.group_classes {
             [single] if single.len() == 1 => {
                 let c = single[0];
@@ -917,18 +817,14 @@ impl ThermalAwareDispatch {
                 return server;
             }
         }
-        self.walk_indexed(demand, view, ix)
+        self.walk_indexed(demand, view)
     }
 
     /// The indexed slow path, taken only when the fold's winner blows its
     /// wait budget: materialize the full candidate list (same entries as
     /// the fold), sort it under the same key, and walk it in order.
-    fn walk_indexed(
-        &mut self,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-        ix: &FleetIndex<'_>,
-    ) -> usize {
+    fn walk_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let ix = &view.index;
         let sig = demand.sig as usize;
         let epoch = view.chiller_epoch;
         let active_racks = view.servers.active_racks();
@@ -1018,272 +914,6 @@ impl ThermalAwareDispatch {
         }
         fallback_min_free(view)
     }
-
-    /// Sharded dispatch: each hall contributes its best candidates and a
-    /// left-to-right fold in hall order reduces them under the exact
-    /// total key the global walk sorts by — `(power, heat, rack, class)`.
-    ///
-    /// Why the reduction preserves the sequential pick: the candidate set
-    /// here is *identical* to [`place_indexed`](Self::place_indexed)'s —
-    /// the halls' occupied sets partition the global occupied set, and
-    /// each idle group's representative is its lowest active rack across
-    /// halls (hall ranges ascend by rack, so the first hall with a member
-    /// holds the global minimum). The key is a total order, so the fold's
-    /// minimum is exactly the sorted walk's first element. When that
-    /// winner meets its wait budget — the overwhelmingly common case —
-    /// dispatch finishes with no gather and no sort, which is what makes
-    /// a sharded run *faster* than the memoized global walk. Otherwise
-    /// the full ranking is rebuilt and walked, bit-identical to the
-    /// unsharded path.
-    ///
-    /// The fold itself reads only the contiguous [`OccupiedRack`] entries
-    /// — heat, group and supply travel with the rack id — so scoring an
-    /// occupied rack costs one cache line instead of four scattered
-    /// rack-indexed loads, and the COP arithmetic is recomputed inline
-    /// (it is ~5 flops against a memory-latency-bound loop).
-    fn place_halls(
-        &mut self,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-        halls: &FleetHalls<'_>,
-    ) -> usize {
-        let sig = demand.sig as usize;
-        let epoch = view.chiller_epoch;
-        let active_racks = view.servers.active_racks();
-        self.refresh_sig_lab(sig, epoch, demand, view);
-        if self.cop_racks.len() != halls.racks() {
-            self.cop_racks.clear();
-            self.cop_racks.resize(halls.racks(), CopSlot::EMPTY);
-        }
-        let lab: &[SigClass] = match &self.sig_lab[sig] {
-            Some((_, v)) => v,
-            None => unreachable!("slab was just filled"),
-        };
-        let mut best = SENTINEL;
-        // Idle representatives first — their scores are rack-independent
-        // slab reads. The fold's minimum under the strict `(p, h, rack,
-        // class)` total order is the same whatever the visit order, since
-        // every candidate's `(rack, class)` is unique.
-        for (g, classes) in halls.group_classes.iter().enumerate() {
-            let Some(first) = halls
-                .parts
-                .iter()
-                .find_map(|p| p.idle_group_mins()[g].filter(|&r| (r as usize) < active_racks))
-            else {
-                continue;
-            };
-            for &c in classes {
-                consider(
-                    Candidate {
-                        p: lab[c].idle_p,
-                        h: 0.0,
-                        rack: first,
-                        class: c as u32,
-                    },
-                    &mut best,
-                );
-            }
-        }
-        // `heat()`/`supply()` replay the rack view's fields bit-for-bit
-        // (the entry caches their raw bits), and `group_classes[e.group]`
-        // is `classes_in_rack(r)` by construction (groups are keyed on
-        // exact slice equality). Bit-identical unrolling of
-        // `marginal_power`: both branches of
-        // `min(supply, max_water_temp)` replay the same pure COP on the
-        // same input (a tie gives equal COP bits either way). The uniform
-        // catalog's single `(group, class)` is hoisted so the class
-        // constants live in registers across the whole fold.
-        match halls.group_classes {
-            [single] if single.len() == 1 => {
-                let c = single[0];
-                let sc = lab[c];
-                for part in halls.parts.iter() {
-                    for e in part.occupied_racks() {
-                        let r = e.rack as usize;
-                        if r >= active_racks {
-                            continue;
-                        }
-                        let h = e.heat();
-                        let (cop_s, current, supply_f) =
-                            entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
-                        let joint_cop = if supply_f <= sc.mwt {
-                            cop_s
-                        } else {
-                            sc.cop_mwt
-                        };
-                        let p = (h + sc.heat) / joint_cop - current;
-                        consider(
-                            Candidate {
-                                p,
-                                h,
-                                rack: e.rack,
-                                class: c as u32,
-                            },
-                            &mut best,
-                        );
-                    }
-                }
-            }
-            _ => {
-                for part in halls.parts.iter() {
-                    for e in part.occupied_racks() {
-                        let r = e.rack as usize;
-                        if r >= active_racks {
-                            continue;
-                        }
-                        let h = e.heat();
-                        let (cop_s, current, supply_f) =
-                            entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
-                        for &c in &halls.group_classes[e.group as usize] {
-                            let sc = &lab[c];
-                            let joint_cop = if supply_f <= sc.mwt {
-                                cop_s
-                            } else {
-                                sc.cop_mwt
-                            };
-                            let p = (h + sc.heat) / joint_cop - current;
-                            consider(
-                                Candidate {
-                                    p,
-                                    h,
-                                    rack: e.rack,
-                                    class: c as u32,
-                                },
-                                &mut best,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if best.rack != u32::MAX {
-            let (server, _) = view
-                .earliest_free_of_class(best.rack as usize, best.class as usize)
-                .expect("halls only list hosted classes");
-            if view.wait_on(server) <= demand.class(best.class as usize).wait_budget {
-                return server;
-            }
-        }
-        self.walk_halls(demand, view, halls)
-    }
-
-    /// The sharded slow path, taken only when the reduced winner blows
-    /// its wait budget: gather the full candidate list (same entries as
-    /// the fold above), sort it under the same key, and walk it exactly
-    /// like [`place_indexed`](Self::place_indexed) does.
-    fn walk_halls(
-        &mut self,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-        halls: &FleetHalls<'_>,
-    ) -> usize {
-        let sig = demand.sig as usize;
-        let epoch = view.chiller_epoch;
-        let active_racks = view.servers.active_racks();
-        self.memo.resize(halls.racks(), halls.group_classes.len());
-        self.ranked.clear();
-        for part in halls.parts {
-            for e in part.occupied_racks() {
-                let r = e.rack as usize;
-                if r >= active_racks {
-                    continue;
-                }
-                let rv = &part.view_slice()[r];
-                let h = rv.heat.value();
-                for &c in &halls.group_classes[e.group as usize] {
-                    self.ranked.push(Candidate {
-                        p: marginal_power(view.chiller, rv, &demand.class(c).state),
-                        h,
-                        rack: e.rack,
-                        class: c as u32,
-                    });
-                }
-            }
-        }
-        let idle_view = idle_rack_view();
-        for (g, classes) in halls.group_classes.iter().enumerate() {
-            let Some(first) = halls
-                .parts
-                .iter()
-                .find_map(|p| p.idle_group_mins()[g].filter(|&r| (r as usize) < active_racks))
-            else {
-                continue;
-            };
-            let entry = &mut self.memo.groups[g];
-            if entry.epoch != epoch {
-                entry.by_sig.clear();
-                entry.epoch = epoch;
-            }
-            if entry.by_sig.len() <= sig {
-                entry.by_sig.resize(sig + 1, None);
-            }
-            let scores = entry.by_sig[sig].get_or_insert_with(|| {
-                classes
-                    .iter()
-                    .map(|&c| marginal_power(view.chiller, &idle_view, &demand.class(c).state))
-                    .collect()
-            });
-            for (k, &c) in classes.iter().enumerate() {
-                self.ranked.push(Candidate {
-                    p: scores[k],
-                    h: 0.0,
-                    rack: first,
-                    class: c as u32,
-                });
-            }
-        }
-        self.ranked.sort_unstable_by(|a, b| {
-            a.p.total_cmp(&b.p)
-                .then(a.h.total_cmp(&b.h))
-                .then(a.rack.cmp(&b.rack))
-                .then(a.class.cmp(&b.class))
-        });
-        for c in &self.ranked {
-            let (server, _) = view
-                .earliest_free_of_class(c.rack as usize, c.class as usize)
-                .expect("halls only list hosted classes");
-            if view.wait_on(server) <= demand.class(c.class as usize).wait_budget {
-                return server;
-            }
-        }
-        fallback_min_free(view)
-    }
-
-    /// The full `(rack, class)` enumeration — the reference path for
-    /// hand-assembled views (no index).
-    fn place_scan(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
-        for i in 0..view.servers.active_racks() {
-            let rack = view.rack_view(i);
-            for &class in view.classes_in_rack(i) {
-                ranked.push((
-                    marginal_power(view.chiller, rack, &demand.class(class).state),
-                    rack.heat.value(),
-                    i,
-                    class,
-                ));
-            }
-        }
-        // Cheapest marginal cooling first; lighter rack, then rack index,
-        // then class id, on ties.
-        ranked.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        // Take the cheapest slot that can still honour the QoS wait
-        // budget of its class…
-        for &(_, _, rack, class) in &ranked {
-            let (server, _) = view
-                .earliest_free_of_class(rack, class)
-                .expect("classes_in_rack only returns hosted classes");
-            if view.wait_on(server) <= demand.class(class).wait_budget {
-                return server;
-            }
-        }
-        fallback_min_free(view)
-    }
 }
 
 /// Every queue blows the deadline anyway: the active server that frees
@@ -1301,13 +931,7 @@ impl FleetDispatcher for ThermalAwareDispatch {
     }
 
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        if let Some(halls) = &view.halls {
-            return self.place_halls(demand, view, halls);
-        }
-        match &view.index {
-            Some(ix) => self.place_indexed(demand, view, ix),
-            None => Self::place_scan(demand, view),
-        }
+        self.place_indexed(demand, view)
     }
 
     fn begin_run(&mut self) {
@@ -1335,7 +959,7 @@ impl FleetDispatcher for PlannedDispatch {
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
         for i in 0..view.servers.active_racks() {
-            let rack = view.rack_view(i);
+            let rack = &view.racks[i];
             for &class in view.classes_in_rack(i) {
                 let d = demand.class(class);
                 let energy = d.runtime.value()
@@ -1362,12 +986,6 @@ impl FleetDispatcher for PlannedDispatch {
             }
         }
         fallback_min_free(view)
-    }
-
-    /// The exhaustive energy scan walks every rack regardless of the
-    /// partition; a hall fold would only add merge overhead.
-    fn wants_hall_fanout(&self) -> bool {
-        false
     }
 }
 
@@ -1413,28 +1031,145 @@ mod tests {
         t
     }
 
+    /// Owns the [`FleetIndex`] the kernel would maintain for hand-built
+    /// rack views: committed racks ordered by `(heat bits, rack)`, the
+    /// lowest idle rack of each class pattern, every stamp at zero.
+    struct Index {
+        occupied: Vec<OccupiedRack>,
+        idle_min: Vec<Option<u32>>,
+        group_of: Vec<u32>,
+        group_classes: Vec<Vec<ClassId>>,
+        stamps: Vec<u64>,
+    }
+
+    impl Index {
+        fn of(racks: &[RackView], servers: &ServerTable) -> Self {
+            let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
+            let mut group_of = Vec::new();
+            for r in 0..racks.len() {
+                let classes = servers.classes_in_rack(r);
+                let g = match group_classes.iter().position(|g| g.as_slice() == classes) {
+                    Some(g) => g,
+                    None => {
+                        group_classes.push(classes.to_vec());
+                        group_classes.len() - 1
+                    }
+                };
+                group_of.push(g as u32);
+            }
+            let mut idle_min = vec![None; group_classes.len()];
+            let mut occupied = Vec::new();
+            for (r, v) in racks.iter().enumerate() {
+                let group = group_of[r];
+                if v.committed == 0 {
+                    idle_min[group as usize].get_or_insert(r as u32);
+                } else {
+                    occupied.push(OccupiedRack {
+                        heat_bits: v.heat.value().to_bits(),
+                        rack: r as u32,
+                        group,
+                        supply_bits: v
+                            .supply
+                            .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits()),
+                    });
+                }
+            }
+            occupied.sort_by_key(OccupiedRack::key);
+            Self {
+                occupied,
+                idle_min,
+                group_of,
+                group_classes,
+                stamps: vec![0; racks.len()],
+            }
+        }
+
+        fn view<'a>(
+            &'a self,
+            racks: &'a [RackView],
+            servers: &'a ServerTable,
+            chiller: &'a Chiller,
+        ) -> FleetView<'a> {
+            FleetView {
+                now: Seconds::ZERO,
+                racks,
+                servers,
+                chiller,
+                chiller_epoch: 0,
+                index: FleetIndex {
+                    occupied: &self.occupied,
+                    idle_min: &self.idle_min,
+                    group_of: &self.group_of,
+                    group_classes: &self.group_classes,
+                    stamps: &self.stamps,
+                },
+            }
+        }
+    }
+
+    /// The full `(rack, class)` enumeration the indexed thermal-aware
+    /// walk must reproduce: every active slot ranked by marginal chiller
+    /// power (lighter rack, then rack index, then class id on ties), the
+    /// cheapest one that honours its class's wait budget taken.
+    fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
+        for i in 0..view.servers.active_racks() {
+            let rack = &view.racks[i];
+            for &class in view.classes_in_rack(i) {
+                ranked.push((
+                    marginal_power(view.chiller, rack, &demand.class(class).state),
+                    rack.heat.value(),
+                    i,
+                    class,
+                ));
+            }
+        }
+        ranked.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+                .then(a.3.cmp(&b.3))
+        });
+        for &(_, _, rack, class) in &ranked {
+            let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+            if view.wait_on(server) <= demand.class(class).wait_budget {
+                return server;
+            }
+        }
+        fallback_min_free(view)
+    }
+
+    /// The linear scan [`CoolestRackFirst`]'s index lookup must
+    /// reproduce: the active rack with the least committed heat (lowest
+    /// index on ties), then its cheapest class.
+    fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let rack = (0..view.servers.active_racks())
+            .min_by(|&a, &b| {
+                let heat = |r: usize| view.racks[r].heat.value();
+                heat(a).total_cmp(&heat(b))
+            })
+            .unwrap();
+        let class = view
+            .classes_in_rack(rack)
+            .iter()
+            .map(|&c| {
+                let p = marginal_power(view.chiller, &view.racks[rack], &demand.class(c).state);
+                (p, c)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .unwrap()
+            .1;
+        view.earliest_free_of_class(rack, class).unwrap().0
+    }
+
     #[test]
     fn round_robin_cycles() {
         let j = job();
-        let racks = vec![
-            RackView {
-                heat: Watts::ZERO,
-                supply: None,
-                committed: 0,
-            };
-            2
-        ];
+        let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![0; 4], 2, &[0.0; 4]);
         let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         let mut rr = RoundRobin::default();
         let classes = demand(70.0, 64.0, 30.0);
         let d = JobDemand {
@@ -1451,25 +1186,11 @@ mod tests {
         let j = job();
         // Rack 0 hosts class 0 (cool but slow), rack 1 hosts class 1
         // (hotter but finishes in half the time).
-        let racks = vec![
-            RackView {
-                heat: Watts::ZERO,
-                supply: None,
-                committed: 0,
-            };
-            2
-        ];
+        let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![0, 1], 1, &[0.0; 2]);
         let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         let classes = vec![
             ClassDemand {
                 state: steady(100.0, 60.0),
@@ -1488,7 +1209,8 @@ mod tests {
             sig: 0,
         };
         // Marginal chiller power favors the cooler class 0…
-        assert_eq!(ThermalAwareDispatch::place_scan(&d, &view), 0);
+        assert_eq!(scan_thermal(&d, &view), 0);
+        assert_eq!(ThermalAwareDispatch::default().place(&d, &view), 0);
         // …but total energy (runtime × power) favors the faster class 1.
         let mut planned = PlannedDispatch;
         assert_eq!(planned.place(&d, &view), 1);
@@ -1511,15 +1233,8 @@ mod tests {
         ];
         let servers = table(vec![0; 4], 2, &[0.0, 0.0, 5.0, 0.0]);
         let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         let classes = demand(70.0, 70.0, 30.0);
         let d = JobDemand {
             job: &j,
@@ -1529,11 +1244,9 @@ mod tests {
         assert_eq!(CoolestRackFirst.place(&d, &view), 3);
     }
 
-    #[test]
-    fn thermal_aware_segregates_a_cold_demanding_job() {
-        let j = job();
-        // Rack 0 already runs cold water; rack 1 free-cools at 75 °C.
-        let racks = vec![
+    /// Rack 0 already runs cold water; rack 1 free-cools at 75 °C.
+    fn cold_and_warm_racks() -> Vec<RackView> {
+        vec![
             RackView {
                 heat: Watts::new(70.0),
                 supply: Some(Celsius::new(60.0)),
@@ -1544,19 +1257,18 @@ mod tests {
                 supply: Some(Celsius::new(75.0)),
                 committed: 1,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn thermal_aware_segregates_a_cold_demanding_job() {
+        let j = job();
+        let racks = cold_and_warm_racks();
         let servers = table(vec![0; 4], 2, &[0.0; 4]);
         // Heat-reuse loop at 60 °C: supplies below 65 °C pay compressor lift.
         let chiller = Chiller::new(Celsius::new(60.0));
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         let mut ta = ThermalAwareDispatch::default();
         // A job needing 60 °C water joins the already-cold rack 0…
         let cold = demand(70.0, 60.0, 30.0);
@@ -1565,7 +1277,6 @@ mod tests {
             classes: &cold,
             sig: 0,
         };
-        assert_eq!(servers.len() % 2, 0);
         let pick = ta.place(&d, &view);
         assert!(pick < 2, "cold job went to rack {}", pick / 2);
         // …while a warm-tolerant job joins the free-cooling rack 1.
@@ -1582,39 +1293,22 @@ mod tests {
     #[test]
     fn thermal_aware_respects_the_wait_budget() {
         let j = job();
-        let racks = vec![
-            RackView {
-                heat: Watts::ZERO,
-                supply: None,
-                committed: 0,
-            },
-            RackView {
-                heat: Watts::ZERO,
-                supply: None,
-                committed: 0,
-            },
-        ];
-        // Rack 0 is thermally ideal but saturated for 100 s; rack 1 is free.
-        let servers = table(vec![0; 4], 2, &[100.0, 100.0, 0.0, 0.0]);
-        let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
-        let mut ta = ThermalAwareDispatch::default();
-        let classes = demand(70.0, 64.0, 10.0);
+        // The cold job's thermally ideal rack 0 is saturated for 100 s;
+        // rack 1 has a free server.
+        let racks = cold_and_warm_racks();
+        let servers = table(vec![0; 4], 2, &[100.0, 100.0, 0.0, 20.0]);
+        let chiller = Chiller::new(Celsius::new(60.0));
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
+        let classes = demand(70.0, 60.0, 10.0);
         let d = JobDemand {
             job: &j,
             classes: &classes,
             sig: 0,
         };
-        let pick = ta.place(&d, &view);
-        assert!(pick >= 2, "budget-violating rack chosen");
+        let pick = ThermalAwareDispatch::default().place(&d, &view);
+        assert_eq!(pick, 2, "budget-violating rack chosen");
+        assert_eq!(pick, scan_thermal(&d, &view));
     }
 
     #[test]
@@ -1623,22 +1317,11 @@ mod tests {
         // One rack, two classes side by side. On class 0 the job needs
         // 60 °C water (compressor lift against the 60 °C reuse loop); on
         // class 1 it tolerates 76 °C (free cooling).
-        let racks = vec![RackView {
-            heat: Watts::ZERO,
-            supply: None,
-            committed: 0,
-        }];
+        let racks = vec![idle_rack_view()];
         let servers = table(vec![0, 1], 2, &[0.0; 2]);
         let chiller = Chiller::new(Celsius::new(60.0));
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         let classes = vec![
             ClassDemand {
                 state: steady(70.0, 60.0),
@@ -1663,25 +1346,11 @@ mod tests {
 
     #[test]
     fn class_helpers_report_rack_composition() {
-        let racks = vec![
-            RackView {
-                heat: Watts::ZERO,
-                supply: None,
-                committed: 0,
-            };
-            2
-        ];
+        let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![1, 1, 0, 1], 2, &[4.0, 2.0, 0.0, 0.0]);
         let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &servers,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &servers);
+        let view = ix.view(&racks, &servers, &chiller);
         assert_eq!(view.classes_in_rack(0), vec![1]);
         assert_eq!(view.classes_in_rack(1), vec![0, 1]);
         assert_eq!(
@@ -1725,15 +1394,8 @@ mod tests {
             idle_rack_view(),
         ];
         let chiller = Chiller::default();
-        let view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &t,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
+        let ix = Index::of(&racks, &t);
+        let view = ix.view(&racks, &t, &chiller);
         let classes = demand(70.0, 76.0, 0.0);
         let d = JobDemand {
             job: &j,
@@ -1772,18 +1434,11 @@ mod tests {
         ];
         let servers = table(vec![0, 0, 0, 0, 0, 1, 0, 1], 2, &[0.0; 8]);
         let chiller = Chiller::new(Celsius::new(60.0));
-        let group_of = vec![0u32, 0, 1, 1];
-        let group_classes = vec![vec![0usize], vec![0, 1]];
-        let occupied = vec![OccupiedRack {
-            heat_bits: Watts::new(140.0).value().to_bits(),
-            rack: 1,
-            group: 0,
-            supply_bits: Celsius::new(60.0).value().to_bits(),
-        }];
-        let idle_min: Vec<Option<u32>> = vec![Some(0), Some(2)];
-        let stamps = vec![0u64; 4];
-        let mut ta_indexed = ThermalAwareDispatch::default();
-        let mut ta_scan = ThermalAwareDispatch::default();
+        let ix = Index::of(&racks, &servers);
+        assert_eq!(ix.group_classes, vec![vec![0usize], vec![0, 1]]);
+        assert_eq!(ix.idle_min, vec![Some(0), Some(2)]);
+        let view = ix.view(&racks, &servers, &chiller);
+        let mut ta = ThermalAwareDispatch::default();
         for (sig, (heat, water)) in [(70.0, 60.0), (70.0, 76.0), (120.0, 55.0)]
             .into_iter()
             .enumerate()
@@ -1805,39 +1460,11 @@ mod tests {
                 classes: &classes,
                 sig: sig as u32,
             };
-            let indexed_view = FleetView {
-                halls: None,
-                now: Seconds::ZERO,
-                racks: &racks,
-                servers: &servers,
-                chiller: &chiller,
-                chiller_epoch: 0,
-                index: Some(FleetIndex {
-                    occupied: &occupied,
-                    idle_min: &idle_min,
-                    group_of: &group_of,
-                    group_classes: &group_classes,
-                    stamps: &stamps,
-                }),
-            };
-            let scan_view = FleetView {
-                halls: None,
-                now: Seconds::ZERO,
-                racks: &racks,
-                servers: &servers,
-                chiller: &chiller,
-                chiller_epoch: 0,
-                index: None,
-            };
             for _ in 0..3 {
+                assert_eq!(ta.place(&d, &view), scan_thermal(&d, &view), "sig {sig}");
                 assert_eq!(
-                    ta_indexed.place(&d, &indexed_view),
-                    ta_scan.place(&d, &scan_view),
-                    "sig {sig}"
-                );
-                assert_eq!(
-                    CoolestRackFirst.place(&d, &indexed_view),
-                    CoolestRackFirst.place(&d, &scan_view),
+                    CoolestRackFirst.place(&d, &view),
+                    scan_coolest(&d, &view),
                     "sig {sig}"
                 );
             }
@@ -1848,6 +1475,7 @@ mod tests {
         // representative entirely, occupied rack 1 stays.
         let mut masked = table(vec![0, 0, 0, 0, 0, 1, 0, 1], 2, &[0.0; 8]);
         masked.set_active_servers(4);
+        let view = ix.view(&racks, &masked, &chiller);
         let classes = vec![
             ClassDemand {
                 state: steady(70.0, 60.0),
@@ -1865,40 +1493,9 @@ mod tests {
             classes: &classes,
             sig: 0,
         };
-        let indexed_view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &masked,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: Some(FleetIndex {
-                occupied: &occupied,
-                idle_min: &idle_min,
-                group_of: &group_of,
-                group_classes: &group_classes,
-                stamps: &stamps,
-            }),
-        };
-        let scan_view = FleetView {
-            halls: None,
-            now: Seconds::ZERO,
-            racks: &racks,
-            servers: &masked,
-            chiller: &chiller,
-            chiller_epoch: 0,
-            index: None,
-        };
-        let mut ta = ThermalAwareDispatch::default();
-        let pick_indexed = ta.place(&d, &indexed_view);
-        assert_eq!(
-            pick_indexed,
-            ThermalAwareDispatch::default().place(&d, &scan_view)
-        );
-        assert!(pick_indexed < 4, "mask leaked through the index");
-        assert_eq!(
-            CoolestRackFirst.place(&d, &indexed_view),
-            CoolestRackFirst.place(&d, &scan_view)
-        );
+        let pick = ThermalAwareDispatch::default().place(&d, &view);
+        assert_eq!(pick, scan_thermal(&d, &view));
+        assert!(pick < 4, "mask leaked through the index");
+        assert_eq!(CoolestRackFirst.place(&d, &view), scan_coolest(&d, &view));
     }
 }

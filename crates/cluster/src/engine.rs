@@ -4,13 +4,12 @@
 //! — whose energy is integrated as they happen — and (optionally) a
 //! telemetry trace.
 //!
-//! Everything in here is sequential and byte-deterministic: events are
-//! ordered by a stable `(time, class, seq)` key, so two runs of the same
-//! inputs — at any warm-up thread count, and under either event-queue
-//! implementation ([`EventQueue`] heap or
-//! [`CalendarQueue`](crate::CalendarQueue)) — replay the identical event
-//! sequence and produce bit-identical floats. The four event kinds and
-//! their same-instant ordering:
+//! Everything in here is sequential and byte-deterministic: the
+//! [`CalendarQueue`](crate::CalendarQueue) orders events by a stable
+//! `(time, class, seq)` key, so two runs of the same inputs — at any
+//! thread count — replay the identical event sequence and produce
+//! bit-identical floats. The five event kinds and their same-instant
+//! ordering:
 //!
 //! 1. [`Event::JobCompletion`] — a server finishes a job; committed rack
 //!    load expires *before* anything else sees that instant (a placement
@@ -27,16 +26,15 @@ use crate::cache::{OutcomeCache, SolveTable, SteadyState};
 use crate::catalog::ClassId;
 use crate::control::{ControlAction, ControlPolicy, ControlStatus, PlacementHint, RunContext};
 use crate::dispatch::{
-    ClassDemand, FleetDispatcher, FleetHalls, FleetIndex, FleetView, JobDemand, RackView,
-    ServerTable,
+    ClassDemand, FleetDispatcher, FleetIndex, FleetView, JobDemand, RackView, ServerTable,
 };
 use crate::fleet::{Fleet, FleetConfig};
 use crate::job::{pair_index, Job};
 use crate::metrics::{
-    EnergyIntegrator, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
+    EnergyIntegrator, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
-use crate::queue::{CalendarQueue, KernelQueue, QueueStats};
+use crate::queue::CalendarQueue;
 use std::collections::{BTreeMap, BTreeSet};
 use tps_core::{MinPowerSelector, RunError};
 use tps_units::{Celsius, Seconds, Watts};
@@ -53,7 +51,7 @@ pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 /// Minimum fleet size (racks) before a telemetry sample fans its per-rack
 /// cooling pass out to worker threads: below this the per-sample scoped
 /// spawn costs more than the arithmetic it parallelizes.
-const HALL_FANOUT_MIN_RACKS: usize = 1024;
+const SAMPLE_FANOUT_MIN_RACKS: usize = 1024;
 
 /// A typed simulation event.
 ///
@@ -90,123 +88,6 @@ impl Event {
             Event::ControlTick => 2,
             Event::TelemetrySample => 3,
             Event::JobArrival(_) => 4,
-        }
-    }
-}
-
-/// A deterministic event queue ordered by `(time, class, seq)`.
-///
-/// `seq` is the push order, so ties within one class pop first-in
-/// first-out no matter how the queue is used — results never depend on
-/// insertion patterns, hashing or thread count.
-///
-/// This is the original binary-heap kernel queue. Production runs use the
-/// O(1)-common-case [`CalendarQueue`](crate::CalendarQueue); the heap is
-/// kept as the ordering *oracle* the calendar queue is tested against
-/// (identical pop order by construction of the shared key).
-///
-/// ```
-/// use tps_cluster::{Event, EventQueue};
-/// use tps_units::Seconds;
-///
-/// let mut q = EventQueue::new();
-/// q.push(Seconds::new(5.0), Event::JobArrival(1));
-/// q.push(Seconds::new(5.0), Event::JobCompletion { job: 0, server: 0 });
-/// q.push(Seconds::new(1.0), Event::ControlTick);
-/// // Earliest time first; at equal times completions precede arrivals.
-/// assert_eq!(q.pop(), Some((Seconds::new(1.0), Event::ControlTick)));
-/// assert!(matches!(q.pop(), Some((_, Event::JobCompletion { .. }))));
-/// assert_eq!(q.pop(), Some((Seconds::new(5.0), Event::JobArrival(1))));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    /// Min-heap over the full `(time_bits, class, seq)` key — the
-    /// tie-break is total, so heap-internal order never leaks into
-    /// results. `f64::to_bits` is monotone for the non-negative times in
-    /// play.
-    heap: std::collections::BinaryHeap<QueueEntry>,
-    seq: u64,
-    peak: usize,
-}
-
-/// One scheduled event; ordered *descending* by key so the std max-heap
-/// pops the earliest `(time, class, seq)` first.
-#[derive(Debug)]
-struct QueueEntry {
-    key: (u64, u8, u64),
-    event: Event,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is negative or not finite.
-    pub fn push(&mut self, time: Seconds, event: Event) {
-        assert!(
-            time.value() >= 0.0 && time.value().is_finite(),
-            "event time must be non-negative and finite, got {time}"
-        );
-        self.heap.push(QueueEntry {
-            key: (time.value().to_bits(), event.class(), self.seq),
-            event,
-        });
-        self.seq += 1;
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Seconds, Event)> {
-        self.heap
-            .pop()
-            .map(|e| (Seconds::new(f64::from_bits(e.key.0)), e.event))
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Lifetime counters: total pushes and peak depth. The heap has no
-    /// arena, so its high-water mark is reported as the peak depth (every
-    /// pending event owns one heap node).
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            pushed: self.seq,
-            peak_depth: self.peak,
-            arena_high_water: self.peak,
         }
     }
 }
@@ -335,35 +216,13 @@ impl RackLoads {
     /// Panics if `group_of` has the wrong length or names a group out of
     /// range.
     pub fn with_groups(racks: usize, group_of: Vec<u32>, groups: usize) -> Self {
-        Self::with_groups_range(racks, group_of, groups, 0, racks)
-    }
-
-    /// Empty loads *owning only the contiguous rack range `[lo, hi)`* of a
-    /// fleet with `racks` racks in total — one hall of a sharded kernel.
-    /// Vectors are full-size and globally indexed (so hall views compose
-    /// into one global view by range), but only the owned range is seeded
-    /// idle: the hall tracks exactly its own racks and nothing else.
-    /// `with_groups` is the whole-fleet special case `[0, racks)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_of` has the wrong length, names a group out of
-    /// range, or the rack range is empty or out of bounds.
-    pub fn with_groups_range(
-        racks: usize,
-        group_of: Vec<u32>,
-        groups: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Self {
         assert_eq!(group_of.len(), racks, "one group id per rack");
         assert!(
             group_of.iter().all(|&g| (g as usize) < groups.max(1)),
             "rack group out of range"
         );
-        assert!(lo < hi && hi <= racks, "rack range out of bounds");
         let mut idle = vec![BTreeSet::new(); groups.max(1)];
-        for (r, &g) in group_of.iter().enumerate().take(hi).skip(lo) {
+        for (r, &g) in group_of.iter().enumerate() {
             idle[g as usize].insert(r as u32);
         }
         let idle_min = idle.iter().map(|s| s.first().copied()).collect();
@@ -511,9 +370,7 @@ impl RackLoads {
 
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
     /// in `(end, insertion)` order so float accumulation is deterministic.
-    /// Returns how many placements expired.
-    pub fn expire_until(&mut self, now: Seconds) -> usize {
-        let mut expired = 0;
+    pub fn expire_until(&mut self, now: Seconds) {
         while let Some(&std::cmp::Reverse((end_bits, _, rack, heat_bits, water_bits))) =
             self.expiry.peek()
         {
@@ -521,7 +378,6 @@ impl RackLoads {
                 break;
             }
             let (rack, heat) = (rack as usize, f64::from_bits(heat_bits));
-            expired += 1;
             self.expiry.pop();
             let was_occupied = self.count[rack] > 0;
             let old_bits = self.views[rack].heat.value().to_bits();
@@ -541,14 +397,6 @@ impl RackLoads {
             }
             self.sync_rack(rack, was_occupied, old_bits);
         }
-        expired
-    }
-
-    /// The earliest pending expiry, `None` while nothing is committed.
-    pub fn next_expiry(&self) -> Option<f64> {
-        self.expiry
-            .peek()
-            .map(|&std::cmp::Reverse((end_bits, ..))| f64::from_bits(end_bits))
     }
 
     /// The maintained per-rack dispatch views — always equal to what a
@@ -586,166 +434,10 @@ impl RackLoads {
         &self.stamps
     }
 
-    /// Writes the per-rack dispatch views into `out` (cleared first).
-    ///
-    /// Takes a caller-owned scratch buffer instead of allocating; since
-    /// the views are now maintained incrementally this is a plain copy of
-    /// [`view_slice`](Self::view_slice).
-    pub fn views_into(&self, out: &mut Vec<RackView>) {
-        out.clear();
-        out.extend_from_slice(&self.views);
-    }
-
     /// The per-rack dispatch views as a fresh vector (allocating
-    /// convenience over [`views_into`](Self::views_into)).
+    /// convenience over [`view_slice`](Self::view_slice)).
     pub fn views(&self) -> Vec<RackView> {
         self.views.clone()
-    }
-}
-
-/// The fleet's committed load partitioned into **halls**: contiguous rack
-/// ranges, each owning its racks' [`RackLoads`] (views, occupancy index,
-/// expiry events) outright. Halls share nothing, so between global
-/// decision points they can advance expiries and score candidates
-/// independently; every cross-hall reduction here folds in ascending hall
-/// order, which is what keeps a sharded run bit-identical to `shards = 1`
-/// (see `ARCHITECTURE.md`, "Sharded halls").
-///
-/// With one hall this is exactly the old single-`RackLoads` kernel — the
-/// same struct, the same mutation order, the same bits.
-#[derive(Debug)]
-pub struct HallLoads {
-    parts: Vec<RackLoads>,
-    /// Hall → `[lo, hi)` rack range (contiguous, covering all racks).
-    bounds: Vec<(usize, usize)>,
-    /// Rack → owning hall.
-    hall_of: Vec<u32>,
-    /// Committed placements across all halls (Σ per-hall totals — an
-    /// integer, so the split cannot perturb it).
-    total: usize,
-    /// Per-hall placement counters (diagnostics only).
-    adds: Vec<u64>,
-    /// Per-hall expiry counters (diagnostics only).
-    expired: Vec<u64>,
-    /// Per-hall earliest pending expiry (`f64::INFINITY` when drained) —
-    /// one contiguous compare per hall lets `expire_until` skip quiet
-    /// halls without touching their heaps. Always a lower bound on the
-    /// hall's true front, so a skip expires exactly what the hall itself
-    /// would have expired: nothing.
-    next_end: Vec<f64>,
-}
-
-impl HallLoads {
-    /// Partitions `racks` racks into `shards` contiguous halls of
-    /// near-equal size (the first `racks % shards` halls get one extra).
-    /// `shards` is clamped to `[1, racks]`.
-    pub fn new(racks: usize, group_of: Vec<u32>, groups: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, racks.max(1));
-        let base = racks / shards;
-        let rem = racks % shards;
-        let mut bounds = Vec::with_capacity(shards);
-        let mut lo = 0;
-        for h in 0..shards {
-            let hi = lo + base + usize::from(h < rem);
-            bounds.push((lo, hi));
-            lo = hi;
-        }
-        let hall_of = (0..racks as u32)
-            .map(|r| {
-                bounds
-                    .iter()
-                    .position(|&(lo, hi)| (r as usize) >= lo && (r as usize) < hi)
-                    .expect("every rack is in exactly one hall") as u32
-            })
-            .collect();
-        let parts = bounds
-            .iter()
-            .map(|&(lo, hi)| RackLoads::with_groups_range(racks, group_of.clone(), groups, lo, hi))
-            .collect();
-        Self {
-            parts,
-            bounds,
-            hall_of,
-            total: 0,
-            adds: vec![0; shards],
-            expired: vec![0; shards],
-            next_end: vec![f64::INFINITY; shards],
-        }
-    }
-
-    /// Number of halls.
-    pub fn shards(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The halls' `RackLoads`, ascending by rack range.
-    pub fn parts(&self) -> &[RackLoads] {
-        &self.parts
-    }
-
-    /// Hall → `[lo, hi)` owned rack range.
-    pub fn bounds(&self) -> &[(usize, usize)] {
-        &self.bounds
-    }
-
-    /// Rack → owning hall.
-    pub fn hall_of(&self) -> &[u32] {
-        &self.hall_of
-    }
-
-    /// Per-hall `(placements, expiries)` counters.
-    pub fn counters(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.adds.iter().copied().zip(self.expired.iter().copied())
-    }
-
-    /// The single hall when the fleet is unsharded — the kernel then runs
-    /// the exact pre-hall code path (global index, global views slice).
-    pub fn single(&self) -> Option<&RackLoads> {
-        (self.parts.len() == 1).then(|| &self.parts[0])
-    }
-
-    /// Committed placements across all halls.
-    pub fn total_committed(&self) -> usize {
-        self.total
-    }
-
-    /// Commits `state`'s load to `rack`'s hall until `end`.
-    pub fn add(&mut self, rack: usize, state: &SteadyState, end: Seconds) {
-        let h = self.hall_of[rack] as usize;
-        self.parts[h].add(rack, state, end);
-        self.adds[h] += 1;
-        self.total += 1;
-        if end.value() < self.next_end[h] {
-            self.next_end[h] = end.value();
-        }
-    }
-
-    /// Expires every placement with `end ≤ now`, hall by hall in
-    /// ascending order. Halls are disjoint — each expiry touches only its
-    /// own rack's floats, and the per-rack `(end, insertion)` fold order
-    /// inside a hall matches the global kernel's, so the cross-hall
-    /// processing order cannot change any bit of state. Halls whose
-    /// cached earliest expiry is still in the future are skipped without
-    /// touching their heaps — they would have expired nothing.
-    pub fn expire_until(&mut self, now: Seconds) {
-        for (h, part) in self.parts.iter_mut().enumerate() {
-            if now.value() < self.next_end[h] {
-                continue;
-            }
-            let n = part.expire_until(now);
-            self.expired[h] += n as u64;
-            self.total -= n;
-            self.next_end[h] = part.next_expiry().unwrap_or(f64::INFINITY);
-        }
-    }
-
-    /// Writes the global per-rack dispatch views into `out` (cleared
-    /// first) by concatenating each hall's owned range in rack order.
-    pub fn views_into(&self, out: &mut Vec<RackView>) {
-        out.clear();
-        for (part, &(lo, hi)) in self.parts.iter().zip(&self.bounds) {
-            out.extend_from_slice(&part.view_slice()[lo..hi]);
-        }
     }
 }
 
@@ -876,7 +568,7 @@ impl RunningSet {
 /// and the control surface (current chiller, shedding flag).
 #[derive(Debug)]
 pub(crate) struct FleetState {
-    loads: HallLoads,
+    loads: RackLoads,
     running: RunningSet,
     servers: ServerTable,
     chiller: tps_cooling::Chiller,
@@ -895,7 +587,7 @@ impl FleetState {
         classes: usize,
         pending_arrivals: usize,
         servers: ServerTable,
-        loads: HallLoads,
+        loads: RackLoads,
     ) -> Self {
         Self {
             loads,
@@ -923,7 +615,16 @@ impl FleetState {
     }
 }
 
-/// Runs the event loop with the production [`CalendarQueue`].
+/// Runs the event loop: arrivals dispatched against settled state,
+/// completions expiring committed load, control ticks and set-point
+/// changes steering the chiller, telemetry sampled on its own cadence.
+///
+/// The run's demand states resolve lock-free off the published
+/// [`SolveTable`] epoch ([`Fleet::simulate_with`](crate::Fleet::simulate_with)
+/// publishes a covering table first); keys the table lacks fall back to
+/// [`OutcomeCache::get_or_solve`], still correct, just locked. `pairs`
+/// are the stream's sorted distinct `(bench, qos)` pairs (see
+/// `job::demand_pairs`); a pair's position is its demand signature.
 #[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
 pub(crate) fn run(
     fleet: &Fleet,
@@ -933,53 +634,7 @@ pub(crate) fn run(
     control: &mut dyn ControlPolicy,
     telemetry: Option<&TelemetryConfig>,
     cache: &OutcomeCache,
-    table: Option<&SolveTable>,
-) -> Result<SimResult, RunError> {
-    run_impl::<CalendarQueue>(
-        fleet, jobs, pairs, dispatcher, control, telemetry, cache, table,
-    )
-}
-
-/// Runs the event loop with the original binary-heap [`EventQueue`] — the
-/// ordering oracle the determinism regression tests pit the calendar
-/// queue against.
-#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
-pub(crate) fn run_with_heap(
-    fleet: &Fleet,
-    jobs: &[Job],
-    pairs: &[(Benchmark, QosClass)],
-    dispatcher: &mut dyn FleetDispatcher,
-    control: &mut dyn ControlPolicy,
-    telemetry: Option<&TelemetryConfig>,
-    cache: &OutcomeCache,
-    table: Option<&SolveTable>,
-) -> Result<SimResult, RunError> {
-    run_impl::<EventQueue>(
-        fleet, jobs, pairs, dispatcher, control, telemetry, cache, table,
-    )
-}
-
-/// Runs the event loop: arrivals dispatched against settled state,
-/// completions expiring committed load, control ticks and set-point
-/// changes steering the chiller, telemetry sampled on its own cadence.
-///
-/// When a published [`SolveTable`] is supplied the run's demand states
-/// resolve lock-free off the frozen epoch ([`Fleet::simulate_with`](crate::Fleet::simulate_with)
-/// publishes a covering table first); keys the table lacks — and the
-/// whole resolution when `table` is `None`, the mutex-map oracle path —
-/// fall back to [`OutcomeCache::get_or_solve`], still correct, just
-/// locked. `pairs` are the stream's sorted distinct `(bench, qos)` pairs
-/// (see `job::demand_pairs`); a pair's position is its demand signature.
-#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
-fn run_impl<Q: KernelQueue + Default>(
-    fleet: &Fleet,
-    jobs: &[Job],
-    pairs: &[(Benchmark, QosClass)],
-    dispatcher: &mut dyn FleetDispatcher,
-    control: &mut dyn ControlPolicy,
-    telemetry: Option<&TelemetryConfig>,
-    cache: &OutcomeCache,
-    table: Option<&SolveTable>,
+    table: &SolveTable,
 ) -> Result<SimResult, RunError> {
     let config = fleet.config();
     let locks_at_entry = cache.lock_acquisitions();
@@ -1007,22 +662,7 @@ fn run_impl<Q: KernelQueue + Default>(
             }
         })
         .collect();
-    // The hall partition: `shards = 1` is the old single-`RackLoads`
-    // kernel verbatim; more shards split the racks into contiguous halls
-    // whose candidate reductions and expiry streams merge back
-    // deterministically (bit-identical outcomes either way — the
-    // determinism matrix pins it). Dispatchers whose candidate fold
-    // gains nothing from the partition (round-robin's counter, the
-    // planner's hint replay, coolest-rack-first's group-min scan) opt
-    // out and keep the cheaper single-hall indexed path — telemetry
-    // sampling fans out over raw rack ranges either way, so no
-    // parallelism is lost.
-    let shards = if dispatcher.wants_hall_fanout() {
-        config.shards.max(1)
-    } else {
-        1
-    };
-    let loads = HallLoads::new(config.racks, group_of, group_classes.len(), shards);
+    let loads = RackLoads::with_groups(config.racks, group_of, group_classes.len());
 
     // The per-(benchmark, QoS) demand states, solved once up front — a
     // million arrivals share a handful of distinct demand signatures, so
@@ -1035,32 +675,25 @@ fn run_impl<Q: KernelQueue + Default>(
     for (sig, &(bench, qos)) in pairs.iter().enumerate() {
         sig_of[pair_index(bench, qos)] = sig as u32;
     }
-    // With a published table, each class's `(policy, inlet)` solve slot
-    // resolves once and every `(bench, qos)` lookup after that is pure
-    // arithmetic on the shared frozen epoch — zero lock acquisitions.
-    // Keys the table predates (or the oracle path, `table: None`) fall
+    // Each class's `(policy, inlet)` solve slot resolves once and every
+    // `(bench, qos)` lookup after that is pure arithmetic on the shared
+    // frozen epoch — zero lock acquisitions. Keys the table predates fall
     // back to the striped solve path.
-    let class_slots: Vec<Option<usize>> = match table {
-        Some(t) => solvers.iter().map(|s| t.class_slot(s)).collect(),
-        None => Vec::new(),
-    };
+    let class_slots: Vec<Option<usize>> = solvers.iter().map(|s| table.class_slot(s)).collect();
     let mut table_hits = 0usize;
     let mut miss_solves = 0usize;
     let mut pair_states: Vec<Vec<SteadyState>> = Vec::with_capacity(pairs.len());
     for &(bench, qos) in pairs {
         let mut per_class = Vec::with_capacity(solvers.len());
         for (ci, solver) in solvers.iter().enumerate() {
-            let frozen = table
-                .and_then(|t| class_slots[ci].and_then(|slot| t.get(slot, solver.id, bench, qos)));
+            let frozen = class_slots[ci].and_then(|slot| table.get(slot, solver.id, bench, qos));
             per_class.push(match frozen {
                 Some(state) => {
                     table_hits += 1;
                     state
                 }
                 None => {
-                    if table.is_some() {
-                        miss_solves += 1;
-                    }
+                    miss_solves += 1;
                     cache.get_or_solve(solver, bench, qos, &selector, config.t_case_max)?
                 }
             });
@@ -1074,7 +707,7 @@ fn run_impl<Q: KernelQueue + Default>(
         cache.record_miss_solves(miss_solves);
     }
 
-    let mut queue = Q::default();
+    let mut queue = CalendarQueue::new();
     // Arrivals in time order (id on ties), pushed in that order so the
     // queue's seq tie-break preserves it. Only a bounded lookahead window
     // is in the queue at once: each processed arrival streams the next
@@ -1158,10 +791,8 @@ fn run_impl<Q: KernelQueue + Default>(
         trace
     });
     let mut final_sampled = false;
-    // Scratch for the control-tick rack views and per-class demands (hot
-    // path: one buffer for the whole run instead of one allocation per
-    // event).
-    let mut rack_scratch: Vec<RackView> = Vec::with_capacity(config.racks);
+    // Scratch for the per-class demands (hot path: one buffer for the
+    // whole run instead of one allocation per arrival).
     let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(solvers.len());
 
     while let Some((now, event)) = queue.pop() {
@@ -1188,7 +819,6 @@ fn run_impl<Q: KernelQueue + Default>(
                 if !state.done() {
                     state.loads.expire_until(now);
                     state.running.settle(now);
-                    state.loads.views_into(&mut rack_scratch);
                     let status = ControlStatus {
                         now,
                         committed: state.loads.total_committed(),
@@ -1198,7 +828,7 @@ fn run_impl<Q: KernelQueue + Default>(
                         violations: state.violations,
                         setpoint: state.setpoint,
                         shedding: state.shedding,
-                        racks: &rack_scratch,
+                        racks: state.loads.view_slice(),
                         active_servers: state.servers.active_servers(),
                         total_servers: n_servers,
                         recent_p99: if serving {
@@ -1292,30 +922,20 @@ fn run_impl<Q: KernelQueue + Default>(
                     classes: &class_scratch,
                     sig: pair,
                 };
-                // Unsharded: the exact pre-hall view (global slice +
-                // incremental index). Sharded: the per-hall view, where
-                // each dispatcher reduces one candidate per hall on the
-                // same total tie-break key the global walk sorts by.
-                let single = state.loads.single();
+                let loads = &state.loads;
                 let view = FleetView {
                     now,
-                    racks: single.map_or(&[][..], |l| l.view_slice()),
+                    racks: loads.view_slice(),
                     servers: &state.servers,
                     chiller: &state.chiller,
                     chiller_epoch: state.chiller_epoch,
-                    index: single.map(|l| FleetIndex {
-                        occupied: l.occupied_racks(),
-                        idle_min: l.idle_group_mins(),
-                        group_of: l.rack_groups(),
+                    index: FleetIndex {
+                        occupied: loads.occupied_racks(),
+                        idle_min: loads.idle_group_mins(),
+                        group_of: loads.rack_groups(),
                         group_classes: &group_classes,
-                        stamps: l.stamps(),
-                    }),
-                    halls: single.is_none().then(|| FleetHalls {
-                        parts: state.loads.parts(),
-                        bounds: state.loads.bounds(),
-                        hall_of: state.loads.hall_of(),
-                        group_classes: &group_classes,
-                    }),
+                        stamps: loads.stamps(),
+                    },
                 };
                 // A planning control policy may have a placement hint for
                 // this job; the kernel validates it against the live
@@ -1409,22 +1029,6 @@ fn run_impl<Q: KernelQueue + Default>(
             max_active_servers: max_a,
         });
     }
-    let halls = state
-        .loads
-        .bounds()
-        .iter()
-        .zip(state.loads.counters())
-        .enumerate()
-        .map(
-            |(hall, (&(rack_lo, rack_hi), (placements, expiries)))| HallStats {
-                hall,
-                rack_lo,
-                rack_hi,
-                placements,
-                expiries,
-            },
-        )
-        .collect();
     Ok(SimResult {
         outcome,
         trace,
@@ -1437,7 +1041,6 @@ fn run_impl<Q: KernelQueue + Default>(
             // Cache locks observed over this run. A steady-state replay
             // on a covering table reads 0 — the zero-lock smoke pins it.
             lock_acquisitions: cache.lock_acquisitions() - locks_at_entry,
-            halls,
         },
     })
 }
@@ -1462,9 +1065,6 @@ fn hinted_server(
     (wait.value() <= demand.class(hint.class).wait_budget.value() + 1e-9).then_some(server)
 }
 
-/// Captures one telemetry sample from the settled running layer. In
-/// serving mode `latency` carries the whole-run percentile sketch and the
-/// sample gains the active-server count and latency quantiles.
 /// Fills one contiguous rack range's telemetry columns: settled running
 /// heat, coldest running supply, and that rack's chiller electrical power
 /// (left at `0.0` for racks with no supply — the caller's sequential sum
@@ -1496,6 +1096,9 @@ fn cooling_chunk(
     }
 }
 
+/// Captures one telemetry sample from the settled running layer. In
+/// serving mode `latency` carries the whole-run percentile sketch and the
+/// sample gains the active-server count and latency quantiles.
 fn sample(
     state: &FleetState,
     now: Seconds,
@@ -1509,20 +1112,16 @@ fn sample(
         .saturating_sub(running.running) as f64
         * config.idle_server_power.value();
     // Two-pass cooling: per-rack heat/supply/chiller power first (each
-    // rack's values are independent, so halls can fill their ranges on
-    // worker threads), then one *sequential* rack-order sum — the exact
-    // accumulation order of the unsharded kernel, so the fan-out can
-    // never perturb a bit of the trace.
+    // rack's values are independent, so contiguous rack ranges can fill
+    // on worker threads), then one *sequential* rack-order sum — the same
+    // accumulation order at any thread count, so the fan-out can never
+    // perturb a bit of the trace.
     let racks = config.racks;
     let mut rack_heat = vec![Watts::ZERO; racks];
     let mut rack_water: Vec<Option<Celsius>> = vec![None; racks];
     let mut rack_cooling = vec![0.0f64; racks];
-    // The fan-out chunks raw rack ranges, not hall bounds: per-rack
-    // values are independent, so the partition owes nothing to the hall
-    // layout — a dispatcher that opts out of hall sharding keeps full
-    // telemetry parallelism.
     let workers = config.threads.max(1);
-    if workers > 1 && racks >= HALL_FANOUT_MIN_RACKS {
+    if workers > 1 && racks >= SAMPLE_FANOUT_MIN_RACKS {
         // Split `0..racks` into `workers` contiguous ranges (the thread
         // budget is shared with sweep workers — see `thread_budget`), one
         // scoped worker per range, each writing disjoint rack slices.
@@ -1586,62 +1185,6 @@ fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_orders_by_time_then_class_then_push_order() {
-        let mut q = EventQueue::new();
-        let t = Seconds::new(10.0);
-        q.push(t, Event::JobArrival(0));
-        q.push(t, Event::TelemetrySample);
-        q.push(t, Event::ControlTick);
-        q.push(t, Event::SetpointChange(Celsius::new(45.0)));
-        q.push(t, Event::JobCompletion { job: 9, server: 1 });
-        q.push(Seconds::new(2.0), Event::JobArrival(7));
-        assert_eq!(q.len(), 6);
-
-        // Earlier time first, regardless of class.
-        assert_eq!(q.pop(), Some((Seconds::new(2.0), Event::JobArrival(7))));
-        // Same instant: completion, set-point, tick, sample, arrival.
-        assert_eq!(
-            q.pop(),
-            Some((t, Event::JobCompletion { job: 9, server: 1 }))
-        );
-        assert_eq!(
-            q.pop(),
-            Some((t, Event::SetpointChange(Celsius::new(45.0))))
-        );
-        assert_eq!(q.pop(), Some((t, Event::ControlTick)));
-        assert_eq!(q.pop(), Some((t, Event::TelemetrySample)));
-        assert_eq!(q.pop(), Some((t, Event::JobArrival(0))));
-        assert!(q.is_empty());
-        let stats = q.stats();
-        assert_eq!(stats.pushed, 6);
-        assert_eq!(stats.peak_depth, 6);
-    }
-
-    #[test]
-    fn queue_ties_within_a_class_pop_in_push_order() {
-        let mut q = EventQueue::new();
-        let t = Seconds::new(3.0);
-        for id in [4usize, 2, 9] {
-            q.push(t, Event::JobArrival(id));
-        }
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(
-            popped,
-            vec![
-                Event::JobArrival(4),
-                Event::JobArrival(2),
-                Event::JobArrival(9)
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn queue_rejects_negative_times() {
-        EventQueue::new().push(Seconds::new(-1.0), Event::ControlTick);
-    }
 
     #[test]
     fn rack_loads_track_supply_and_drain_to_exact_zero() {

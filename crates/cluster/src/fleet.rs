@@ -7,14 +7,13 @@
 //! then hand the job stream, dispatcher, control policy and telemetry
 //! settings to the sequential event loop.
 
-use crate::cache::{ClassSolve, OutcomeCache, SolveTable};
+use crate::cache::{ClassSolve, OutcomeCache};
 use crate::catalog::{ClassId, FleetCatalog};
 use crate::control::{ControlPolicy, StaticControl};
 use crate::dispatch::FleetDispatcher;
 use crate::engine;
 use crate::job::{demand_pairs, Job};
 use crate::metrics::{FleetOutcome, SimResult, TelemetryConfig};
-use std::sync::Arc;
 use tps_cooling::Chiller;
 use tps_core::{
     CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector, PackedMapping,
@@ -101,20 +100,13 @@ pub struct FleetConfig {
     pub idle_server_power: Watts,
     /// Fleet-wide default mapping policy. Classes may override it.
     pub policy: PolicyId,
-    /// OS threads for the cache warm-up phase and for hall-level
-    /// parallelism inside a sharded run (telemetry fan-out). Thread count
-    /// never changes simulation results, only wall time; callers nesting
-    /// simulations inside their own worker pool should derive this via
-    /// [`thread_budget`] so the two levels never oversubscribe.
+    /// OS threads for the cache warm-up phase and for the telemetry
+    /// fan-out (each sample's per-rack cooling pass on fleets of 1024+
+    /// racks). Thread count never changes simulation results, only wall
+    /// time; callers nesting simulations inside their own worker pool
+    /// should derive this via [`thread_budget`] so the two levels never
+    /// oversubscribe.
     pub threads: usize,
-    /// Number of **halls** the kernel partitions the racks into:
-    /// contiguous rack ranges that own their committed load, occupancy
-    /// index and expiry events outright, and whose per-hall dispatch
-    /// candidates merge through a deterministic reduction. Any value
-    /// produces bit-identical outcomes and traces (`1`, the default, is
-    /// the classic single-index kernel); values above the rack count are
-    /// clamped. See `ARCHITECTURE.md`, "Sharded halls".
-    pub shards: usize,
     /// The server catalog: which hardware class sits in each rack slot.
     /// The default [`FleetCatalog::uniform`] is one fully inheriting
     /// class everywhere — the homogeneous fleet, bit for bit.
@@ -126,12 +118,6 @@ pub struct FleetConfig {
     /// active-server set. `false` (batch mode) leaves every output
     /// bit-identical to a build without the serving machinery.
     pub serving: bool,
-    /// Resolve demand states through the frozen dense
-    /// [`SolveTable`](crate::SolveTable) (the default): each run fetches
-    /// a covering epoch at its synchronization point, then replays
-    /// lock-free. `false` keeps the mutex-map oracle path — the
-    /// determinism matrix pins both paths byte-identical.
-    pub solve_table: bool,
 }
 
 impl FleetConfig {
@@ -157,10 +143,8 @@ impl FleetConfig {
             idle_server_power: idle,
             policy: PolicyId::default(),
             threads: Self::default_threads(),
-            shards: 1,
             catalog: FleetCatalog::uniform(),
             serving: false,
-            solve_table: true,
         }
     }
 
@@ -181,7 +165,7 @@ impl FleetConfig {
 /// each worker may use internally so the two levels of parallelism never
 /// oversubscribe the machine. The scenario sweep hands each grid worker
 /// `thread_budget(threads, workers)` for its per-point simulations
-/// (warm-up and hall fan-out); a single foreground run is the `outer = 1`
+/// (warm-up and telemetry fan-out); a single foreground run is the `outer = 1`
 /// case and keeps the whole budget. Never returns zero.
 pub fn thread_budget(total: usize, outer: usize) -> usize {
     (total / outer.max(1)).max(1)
@@ -354,79 +338,21 @@ impl Fleet {
         cache: &OutcomeCache,
     ) -> Result<SimResult, RunError> {
         // Synchronization point: make sure a covering table epoch is
-        // published (solving only the missing keys, in parallel), or warm
-        // the mutex map on the oracle path. Either way the work is one
-        // solve per distinct (class, bench, qos).
+        // published, solving only the missing keys — one solve per
+        // distinct (class, bench, qos), in parallel.
         let pairs = demand_pairs(jobs);
-        let table = self.publish(&pairs, cache)?;
+        let table = cache.ensure_published(
+            &self.class_solvers(),
+            &pairs,
+            &MinPowerSelector,
+            self.config.t_case_max,
+            self.config.threads,
+        )?;
 
         // Sequential phase: the deterministic event loop, reading the
-        // frozen epoch lock-free (or the mutex map on the oracle path).
+        // frozen epoch lock-free.
         engine::run(
-            self,
-            jobs,
-            &pairs,
-            dispatcher,
-            control,
-            telemetry,
-            cache,
-            table.as_deref(),
-        )
-    }
-
-    /// Publishes a table epoch covering `pairs` (or warms the mutex map
-    /// when the table is off) — the run-start synchronization point.
-    fn publish(
-        &self,
-        pairs: &[(Benchmark, QosClass)],
-        cache: &OutcomeCache,
-    ) -> Result<Option<Arc<SolveTable>>, RunError> {
-        if self.config.solve_table {
-            let solvers = self.class_solvers();
-            Ok(Some(cache.ensure_published(
-                &solvers,
-                pairs,
-                &MinPowerSelector,
-                self.config.t_case_max,
-                self.config.threads,
-            )?))
-        } else {
-            self.warm(pairs, cache, self.config.threads)?;
-            Ok(None)
-        }
-    }
-
-    /// [`simulate_with`](Self::simulate_with), but driven by the original
-    /// binary-heap event queue instead of the calendar queue.
-    ///
-    /// The two queues share the `(time, class, seq)` ordering key, so
-    /// results must be byte-identical; the determinism regression tests
-    /// use this entry as the ordering oracle. Not part of the supported
-    /// API — it exists only so the oracle stays compiled and honest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-server [`RunError`].
-    #[doc(hidden)]
-    pub fn simulate_with_heap_queue(
-        &self,
-        jobs: &[Job],
-        dispatcher: &mut dyn FleetDispatcher,
-        control: &mut dyn ControlPolicy,
-        telemetry: Option<&TelemetryConfig>,
-        cache: &OutcomeCache,
-    ) -> Result<SimResult, RunError> {
-        let pairs = demand_pairs(jobs);
-        let table = self.publish(&pairs, cache)?;
-        engine::run_with_heap(
-            self,
-            jobs,
-            &pairs,
-            dispatcher,
-            control,
-            telemetry,
-            cache,
-            table.as_deref(),
+            self, jobs, &pairs, dispatcher, control, telemetry, cache, &table,
         )
     }
 }
@@ -473,10 +399,6 @@ mod tests {
 
         fn begin_run(&mut self) {
             self.inner.begin_run();
-        }
-
-        fn wants_hall_fanout(&self) -> bool {
-            self.inner.wants_hall_fanout()
         }
     }
 

@@ -22,11 +22,10 @@
 //! * [`FleetDispatcher`] — [`RoundRobin`], [`CoolestRackFirst`] and the
 //!   paper-style [`ThermalAwareDispatch`] that ranks `(rack, class)`
 //!   slots by marginal chiller power,
-//! * [`CalendarQueue`]/[`EventQueue`]/[`Event`] — the deterministic
-//!   kernel: typed events ordered by a stable `(time, class, seq)` key,
-//!   so results are byte-identical across runs and thread counts; the
-//!   arena-backed calendar queue drives production runs, the heap stays
-//!   as the ordering oracle,
+//! * [`CalendarQueue`]/[`Event`] — the deterministic kernel: typed
+//!   events in an arena-backed calendar queue ordered by a stable
+//!   `(time, class, seq)` key, so results are byte-identical across runs
+//!   and thread counts,
 //! * [`ControlPolicy`] — runtime control evaluated on
 //!   [`ControlTick`](Event::ControlTick): [`StaticControl`] (open loop),
 //!   [`SetpointScheduler`] (chiller set-point program),
@@ -112,15 +111,15 @@ pub use control::{
     PlacementHint, RunContext, SetpointScheduler, StaticControl,
 };
 pub use dispatch::{
-    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetHalls, FleetIndex, FleetView, JobDemand,
+    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, JobDemand,
     PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
 };
-pub use engine::{Event, EventQueue, HallLoads, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
+pub use engine::{Event, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
 pub use fleet::{thread_budget, Fleet, FleetConfig, PolicyId, ServerPolicy};
 pub use job::{synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{
-    FleetOutcome, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram,
-    ServingOutcome, ServingSample, SimResult, TelemetryConfig,
+    FleetOutcome, FleetSample, FleetTrace, KernelStats, LatencyHistogram, ServingOutcome,
+    ServingSample, SimResult, TelemetryConfig,
 };
 pub use plan::{PlanSolver, PlannerControl};
-pub use queue::{CalendarQueue, KernelQueue, QueueStats};
+pub use queue::{CalendarQueue, QueueStats};

@@ -232,8 +232,7 @@ pub struct KernelStats {
     pub events: u64,
     /// Most events pending at once.
     pub peak_queue_depth: usize,
-    /// High-water mark of the calendar queue's entry arena (equals the
-    /// peak depth under the heap queue, which has no arena).
+    /// High-water mark of the calendar queue's entry arena.
     pub arena_high_water: usize,
     /// Demand-state lookups served lock-free off the frozen
     /// [`SolveTable`](crate::SolveTable) epoch.
@@ -245,27 +244,6 @@ pub struct KernelStats {
     /// publication locks. A steady-state replay on a covering table
     /// reads **zero**; the determinism smoke asserts it.
     pub lock_acquisitions: usize,
-    /// Per-hall traffic when the run was sharded (one entry per hall,
-    /// ascending by rack range; a single entry covering every rack for
-    /// `shards = 1`).
-    pub halls: Vec<HallStats>,
-}
-
-/// One hall's share of the kernel traffic — how the `--shards` partition
-/// actually split the work. Diagnostic only, like the rest of
-/// [`KernelStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HallStats {
-    /// Hall index (ascending by rack range).
-    pub hall: usize,
-    /// First rack the hall owns.
-    pub rack_lo: usize,
-    /// One past the last rack the hall owns.
-    pub rack_hi: usize,
-    /// Placements committed into this hall's racks.
-    pub placements: u64,
-    /// Placements expired out of this hall's racks.
-    pub expiries: u64,
 }
 
 /// One result of [`Fleet::simulate_with`](crate::Fleet::simulate_with):

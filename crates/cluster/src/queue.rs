@@ -1,18 +1,16 @@
-//! The arena-backed calendar event queue behind the kernel's hot path,
-//! and the [`KernelQueue`] abstraction that lets the original
-//! [`EventQueue`](crate::EventQueue) binary heap stand in as a
-//! correctness oracle.
+//! The arena-backed calendar event queue that drives the kernel.
 //!
-//! Both implementations order events by the same stable
-//! `(time, class, seq)` key — `f64::to_bits` is monotone for the
-//! non-negative times in play, `class` is the same-instant event ordering
-//! and `seq` is the push order — so they pop the *identical* sequence for
-//! any interleaving of pushes and pops. The property suite in
-//! `tests/queue_model.rs` drives the calendar queue against a naive
-//! sorted-`Vec` model and against the heap to pin that equivalence.
+//! Events pop in a stable `(time, class, seq)` order — `f64::to_bits` is
+//! monotone for the non-negative times in play, `class` is the
+//! same-instant event ordering and `seq` is the push order — so ties
+//! within one class pop first-in first-out and results never depend on
+//! insertion patterns, hashing or thread count. The ordering oracles live
+//! in test code: the property suite in `tests/queue_model.rs` drives the
+//! queue against a naive sorted-`Vec` model of that key, and this
+//! module's tests replay long interleavings against a reference queue.
 //!
-//! The calendar queue ([`CalendarQueue`]) is Brown's classic design,
-//! adapted for determinism and arena storage:
+//! [`CalendarQueue`] is Brown's classic design, adapted for determinism
+//! and arena storage:
 //!
 //! * entries live in a flat arena (`Vec<Entry>` plus a free list), so a
 //!   million-event run performs a handful of allocations instead of one
@@ -31,7 +29,7 @@
 //!   (million pre-pushed arrivals) and sparse (a lone control tick)
 //!   regimes stay O(1) amortized per operation.
 
-use crate::engine::{Event, EventQueue};
+use crate::engine::Event;
 use tps_units::Seconds;
 
 /// Depth and storage counters a queue accumulates over a run, surfaced
@@ -43,64 +41,14 @@ pub struct QueueStats {
     pub pushed: u64,
     /// Highest number of events pending at once.
     pub peak_depth: usize,
-    /// High-water mark of arena slots ever allocated (for the heap
-    /// oracle, which has no arena, this equals the peak depth).
+    /// High-water mark of arena slots ever allocated.
     pub arena_high_water: usize,
-}
-
-/// The kernel's event-queue contract: push events at non-negative finite
-/// times, pop them in exact `(time, class, seq)` order.
-///
-/// [`engine::run`](crate::Fleet::simulate_with) is generic over this
-/// trait; the shipping implementation is [`CalendarQueue`] and the
-/// original binary-heap [`EventQueue`](crate::EventQueue) is kept as the
-/// byte-determinism oracle
-/// ([`Fleet::simulate_with_heap_queue`](crate::Fleet::simulate_with_heap_queue)).
-pub trait KernelQueue {
-    /// Schedules `event` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is negative or not finite.
-    fn push(&mut self, time: Seconds, event: Event);
-
-    /// Removes and returns the earliest event by `(time, class, seq)`.
-    fn pop(&mut self) -> Option<(Seconds, Event)>;
-
-    /// Pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime depth/storage counters.
-    fn stats(&self) -> QueueStats;
-}
-
-impl KernelQueue for EventQueue {
-    fn push(&mut self, time: Seconds, event: Event) {
-        EventQueue::push(self, time, event);
-    }
-
-    fn pop(&mut self) -> Option<(Seconds, Event)> {
-        EventQueue::pop(self)
-    }
-
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn stats(&self) -> QueueStats {
-        EventQueue::stats(self)
-    }
 }
 
 /// One scheduled event in the arena.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    /// `(time_bits, class, seq)` — the same total order the heap uses.
+    /// `(time_bits, class, seq)` — the queue's total pop order.
     key: (u64, u8, u64),
     event: Event,
 }
@@ -109,11 +57,11 @@ struct Entry {
 /// a mask.
 const MIN_BUCKETS: usize = 16;
 
-/// An arena-backed calendar queue with the exact pop order of
-/// [`EventQueue`](crate::EventQueue).
+/// An arena-backed calendar queue popping events in exact
+/// `(time, class, seq)` order.
 ///
 /// ```
-/// use tps_cluster::{CalendarQueue, Event, KernelQueue};
+/// use tps_cluster::{CalendarQueue, Event};
 /// use tps_units::Seconds;
 ///
 /// let mut q = CalendarQueue::new();
@@ -254,8 +202,7 @@ impl CalendarQueue {
         }
     }
 
-    /// Lifetime depth/storage counters (also available through
-    /// [`KernelQueue::stats`]).
+    /// Lifetime depth/storage counters.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             pushed: self.pushed,
@@ -371,28 +318,36 @@ impl CalendarQueue {
     }
 }
 
-impl KernelQueue for CalendarQueue {
-    fn push(&mut self, time: Seconds, event: Event) {
-        CalendarQueue::push(self, time, event);
-    }
-
-    fn pop(&mut self) -> Option<(Seconds, Event)> {
-        CalendarQueue::pop(self)
-    }
-
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-
-    fn stats(&self) -> QueueStats {
-        CalendarQueue::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tps_units::Celsius;
+
+    /// The ordering oracle: every pending event with its
+    /// `(time, class, seq)` key, popped by a full min-scan.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<((u64, u8, u64), Event)>,
+        seq: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, time: Seconds, event: Event) {
+            self.pending
+                .push(((time.value().to_bits(), event.class(), self.seq), event));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Seconds, Event)> {
+            let best = (0..self.pending.len()).min_by_key(|&i| self.pending[i].0)?;
+            let ((bits, ..), event) = self.pending.swap_remove(best);
+            Some((Seconds::new(f64::from_bits(bits)), event))
+        }
+
+        fn is_empty(&self) -> bool {
+            self.pending.is_empty()
+        }
+    }
 
     #[test]
     fn calendar_orders_by_time_then_class_then_push_order() {
@@ -426,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn calendar_matches_heap_on_an_interleaved_stream() {
+    fn calendar_matches_the_reference_on_an_interleaved_stream() {
         // Deterministic pseudo-random interleaving (SplitMix64).
         fn mix(seed: u64, i: u64) -> u64 {
             let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
@@ -435,7 +390,7 @@ mod tests {
             z ^ (z >> 31)
         }
         let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
+        let mut oracle = Reference::default();
         for i in 0..4000u64 {
             let r = mix(7, i);
             if r % 3 != 0 {
@@ -452,13 +407,13 @@ mod tests {
                     _ => Event::SetpointChange(Celsius::new(40.0)),
                 };
                 cal.push(t, event);
-                heap.push(t, event);
+                oracle.push(t, event);
             } else {
-                assert_eq!(cal.pop(), heap.pop(), "diverged at op {i}");
+                assert_eq!(cal.pop(), oracle.pop(), "diverged at op {i}");
             }
         }
-        while !heap.is_empty() {
-            assert_eq!(cal.pop(), heap.pop());
+        while !oracle.is_empty() {
+            assert_eq!(cal.pop(), oracle.pop());
         }
         assert!(cal.is_empty());
     }
@@ -524,29 +479,29 @@ mod tests {
         // key order — a starved overflow entry would either pop late or
         // never.
         let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
-        let push = |cal: &mut CalendarQueue, heap: &mut EventQueue, t: f64, e: Event| {
+        let mut oracle = Reference::default();
+        let push = |cal: &mut CalendarQueue, oracle: &mut Reference, t: f64, e: Event| {
             cal.push(Seconds::new(t), e);
-            heap.push(Seconds::new(t), e);
+            oracle.push(Seconds::new(t), e);
         };
         for i in 0..40usize {
-            push(&mut cal, &mut heap, i as f64 * 0.5, Event::JobArrival(i));
+            push(&mut cal, &mut oracle, i as f64 * 0.5, Event::JobArrival(i));
         }
-        push(&mut cal, &mut heap, 5.0, Event::ControlTick);
-        push(&mut cal, &mut heap, 0.0, Event::TelemetrySample);
+        push(&mut cal, &mut oracle, 5.0, Event::ControlTick);
+        push(&mut cal, &mut oracle, 0.0, Event::TelemetrySample);
         let mut completions = 0usize;
         for step in 0..5000u64 {
             let got = cal.pop();
-            assert_eq!(got, heap.pop(), "diverged at step {step}");
+            assert_eq!(got, oracle.pop(), "diverged at step {step}");
             let Some((now, event)) = got else { break };
             match event {
                 Event::ControlTick => {
-                    push(&mut cal, &mut heap, now.value() + 5.0, Event::ControlTick);
+                    push(&mut cal, &mut oracle, now.value() + 5.0, Event::ControlTick);
                 }
                 Event::TelemetrySample => {
                     push(
                         &mut cal,
-                        &mut heap,
+                        &mut oracle,
                         now.value() + 30.0,
                         Event::TelemetrySample,
                     );
@@ -557,7 +512,7 @@ mod tests {
                     let end = 500.0 + i as f64 * 90.0;
                     push(
                         &mut cal,
-                        &mut heap,
+                        &mut oracle,
                         end,
                         Event::JobCompletion { job: i, server: 0 },
                     );
@@ -567,9 +522,9 @@ mod tests {
                     if completions == 40 {
                         // Fleet drained: stop re-arming and flush.
                         while let Some(got) = cal.pop() {
-                            assert_eq!(Some(got), heap.pop());
+                            assert_eq!(Some(got), oracle.pop());
                         }
-                        assert!(heap.is_empty());
+                        assert!(oracle.is_empty());
                         return;
                     }
                 }

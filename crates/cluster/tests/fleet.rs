@@ -251,128 +251,60 @@ fn setpoint_scheduler_cuts_cooling_on_the_heat_reuse_scenario() {
 }
 
 #[test]
-fn sharded_runs_match_the_sequential_kernel_byte_for_byte() {
-    // The tentpole guarantee, pinned as a matrix: shard counts (including
-    // a count that does not divide the racks and one above the rack
-    // count, which clamps) × both queue disciplines × every dispatcher,
-    // in a closed loop with telemetry and a set-point program so all
-    // event classes cross the hall boundaries. Every cell must reproduce
-    // the unsharded calendar run's outcome and trace CSV byte for byte —
-    // sharding is pure wall-clock, never physics.
-    let jobs = diurnal_jobs(80, 11);
+fn telemetry_fan_out_is_byte_identical_across_thread_counts() {
+    // 1024 one-server racks: the smallest fleet on which each telemetry
+    // sample fans its per-rack cooling pass out to worker threads. Under
+    // every dispatcher, with a set-point program moving the chiller, the
+    // outcome and trace CSV at 2 and 8 threads must match the sequential
+    // pass byte for byte. `Debug` on the outcome prints floats at
+    // round-trip precision, so equal strings pin the bit patterns.
+    let jobs = diurnal_jobs(300, 5);
+    let cache = OutcomeCache::new();
     for disp in 0..3usize {
-        let run = |shards: usize, heap: bool| {
-            let mut config = FleetConfig::new(6, 3);
+        let run = |threads: usize| {
+            let mut config = FleetConfig::new(1024, 1);
             config.grid_pitch_mm = 3.0;
-            config.shards = shards;
+            config.threads = threads;
             let fleet = Fleet::new(config);
-            let cache = OutcomeCache::new();
             let telemetry = TelemetryConfig {
                 sample_interval: Seconds::new(15.0),
                 capacity: 4096,
             };
-            let mut control =
-                SetpointScheduler::new(vec![(Seconds::new(40.0), Celsius::new(45.0))]);
+            let mut control = SetpointScheduler::new(vec![
+                (Seconds::new(600.0), Celsius::new(45.0)),
+                (Seconds::new(1800.0), Celsius::new(70.0)),
+            ]);
             let mut dispatcher: Box<dyn tps_cluster::FleetDispatcher> = match disp {
                 0 => Box::new(RoundRobin::default()),
                 1 => Box::new(CoolestRackFirst),
                 _ => Box::new(ThermalAwareDispatch::default()),
             };
-            let result = if heap {
-                fleet.simulate_with_heap_queue(
+            let result = fleet
+                .simulate_with(
                     &jobs,
                     dispatcher.as_mut(),
                     &mut control,
                     Some(&telemetry),
                     &cache,
                 )
-            } else {
-                fleet.simulate_with(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            }
-            .unwrap();
+                .unwrap();
             (
                 format!("{:?}", result.outcome),
                 result.trace.expect("telemetry was on").to_csv(),
             )
         };
-        let (ref_outcome, ref_csv) = run(1, false);
-        for shards in [2usize, 3, 8] {
-            for heap in [false, true] {
-                let (outcome, csv) = run(shards, heap);
-                assert_eq!(
-                    outcome, ref_outcome,
-                    "outcome diverged: dispatcher {disp}, {shards} shards, heap={heap}"
-                );
-                assert_eq!(
-                    csv, ref_csv,
-                    "trace diverged: dispatcher {disp}, {shards} shards, heap={heap}"
-                );
-            }
+        let (ref_outcome, ref_csv) = run(1);
+        assert!(ref_csv.lines().count() > 3, "{ref_csv}");
+        for threads in [2usize, 8] {
+            let (outcome, csv) = run(threads);
+            assert_eq!(
+                outcome, ref_outcome,
+                "outcome diverged: dispatcher {disp}, {threads} threads"
+            );
+            assert_eq!(
+                csv, ref_csv,
+                "trace diverged: dispatcher {disp}, {threads} threads"
+            );
         }
-    }
-}
-
-#[test]
-fn calendar_queue_matches_the_heap_oracle_end_to_end() {
-    // Same jobs, same fleet, both queue disciplines, every dispatcher, in
-    // a closed loop (telemetry plus a set-point program) so all five
-    // event classes flow through the queue: the outcome and the trace
-    // CSV must be byte-identical. `Debug` on the outcome prints floats
-    // at round-trip precision, so equal strings pin the bit patterns.
-    let jobs = diurnal_jobs(80, 11);
-    for disp in 0..3usize {
-        let run = |heap: bool| {
-            let mut config = FleetConfig::new(2, 3);
-            config.grid_pitch_mm = 3.0;
-            let fleet = Fleet::new(config);
-            let cache = OutcomeCache::new();
-            let telemetry = TelemetryConfig {
-                sample_interval: Seconds::new(15.0),
-                capacity: 4096,
-            };
-            let mut control =
-                SetpointScheduler::new(vec![(Seconds::new(40.0), Celsius::new(45.0))]);
-            let mut dispatcher: Box<dyn tps_cluster::FleetDispatcher> = match disp {
-                0 => Box::new(RoundRobin::default()),
-                1 => Box::new(CoolestRackFirst),
-                _ => Box::new(ThermalAwareDispatch::default()),
-            };
-            let result = if heap {
-                fleet.simulate_with_heap_queue(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            } else {
-                fleet.simulate_with(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            }
-            .unwrap();
-            (
-                result.outcome,
-                result.trace.expect("telemetry was on").to_csv(),
-            )
-        };
-        let (cal_outcome, cal_csv) = run(false);
-        let (heap_outcome, heap_csv) = run(true);
-        assert_eq!(
-            format!("{cal_outcome:?}"),
-            format!("{heap_outcome:?}"),
-            "outcome diverged for dispatcher {disp}"
-        );
-        assert_eq!(cal_csv, heap_csv, "trace diverged for dispatcher {disp}");
     }
 }

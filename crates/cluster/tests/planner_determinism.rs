@@ -1,6 +1,6 @@
 //! Byte-determinism regression for planner-controlled runs: the outcome
-//! and telemetry trace must be identical across warm-up thread counts
-//! and across the calendar/heap queue backends, for both solver cores —
+//! and telemetry trace must be identical across warm-up thread counts,
+//! for both solver cores —
 //! the same invariant `serving.rs` pins for the autoscaler. The planner
 //! consults a placement-hint table before the dispatcher; any hidden
 //! iteration-order or timing dependence in the re-plan path would show
@@ -45,55 +45,44 @@ fn run_matrix(solver: PlanSolver, planned_dispatch: bool) {
     let mut outcomes = Vec::new();
     let mut csvs = Vec::new();
     for threads in [1, 2, 8] {
-        for heap in [false, true] {
-            let fleet = Fleet::new(config(threads));
-            let cache = OutcomeCache::new();
-            let mut control = planner(solver);
-            let mut dispatcher: Box<dyn FleetDispatcher> = if planned_dispatch {
-                Box::new(PlannedDispatch)
-            } else {
-                Box::new(ThermalAwareDispatch::default())
-            };
-            let result = if heap {
-                fleet.simulate_with_heap_queue(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            } else {
-                fleet.simulate_with(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            }
+        let fleet = Fleet::new(config(threads));
+        let cache = OutcomeCache::new();
+        let mut control = planner(solver);
+        let mut dispatcher: Box<dyn FleetDispatcher> = if planned_dispatch {
+            Box::new(PlannedDispatch)
+        } else {
+            Box::new(ThermalAwareDispatch::default())
+        };
+        let result = fleet
+            .simulate_with(
+                &jobs,
+                dispatcher.as_mut(),
+                &mut control,
+                Some(&telemetry),
+                &cache,
+            )
             .unwrap();
-            outcomes.push(result.outcome);
-            csvs.push(result.trace.expect("telemetry was on").to_csv());
-        }
+        outcomes.push(result.outcome);
+        csvs.push(result.trace.expect("telemetry was on").to_csv());
     }
     assert!(
         outcomes.iter().all(|o| o == &outcomes[0]),
-        "planner outcome diverged across thread counts or queue backends"
+        "planner outcome diverged across thread counts"
     );
     assert!(
         csvs.iter().all(|c| c == &csvs[0]),
-        "planner trace diverged across thread counts or queue backends"
+        "planner trace diverged across thread counts"
     );
     assert!(csvs[0].lines().count() > 3, "{}", csvs[0]);
 }
 
 #[test]
-fn lp_planner_is_byte_identical_across_threads_and_queue_backends() {
+fn lp_planner_is_byte_identical_across_threads() {
     run_matrix(PlanSolver::Lp, false);
 }
 
 #[test]
-fn anneal_planner_is_byte_identical_across_threads_and_queue_backends() {
+fn anneal_planner_is_byte_identical_across_threads() {
     run_matrix(PlanSolver::Anneal, false);
 }
 

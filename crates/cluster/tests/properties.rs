@@ -2,11 +2,17 @@
 //! interleaved `add`/`expire_until` must never leave negative rack heat,
 //! stale occupancy or a wrong shared-supply cap, no matter the order of
 //! magnitudes or expiry times — the invariants every dispatch decision
-//! and energy window depends on.
+//! and energy window depends on. The indexed dispatchers are checked
+//! against full-enumeration oracles over the same bookkeeping.
 
 use proptest::prelude::*;
-use tps_cluster::{RackLoads, SteadyState};
+use tps_cluster::{
+    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, Job, JobDemand,
+    RackLoads, RackView, ServerTable, SteadyState, ThermalAwareDispatch,
+};
+use tps_cooling::Chiller;
 use tps_units::{Celsius, Seconds, Watts};
+use tps_workload::{Benchmark, QosClass};
 
 fn state(heat: f64, water: f64) -> SteadyState {
     SteadyState {
@@ -219,31 +225,94 @@ proptest! {
     }
 }
 
+/// Chiller electricity `rack` pays per unit time if a job with `state`
+/// joins it — the marginal-power expression both ranking oracles below
+/// score by.
+fn marginal_power(chiller: &Chiller, rack: &RackView, state: &SteadyState) -> f64 {
+    let current = match rack.supply {
+        Some(supply) => chiller.electrical_power(rack.heat, supply),
+        None => Watts::ZERO,
+    };
+    let joint_supply = rack
+        .supply
+        .map_or(state.max_water_temp, |s| s.min(state.max_water_temp));
+    let joint = chiller.electrical_power(rack.heat + state.heat, joint_supply);
+    (joint - current).value()
+}
+
+/// The full `(rack, class)` enumeration the indexed thermal-aware walk
+/// must reproduce: every active slot ranked by marginal chiller power
+/// (lighter rack, then rack index, then class id on ties), the cheapest
+/// one within its class's wait budget taken, else the active server that
+/// frees up soonest.
+fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    let mut ranked: Vec<(f64, f64, usize, usize)> = Vec::new();
+    for r in 0..view.servers.active_racks() {
+        let rack = &view.racks[r];
+        for &class in view.classes_in_rack(r) {
+            let p = marginal_power(view.chiller, rack, &demand.class(class).state);
+            ranked.push((p, rack.heat.value(), r, class));
+        }
+    }
+    ranked.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+            .then(a.3.cmp(&b.3))
+    });
+    for &(_, _, rack, class) in &ranked {
+        let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+        if view.wait_on(server) <= demand.class(class).wait_budget {
+            return server;
+        }
+    }
+    let free = view.servers.free_slice();
+    (0..view.servers.active_servers())
+        .min_by(|&a, &b| free[a].value().total_cmp(&free[b].value()))
+        .unwrap()
+}
+
+/// The linear scan coolest-rack-first's index lookup must reproduce: the
+/// active rack with the least committed heat (lowest index on ties),
+/// then its cheapest class.
+fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    let heat = |r: usize| view.racks[r].heat.value();
+    let rack = (0..view.servers.active_racks())
+        .min_by(|&a, &b| heat(a).total_cmp(&heat(b)))
+        .unwrap();
+    let class = view
+        .classes_in_rack(rack)
+        .iter()
+        .map(|&c| {
+            (
+                marginal_power(view.chiller, &view.racks[rack], &demand.class(c).state),
+                c,
+            )
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .unwrap()
+        .1;
+    view.earliest_free_of_class(rack, class).unwrap().0
+}
+
 proptest! {
     /// Drive the kernel's dispatch index (occupied set, idle groups,
-    /// stamps, score memo) and the legacy full-fleet rescore through the
+    /// stamps, score memo) and the full-fleet rescore oracles through the
     /// same random interleaving of placements, expiries and set-point
     /// changes: every placement decision must be bit-identical. The
     /// incremental dispatcher keeps its memo warm across the whole
-    /// interleaving while the rescore dispatcher starts cold each call —
-    /// any stale cache entry or index drift shows up as a diverged pick.
+    /// interleaving while the oracles rescore every rack each call — any
+    /// stale cache entry or index drift shows up as a diverged pick.
     #[test]
     fn indexed_ranking_matches_a_full_rescore_after_any_interleaving(
         seed in 0u64..200,
         ops in 1usize..80,
     ) {
-        use tps_cluster::{
-            ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, Job,
-            JobDemand, ServerTable, ThermalAwareDispatch,
-        };
-        use tps_cooling::Chiller;
-        use tps_workload::{Benchmark, QosClass};
-
         // Fleet shape: racks {0,1} host class 0 only, racks {2,3} host
         // classes {0,1} — two rack groups, 2 servers per rack.
         let group_classes = vec![vec![0usize], vec![0, 1]];
         let mut servers = ServerTable::new(vec![0, 0, 0, 0, 0, 1, 0, 1], 2);
-        let mut loads = tps_cluster::RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
+        let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
         let mut chiller = Chiller::new(Celsius::new(60.0));
         let mut chiller_epoch = 0u64;
         let mut warm = ThermalAwareDispatch::default();
@@ -291,31 +360,29 @@ proptest! {
                         })
                         .collect();
                     let demand = JobDemand { job: &job, classes: &classes, sig: sig as u32 };
-                    let indexed = FleetView {
-            halls: None,
+                    let view = FleetView {
                         now: Seconds::new(now),
                         racks: loads.view_slice(),
                         servers: &servers,
                         chiller: &chiller,
                         chiller_epoch,
-                        index: Some(FleetIndex {
+                        index: FleetIndex {
                             occupied: loads.occupied_racks(),
                             idle_min: loads.idle_group_mins(),
                             group_of: loads.rack_groups(),
                             group_classes: &group_classes,
                             stamps: loads.stamps(),
-                        }),
+                        },
                     };
-                    let scan = FleetView { index: None, ..indexed };
-                    let chosen = warm.place(&demand, &indexed);
+                    let chosen = warm.place(&demand, &view);
                     prop_assert_eq!(
                         chosen,
-                        ThermalAwareDispatch::default().place(&demand, &scan),
+                        scan_thermal(&demand, &view),
                         "thermal pick diverged at op {} (sig {})", i, sig
                     );
                     prop_assert_eq!(
-                        CoolestRackFirst.place(&demand, &indexed),
-                        CoolestRackFirst.place(&demand, &scan),
+                        CoolestRackFirst.place(&demand, &view),
+                        scan_coolest(&demand, &view),
                         "coolest pick diverged at op {}", i
                     );
                     // Commit exactly like the kernel: the fleet evolves
@@ -328,153 +395,6 @@ proptest! {
                     loads.add(rack, &cd.state, Seconds::new(end));
                     servers.set_free_at(chosen, Seconds::new(end));
                 }
-            }
-        }
-    }
-}
-
-proptest! {
-    /// Drive a sharded hall partition and the sequential single-
-    /// `RackLoads` kernel through the same random interleaving of
-    /// placements, expiries and set-point changes: the hall-candidate
-    /// reduction must pick the exact server the global `place_scan`
-    /// oracle picks at every arrival, and the hall views composed back
-    /// into rack order must equal the global views bit for bit. The
-    /// sharded dispatcher keeps its memo and COP caches warm across the
-    /// whole interleaving while the oracle starts cold each call, so any
-    /// stale hall cache or drifted reduction key shows up as a diverged
-    /// pick.
-    #[test]
-    fn hall_reduction_matches_the_global_scan_oracle(
-        seed in 0u64..200,
-        ops in 1usize..80,
-        shards in 1usize..5,
-    ) {
-        use tps_cluster::{
-            ClassDemand, CoolestRackFirst, FleetDispatcher, FleetHalls, FleetView, HallLoads,
-            Job, JobDemand, ServerTable, ThermalAwareDispatch,
-        };
-        use tps_cooling::Chiller;
-        use tps_workload::{Benchmark, QosClass};
-
-        // Same fleet shape as the indexed test: racks {0,1} host class 0
-        // only, racks {2,3} host classes {0,1} — two rack groups, 2
-        // servers per rack. `shards` ranges over every partition of the 4
-        // racks, including uneven ones.
-        let group_classes = vec![vec![0usize], vec![0, 1]];
-        let mut servers = ServerTable::new(vec![0, 0, 0, 0, 0, 1, 0, 1], 2);
-        let mut halls = HallLoads::new(4, vec![0, 0, 1, 1], 2, shards);
-        let mut global = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
-        let mut chiller = Chiller::new(Celsius::new(60.0));
-        let mut chiller_epoch = 0u64;
-        let mut warm = ThermalAwareDispatch::default();
-        warm.begin_run();
-        let job = Job {
-            id: 0,
-            bench: Benchmark::X264,
-            qos: QosClass::TwoX,
-            arrival: Seconds::ZERO,
-            service: Seconds::new(30.0),
-        };
-        let sig_states: Vec<[SteadyState; 2]> = (0..3u64)
-            .map(|s| {
-                let heat = 60.0 + 40.0 * s as f64;
-                let water = 50.0 + 9.0 * s as f64;
-                [state(heat, water), state(heat * 0.9, water + 6.0)]
-            })
-            .collect();
-        let mut now = 0.0f64;
-        for i in 0..ops as u64 {
-            let r = mix(seed, i);
-            match r % 8 {
-                0 => {
-                    now += unit(seed, 3 * i) * 40.0;
-                    halls.expire_until(Seconds::new(now));
-                    global.expire_until(Seconds::new(now));
-                }
-                1 => {
-                    chiller = chiller
-                        .with_ambient(Celsius::new(40.0 + unit(seed, 3 * i) * 25.0));
-                    chiller_epoch += 1;
-                }
-                _ => {
-                    let sig = ((r >> 8) % 3) as usize;
-                    let runtime = 10.0 + unit(seed, 3 * i + 1) * 50.0;
-                    let budget = unit(seed, 3 * i + 2) * 30.0;
-                    let classes: Vec<ClassDemand> = sig_states[sig]
-                        .iter()
-                        .map(|s| ClassDemand {
-                            state: *s,
-                            runtime: Seconds::new(runtime),
-                            wait_budget: Seconds::new(budget),
-                        })
-                        .collect();
-                    let demand = JobDemand { job: &job, classes: &classes, sig: sig as u32 };
-                    let hall_view = FleetView {
-                        now: Seconds::new(now),
-                        racks: &[],
-                        servers: &servers,
-                        chiller: &chiller,
-                        chiller_epoch,
-                        index: None,
-                        halls: Some(FleetHalls {
-                            parts: halls.parts(),
-                            bounds: halls.bounds(),
-                            hall_of: halls.hall_of(),
-                            group_classes: &group_classes,
-                        }),
-                    };
-                    let scan_view = FleetView {
-                        now: Seconds::new(now),
-                        racks: global.view_slice(),
-                        servers: &servers,
-                        chiller: &chiller,
-                        chiller_epoch,
-                        index: None,
-                        halls: None,
-                    };
-                    let chosen = warm.place(&demand, &hall_view);
-                    prop_assert_eq!(
-                        chosen,
-                        ThermalAwareDispatch::default().place(&demand, &scan_view),
-                        "thermal hall pick diverged at op {} (sig {}, {} shards)",
-                        i, sig, shards
-                    );
-                    prop_assert_eq!(
-                        CoolestRackFirst.place(&demand, &hall_view),
-                        CoolestRackFirst.place(&demand, &scan_view),
-                        "coolest hall pick diverged at op {} ({} shards)", i, shards
-                    );
-                    // Commit the (verified) pick to both kernels, exactly
-                    // as the event loop would.
-                    let class = servers.class_of(chosen);
-                    let cd = classes[class];
-                    let start = now.max(servers.free_at(chosen).value());
-                    let end = start + cd.runtime.value();
-                    let rack = servers.rack_of(chosen);
-                    halls.add(rack, &cd.state, Seconds::new(end));
-                    global.add(rack, &cd.state, Seconds::new(end));
-                    servers.set_free_at(chosen, Seconds::new(end));
-                }
-            }
-
-            // The halls composed in rack order are the global kernel's
-            // state, bit for bit, after every step.
-            prop_assert_eq!(halls.total_committed(), global.total_committed());
-            let mut composed = Vec::new();
-            halls.views_into(&mut composed);
-            for (rk, (h, g)) in composed.iter().zip(global.view_slice()).enumerate() {
-                prop_assert_eq!(
-                    h.heat.value().to_bits(),
-                    g.heat.value().to_bits(),
-                    "rack {} heat diverged at op {}", rk, i
-                );
-                prop_assert_eq!(h.committed, g.committed, "rack {} occupancy", rk);
-                prop_assert_eq!(
-                    h.supply.map(|c| c.value().to_bits()),
-                    g.supply.map(|c| c.value().to_bits()),
-                    "rack {} supply diverged at op {}", rk, i
-                );
             }
         }
     }

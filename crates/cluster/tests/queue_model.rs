@@ -5,7 +5,7 @@
 //! far-future times that ride the overflow list.
 
 use proptest::prelude::*;
-use tps_cluster::{CalendarQueue, Event, EventQueue};
+use tps_cluster::{CalendarQueue, Event};
 use tps_units::{Celsius, Seconds};
 
 /// SplitMix64, the same deterministic mix the workload layer uses.
@@ -71,8 +71,8 @@ impl SortedVecModel {
 
 proptest! {
     /// Random interleavings of pushes (clustered times, so class and seq
-    /// break plenty of ties) and pops match the sorted-`Vec` model and
-    /// the binary-heap oracle exactly, then drain in identical order.
+    /// break plenty of ties) and pops match the sorted-`Vec` model
+    /// exactly, then drain in identical order.
     #[test]
     fn calendar_queue_matches_the_sorted_vec_model(
         seed in 0u64..300,
@@ -80,7 +80,6 @@ proptest! {
         spread in 1u64..4,
     ) {
         let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
         let mut model = SortedVecModel::default();
         for i in 0..ops as u64 {
             let r = mix(seed, i);
@@ -92,24 +91,20 @@ proptest! {
                 );
                 let event = event_for(r >> 8, i);
                 cal.push(t, event);
-                heap.push(t, event);
                 model.push(t, event);
             } else {
-                let got = cal.pop();
-                prop_assert_eq!(got, model.pop(), "model diverged at op {}", i);
-                prop_assert_eq!(got, heap.pop(), "oracle diverged at op {}", i);
+                prop_assert_eq!(cal.pop(), model.pop(), "model diverged at op {}", i);
             }
             prop_assert_eq!(cal.len(), model.pending.len());
         }
         loop {
             let got = cal.pop();
             prop_assert_eq!(got, model.pop());
-            prop_assert_eq!(got, heap.pop());
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(cal.is_empty() && heap.is_empty());
+        prop_assert!(cal.is_empty());
     }
 
     /// Every event at one instant: pop order degenerates to pure

@@ -1,5 +1,5 @@
 //! End-to-end serving-mode scenarios: request-stream determinism across
-//! warm-up thread counts and queue backends, the autoscale energy win
+//! warm-up thread counts, the autoscale energy win
 //! under the p99 SLO, and the batch-mode emission guarantees with the
 //! serving machinery compiled in.
 
@@ -40,7 +40,7 @@ fn autoscaler() -> AutoscaleControl {
 }
 
 #[test]
-fn serving_trace_is_byte_identical_across_threads_and_queue_backends() {
+fn serving_trace_is_byte_identical_across_threads() {
     let jobs = serving_jobs(80, 1.0, 9);
     let telemetry = TelemetryConfig {
         sample_interval: Seconds::new(15.0),
@@ -48,35 +48,24 @@ fn serving_trace_is_byte_identical_across_threads_and_queue_backends() {
     };
     let mut csvs = Vec::new();
     for threads in [1, 2, 8] {
-        for heap in [false, true] {
-            let fleet = Fleet::new(serving_config(threads));
-            let cache = OutcomeCache::new();
-            let mut control = autoscaler();
-            let mut dispatcher = ThermalAwareDispatch::default();
-            let result = if heap {
-                fleet.simulate_with_heap_queue(
-                    &jobs,
-                    &mut dispatcher,
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            } else {
-                fleet.simulate_with(
-                    &jobs,
-                    &mut dispatcher,
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            }
+        let fleet = Fleet::new(serving_config(threads));
+        let cache = OutcomeCache::new();
+        let mut control = autoscaler();
+        let mut dispatcher = ThermalAwareDispatch::default();
+        let result = fleet
+            .simulate_with(
+                &jobs,
+                &mut dispatcher,
+                &mut control,
+                Some(&telemetry),
+                &cache,
+            )
             .unwrap();
-            csvs.push(result.trace.expect("telemetry was on").to_csv());
-        }
+        csvs.push(result.trace.expect("telemetry was on").to_csv());
     }
     assert!(
         csvs.iter().all(|c| c == &csvs[0]),
-        "serving trace diverged across thread counts or queue backends"
+        "serving trace diverged across thread counts"
     );
     // Serving mode appends the latency/capacity columns to the trace.
     let header = csvs[0].lines().next().unwrap();

@@ -379,9 +379,6 @@ pub struct Scenario {
     pub policy: ServerPolicy,
     /// OS threads for the physics-cache warm-up.
     pub threads: usize,
-    /// Hall count for sharded dispatch (clamped to the rack count by the
-    /// kernel; outcomes are bit-identical across any value).
-    pub shards: usize,
     /// Chiller heat-rejection / heat-reuse loop temperature, °C.
     pub heat_reuse_c: f64,
     /// Water inlet of the server thermosyphon loops, °C (5–60).
@@ -463,7 +460,6 @@ impl Scenario {
             "grid_pitch_mm",
             "policy",
             "threads",
-            "shards",
             "classes",
         ])?;
         let racks = fleet.count("racks", 2)?;
@@ -483,7 +479,6 @@ impl Scenario {
             Some(n) => n,
             None => FleetConfig::default_threads(),
         };
-        let shards = fleet.count("shards", 1)?;
 
         let classes = parse_server_classes(doc)?;
         let rack_classes = parse_rack_classes(&fleet, doc, racks, &classes)?;
@@ -879,7 +874,6 @@ impl Scenario {
             grid_pitch_mm,
             policy,
             threads,
-            shards,
             heat_reuse_c,
             water_inlet_c,
             jobs,
@@ -904,7 +898,6 @@ impl Scenario {
         config.chiller = Chiller::new(Celsius::new(self.heat_reuse_c));
         config.policy = self.policy;
         config.threads = self.threads;
-        config.shards = self.shards;
         if !self.classes.is_empty() {
             config.catalog = FleetCatalog::new(
                 self.classes

@@ -35,6 +35,12 @@ fn unknown_key_names_line_table_and_alternatives() {
     assert_eq!(e.line, Some(3));
     assert!(e.message.contains("unknown key `chiller`"), "{e}");
     assert!(e.message.contains("cooling"), "{e}");
+
+    // A key the schema no longer has is just another unknown key.
+    let e = fail_scenario("[fleet]\nracks = 2\nshards = 2\n");
+    assert_eq!(e.line, Some(3));
+    assert!(e.message.contains("unknown key `shards`"), "{e}");
+    assert!(e.message.contains("[fleet]"), "{e}");
 }
 
 #[test]
@@ -75,6 +81,11 @@ fn bad_sweep_axes_are_rejected_with_lines() {
     assert_eq!(e.line, Some(4));
     assert!(e.message.contains("sweep axis `fleet.rack`"), "{e}");
     assert!(e.message.contains("fleet.racks"), "{e}");
+
+    // Likewise a path the schema no longer has.
+    let e = fail_sweep("[fleet]\nracks = 2\n[sweep]\nfleet.shards = [1, 2]\n");
+    assert_eq!(e.line, Some(4));
+    assert!(e.message.contains("sweep axis `fleet.shards`"), "{e}");
 
     // An axis that is not an array.
     let e = fail_sweep("[fleet]\nracks = 2\n[sweep]\nworkload.rate = 0.7\n");

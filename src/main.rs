@@ -67,8 +67,7 @@ fn print_usage() {
          tps profile <benchmark>   print the 48-point P/Q configuration table\n  \
          tps fleet [--servers N] [--racks N] [--jobs N] [--seed N] [--rate JOBS/S]\n  \
          {:14}[--demand constant|diurnal|bursty] [--dispatcher all|rr|coolest|thermal|planned]\n  \
-         {:14}[--policy NAME] [--ambient C] [--pitch MM] [--threads N] [--shards N]\n  \
-         {:14}(shards split racks into halls simulated with a deterministic merge)\n  \
+         {:14}[--policy NAME] [--ambient C] [--pitch MM] [--threads N]\n  \
          {:14}[--classes NAME[:PITCH[:INLET[:POLICY]]],...]  heterogeneous racks\n  \
          {:14}(classes cycle across racks; fields omitted inherit the fleet flags)\n  \
          {:14}[--control static|setpoint|shed|autoscale|planner] [--setpoints T:C,T:C,...] [--tick S]\n  \
@@ -82,7 +81,7 @@ fn print_usage() {
          {:14}expand a scenario spec's sweep grid, write CSV + Markdown reports\n  \
          {:14}(spec schema and cookbook: docs/SCENARIOS.md, examples: scenarios/)\n  \
          tps list                  list benchmarks, policies and selectors\n",
-        "", "", "", "", "", "", "", "", "", "", "", "", "", "", ""
+        "", "", "", "", "", "", "", "", "", "", "", "", "", ""
     );
 }
 
@@ -225,7 +224,6 @@ struct FleetArgs {
     ambient: f64,
     pitch: f64,
     threads: usize,
-    shards: usize,
     classes: Vec<ServerClass>,
     control: ControlSpec,
     trace_out: Option<String>,
@@ -413,7 +411,6 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
             "ambient",
             "pitch",
             "threads",
-            "shards",
             "classes",
             "control",
             "setpoints",
@@ -544,7 +541,6 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
         ambient: args.parsed("ambient", 70.0)?,
         pitch: args.parsed("pitch", 2.0)?,
         threads: args.parsed("threads", FleetConfig::default_threads())?,
-        shards: args.parsed("shards", 1usize)?,
         classes: match args.flag("classes") {
             None => Vec::new(),
             Some(raw) => parse_classes(raw)?,
@@ -561,11 +557,10 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
         || !positive(out.rate)
         || !positive(out.pitch)
         || out.threads == 0
-        || out.shards == 0
         || !positive(out.sample)
     {
         return Err(
-            "--servers, --racks, --jobs, --rate, --pitch, --threads, --shards and --sample \
+            "--servers, --racks, --jobs, --rate, --pitch, --threads and --sample \
              must be positive and finite"
                 .to_owned(),
         );
@@ -680,22 +675,11 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         }
     }
 
-    let shards = if a.shards > racks {
-        eprintln!(
-            "warning: --shards {} exceeds {racks} racks; clamping to {racks} halls",
-            a.shards
-        );
-        racks
-    } else {
-        a.shards
-    };
-
     let mut config = FleetConfig::new(racks, servers_per_rack);
     config.grid_pitch_mm = a.pitch;
     config.chiller = Chiller::new(Celsius::new(a.ambient));
     config.policy = a.policy;
     config.threads = a.threads;
-    config.shards = shards;
     config.serving = a.serving;
     if !a.classes.is_empty() {
         // Classes cycle across racks: rack r is entirely class r mod k.
@@ -730,16 +714,11 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         println!("classes: {} — cycled across racks", summary.join(", "));
     }
     println!(
-        "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads{}",
+        "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads",
         a.ambient,
         fleet.config().op.water_inlet(),
         a.pitch,
         a.threads,
-        if shards > 1 {
-            format!(", {shards} halls")
-        } else {
-            String::new()
-        }
     );
     println!(
         "control: {}{}\n",
@@ -809,14 +788,6 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
                         result.stats.miss_solves,
                         result.stats.lock_acquisitions,
                     );
-                    if result.stats.halls.len() > 1 {
-                        for h in &result.stats.halls {
-                            println!(
-                                "  hall {}: racks {}..{}, {} placements, {} expiries",
-                                h.hall, h.rack_lo, h.rack_hi, h.placements, h.expiries
-                            );
-                        }
-                    }
                 }
                 if let Some(s) = &out.serving {
                     println!(

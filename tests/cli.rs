@@ -1,5 +1,6 @@
-//! The `tps` binary's input surface: non-finite numbers on the command
-//! line exit 1 with a named error instead of panicking.
+//! The `tps` binary's input surface: non-finite numbers and unknown
+//! flags on the command line exit 1 with a named error instead of
+//! panicking.
 
 use std::process::Command;
 
@@ -42,4 +43,14 @@ fn non_finite_numbers_exit_1_with_a_named_error() {
     let (code, stderr) = tps(&["run", "x264", "--pitch=inf"]);
     assert_eq!(code, Some(1), "tps run --pitch=inf: {stderr}");
     assert!(stderr.contains("finite number of millimetres"), "{stderr}");
+}
+
+#[test]
+fn flags_the_fleet_command_no_longer_takes_are_unknown() {
+    let (code, stderr) = tps(&["fleet", "--servers", "8", "--jobs", "8", "--shards", "2"]);
+    assert_eq!(code, Some(1), "tps fleet --shards 2: {stderr}");
+    assert!(
+        stderr.starts_with("error: unknown flag `--shards`"),
+        "{stderr}"
+    );
 }
