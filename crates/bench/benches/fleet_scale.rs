@@ -1,23 +1,26 @@
 //! Criterion: the million-job kernel's scale trajectory — fleet replay
 //! wall time at 1k/10k/100k servers with proportionally sized job
-//! streams, per dispatcher, on a warm physics cache.
+//! streams, per dispatcher, on a warm physics cache — plus one serving
+//! case (thermal-aware dispatch under the autoscaler, with telemetry).
 //!
-//! These are the same (servers, jobs, dispatcher) points the
+//! The batch points are the same (servers, jobs, dispatcher) points the
 //! `bench_kernel` binary measures into `BENCH_kernel.json`; run the
 //! binary for the machine-readable trajectory and this bench for
 //! criterion's interactive timings. The environment variable
-//! `TPS_BENCH_SCALE=smoke` trims the grid to the 1k tier so CI smoke
-//! jobs stay inside their time budget.
+//! `TPS_BENCH_SCALE=smoke` trims the batch grid to the 1k tier and the
+//! serving case to a tenth, so CI smoke jobs stay inside their time
+//! budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tps_cluster::{
-    synthesize_jobs, ClassSolve, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, JobMix,
-    OutcomeCache, PolicyId, RoundRobin, ThermalAwareDispatch,
+    synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ClassSolve, CoolestRackFirst,
+    Fleet, FleetConfig, FleetDispatcher, JobMix, OutcomeCache, PolicyId, RoundRobin,
+    TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_core::{MinPowerSelector, Server, T_CASE_MAX};
 use tps_units::Seconds;
-use tps_workload::{Benchmark, DiurnalDemand, QosClass};
+use tps_workload::{Benchmark, DiurnalDemand, QosClass, ServingDemand};
 
 /// The pinned scale grid: (servers, jobs). 100k × 1M is the headline
 /// million-job point; smoke keeps only the first tier.
@@ -59,6 +62,62 @@ fn bench_fleet_scale(c: &mut Criterion) {
             );
         }
     }
+    group.finish();
+}
+
+/// The serving path: open-loop requests at a 0.15 req/s-per-server
+/// diurnal peak with flash crowds, thermal-aware dispatch under the
+/// autoscaler, telemetry every 5 s. Most racks stay occupied at every
+/// event, so the per-arrival ranking and the per-window cooling walk
+/// cover nearly the whole fleet.
+fn bench_serving(c: &mut Criterion) {
+    let smoke = std::env::var("TPS_BENCH_SCALE").as_deref() == Ok("smoke");
+    let (servers, requests) = if smoke {
+        (1_000, 2_000)
+    } else {
+        (10_000, 20_000)
+    };
+    let peak = 0.15 * servers as f64;
+    let demand = ServingDemand::new(
+        peak * 0.2,
+        peak,
+        Seconds::new(600.0),
+        2.5,
+        Seconds::new(60.0),
+        Seconds::new(420.0),
+        42,
+    );
+    let stream = synthesize_request_jobs(requests, &demand, Seconds::new(2.0), 42);
+    let mut config = FleetConfig::new(servers / 8, 8);
+    config.grid_pitch_mm = 3.0;
+    config.serving = true;
+    let fleet = Fleet::new(config);
+    let cache = OutcomeCache::new();
+    let telemetry = TelemetryConfig {
+        sample_interval: Seconds::new(5.0),
+        capacity: TelemetryConfig::default().capacity,
+    };
+    let run = |stream: &[tps_cluster::Job]| {
+        let mut control =
+            AutoscaleControl::new(Seconds::new(5.0), 8, 8, 2.0, 0.25, Seconds::new(10.0));
+        fleet
+            .simulate_with(
+                stream,
+                &mut ThermalAwareDispatch::default(),
+                &mut control,
+                Some(&telemetry),
+                &cache,
+            )
+            .expect("serving workloads are feasible")
+    };
+    run(&stream);
+    let mut group = c.benchmark_group("fleet_scale");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::new("thermal-aware-serving", format!("{servers}x{requests}")),
+        &stream,
+        |b, stream| b.iter(|| run(stream)),
+    );
     group.finish();
 }
 
@@ -116,5 +175,10 @@ fn bench_cache_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fleet_scale, bench_cache_lookup);
+criterion_group!(
+    benches,
+    bench_fleet_scale,
+    bench_serving,
+    bench_cache_lookup
+);
 criterion_main!(benches);

@@ -33,9 +33,12 @@
 //!   order, so scoring racks from the index instead of in rack order
 //!   cannot change the sorted result.
 //!
-//! The per-rack stamps drive [`ThermalAwareDispatch`]'s score memo: a
+//! Each occupied entry carries its rack's COP and chiller draw inline
+//! (kept by [`RackLoads`](crate::RackLoads), the owner of the chiller),
+//! so [`ThermalAwareDispatch`] scores an occupied rack with one division.
+//! The per-rack stamps drive the score memo of its sorted slow path: a
 //! rack is re-scored only when its committed load (or the chiller) moved
-//! since the last arrival with the same demand signature.
+//! since the last ranking with the same demand signature.
 //!
 //! # Activation: the serving-mode capacity mask
 //!
@@ -280,7 +283,8 @@ pub struct FleetIndex<'a> {
     /// (clamped non-negative), so `f64::to_bits` is monotone and the
     /// first element is exactly the coolest-then-lowest rack. Each entry
     /// carries the rack's fold inputs inline
-    /// ([`OccupiedRack`](crate::OccupiedRack)), so the candidate scan is
+    /// ([`OccupiedRack`](crate::OccupiedRack)), its COP and chiller draw
+    /// under [`FleetView::chiller`] included, so the candidate scan is
     /// one contiguous read.
     pub occupied: &'a [OccupiedRack],
     /// Per-group lowest idle rack (`None` while the group has no idle
@@ -309,16 +313,19 @@ pub struct FleetView<'a> {
     pub racks: &'a [RackView],
     /// Per-server state: availability, class and rack columns.
     pub servers: &'a ServerTable,
-    /// The scenario's per-rack chiller model.
+    /// The per-rack chiller model in force: the kernel passes
+    /// [`RackLoads::chiller`](crate::RackLoads::chiller).
     pub chiller: &'a Chiller,
     /// Bumped whenever the run's chiller changes (set-point events);
-    /// scores cached under an older epoch are stale.
+    /// scores cached under an older epoch are stale. The kernel passes
+    /// [`RackLoads::chiller_epoch`](crate::RackLoads::chiller_epoch).
     pub chiller_epoch: u64,
     /// The kernel's incremental occupancy index over
     /// [`racks`](FleetView::racks), which the ranking dispatchers walk
     /// instead of enumerating every rack. A hand-assembled view must keep
     /// it consistent with the rack views (idle racks have nothing
-    /// committed and every server free).
+    /// committed and every server free) and the occupied entries' COP
+    /// terms consistent with [`chiller`](FleetView::chiller).
     pub index: FleetIndex<'a>,
 }
 
@@ -557,21 +564,14 @@ impl ScoreMemo {
 /// or run at high COP, while the few jobs that need cold supply are
 /// concentrated instead of contaminating every rack.
 ///
-/// The ranking is built from the [`FleetIndex`]'s occupied racks plus
-/// one representative per idle rack group, re-scoring only racks whose
-/// committed heat moved since the last arrival with the same demand
-/// signature (the dirty-stamp memo) — bit-identical to the full
-/// `(rack, class)` enumeration (see the module docs).
+/// The ranking is built from the [`FleetIndex`]'s occupied racks, each
+/// carrying its COP terms inline, plus one representative per idle rack
+/// group — bit-identical to the full `(rack, class)` enumeration (see the
+/// module docs).
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
     memo: ScoreMemo,
     ranked: Vec<Candidate>,
-    /// Per-rack COP cache — see [`CopSlot`]. Neither cached term depends
-    /// on the arrival's demand signature, so the slots replay across all
-    /// rotating signatures where a full per-`(rack, sig)` score memo
-    /// would miss; caching them removes two of the three float divisions
-    /// from the fold's dependency chain.
-    cop_racks: Vec<CopSlot>,
     /// Per-signature `(epoch, per-class [`SigClass`])` slabs — pure
     /// functions of the chiller and the signature's frozen demand states,
     /// so they replay until a set-point change. Flattening the fold's
@@ -589,71 +589,6 @@ struct SigClass {
     mwt: f64,
     cop_mwt: f64,
     idle_p: f64,
-}
-
-/// One rack's cached COP terms: `cop(supply)` and the rack's current
-/// chiller draw `heat / cop(supply)`. Both are pure functions of the
-/// entry's `(heat, supply)` bits and the chiller, so validity is a
-/// compare against the contiguous [`OccupiedRack`] fields already in
-/// registers — no rack-indexed stamp load, and immune to stamp bumps
-/// that left the view bits unchanged.
-#[derive(Debug, Clone, Copy)]
-struct CopSlot {
-    heat_bits: u64,
-    supply_bits: u64,
-    epoch: u64,
-    cop_s: f64,
-    current: f64,
-}
-
-impl CopSlot {
-    /// Never matches a real entry: view heats are clamped non-negative,
-    /// so their bit patterns keep the sign bit clear.
-    const EMPTY: CopSlot = CopSlot {
-        heat_bits: u64::MAX,
-        supply_bits: u64::MAX,
-        epoch: u64::MAX,
-        cop_s: f64::NAN,
-        current: f64::NAN,
-    };
-}
-
-/// Refreshes `slot` for entry `e` if stale and returns `(cop_s, current,
-/// supply_f)` — the rack-dependent fold inputs. `current` replays
-/// `electrical_power(heat, supply)` bit-for-bit (an idle supply
-/// contributes exact `0.0`, and `x - 0.0 == x` keeps the fold's
-/// subtraction exact); a missing supply folds as `+∞` so the per-class
-/// comparison below selects `cop_mwt`, like the `None` arm of
-/// `marginal_power`'s `map_or` does.
-#[inline]
-fn entry_cop(
-    slot: &mut CopSlot,
-    e: &OccupiedRack,
-    epoch: u64,
-    chiller: &Chiller,
-) -> (f64, f64, f64) {
-    if slot.heat_bits != e.heat_bits || slot.supply_bits != e.supply_bits || slot.epoch != epoch {
-        let h = e.heat();
-        let cop_s = e.supply().map_or(f64::NAN, |s| chiller.cop(s));
-        let current = if e.supply_bits != OccupiedRack::NO_SUPPLY {
-            h / cop_s
-        } else {
-            0.0
-        };
-        *slot = CopSlot {
-            heat_bits: e.heat_bits,
-            supply_bits: e.supply_bits,
-            epoch,
-            cop_s,
-            current,
-        };
-    }
-    let supply_f = if e.supply_bits != OccupiedRack::NO_SUPPLY {
-        f64::from_bits(e.supply_bits)
-    } else {
-        f64::INFINITY
-    };
-    (slot.cop_s, slot.current, supply_f)
 }
 
 impl ThermalAwareDispatch {
@@ -703,19 +638,14 @@ impl ThermalAwareDispatch {
     /// all; otherwise [`walk_indexed`](Self::walk_indexed) rebuilds and
     /// walks the full sorted ranking, bit-identical to the fold's order.
     ///
-    /// The fold reads only the contiguous entries — heat, group and
-    /// supply travel with the rack id — so scoring an occupied rack costs
-    /// one cache line instead of four scattered rack-indexed loads.
+    /// The fold reads only the contiguous entries — heat, group, supply
+    /// and the rack's COP terms travel with the rack id — so scoring an
+    /// occupied rack costs one division and no rack-indexed load.
     fn place_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let ix = &view.index;
         let sig = demand.sig as usize;
-        let epoch = view.chiller_epoch;
         let active_racks = view.servers.active_racks();
-        self.refresh_sig_lab(sig, epoch, demand, view);
-        if self.cop_racks.len() != view.racks.len() {
-            self.cop_racks.clear();
-            self.cop_racks.resize(view.racks.len(), CopSlot::EMPTY);
-        }
+        self.refresh_sig_lab(sig, view.chiller_epoch, demand, view);
         let lab: &[SigClass] = match &self.sig_lab[sig] {
             Some((_, v)) => v,
             None => unreachable!("slab was just filled"),
@@ -745,70 +675,71 @@ impl ThermalAwareDispatch {
         // (the entry caches their raw bits), and `group_classes[e.group]`
         // is `classes_in_rack(r)` by construction (groups are keyed on
         // exact slice equality). Bit-identical unrolling of
-        // `marginal_power`: both branches of
-        // `min(supply, max_water_temp)` replay the same pure COP on the
-        // same input (a tie gives equal COP bits either way). The uniform
-        // catalog's single `(group, class)` is hoisted so the class
-        // constants live in registers across the whole fold.
+        // `marginal_power`: the entry's `draw` is `electrical_power(heat,
+        // supply)`, and both branches of `min(supply, max_water_temp)`
+        // replay the same pure COP on the same input (a tie gives equal
+        // COP bits either way). A missing supply reads as the NaN
+        // `NO_SUPPLY` bits, fails the comparison and selects `cop_mwt`
+        // against a `0.0` draw, like the `None` arms of `marginal_power`.
+        //
+        // The occupied entries ascend by `(heat bits, rack)` and each
+        // rack's classes by id, so the walk visits them in exactly the
+        // `(h, rack, class)` tie order (view heats are non-negative, where
+        // `total_cmp` orders like the bits): the first candidate reaching
+        // the least power is their total-key minimum, and a strict
+        // less-than on power alone finds it without evaluating the tie
+        // keys. The uniform catalog's single `(group, class)` is hoisted
+        // so the class constants live in registers across the whole walk.
+        let mut occ = SENTINEL;
         match ix.group_classes {
             [single] if single.len() == 1 => {
                 let c = single[0];
                 let sc = lab[c];
                 for e in ix.occupied.iter() {
-                    let r = e.rack as usize;
-                    if r >= active_racks {
+                    if e.rack as usize >= active_racks {
                         continue;
                     }
                     let h = e.heat();
-                    let (cop_s, current, supply_f) =
-                        entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
-                    let joint_cop = if supply_f <= sc.mwt {
-                        cop_s
+                    let joint_cop = if f64::from_bits(e.supply_bits) <= sc.mwt {
+                        e.cop
                     } else {
                         sc.cop_mwt
                     };
-                    let p = (h + sc.heat) / joint_cop - current;
-                    consider(
-                        Candidate {
+                    let p = (h + sc.heat) / joint_cop - e.draw;
+                    if p.total_cmp(&occ.p).is_lt() {
+                        occ = Candidate {
                             p,
                             h,
                             rack: e.rack,
                             class: c as u32,
-                        },
-                        &mut best,
-                    );
+                        };
+                    }
                 }
             }
             _ => {
                 for e in ix.occupied.iter() {
-                    let r = e.rack as usize;
-                    if r >= active_racks {
+                    if e.rack as usize >= active_racks {
                         continue;
                     }
                     let h = e.heat();
-                    let (cop_s, current, supply_f) =
-                        entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
+                    let supply = f64::from_bits(e.supply_bits);
                     for &c in &ix.group_classes[e.group as usize] {
                         let sc = &lab[c];
-                        let joint_cop = if supply_f <= sc.mwt {
-                            cop_s
-                        } else {
-                            sc.cop_mwt
-                        };
-                        let p = (h + sc.heat) / joint_cop - current;
-                        consider(
-                            Candidate {
+                        let joint_cop = if supply <= sc.mwt { e.cop } else { sc.cop_mwt };
+                        let p = (h + sc.heat) / joint_cop - e.draw;
+                        if p.total_cmp(&occ.p).is_lt() {
+                            occ = Candidate {
                                 p,
                                 h,
                                 rack: e.rack,
                                 class: c as u32,
-                            },
-                            &mut best,
-                        );
+                            };
+                        }
                     }
                 }
             }
         }
+        consider(occ, &mut best);
         if best.rack != u32::MAX {
             let (server, _) = view
                 .earliest_free_of_class(best.rack as usize, best.class as usize)
@@ -936,7 +867,6 @@ impl FleetDispatcher for ThermalAwareDispatch {
 
     fn begin_run(&mut self) {
         self.memo = ScoreMemo::default();
-        self.cop_racks.clear();
         self.sig_lab.clear();
     }
 }
@@ -1043,7 +973,7 @@ mod tests {
     }
 
     impl Index {
-        fn of(racks: &[RackView], servers: &ServerTable) -> Self {
+        fn of(racks: &[RackView], servers: &ServerTable, chiller: &Chiller) -> Self {
             let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
             let mut group_of = Vec::new();
             for r in 0..racks.len() {
@@ -1064,14 +994,7 @@ mod tests {
                 if v.committed == 0 {
                     idle_min[group as usize].get_or_insert(r as u32);
                 } else {
-                    occupied.push(OccupiedRack {
-                        heat_bits: v.heat.value().to_bits(),
-                        rack: r as u32,
-                        group,
-                        supply_bits: v
-                            .supply
-                            .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits()),
-                    });
+                    occupied.push(OccupiedRack::new(r as u32, group, v, chiller));
                 }
             }
             occupied.sort_by_key(OccupiedRack::key);
@@ -1168,7 +1091,7 @@ mod tests {
         let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![0; 4], 2, &[0.0; 4]);
         let chiller = Chiller::default();
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let mut rr = RoundRobin::default();
         let classes = demand(70.0, 64.0, 30.0);
@@ -1189,7 +1112,7 @@ mod tests {
         let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![0, 1], 1, &[0.0; 2]);
         let chiller = Chiller::default();
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let classes = vec![
             ClassDemand {
@@ -1233,7 +1156,7 @@ mod tests {
         ];
         let servers = table(vec![0; 4], 2, &[0.0, 0.0, 5.0, 0.0]);
         let chiller = Chiller::default();
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let classes = demand(70.0, 70.0, 30.0);
         let d = JobDemand {
@@ -1267,7 +1190,7 @@ mod tests {
         let servers = table(vec![0; 4], 2, &[0.0; 4]);
         // Heat-reuse loop at 60 °C: supplies below 65 °C pay compressor lift.
         let chiller = Chiller::new(Celsius::new(60.0));
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let mut ta = ThermalAwareDispatch::default();
         // A job needing 60 °C water joins the already-cold rack 0…
@@ -1298,7 +1221,7 @@ mod tests {
         let racks = cold_and_warm_racks();
         let servers = table(vec![0; 4], 2, &[100.0, 100.0, 0.0, 20.0]);
         let chiller = Chiller::new(Celsius::new(60.0));
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let classes = demand(70.0, 60.0, 10.0);
         let d = JobDemand {
@@ -1320,7 +1243,7 @@ mod tests {
         let racks = vec![idle_rack_view()];
         let servers = table(vec![0, 1], 2, &[0.0; 2]);
         let chiller = Chiller::new(Celsius::new(60.0));
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         let classes = vec![
             ClassDemand {
@@ -1349,7 +1272,7 @@ mod tests {
         let racks = vec![idle_rack_view(); 2];
         let servers = table(vec![1, 1, 0, 1], 2, &[4.0, 2.0, 0.0, 0.0]);
         let chiller = Chiller::default();
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         let view = ix.view(&racks, &servers, &chiller);
         assert_eq!(view.classes_in_rack(0), vec![1]);
         assert_eq!(view.classes_in_rack(1), vec![0, 1]);
@@ -1394,7 +1317,7 @@ mod tests {
             idle_rack_view(),
         ];
         let chiller = Chiller::default();
-        let ix = Index::of(&racks, &t);
+        let ix = Index::of(&racks, &t, &chiller);
         let view = ix.view(&racks, &t, &chiller);
         let classes = demand(70.0, 76.0, 0.0);
         let d = JobDemand {
@@ -1434,7 +1357,7 @@ mod tests {
         ];
         let servers = table(vec![0, 0, 0, 0, 0, 1, 0, 1], 2, &[0.0; 8]);
         let chiller = Chiller::new(Celsius::new(60.0));
-        let ix = Index::of(&racks, &servers);
+        let ix = Index::of(&racks, &servers, &chiller);
         assert_eq!(ix.group_classes, vec![vec![0usize], vec![0, 1]]);
         assert_eq!(ix.idle_min, vec![Some(0), Some(2)]);
         let view = ix.view(&racks, &servers, &chiller);

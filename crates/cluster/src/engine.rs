@@ -35,7 +35,9 @@ use crate::metrics::{
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::CalendarQueue;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+use tps_cooling::Chiller;
 use tps_core::{MinPowerSelector, RunError};
 use tps_units::{Celsius, Seconds, Watts};
 use tps_workload::{Benchmark, QosClass};
@@ -104,12 +106,21 @@ impl Event {
 /// exactly one rack, so the index updates in O(log racks) — this is what
 /// lets dispatchers skip the per-arrival full-fleet rescan.
 ///
+/// It also owns the run's chiller and its epoch: every occupied entry
+/// carries its rack's COP and chiller draw under that chiller
+/// ([`OccupiedRack::cop`], [`OccupiedRack::draw`]), refreshed when the
+/// rack mutates and, for every entry, on [`set_chiller`](Self::set_chiller).
+///
 /// Invariant note: the heat-sum / water-multiset / pin-drained-to-zero
 /// bookkeeping here is mirrored (over different windows and orderings)
 /// by the kernel's `RunningSet` and by the streaming `EnergyIntegrator`
-/// (`metrics.rs`) — a change to the accumulation rules must land in all
-/// three, and the property tests (including the integrator's post-pass
-/// oracle) plus the golden bit-for-bit fleet test pin the behavior.
+/// (`metrics.rs`), all three keeping the water multiset as sorted
+/// `(key, count)` vectors. The chiller terms cached here (each occupied
+/// entry's `cop`/`draw`) and the integrator's dense draw array refresh
+/// at the same two points: a mutation of the rack and a chiller change.
+/// A change to these rules must land in all three; the property tests
+/// (including the integrator's post-pass oracle) plus the golden
+/// bit-for-bit fleet and serving tests pin the behavior.
 #[derive(Debug)]
 pub struct RackLoads {
     heat: Vec<f64>,
@@ -125,7 +136,7 @@ pub struct RackLoads {
     /// water_bits)`. The unique seq makes the key total, so pops replay
     /// the exact `(end, insertion)` order a sorted map would — on a flat
     /// array instead of B-tree nodes (this is a per-placement hot path).
-    expiry: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, u32, u64, u64)>>,
+    expiry: BinaryHeap<Reverse<(u64, usize, u32, u64, u64)>>,
     seq: usize,
     total: usize,
     /// The current dispatch view per rack, kept exactly equal to what a
@@ -153,6 +164,9 @@ pub struct RackLoads {
     /// Rack → stamp of its last mutation (monotone clock).
     stamps: Vec<u64>,
     stamp_clock: u64,
+    chiller: Chiller,
+    /// Bumped on every chiller change; dispatch score caches key on it.
+    chiller_epoch: u64,
 }
 
 /// One entry of the occupied-rack index: the sort key `(heat bits,
@@ -161,8 +175,9 @@ pub struct RackLoads {
 /// replay the rack's [`RackView`] bit-for-bit: `heat_bits` is the view
 /// heat's `to_bits` (clamped non-negative, so the sort order matches the
 /// float) and `supply_bits` the view supply's, with [`Self::NO_SUPPLY`]
-/// standing in for `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// standing in for `None`. `cop` and `draw` are the chiller terms of
+/// that view under the [`RackLoads`]' chiller (see [`Self::new`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupiedRack {
     /// `to_bits` of the rack's clamped committed heat (key, major).
     pub heat_bits: u64,
@@ -173,12 +188,45 @@ pub struct OccupiedRack {
     /// `to_bits` of the coldest committed water demand, or
     /// [`Self::NO_SUPPLY`] when the rack has none.
     pub supply_bits: u64,
+    /// `chiller.cop(supply)`, `NaN` without a supply.
+    pub cop: f64,
+    /// The rack's current chiller draw `heat / cop` — bit-for-bit
+    /// `chiller.electrical_power(heat, supply)` — or `0.0` without a
+    /// supply.
+    pub draw: f64,
 }
 
 impl OccupiedRack {
     /// Sentinel for "no settled supply" — an all-ones NaN pattern no real
     /// temperature produces.
     pub const NO_SUPPLY: u64 = u64::MAX;
+
+    /// The entry for `rack` (in `group`) with view `view`, its chiller
+    /// terms evaluated under `chiller`.
+    pub fn new(rack: u32, group: u32, view: &RackView, chiller: &Chiller) -> Self {
+        let mut entry = Self {
+            heat_bits: view.heat.value().to_bits(),
+            rack,
+            group,
+            supply_bits: view.supply.map_or(Self::NO_SUPPLY, |s| s.value().to_bits()),
+            cop: f64::NAN,
+            draw: 0.0,
+        };
+        entry.refresh(chiller);
+        entry
+    }
+
+    /// Re-evaluates `cop` and `draw` under `chiller`.
+    #[inline]
+    pub fn refresh(&mut self, chiller: &Chiller) {
+        if let Some(supply) = self.supply() {
+            self.cop = chiller.cop(supply);
+            self.draw = self.heat() / self.cop;
+        } else {
+            self.cop = f64::NAN;
+            self.draw = 0.0;
+        }
+    }
 
     /// The sort key.
     #[inline]
@@ -201,21 +249,23 @@ impl OccupiedRack {
 }
 
 impl RackLoads {
-    /// Empty loads over `racks` racks, all in one rack group.
-    pub fn new(racks: usize) -> Self {
-        Self::with_groups(racks, vec![0; racks], 1)
+    /// Empty loads over `racks` racks, all in one rack group, cooled by
+    /// `chiller`.
+    pub fn new(racks: usize, chiller: Chiller) -> Self {
+        Self::with_groups(racks, vec![0; racks], 1, chiller)
     }
 
     /// Empty loads over `racks` racks partitioned into `groups` rack
-    /// groups (`group_of[rack]` names each rack's group). Racks in one
-    /// group must host the same class pattern — the dispatch fast path
-    /// treats any idle rack of a group as interchangeable with the rest.
+    /// groups (`group_of[rack]` names each rack's group), cooled by
+    /// `chiller`. Racks in one group must host the same class pattern —
+    /// the dispatch fast path treats any idle rack of a group as
+    /// interchangeable with the rest.
     ///
     /// # Panics
     ///
     /// Panics if `group_of` has the wrong length or names a group out of
     /// range.
-    pub fn with_groups(racks: usize, group_of: Vec<u32>, groups: usize) -> Self {
+    pub fn with_groups(racks: usize, group_of: Vec<u32>, groups: usize, chiller: Chiller) -> Self {
         assert_eq!(group_of.len(), racks, "one group id per rack");
         assert!(
             group_of.iter().all(|&g| (g as usize) < groups.max(1)),
@@ -230,7 +280,7 @@ impl RackLoads {
             heat: vec![0.0; racks],
             water: vec![Vec::new(); racks],
             count: vec![0; racks],
-            expiry: std::collections::BinaryHeap::new(),
+            expiry: BinaryHeap::new(),
             seq: 0,
             total: 0,
             views: vec![
@@ -247,6 +297,29 @@ impl RackLoads {
             group_of,
             stamps: vec![0; racks],
             stamp_clock: 0,
+            chiller,
+            chiller_epoch: 0,
+        }
+    }
+
+    /// The chiller the occupied entries' COP terms are evaluated under.
+    pub fn chiller(&self) -> &Chiller {
+        &self.chiller
+    }
+
+    /// How many times [`set_chiller`](Self::set_chiller) has run: scores
+    /// cached under an older epoch are stale.
+    pub fn chiller_epoch(&self) -> u64 {
+        self.chiller_epoch
+    }
+
+    /// Swaps the chiller (a set-point change), bumps the epoch and
+    /// re-evaluates every occupied entry's COP terms under it.
+    pub fn set_chiller(&mut self, chiller: Chiller) {
+        self.chiller = chiller;
+        self.chiller_epoch += 1;
+        for e in &mut self.occupied {
+            e.refresh(&self.chiller);
         }
     }
 
@@ -271,19 +344,13 @@ impl RackLoads {
                 .map(|&(bits, _)| Celsius::new(f64::from_bits(bits))),
             committed: self.count[rack],
         };
-        let new_bits = view.heat.value().to_bits();
         let now_occupied = view.committed > 0;
-        let supply_bits = view
-            .supply
-            .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits());
-        self.views[rack] = view;
         let r = rack as u32;
         let g = self.group_of[rack] as usize;
-        let entry = OccupiedRack {
-            heat_bits: new_bits,
-            rack: r,
-            group: self.group_of[rack],
-            supply_bits,
+        let entry = OccupiedRack::new(r, self.group_of[rack], &view, &self.chiller);
+        self.views[rack] = view;
+        let find = |occupied: &[OccupiedRack], bits| {
+            occupied.binary_search_by_key(&(bits, r), OccupiedRack::key)
         };
         match (was_occupied, now_occupied) {
             (false, true) => {
@@ -291,49 +358,36 @@ impl RackLoads {
                 if self.idle_min[g] == Some(r) {
                     self.idle_min[g] = self.idle[g].first().copied();
                 }
-                if let Err(at) = self
-                    .occupied
-                    .binary_search_by_key(&(new_bits, r), |e| e.key())
-                {
-                    self.occupied.insert(at, entry);
-                }
+                let at =
+                    find(&self.occupied, entry.heat_bits).expect_err("idle racks have no entry");
+                self.occupied.insert(at, entry);
             }
             (true, false) => {
-                if let Ok(at) = self
-                    .occupied
-                    .binary_search_by_key(&(old_bits, r), |e| e.key())
-                {
-                    self.occupied.remove(at);
-                }
+                let at = find(&self.occupied, old_bits).expect("occupied racks have an entry");
+                self.occupied.remove(at);
                 self.idle[g].insert(r);
                 if self.idle_min[g].map_or(true, |m| r < m) {
                     self.idle_min[g] = Some(r);
                 }
             }
             (true, true) => {
-                if old_bits != new_bits {
-                    if let Ok(at) = self
-                        .occupied
-                        .binary_search_by_key(&(old_bits, r), |e| e.key())
-                    {
-                        self.occupied.remove(at);
+                // Slide the entry to its new key, shifting only the
+                // entries between its old and new slots. An unchanged key
+                // still takes the new entry: a zero-heat placement can move
+                // the supply (and with it the COP terms) alone.
+                let from = find(&self.occupied, old_bits).expect("occupied racks have an entry");
+                let to = match find(&self.occupied, entry.heat_bits) {
+                    Ok(at) => at,
+                    Err(at) if at > from => {
+                        self.occupied[from..at].rotate_left(1);
+                        at - 1
                     }
-                    if let Err(at) = self
-                        .occupied
-                        .binary_search_by_key(&(new_bits, r), |e| e.key())
-                    {
-                        self.occupied.insert(at, entry);
+                    Err(at) => {
+                        self.occupied[at..=from].rotate_right(1);
+                        at
                     }
-                } else if let Ok(at) = self
-                    .occupied
-                    .binary_search_by_key(&(new_bits, r), |e| e.key())
-                {
-                    // Heat unchanged but the supply may have moved (e.g. a
-                    // zero-heat placement changing the coldest water
-                    // demand): keep the inline fields in lockstep with the
-                    // view.
-                    self.occupied[at].supply_bits = supply_bits;
-                }
+                };
+                self.occupied[to] = entry;
             }
             (false, false) => {}
         }
@@ -357,7 +411,7 @@ impl RackLoads {
             Ok(i) => self.water[rack][i].1 += 1,
             Err(i) => self.water[rack].insert(i, (water_bits, 1)),
         }
-        self.expiry.push(std::cmp::Reverse((
+        self.expiry.push(Reverse((
             end.value().to_bits(),
             self.seq,
             rack as u32,
@@ -371,9 +425,7 @@ impl RackLoads {
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
     /// in `(end, insertion)` order so float accumulation is deterministic.
     pub fn expire_until(&mut self, now: Seconds) {
-        while let Some(&std::cmp::Reverse((end_bits, _, rack, heat_bits, water_bits))) =
-            self.expiry.peek()
-        {
+        while let Some(&Reverse((end_bits, _, rack, heat_bits, water_bits))) = self.expiry.peek() {
             if f64::from_bits(end_bits) > now.value() {
                 break;
             }
@@ -441,15 +493,26 @@ impl RackLoads {
     }
 }
 
-/// One running placement's contribution, folded in at its start time and
-/// out at its end time.
-#[derive(Debug, Clone, Copy)]
-struct RunningRec {
-    rack: usize,
-    class: ClassId,
-    heat: f64,
-    power: f64,
-    water_bits: u64,
+/// A placement boundary waiting in a [`RunningSet`] heap: `(time bits,
+/// commit seq, rack, class, heat bits, package-power bits, water bits)`.
+/// `to_bits` is monotone for the non-negative times in play and the seq
+/// is unique, so the min-heap pops in exactly the `(time, insertion)`
+/// order a sorted map would and never compares past the seq.
+type RunningEdge = Reverse<(u64, u64, u32, u32, u64, u64, u64)>;
+
+/// Pops the earliest boundary at or before `now`, decoded as `(rack,
+/// class, heat, power, water bits)`.
+fn pop_due(
+    heap: &mut BinaryHeap<RunningEdge>,
+    now: Seconds,
+) -> Option<(usize, usize, f64, f64, u64)> {
+    let &Reverse((bits, _, rack, class, heat, power, water)) = heap.peek()?;
+    if f64::from_bits(bits) > now.value() {
+        return None;
+    }
+    heap.pop();
+    let (heat, power) = (f64::from_bits(heat), f64::from_bits(power));
+    Some((rack as usize, class as usize, heat, power, water))
 }
 
 /// The *running* (started, not finished) layer of the fleet, maintained
@@ -463,14 +526,16 @@ struct RunningRec {
 /// differ from the integrator's.
 #[derive(Debug)]
 struct RunningSet {
-    /// Placements not yet started: `(start_bits, seq) → rec`.
-    starts: BTreeMap<(u64, u64), RunningRec>,
-    /// Placements started, not yet folded out: `(end_bits, seq) → rec`.
-    ends: BTreeMap<(u64, u64), RunningRec>,
+    /// Placements not yet started, keyed by start.
+    starts: BinaryHeap<RunningEdge>,
+    /// Placements started, not yet folded out, keyed by end.
+    ends: BinaryHeap<RunningEdge>,
     seq: u64,
     active_power: f64,
     heat: Vec<f64>,
-    water: Vec<BTreeMap<u64, usize>>,
+    /// Running water keys per rack, as ascending sorted `(key, count)`
+    /// vectors like [`RackLoads`]'.
+    water: Vec<Vec<(u64, u32)>>,
     count: Vec<usize>,
     running: usize,
     /// Per-class running counts and active package power (telemetry's
@@ -482,12 +547,12 @@ struct RunningSet {
 impl RunningSet {
     fn new(racks: usize, classes: usize) -> Self {
         Self {
-            starts: BTreeMap::new(),
-            ends: BTreeMap::new(),
+            starts: BinaryHeap::new(),
+            ends: BinaryHeap::new(),
             seq: 0,
             active_power: 0.0,
             heat: vec![0.0; racks],
-            water: vec![BTreeMap::new(); racks],
+            water: vec![Vec::new(); racks],
             count: vec![0; racks],
             running: 0,
             class_running: vec![0; classes],
@@ -503,58 +568,59 @@ impl RunningSet {
         start: Seconds,
         end: Seconds,
     ) {
-        let rec = RunningRec {
-            rack,
-            class,
-            heat: state.heat.value(),
-            power: state.package_power.value(),
-            water_bits: state.max_water_temp.value().to_bits(),
+        let edge = |t: Seconds| {
+            Reverse((
+                t.value().to_bits(),
+                self.seq,
+                rack as u32,
+                class as u32,
+                state.heat.value().to_bits(),
+                state.package_power.value().to_bits(),
+                state.max_water_temp.value().to_bits(),
+            ))
         };
-        self.starts.insert((start.value().to_bits(), self.seq), rec);
-        self.ends.insert((end.value().to_bits(), self.seq), rec);
+        self.starts.push(edge(start));
+        self.ends.push(edge(end));
         self.seq += 1;
     }
 
     /// Folds all starts, then all ends, with time ≤ `now` into the
     /// aggregates, in `(time, insertion)` order.
     fn settle(&mut self, now: Seconds) {
-        while let Some((&(bits, _), _)) = self.starts.first_key_value() {
-            if f64::from_bits(bits) > now.value() {
-                break;
-            }
-            let (_, rec) = self.starts.pop_first().expect("peeked above");
-            self.active_power += rec.power;
-            self.heat[rec.rack] += rec.heat;
-            self.count[rec.rack] += 1;
+        while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.starts, now) {
+            self.active_power += power;
+            self.heat[rack] += heat;
+            self.count[rack] += 1;
             self.running += 1;
-            self.class_running[rec.class] += 1;
-            self.class_power[rec.class] += rec.power;
-            *self.water[rec.rack].entry(rec.water_bits).or_insert(0) += 1;
-        }
-        while let Some((&(bits, _), _)) = self.ends.first_key_value() {
-            if f64::from_bits(bits) > now.value() {
-                break;
+            self.class_running[class] += 1;
+            self.class_power[class] += power;
+            let water = &mut self.water[rack];
+            match water.binary_search_by_key(&water_bits, |w| w.0) {
+                Ok(at) => water[at].1 += 1,
+                Err(at) => water.insert(at, (water_bits, 1)),
             }
-            let (_, rec) = self.ends.pop_first().expect("peeked above");
-            self.active_power -= rec.power;
-            self.heat[rec.rack] -= rec.heat;
-            self.count[rec.rack] -= 1;
+        }
+        while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.ends, now) {
+            self.active_power -= power;
+            self.heat[rack] -= heat;
+            self.count[rack] -= 1;
             self.running -= 1;
-            self.class_running[rec.class] -= 1;
-            self.class_power[rec.class] -= rec.power;
-            if let Some(n) = self.water[rec.rack].get_mut(&rec.water_bits) {
-                *n -= 1;
-                if *n == 0 {
-                    self.water[rec.rack].remove(&rec.water_bits);
+            self.class_running[class] -= 1;
+            self.class_power[class] -= power;
+            let water = &mut self.water[rack];
+            if let Ok(at) = water.binary_search_by_key(&water_bits, |w| w.0) {
+                water[at].1 -= 1;
+                if water[at].1 == 0 {
+                    water.remove(at);
                 }
             }
-            if self.count[rec.rack] == 0 {
-                self.heat[rec.rack] = 0.0;
+            if self.count[rack] == 0 {
+                self.heat[rack] = 0.0;
             }
             // Pin drained sums to exact zero (fleet-wide and per class)
             // so float residue never leaks into later samples.
-            if self.class_running[rec.class] == 0 {
-                self.class_power[rec.class] = 0.0;
+            if self.class_running[class] == 0 {
+                self.class_power[class] = 0.0;
             }
             if self.running == 0 {
                 self.active_power = 0.0;
@@ -563,17 +629,15 @@ impl RunningSet {
     }
 }
 
-/// The kernel's mutable fleet state: per-rack committed load, the
-/// structure-of-arrays server table, the running layer behind telemetry,
-/// and the control surface (current chiller, shedding flag).
+/// The kernel's mutable fleet state: per-rack committed load (which owns
+/// the current chiller), the structure-of-arrays server table, the
+/// running layer behind telemetry, and the control surface (set-point,
+/// shedding flag).
 #[derive(Debug)]
 pub(crate) struct FleetState {
     loads: RackLoads,
     running: RunningSet,
     servers: ServerTable,
-    chiller: tps_cooling::Chiller,
-    /// Bumped on every chiller change; dispatch score caches key on it.
-    chiller_epoch: u64,
     setpoint: Celsius,
     shedding: bool,
     shed: usize,
@@ -593,8 +657,6 @@ impl FleetState {
             loads,
             running: RunningSet::new(config.racks, classes),
             servers,
-            chiller: config.chiller.clone(),
-            chiller_epoch: 0,
             setpoint: config.chiller.ambient(),
             shedding: false,
             shed: 0,
@@ -662,7 +724,12 @@ pub(crate) fn run(
             }
         })
         .collect();
-    let loads = RackLoads::with_groups(config.racks, group_of, group_classes.len());
+    let loads = RackLoads::with_groups(
+        config.racks,
+        group_of,
+        group_classes.len(),
+        config.chiller.clone(),
+    );
 
     // The per-(benchmark, QoS) demand states, solved once up front — a
     // million arrivals share a handful of distinct demand signatures, so
@@ -810,8 +877,7 @@ pub(crate) fn run(
                 }
             }
             Event::SetpointChange(c) => {
-                state.chiller = config.chiller.with_ambient(c);
-                state.chiller_epoch += 1;
+                state.loads.set_chiller(config.chiller.with_ambient(c));
                 state.setpoint = c;
                 energy.setpoint(now, c);
             }
@@ -840,8 +906,7 @@ pub(crate) fn run(
                     for action in control.on_tick(&status) {
                         match action {
                             ControlAction::SetSetpoint(c) => {
-                                state.chiller = config.chiller.with_ambient(c);
-                                state.chiller_epoch += 1;
+                                state.loads.set_chiller(config.chiller.with_ambient(c));
                                 state.setpoint = c;
                                 energy.setpoint(now, c);
                             }
@@ -927,8 +992,8 @@ pub(crate) fn run(
                     now,
                     racks: loads.view_slice(),
                     servers: &state.servers,
-                    chiller: &state.chiller,
-                    chiller_epoch: state.chiller_epoch,
+                    chiller: loads.chiller(),
+                    chiller_epoch: loads.chiller_epoch(),
                     index: FleetIndex {
                         occupied: loads.occupied_racks(),
                         idle_min: loads.idle_group_mins(),
@@ -1071,7 +1136,7 @@ fn hinted_server(
 /// skips those, exactly like the old fused loop did).
 fn cooling_chunk(
     running: &RunningSet,
-    chiller: &tps_cooling::Chiller,
+    chiller: &Chiller,
     lo: usize,
     heat_out: &mut [Watts],
     water_out: &mut [Option<Celsius>],
@@ -1086,8 +1151,8 @@ fn cooling_chunk(
         let r = lo + i;
         let heat = running.heat[r].max(0.0);
         let supply = running.water[r]
-            .first_key_value()
-            .map(|(&bits, _)| Celsius::new(f64::from_bits(bits)));
+            .first()
+            .map(|&(bits, _)| Celsius::new(f64::from_bits(bits)));
         if let Some(supply) = supply {
             *c = chiller.electrical_power(Watts::new(heat), supply).value();
         }
@@ -1126,7 +1191,7 @@ fn sample(
         // budget is shared with sweep workers — see `thread_budget`), one
         // scoped worker per range, each writing disjoint rack slices.
         let per = racks.div_ceil(workers);
-        let chiller = &state.chiller;
+        let chiller = state.loads.chiller();
         std::thread::scope(|s| {
             let mut heat_rest = &mut rack_heat[..];
             let mut water_rest = &mut rack_water[..];
@@ -1147,7 +1212,7 @@ fn sample(
     } else {
         cooling_chunk(
             running,
-            &state.chiller,
+            state.loads.chiller(),
             0,
             &mut rack_heat,
             &mut rack_water,
@@ -1188,7 +1253,7 @@ mod tests {
 
     #[test]
     fn rack_loads_track_supply_and_drain_to_exact_zero() {
-        let mut loads = RackLoads::new(2);
+        let mut loads = RackLoads::new(2, Chiller::default());
         let state = |heat: f64, water: f64| SteadyState {
             package_power: Watts::new(heat),
             heat: Watts::new(heat),
@@ -1220,7 +1285,7 @@ mod tests {
 
     #[test]
     fn rack_loads_maintain_the_occupancy_index() {
-        let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
+        let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::default());
         assert_eq!(loads.occupied_racks().len(), 0);
         assert_eq!(loads.idle_groups()[0].len(), 2);
         assert_eq!(loads.idle_groups()[1].len(), 2);

@@ -58,7 +58,7 @@
 //!     .expect("paper workloads are feasible");
 //! assert_eq!(outcome.class_placements.iter().sum::<usize>(), 8);
 //! assert!(outcome.total_energy() > outcome.it_energy);
-//! println!("fleet PUE {:.3}", outcome.pue());
+//! println!("fleet PUE {:.3}", outcome.pue().expect("the jobs ran"));
 //! ```
 //!
 //! Closing the loop — a set-point schedule plus telemetry:

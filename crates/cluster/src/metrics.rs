@@ -208,16 +208,11 @@ impl FleetOutcome {
         self.it_energy + self.cooling_energy
     }
 
-    /// Energy-based power usage effectiveness over the whole run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run consumed no IT energy (empty job stream).
-    pub fn pue(&self) -> f64 {
-        pue(
-            Watts::new(self.it_energy.value()),
-            Watts::new(self.cooling_energy.value()),
-        )
+    /// Energy-based power usage effectiveness over the whole run, `None`
+    /// when the run consumed no IT energy (no job ran for a nonzero time).
+    pub fn pue(&self) -> Option<f64> {
+        let (it, cooling) = (self.it_energy.value(), self.cooling_energy.value());
+        (it > 0.0).then(|| pue(Watts::new(it), Watts::new(cooling)))
     }
 }
 
@@ -573,17 +568,6 @@ impl PartialEq for Boundary {
 
 impl Eq for Boundary {}
 
-/// Per-rack window state packed into one struct: the window walk reads
-/// heat, the cached chiller draw and its validity per occupied rack, and
-/// one cache line beats four scattered arrays.
-#[derive(Debug, Clone)]
-struct RackAcc {
-    heat: f64,
-    power: f64,
-    era: u64,
-    dirty: bool,
-}
-
 /// Integrates fleet power into energy over the piecewise-constant event
 /// timeline *while the kernel runs*.
 ///
@@ -630,12 +614,10 @@ pub(crate) struct EnergyIntegrator {
     /// Instant of the last folded boundary: the open window's left edge.
     window_start: Option<f64>,
     chiller: Chiller,
-    /// Bumped per folded set-point change; keys the chiller-draw cache.
-    era: u64,
     active: usize,
     busy: usize,
     active_power: f64,
-    acc: Vec<RackAcc>,
+    heat: Vec<f64>,
     /// Ascending sorted `(key, count)` vectors, not `BTreeMap`s: few
     /// distinct keys per rack, and the capacity survives rack drains, so
     /// the fold never allocates tree nodes.
@@ -643,13 +625,17 @@ pub(crate) struct EnergyIntegrator {
     /// Only racks with committed water contribute cooling (and drained
     /// racks are pinned to exactly 0.0 heat, so they can't move the peak
     /// either): each window walks the occupied set, ascending by rack so
-    /// the float accumulation order matches a full `0..racks` scan. Each
-    /// rack's chiller draw is cached and recomputed only when its load
-    /// (dirty flag) or the chiller (era) moved — the same pure expression
-    /// either way, so the cached value is bit-identical. A sorted vector,
-    /// not a `BTreeSet`: the per-window walk dominates, and a contiguous
-    /// ascending scan is both faster and exactly the same visit order.
+    /// the float accumulation order matches a full `0..racks` scan. A
+    /// sorted vector, not a `BTreeSet`: the per-window walk dominates,
+    /// and a contiguous ascending scan is both faster and exactly the
+    /// same visit order.
     occupied: Vec<u32>,
+    /// Each occupied rack's chiller draw, aligned with `occupied`:
+    /// refreshed when a fold touches the rack and, for every entry, when
+    /// a set-point folds — the same pure expression of the rack's heat,
+    /// coldest water and the chiller either way, so a window reads the
+    /// exact bits a fresh evaluation would give.
+    draw: Vec<f64>,
     class_busy: Vec<usize>,
     class_power: Vec<f64>,
     it: f64,
@@ -678,21 +664,13 @@ impl EnergyIntegrator {
             last_end: 0.0,
             window_start: None,
             chiller: config.chiller.clone(),
-            era: 0,
             active: config.total_servers(),
             busy: 0,
             active_power: 0.0,
-            acc: vec![
-                RackAcc {
-                    heat: 0.0,
-                    power: 0.0,
-                    era: 0,
-                    dirty: true,
-                };
-                config.racks
-            ],
+            heat: vec![0.0; config.racks],
             rack_water: vec![Vec::new(); config.racks],
             occupied: Vec::new(),
+            draw: Vec::new(),
             class_busy: vec![0; n_classes],
             class_power: vec![0.0; n_classes],
             it: 0.0,
@@ -766,7 +744,7 @@ impl EnergyIntegrator {
         if self.first_start < now.value() {
             self.push_change(now.value(), SETPOINT, 0, setpoint.value().to_bits());
         } else {
-            self.chiller = self.base_chiller.with_ambient(setpoint);
+            self.set_chiller(setpoint);
         }
     }
 
@@ -794,6 +772,29 @@ impl EnergyIntegrator {
         }
     }
 
+    /// Re-bases the chiller on `setpoint` and refreshes every occupied
+    /// rack's draw under it.
+    fn set_chiller(&mut self, setpoint: Celsius) {
+        self.chiller = self.base_chiller.with_ambient(setpoint);
+        for at in 0..self.occupied.len() {
+            self.draw[at] = self.rack_draw(self.occupied[at] as usize);
+        }
+    }
+
+    /// The chiller electricity of an occupied rack's heat at its coldest
+    /// committed water.
+    fn rack_draw(&self, rack: usize) -> f64 {
+        let &(bits, _) = self.rack_water[rack]
+            .first()
+            .expect("occupied racks have committed water");
+        self.chiller
+            .electrical_power(
+                Watts::new(self.heat[rack].max(0.0)),
+                Celsius::new(f64::from_bits(bits)),
+            )
+            .value()
+    }
+
     /// Closes the open window if `b` starts a new instant, then applies
     /// `b` to the fleet state.
     fn fold(&mut self, b: &Boundary) {
@@ -801,11 +802,12 @@ impl EnergyIntegrator {
             self.close_window(b.time - t);
         }
         self.window_start = Some(b.time);
+        let rack = b.rack as u32;
         match b.kind {
             REMOVE => {
                 self.busy -= 1;
                 self.active_power -= b.power;
-                self.acc[b.rack].heat -= b.heat;
+                self.heat[b.rack] -= b.heat;
                 self.class_busy[b.class] -= 1;
                 self.class_power[b.class] -= b.power;
                 let water = &mut self.rack_water[b.rack];
@@ -815,15 +817,18 @@ impl EnergyIntegrator {
                         water.remove(at);
                     }
                 }
+                let at = self.occupied.binary_search(&rack);
                 // Pin drained sums back to exact zero so float residue
                 // never leaks into later windows.
                 if water.is_empty() {
-                    self.acc[b.rack].heat = 0.0;
-                    if let Ok(at) = self.occupied.binary_search(&(b.rack as u32)) {
+                    self.heat[b.rack] = 0.0;
+                    if let Ok(at) = at {
                         self.occupied.remove(at);
+                        self.draw.remove(at);
                     }
+                } else if let Ok(at) = at {
+                    self.draw[at] = self.rack_draw(b.rack);
                 }
-                self.acc[b.rack].dirty = true;
                 if self.class_busy[b.class] == 0 {
                     self.class_power[b.class] = 0.0;
                 }
@@ -831,34 +836,31 @@ impl EnergyIntegrator {
                     self.active_power = 0.0;
                 }
             }
-            SETPOINT => {
-                self.chiller = self
-                    .base_chiller
-                    .with_ambient(Celsius::new(f64::from_bits(b.water_bits)));
-                self.era += 1;
-            }
+            SETPOINT => self.set_chiller(Celsius::new(f64::from_bits(b.water_bits))),
             ACTIVATION => self.active = b.rack,
             _ => {
                 self.busy += 1;
                 self.active_power += b.power;
-                self.acc[b.rack].heat += b.heat;
+                self.heat[b.rack] += b.heat;
                 // The running max only ever grows at additions (heat is
                 // non-negative and drains pin back to zero), so observing
                 // it here sees every candidate a per-window pass would.
-                self.peak_rack_heat = self.peak_rack_heat.max(self.acc[b.rack].heat);
+                self.peak_rack_heat = self.peak_rack_heat.max(self.heat[b.rack]);
                 self.class_busy[b.class] += 1;
                 self.class_power[b.class] += b.power;
                 let water = &mut self.rack_water[b.rack];
-                if water.is_empty() {
-                    if let Err(at) = self.occupied.binary_search(&(b.rack as u32)) {
-                        self.occupied.insert(at, b.rack as u32);
-                    }
-                }
                 match water.binary_search_by_key(&b.water_bits, |w| w.0) {
                     Ok(at) => water[at].1 += 1,
                     Err(at) => water.insert(at, (b.water_bits, 1)),
                 }
-                self.acc[b.rack].dirty = true;
+                let draw = self.rack_draw(b.rack);
+                match self.occupied.binary_search(&rack) {
+                    Ok(at) => self.draw[at] = draw,
+                    Err(at) => {
+                        self.occupied.insert(at, rack);
+                        self.draw.insert(at, draw);
+                    }
+                }
             }
         }
     }
@@ -873,24 +875,13 @@ impl EnergyIntegrator {
         for (sum, power) in self.class_it.iter_mut().zip(&self.class_power) {
             *sum += power * dt;
         }
-        for &r in &self.occupied {
-            let a = &mut self.acc[r as usize];
-            if a.dirty || a.era != self.era {
-                let &(bits, _) = self.rack_water[r as usize]
-                    .first()
-                    .expect("occupied racks have committed water");
-                a.power = self
-                    .chiller
-                    .electrical_power(
-                        Watts::new(a.heat.max(0.0)),
-                        Celsius::new(f64::from_bits(bits)),
-                    )
-                    .value();
-                a.dirty = false;
-                a.era = self.era;
-            }
-            self.cooling += a.power * dt;
+        // One dependent multiply-add per occupied rack, in ascending rack
+        // order: the pinned bits fix this summation order.
+        let mut cooling = self.cooling;
+        for &draw in &self.draw {
+            cooling += draw * dt;
         }
+        self.cooling = cooling;
     }
 
     /// Folds everything still pending and assembles the outcome. Changes
@@ -1779,7 +1770,7 @@ mod tests {
     /// meant to cover.
     #[test]
     fn random_feeds_cover_every_boundary_case() {
-        let mut hit = [false; 9];
+        let mut hit = [false; 11];
         for seed in 0..400u64 {
             let feed = random_feed(seed, 40, 3, 2, 2);
             let places: Vec<(Seconds, Placement)> = feed
@@ -1814,6 +1805,28 @@ mod tests {
             hit[1] |= places.iter().any(|(_, p)| p.end == p.start);
             hit[2] |= places.iter().any(|(now, p)| p.start.value() > now.value());
             hit[3] |= live.iter().any(|p| p.class == 1);
+            // Racks whose draw a fold at `t` finds occupied: placements
+            // ending at `t` fold out before it, those starting at `t` in
+            // after it.
+            let running = |t: f64| {
+                let mut racks: Vec<usize> = live
+                    .iter()
+                    .filter(|p| p.start.value() < t && t < p.end.value())
+                    .map(|p| p.rack)
+                    .collect();
+                racks.sort_unstable();
+                racks.dedup();
+                racks
+            };
+            // A rack drained and refilled at one instant: its draw entry
+            // leaves and re-enters the dense array between two windows.
+            hit[10] |= live.iter().any(|a| {
+                let t = a.end.value();
+                !running(t).contains(&a.rack)
+                    && live
+                        .iter()
+                        .any(|b| b.rack == a.rack && b.start.value() == t)
+            });
             for f in &feed {
                 match *f {
                     Feed::Setpoint(t, _) => {
@@ -1822,6 +1835,7 @@ mod tests {
                         hit[5] |= idle_at(t);
                         hit[6] |= t == last && last > 0.0;
                         hit[7] |= t > last && last > 0.0;
+                        hit[9] |= first < t && t < last && running(t).len() >= 2;
                     }
                     Feed::Activation(t, _) => hit[8] |= first < t.value() && t.value() < last,
                     Feed::Place(..) => {}
@@ -1830,7 +1844,9 @@ mod tests {
         }
         // Ties across racks, zero-length, queued starts, two classes,
         // set-points before the first start / in an idle gap / at and
-        // past the last end, activations inside the timeline.
-        assert_eq!(hit, [true; 9]);
+        // past the last end, activations inside the timeline, a set-point
+        // refreshing two or more occupied racks' draws, a rack drained
+        // and refilled at one instant.
+        assert_eq!(hit, [true; 11]);
     }
 }

@@ -57,7 +57,8 @@ fn thermal_aware_beats_round_robin_on_the_heat_reuse_scenario() {
     // QoS: the wait-budget-aware dispatcher violates no more than striping.
     assert!(ta.violations <= rr.violations);
     // The scenario is meaningfully loaded: PUE above free-cooling floor.
-    assert!(rr.pue() > 1.05, "round-robin PUE {}", rr.pue());
+    let pue = rr.pue().expect("round-robin ran jobs");
+    assert!(pue > 1.05, "round-robin PUE {pue}");
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! interleaved `add`/`expire_until` must never leave negative rack heat,
 //! stale occupancy or a wrong shared-supply cap, no matter the order of
 //! magnitudes or expiry times — the invariants every dispatch decision
-//! and energy window depends on. The indexed dispatchers are checked
-//! against full-enumeration oracles over the same bookkeeping.
+//! and energy window depends on. The occupied entries' inline chiller
+//! terms must match a fresh evaluation after every add, expiry and
+//! chiller change. The indexed dispatchers are checked against
+//! full-enumeration oracles over the same bookkeeping.
 
 use proptest::prelude::*;
 use tps_cluster::{
@@ -50,7 +52,7 @@ proptest! {
         seed in 0u64..500,
         magnitude in 0u32..3,
     ) {
-        let mut loads = RackLoads::new(racks);
+        let mut loads = RackLoads::new(racks, Chiller::default());
         // Naive model: (rack, heat, water, end) of every commit, kept
         // forever, filtered on demand.
         let mut naive: Vec<(usize, f64, f64, f64)> = Vec::new();
@@ -128,7 +130,7 @@ proptest! {
         commits in 1usize..40,
         seed in 0u64..500,
     ) {
-        let mut loads = RackLoads::new(racks);
+        let mut loads = RackLoads::new(racks, Chiller::default());
         let mut horizon = 0.0f64;
         for i in 0..commits as u64 {
             let rack = (unit(seed, 3 * i) * racks as f64) as usize % racks;
@@ -166,7 +168,7 @@ proptest! {
                 45.0 + unit(seed ^ 0x7a7e, c) * 35.0,
             ))
             .collect();
-        let mut loads = RackLoads::new(racks);
+        let mut loads = RackLoads::new(racks, Chiller::default());
         // Naive model: (rack, class, end) of every commit.
         let mut naive: Vec<(usize, usize, f64)> = Vec::new();
         let mut now = 0.0f64;
@@ -221,6 +223,78 @@ proptest! {
         for view in loads.views() {
             prop_assert_eq!(view.heat.value(), 0.0);
             prop_assert!(view.supply.is_none());
+        }
+    }
+}
+
+/// Every occupied entry matches its rack's view, and its inline COP terms
+/// equal a fresh `cop(supply)` and `electrical_power(heat, supply)` under
+/// the loads' chiller, bit for bit; the entries are exactly the committed
+/// racks.
+fn assert_fresh_chiller_terms(loads: &RackLoads) {
+    let views = loads.view_slice();
+    let chiller = loads.chiller();
+    let occupied = loads.occupied_racks();
+    assert_eq!(
+        occupied.len(),
+        views.iter().filter(|v| v.committed > 0).count(),
+        "occupied entries vs committed racks"
+    );
+    for e in occupied {
+        let view = &views[e.rack as usize];
+        let supply = view.supply.expect("a committed rack has a supply");
+        assert_eq!(e.heat_bits, view.heat.value().to_bits());
+        assert_eq!(e.supply_bits, supply.value().to_bits());
+        assert_eq!(
+            e.cop.to_bits(),
+            chiller.cop(supply).to_bits(),
+            "stale COP on rack {}",
+            e.rack
+        );
+        assert_eq!(
+            e.draw.to_bits(),
+            chiller
+                .electrical_power(view.heat, supply)
+                .value()
+                .to_bits(),
+            "stale draw on rack {}",
+            e.rack
+        );
+    }
+}
+
+proptest! {
+    /// Random adds (zero-heat ones included, so a rack's supply can move
+    /// while its heat bits stay), expiries and chiller changes: after
+    /// every step each occupied entry carries fresh chiller terms.
+    #[test]
+    fn inline_chiller_terms_stay_fresh_after_every_step(
+        racks in 1usize..5,
+        ops in 1usize..80,
+        seed in 0u64..500,
+    ) {
+        let mut loads = RackLoads::new(racks, Chiller::new(Celsius::new(60.0)));
+        let mut now = 0.0f64;
+        for i in 0..ops as u64 {
+            let r = unit(seed, 4 * i);
+            if r < 0.15 {
+                let ambient = 35.0 + unit(seed, 4 * i + 1) * 40.0;
+                loads.set_chiller(loads.chiller().with_ambient(Celsius::new(ambient)));
+            } else if r < 0.4 {
+                now += unit(seed, 4 * i + 1) * 30.0;
+                loads.expire_until(Seconds::new(now));
+            } else {
+                let rack = (unit(seed, 4 * i + 1) * racks as f64) as usize % racks;
+                let heat = if unit(seed, 4 * i + 2) < 0.3 {
+                    0.0
+                } else {
+                    10.0 + unit(seed, 4 * i + 2) * 150.0
+                };
+                let water = [50.0, 58.5, 66.0, 80.0][(mix(seed, 4 * i + 3) % 4) as usize];
+                let end = now + unit(seed, 4 * i + 3) * 40.0;
+                loads.add(rack, &state(heat, water), Seconds::new(end));
+            }
+            assert_fresh_chiller_terms(&loads);
         }
     }
 }
@@ -297,12 +371,14 @@ fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
 
 proptest! {
     /// Drive the kernel's dispatch index (occupied set, idle groups,
-    /// stamps, score memo) and the full-fleet rescore oracles through the
-    /// same random interleaving of placements, expiries and set-point
-    /// changes: every placement decision must be bit-identical. The
-    /// incremental dispatcher keeps its memo warm across the whole
-    /// interleaving while the oracles rescore every rack each call — any
-    /// stale cache entry or index drift shows up as a diverged pick.
+    /// stamps, inline chiller terms, score memo) and the full-fleet
+    /// rescore oracles through the same random interleaving of
+    /// placements, expiries and set-point changes made through
+    /// `RackLoads::set_chiller`: every placement decision must be
+    /// bit-identical. The incremental dispatcher keeps its memo warm
+    /// across the whole interleaving while the oracles rescore every rack
+    /// each call — any stale cache entry or index drift shows up as a
+    /// diverged pick.
     #[test]
     fn indexed_ranking_matches_a_full_rescore_after_any_interleaving(
         seed in 0u64..200,
@@ -312,9 +388,8 @@ proptest! {
         // classes {0,1} — two rack groups, 2 servers per rack.
         let group_classes = vec![vec![0usize], vec![0, 1]];
         let mut servers = ServerTable::new(vec![0, 0, 0, 0, 0, 1, 0, 1], 2);
-        let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
-        let mut chiller = Chiller::new(Celsius::new(60.0));
-        let mut chiller_epoch = 0u64;
+        let mut loads =
+            RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::new(Celsius::new(60.0)));
         let mut warm = ThermalAwareDispatch::default();
         warm.begin_run();
         let job = Job {
@@ -343,9 +418,8 @@ proptest! {
                     loads.expire_until(Seconds::new(now));
                 }
                 1 => {
-                    chiller = chiller
-                        .with_ambient(Celsius::new(40.0 + unit(seed, 3 * i) * 25.0));
-                    chiller_epoch += 1;
+                    let ambient = Celsius::new(40.0 + unit(seed, 3 * i) * 25.0);
+                    loads.set_chiller(loads.chiller().with_ambient(ambient));
                 }
                 _ => {
                     let sig = ((r >> 8) % 3) as usize;
@@ -364,8 +438,8 @@ proptest! {
                         now: Seconds::new(now),
                         racks: loads.view_slice(),
                         servers: &servers,
-                        chiller: &chiller,
-                        chiller_epoch,
+                        chiller: loads.chiller(),
+                        chiller_epoch: loads.chiller_epoch(),
                         index: FleetIndex {
                             occupied: loads.occupied_racks(),
                             idle_min: loads.idle_group_mins(),
@@ -396,6 +470,7 @@ proptest! {
                     servers.set_free_at(chosen, Seconds::new(end));
                 }
             }
+            assert_fresh_chiller_terms(&loads);
         }
     }
 }

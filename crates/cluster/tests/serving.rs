@@ -161,3 +161,95 @@ fn batch_mode_emits_no_serving_columns_with_serving_compiled_in() {
         "batch trace grew serving columns: {header}"
     );
 }
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The serving path pinned to the bit on a shape where most racks stay
+/// occupied at every event: 125 racks × 8 servers, 20 000 requests at a
+/// 0.15 req/s-per-server diurnal peak with flash crowds, thermal-aware
+/// dispatch under the autoscaler, telemetry every 5 s. Every float field
+/// of the outcome is compared as raw bits and the trace CSV by its
+/// FNV-1a hash, so any change to the order in which the kernel sums
+/// cooling, heat or latency shows here.
+#[test]
+fn serving_outcome_and_trace_match_their_golden_bits() {
+    let mut config = FleetConfig::new(125, 8);
+    config.grid_pitch_mm = 3.0;
+    config.serving = true;
+    let fleet = Fleet::new(config);
+    let peak = 0.15 * 1000.0;
+    let demand = ServingDemand::new(
+        peak * 0.2,
+        peak,
+        Seconds::new(600.0),
+        2.5,
+        Seconds::new(60.0),
+        Seconds::new(420.0),
+        42,
+    );
+    let jobs = synthesize_request_jobs(20_000, &demand, Seconds::new(2.0), 42);
+    let telemetry = TelemetryConfig {
+        sample_interval: Seconds::new(5.0),
+        capacity: TelemetryConfig::default().capacity,
+    };
+    let mut control = AutoscaleControl::new(Seconds::new(5.0), 8, 8, 2.0, 0.25, Seconds::new(10.0));
+    let result = fleet
+        .simulate_with(
+            &jobs,
+            &mut ThermalAwareDispatch::default(),
+            &mut control,
+            Some(&telemetry),
+            &OutcomeCache::new(),
+        )
+        .unwrap();
+    let o = &result.outcome;
+    let s = o.serving.as_ref().expect("serving outcome");
+    let floats: Vec<u64> = [
+        o.makespan.value(),
+        o.it_energy.value(),
+        o.cooling_energy.value(),
+        o.mean_wait.value(),
+        o.max_wait.value(),
+        o.peak_rack_heat.value(),
+        s.latency_p50.value(),
+        s.latency_p95.value(),
+        s.latency_p99.value(),
+        s.mean_active_servers,
+    ]
+    .into_iter()
+    .chain(o.class_it_energy.iter().map(|e| e.value()))
+    .map(f64::to_bits)
+    .collect();
+    let counts = [
+        o.violations,
+        o.shed,
+        s.requests,
+        s.min_active_servers,
+        s.max_active_servers,
+    ];
+    assert_eq!(
+        floats,
+        [
+            0x406f_dad2_7267_c797, // makespan
+            0x4150_c84b_5507_3369, // IT energy
+            0x4119_53ad_18c5_90d9, // cooling energy
+            0x0000_0000_0000_0000, // mean wait
+            0x0000_0000_0000_0000, // max wait
+            0x4083_b9f3_b645_a1c9, // peak rack heat
+            0x4000_0000_0000_0000, // latency p50
+            0x4007_3333_3333_3333, // latency p95
+            0x4007_d70a_3d70_a3d7, // latency p99
+            0x4089_0104_13d0_df30, // mean active servers
+            0x4146_4f8e_b045_791b, // class IT energy
+        ]
+    );
+    assert_eq!(counts, [0, 0, 20_000, 600, 1000]);
+    let csv = result.trace.expect("telemetry was on").to_csv();
+    assert_eq!(csv.lines().count(), 53);
+    assert_eq!(fnv1a(csv.as_bytes()), 0xcdd5_2b93_c393_6f56);
+}

@@ -79,7 +79,10 @@ pub struct ClassRow {
 }
 
 impl SweepRow {
-    /// Flattens one executed grid point.
+    /// Flattens one executed grid point. `pue` reads NaN when the point
+    /// consumed no IT energy; [`Sweep::run`](crate::Sweep::run) rejects
+    /// such a point with [`SweepError::NoItEnergy`](crate::SweepError::NoItEnergy)
+    /// before it becomes a row.
     pub fn new(scenario: &Scenario, outcome: &FleetOutcome) -> Self {
         Self {
             name: scenario.name.clone(),
@@ -91,7 +94,7 @@ impl SweepRow {
             it_kwh: outcome.it_energy.to_kwh(),
             cooling_kwh: outcome.cooling_energy.to_kwh(),
             total_kwh: outcome.total_energy().to_kwh(),
-            pue: outcome.pue(),
+            pue: outcome.pue().unwrap_or(f64::NAN),
             violations: outcome.violations,
             shed: outcome.shed,
             mean_wait_s: outcome.mean_wait.value(),

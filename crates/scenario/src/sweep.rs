@@ -289,8 +289,9 @@ impl Sweep {
     /// # Errors
     ///
     /// Returns the first [`SweepError`] — a schema violation during
-    /// expansion, a per-server physics failure, or a `[report] baseline`
-    /// naming no grid point.
+    /// expansion, a per-server physics failure, a grid point that
+    /// consumed no IT energy, or a `[report] baseline` naming no grid
+    /// point.
     pub fn run(&self, threads: usize) -> Result<SweepReport, SweepError> {
         self.execute(threads, false).map(|(report, _)| report)
     }
@@ -340,6 +341,11 @@ impl Sweep {
         for (s, result) in scenarios.iter().zip(results) {
             peak_queue_depth = peak_queue_depth.max(result.stats.peak_queue_depth);
             arena_high_water = arena_high_water.max(result.stats.arena_high_water);
+            if result.outcome.pue().is_none() {
+                return Err(SweepError::NoItEnergy {
+                    scenario: s.name.clone(),
+                });
+            }
             rows.push(SweepRow::new(s, &result.outcome));
             traces.push(result.trace);
         }
@@ -605,6 +611,12 @@ pub enum SweepError {
         /// The underlying per-server error.
         source: RunError,
     },
+    /// A grid point ran no job for a nonzero time, so its PUE is
+    /// undefined.
+    NoItEnergy {
+        /// The grid point's name.
+        scenario: String,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -614,6 +626,12 @@ impl fmt::Display for SweepError {
             SweepError::Run { scenario, source } => {
                 write!(f, "grid point `{scenario}`: {source}")
             }
+            SweepError::NoItEnergy { scenario } => write!(
+                f,
+                "grid point `{scenario}` consumed no IT energy: no job ran for a nonzero \
+                 time, so its PUE is undefined (arrivals this sparse round every runtime \
+                 away; raise `workload.rate`)"
+            ),
         }
     }
 }
@@ -623,6 +641,7 @@ impl std::error::Error for SweepError {
         match self {
             SweepError::Spec(e) => Some(e),
             SweepError::Run { source, .. } => Some(source),
+            SweepError::NoItEnergy { .. } => None,
         }
     }
 }

@@ -359,3 +359,31 @@ fn server_class_syntax_errors_are_line_numbered() {
     assert!(e.message.contains("grid point `fleet.classes=zzz`"), "{e}");
     assert!(e.message.contains("undeclared class `zzz`"), "{e}");
 }
+
+#[test]
+fn a_spec_whose_jobs_never_run_fails_with_a_named_error() {
+    // At 1e-30 jobs/s arrivals land near t = 1e30 s, where start + runtime
+    // rounds back to start: no job runs for a nonzero time, the run
+    // consumes no IT energy and its PUE is undefined.
+    let src = "
+        [fleet]
+        racks = 1
+        servers_per_rack = 2
+        grid_pitch_mm = 3.0
+        [workload]
+        jobs = 4
+        rate = 1e-30
+        demand = \"constant\"
+    ";
+    let sweep = Sweep::parse(src, "sparse").expect("the spec itself is valid");
+    let e = sweep.run(1).expect_err("the run has no PUE");
+    assert!(
+        matches!(&e, tps_scenario::SweepError::NoItEnergy { scenario } if scenario == "sparse"),
+        "{e:?}"
+    );
+    assert!(
+        e.to_string()
+            .starts_with("grid point `sparse` consumed no IT energy"),
+        "{e}"
+    );
+}

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.dispatcher,
             out.it_energy.to_kwh(),
             out.cooling_energy.to_kwh(),
-            out.pue(),
+            out.pue().expect("the jobs ran"),
             out.violations,
             per_class.join(", ")
         );

@@ -761,13 +761,21 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
                 peak_queue_depth = peak_queue_depth.max(result.stats.peak_queue_depth);
                 arena_high_water = arena_high_water.max(result.stats.arena_high_water);
                 let out = result.outcome;
+                let Some(pue) = out.pue() else {
+                    return fail(format!(
+                        "the {} run consumed no IT energy: no job ran for a nonzero time, so \
+                         its PUE is undefined (arrivals this sparse round every runtime away; \
+                         raise --rate)",
+                        out.dispatcher
+                    ));
+                };
                 println!(
                     "{:<20} {:>9.3} {:>9.3} {:>9.3} {:>7.3} {:>6} {:>6} {:>9.1} {:>9.1}",
                     out.dispatcher,
                     out.it_energy.to_kwh(),
                     out.cooling_energy.to_kwh(),
                     out.total_energy().to_kwh(),
-                    out.pue(),
+                    pue,
                     out.violations,
                     out.shed,
                     out.mean_wait.value(),

@@ -1,6 +1,6 @@
-//! The `tps` binary's input surface: non-finite numbers and unknown
-//! flags on the command line exit 1 with a named error instead of
-//! panicking.
+//! The `tps` binary's input surface: non-finite numbers, unknown flags
+//! and runs that consume no IT energy exit 1 with a named error instead
+//! of panicking.
 
 use std::process::Command;
 
@@ -51,6 +51,18 @@ fn flags_the_fleet_command_no_longer_takes_are_unknown() {
     assert_eq!(code, Some(1), "tps fleet --shards 2: {stderr}");
     assert!(
         stderr.starts_with("error: unknown flag `--shards`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_run_that_consumes_no_it_energy_exits_1_with_a_named_error() {
+    // At 1e-30 jobs/s every arrival lands where start + runtime rounds
+    // back to start, so no job runs and the run's PUE is undefined.
+    let (code, stderr) = tps(&["fleet", "--servers", "8", "--jobs", "10", "--rate", "1e-30"]);
+    assert_eq!(code, Some(1), "tps fleet --rate 1e-30: {stderr}");
+    assert!(
+        stderr.starts_with("error: the round-robin run consumed no IT energy"),
         "{stderr}"
     );
 }
