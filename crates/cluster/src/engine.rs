@@ -797,22 +797,40 @@ pub(crate) fn run(
         queue.push(jobs[ji].arrival, Event::JobArrival(ji));
     }
     let mut next_arrival = order.len().min(ARRIVAL_LOOKAHEAD);
+    // Ticks and samples re-arm at `now + dt` until the run drains, which
+    // (unless the last arrival is shed) is no earlier than that arrival
+    // plus its service time. An interval that cannot step there in
+    // `u32::MAX` re-arms (or at all: `now + dt == now`) would spin on.
+    let horizon = order.last().map_or(0.0, |&ji| {
+        let job = &jobs[ji as usize];
+        job.arrival.value() + job.service.value()
+    });
+    let tick = control.tick_interval();
+    let intervals = [
+        ("control tick", tick),
+        ("telemetry sample", telemetry.map(|t| t.sample_interval)),
+    ];
+    for (what, dt) in intervals {
+        if let Some(dt) = dt.map(Seconds::value) {
+            if !(horizon + dt > horizon && horizon / dt <= f64::from(u32::MAX)) {
+                return Err(RunError::IntervalTooShort {
+                    what,
+                    interval_s: dt,
+                    horizon_s: horizon,
+                });
+            }
+        }
+    }
     // The control policy's pre-scheduled set-point program…
     for (t, c) in control.setpoint_program() {
         queue.push(t, Event::SetpointChange(c));
     }
     // …its tick cadence, and the telemetry cadence (both re-armed from
     // their own handlers while work remains).
-    let tick = control.tick_interval();
     if let Some(dt) = tick {
-        assert!(dt.value() > 0.0, "control tick interval must be positive");
         queue.push(dt, Event::ControlTick);
     }
-    if let Some(t) = telemetry {
-        assert!(
-            t.sample_interval.value() > 0.0,
-            "telemetry sample interval must be positive"
-        );
+    if telemetry.is_some() {
         queue.push(Seconds::ZERO, Event::TelemetrySample);
     }
 

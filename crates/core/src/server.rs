@@ -42,6 +42,17 @@ pub enum RunError {
     },
     /// The coupled thermosyphon/thermal solve failed.
     Coupling(CouplingError),
+    /// A fleet run's control-tick or telemetry-sample interval is too
+    /// short to step the run to its end.
+    IntervalTooShort {
+        /// What re-arms at the interval (`control tick`, `telemetry sample`).
+        what: &'static str,
+        /// The interval, seconds.
+        interval_s: f64,
+        /// The last arrival plus its service time: the run lasts at least
+        /// this long, seconds.
+        horizon_s: f64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -54,6 +65,17 @@ impl fmt::Display for RunError {
                 )
             }
             RunError::Coupling(e) => write!(f, "coupled simulation failed: {e}"),
+            RunError::IntervalTooShort {
+                what,
+                interval_s,
+                horizon_s,
+            } => write!(
+                f,
+                "the {what} interval of {interval_s:?} s cannot step a run that lasts at least \
+                 {horizon_s:?} s: it needs more than {} {what}s or stops advancing time \
+                 (raise the interval)",
+                u32::MAX
+            ),
         }
     }
 }
@@ -62,7 +84,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Coupling(e) => Some(e),
-            RunError::NoFeasibleConfig { .. } => None,
+            RunError::NoFeasibleConfig { .. } | RunError::IntervalTooShort { .. } => None,
         }
     }
 }

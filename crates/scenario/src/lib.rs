@@ -58,7 +58,7 @@ pub mod toml;
 
 pub use report::{ClassRow, ServingRow, SweepReport, SweepRow};
 pub use spec::{
-    ClassSpec, ControlKind, DemandKind, DispatcherKind, Scenario, ServingSpec, SpecError,
-    TelemetrySpec,
+    policy_from_name, ClassSpec, ControlKind, DemandKind, DispatcherKind, Scenario, ServingSpec,
+    SpecError, TelemetrySpec, GRID_PITCH_MM, KERNEL_INDEX_MAX,
 };
 pub use sweep::{Axis, Sweep, SweepError};

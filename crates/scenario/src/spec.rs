@@ -5,8 +5,9 @@
 //! and units. Unknown keys and tables are rejected (a typo should fail
 //! loudly, not silently fall back to a default).
 
-use crate::toml::{self, Table, Value};
+use crate::toml::{self, Spanned, Table, Value};
 use std::fmt;
+use std::ops::RangeInclusive;
 use tps_cluster::{
     synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ControlPolicy, CoolestRackFirst,
     FleetCatalog, FleetConfig, FleetDispatcher, Job, JobMix, LoadSheddingControl, PlanSolver,
@@ -71,6 +72,37 @@ pub(crate) fn reject_empty(doc: &Table) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The thermal-grid pitch envelope, millimetres, shared by
+/// `fleet.grid_pitch_mm`, `[[server_class]] grid_pitch_mm` and the CLI's
+/// `--pitch`: half the finest shipped pitch up to one cell per core column
+/// of the 18 mm die. Far outside it the cell count saturates (a panic) or
+/// collapses to a single cell.
+pub const GRID_PITCH_MM: RangeInclusive<f64> = 0.25..=4.5;
+
+/// The envelope of the chiller's heat-rejection temperature, °C, shared by
+/// `cooling.heat_reuse_c`, `control.setpoints_c` and
+/// `control.setpoint_grid`: the heat-reuse loop carries liquid water.
+const HEAT_REUSE_C: RangeInclusive<f64> = 0.0..=100.0;
+
+/// The peak arrival-rate envelope, jobs (or requests) per second. At the
+/// floor a `u32::MAX`-job stream still ends at a finite time (at
+/// `5e-324` the first gap is already ∞); at the ceiling a rate scaled by
+/// any [`SURGE`] stays finite.
+const ARRIVAL_RATE: RangeInclusive<f64> = 1e-280..=1e280;
+
+/// The flash-crowd multiplier envelope (see [`ARRIVAL_RATE`]).
+const SURGE: RangeInclusive<f64> = 1.0..=1e6;
+
+/// The mean service time envelope, seconds: a batch job replays phases
+/// of at most a few seconds, so a day-long mean already means ~10⁵ phases
+/// per job.
+const MEAN_SERVICE_S: RangeInclusive<f64> = 0.0..=86_400.0;
+
+/// The kernel indexes racks, servers and jobs with `u32`: a scenario
+/// declares at most this many servers and jobs, and fewer racks
+/// (`u32::MAX` is the kernel's no-rack sentinel).
+pub const KERNEL_INDEX_MAX: usize = u32::MAX as usize;
+
 /// The shape of the job-arrival stream (mirrors `tps-workload::demand`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DemandKind {
@@ -103,6 +135,26 @@ pub enum DemandKind {
     },
 }
 
+impl DemandKind {
+    /// The peak arrival rate, jobs per second.
+    pub fn rate(&self) -> f64 {
+        match *self {
+            DemandKind::Constant { rate }
+            | DemandKind::Diurnal { rate, .. }
+            | DemandKind::Bursty { rate, .. } => rate,
+        }
+    }
+
+    /// The spec-file spelling.
+    pub fn spec_name(&self) -> &'static str {
+        match self {
+            DemandKind::Constant { .. } => "constant",
+            DemandKind::Diurnal { .. } => "diurnal",
+            DemandKind::Bursty { .. } => "bursty",
+        }
+    }
+}
+
 /// Which fleet dispatcher places the jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatcherKind {
@@ -120,6 +172,19 @@ pub enum DispatcherKind {
 }
 
 impl DispatcherKind {
+    /// Parses a spec name (`rr`, `coolest`, `thermal`, `planned`) or the
+    /// name the dispatcher reports in outcomes (`round-robin`,
+    /// `coolest-rack-first`, `thermal-aware`).
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "rr" | "round-robin" => Some(DispatcherKind::RoundRobin),
+            "coolest" | "coolest-rack-first" => Some(DispatcherKind::CoolestRackFirst),
+            "thermal" | "thermal-aware" => Some(DispatcherKind::ThermalAware),
+            "planned" => Some(DispatcherKind::Planned),
+            _ => None,
+        }
+    }
+
     /// The dispatcher instance (all four are stateless or cheaply
     /// default-initialized).
     pub fn instantiate(self) -> Box<dyn FleetDispatcher> {
@@ -429,6 +494,40 @@ impl Scenario {
         Self::from_table(&doc, name_hint, &SweptAxes::default())
     }
 
+    /// Builds a scenario from `table.key = value` overrides on an empty
+    /// spec — the substitution `[sweep]` axes make — and validates it like
+    /// a spec file. `tps fleet` lowers its flags through here. Each
+    /// value's `line` rides into the [`SpecError`] it causes, and a path
+    /// without a dot sets a top-level key (`server_class`).
+    ///
+    /// ```
+    /// use tps_scenario::toml::{Spanned, Value};
+    /// use tps_scenario::Scenario;
+    ///
+    /// let at = |value| Spanned { value, line: 1 };
+    /// let jobs = at(Value::Integer(8));
+    /// let s = Scenario::from_overrides("cli", [("workload.jobs", jobs)]).unwrap();
+    /// assert_eq!((s.jobs, s.racks), (8, 2));
+    /// let nan = at(Value::Float(f64::NAN));
+    /// let e = Scenario::from_overrides("cli", [("workload.rate", nan)]).unwrap_err();
+    /// assert_eq!(e.line, Some(1));
+    /// assert!(e.message.contains("must be positive and finite"));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The [`SpecError`] of the first value the schema rejects.
+    pub fn from_overrides<'a>(
+        name: &str,
+        overrides: impl IntoIterator<Item = (&'a str, Spanned<Value>)>,
+    ) -> Result<Self, SpecError> {
+        let mut doc = Table::default();
+        for (path, value) in overrides {
+            set_path(&mut doc, path, value);
+        }
+        Self::from_table(&doc, name, &SweptAxes::default())
+    }
+
     /// Builds a scenario from an already-parsed root table (with `sweep`
     /// and `report` removed; an empty table means "all defaults").
     ///
@@ -463,18 +562,36 @@ impl Scenario {
             "classes",
         ])?;
         let racks = fleet.count("racks", 2)?;
+        if racks >= KERNEL_INDEX_MAX {
+            return Err(fleet.value_error(
+                "racks",
+                format!(
+                    "`racks` = {racks} must be below {KERNEL_INDEX_MAX}, the kernel's rack limit"
+                ),
+            ));
+        }
         let servers_per_rack = fleet.count("servers_per_rack", 8)?;
+        if racks
+            .checked_mul(servers_per_rack)
+            .map_or(true, |n| n > KERNEL_INDEX_MAX)
+        {
+            return Err(fleet.value_error(
+                "servers_per_rack",
+                format!(
+                    "{racks} racks × {servers_per_rack} servers exceed the kernel's \
+                     {KERNEL_INDEX_MAX}-server limit"
+                ),
+            ));
+        }
         let grid_pitch_mm = fleet.positive_f64("grid_pitch_mm", 2.0)?;
-        let policy = match policy_from_name(&fleet.string("policy", "proposed")?) {
-            Some(p) => p,
-            None => {
-                let other = fleet.string("policy", "proposed")?;
-                return Err(fleet.value_error(
-                    "policy",
-                    format!("unknown policy `{other}` (use proposed, coskun, inlet or packed)"),
-                ));
-            }
-        };
+        fleet.within("grid_pitch_mm", grid_pitch_mm, &GRID_PITCH_MM, "mm")?;
+        let policy_name = fleet.string("policy", "proposed")?;
+        let policy = policy_from_name(&policy_name).ok_or_else(|| {
+            fleet.value_error(
+                "policy",
+                format!("unknown policy `{policy_name}` (use proposed, coskun, inlet or packed)"),
+            )
+        })?;
         let threads = match fleet.count_opt("threads")? {
             Some(n) => n,
             None => FleetConfig::default_threads(),
@@ -486,6 +603,7 @@ impl Scenario {
         let cooling = root.table("cooling")?;
         cooling.allow(&["heat_reuse_c", "water_inlet_c"])?;
         let heat_reuse_c = cooling.f64("heat_reuse_c", 70.0)?;
+        cooling.within("heat_reuse_c", heat_reuse_c, &HEAT_REUSE_C, "°C")?;
         let water_inlet_c = cooling.f64("water_inlet_c", 30.0)?;
         if !(5.0..=60.0).contains(&water_inlet_c) {
             return Err(cooling.value_error(
@@ -512,6 +630,12 @@ impl Scenario {
             "qos_weights",
         ])?;
         let jobs = workload.count("jobs", 200)?;
+        if jobs > KERNEL_INDEX_MAX {
+            return Err(workload.value_error(
+                "jobs",
+                format!("`jobs` = {jobs} exceeds the kernel's {KERNEL_INDEX_MAX}-job limit"),
+            ));
+        }
         let seed = workload.u64("seed", 42)?;
         let mode = workload.string("mode", "batch")?;
         if mode != "batch" && mode != "serving" {
@@ -547,6 +671,7 @@ impl Scenario {
             }
         }
         let rate = workload.positive_f64("rate", 0.7)?;
+        workload.within("rate", rate, &ARRIVAL_RATE, "jobs/s")?;
         let base_fraction = workload.f64("base_fraction", 0.2)?;
         if !(0.0..=1.0).contains(&base_fraction) {
             return Err(workload.value_error(
@@ -600,15 +725,8 @@ impl Scenario {
             }
         };
         let serving = if mode == "serving" {
-            let surge = workload.f64("surge", 2.5)?;
-            if !(surge >= 1.0 && surge.is_finite()) {
-                return Err(workload.value_error(
-                    "surge",
-                    format!("`surge` must be a finite multiplier of at least 1, got {surge}"),
-                ));
-            }
             Some(ServingSpec {
-                surge,
+                surge: workload.within("surge", workload.f64("surge", 2.5)?, &SURGE, "×")?,
                 surge_s: workload.positive_f64("surge_s", 60.0)?,
                 surge_gap_s: workload.positive_f64("surge_gap_s", 420.0)?,
             })
@@ -616,22 +734,20 @@ impl Scenario {
             None
         };
         let mean_service_s = workload.positive_f64("mean_service_s", 40.0)?;
+        workload.within("mean_service_s", mean_service_s, &MEAN_SERVICE_S, "s")?;
         let qos_weights = workload.weights3("qos_weights", [0.2, 0.4, 0.4])?;
 
         let dispatch = root.table("dispatch")?;
         dispatch.allow(&["dispatcher"])?;
-        let dispatcher = match dispatch.string("dispatcher", "thermal")?.as_str() {
-            "rr" => DispatcherKind::RoundRobin,
-            "coolest" => DispatcherKind::CoolestRackFirst,
-            "thermal" => DispatcherKind::ThermalAware,
-            "planned" => DispatcherKind::Planned,
-            other => {
-                return Err(dispatch.value_error(
-                    "dispatcher",
-                    format!("unknown dispatcher `{other}` (use rr, coolest, thermal or planned)"),
-                ))
-            }
-        };
+        let dispatcher_name = dispatch.string("dispatcher", "thermal")?;
+        let dispatcher = DispatcherKind::from_name(&dispatcher_name).ok_or_else(|| {
+            dispatch.value_error(
+                "dispatcher",
+                format!(
+                    "unknown dispatcher `{dispatcher_name}` (use rr, coolest, thermal or planned)"
+                ),
+            )
+        })?;
 
         let control_tbl = root.table("control")?;
         control_tbl.allow(&[
@@ -732,9 +848,8 @@ impl Scenario {
                         ));
                     }
                 }
-                if let Some(&bad) = setpoints_c.iter().find(|c| !c.is_finite()) {
-                    return Err(control_tbl
-                        .value_error("setpoints_c", format!("set-point {bad} °C must be finite")));
+                for &c in &setpoints_c {
+                    control_tbl.within("setpoints_c", c, &HEAT_REUSE_C, "°C")?;
                 }
                 ControlKind::Setpoint {
                     times_s,
@@ -819,11 +934,8 @@ impl Scenario {
                         "`setpoint_grid` must list at least one candidate set-point".to_owned(),
                     ));
                 }
-                if let Some(&bad) = setpoint_grid.iter().find(|c| !c.is_finite()) {
-                    return Err(control_tbl.value_error(
-                        "setpoint_grid",
-                        format!("set-point {bad} °C must be finite"),
-                    ));
+                for &c in &setpoint_grid {
+                    control_tbl.within("setpoint_grid", c, &HEAT_REUSE_C, "°C")?;
                 }
                 let anneal_iters = control_tbl.count("anneal_iters", 2_000)?;
                 let solver = match control_tbl.string("solver", "lp")?.as_str() {
@@ -983,8 +1095,35 @@ impl Scenario {
     }
 }
 
+/// Substitutes `value` at the dotted `table.key` path, creating the table
+/// if the spec leaves it to defaults; a path without a dot sets a
+/// top-level key. The value's line names where it came from (a `[sweep]`
+/// axis, a CLI flag), so validation errors point there.
+pub(crate) fn set_path(doc: &mut Table, path: &str, value: Spanned<Value>) {
+    let Some((table_name, key)) = path.split_once('.') else {
+        doc.set(path, value);
+        return;
+    };
+    let sub_line = doc.get(table_name).map_or(value.line, |v| v.line);
+    // Clone-modify-store: `Table` exposes no mutable traversal, and spec
+    // tables are a handful of entries.
+    let mut sub = doc
+        .get(table_name)
+        .and_then(|v| v.value.as_table())
+        .cloned()
+        .unwrap_or_default();
+    sub.set(key, value);
+    doc.set(
+        table_name,
+        Spanned {
+            value: Value::Table(sub),
+            line: sub_line,
+        },
+    );
+}
+
 /// Maps a spec/CLI policy spelling to its [`ServerPolicy`].
-fn policy_from_name(name: &str) -> Option<ServerPolicy> {
+pub fn policy_from_name(name: &str) -> Option<ServerPolicy> {
     match name {
         "proposed" => Some(ServerPolicy::Proposed),
         "coskun" => Some(ServerPolicy::Coskun),
@@ -1036,6 +1175,9 @@ fn parse_server_classes(doc: &Table) -> Result<Vec<ClassSpec>, SpecError> {
             ));
         }
         let grid_pitch_mm = ctx.positive_f64_opt("grid_pitch_mm")?;
+        if let Some(p) = grid_pitch_mm {
+            ctx.within("grid_pitch_mm", p, &GRID_PITCH_MM, "mm")?;
+        }
         let water_inlet_c = ctx.f64_opt("water_inlet_c")?;
         if let Some(t) = water_inlet_c {
             if !(5.0..=60.0).contains(&t) {
@@ -1278,13 +1420,22 @@ impl<'a> Ctx<'a> {
     }
 
     fn f64(&self, key: &str, default: f64) -> Result<f64, SpecError> {
-        match self.f64_opt(key)? {
-            Some(x) => Ok(x),
-            None => Ok(default),
+        Ok(self.f64_opt(key)?.unwrap_or(default))
+    }
+
+    /// A finite number. TOML cannot spell NaN or ∞, but values lowered
+    /// from CLI flags can.
+    fn f64_opt(&self, key: &str) -> Result<Option<f64>, SpecError> {
+        match self.number(key)? {
+            Some(x) if !x.is_finite() => {
+                Err(self.value_error(key, format!("`{key}` must be finite, got {x}")))
+            }
+            x => Ok(x),
         }
     }
 
-    fn f64_opt(&self, key: &str) -> Result<Option<f64>, SpecError> {
+    /// A number of either TOML type, `None` when the key is absent.
+    fn number(&self, key: &str) -> Result<Option<f64>, SpecError> {
         match self.table.get(key) {
             None => Ok(None),
             Some(v) => match v.value {
@@ -1296,7 +1447,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn positive_f64_opt(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.f64_opt(key)? {
+        match self.number(key)? {
             None => Ok(None),
             Some(x) if x > 0.0 && x.is_finite() => Ok(Some(x)),
             Some(x) => {
@@ -1306,11 +1457,24 @@ impl<'a> Ctx<'a> {
     }
 
     fn positive_f64(&self, key: &str, default: f64) -> Result<f64, SpecError> {
-        let x = self.f64(key, default)?;
-        if x > 0.0 && x.is_finite() {
+        Ok(self.positive_f64_opt(key)?.unwrap_or(default))
+    }
+
+    /// `x`, the value of `key`, inside its documented envelope.
+    fn within(
+        &self,
+        key: &str,
+        x: f64,
+        range: &RangeInclusive<f64>,
+        unit: &str,
+    ) -> Result<f64, SpecError> {
+        if range.contains(&x) {
             Ok(x)
         } else {
-            Err(self.value_error(key, format!("`{key}` must be positive and finite, got {x}")))
+            Err(self.value_error(
+                key,
+                format!("`{key}` = {x:?} {unit} lies outside its {range:?} {unit} envelope"),
+            ))
         }
     }
 

@@ -20,7 +20,7 @@
 //! their key and the report rows come back in grid order.
 
 use crate::report::{SweepReport, SweepRow};
-use crate::spec::{reject_empty, Scenario, SpecError, SweptAxes};
+use crate::spec::{reject_empty, set_path, Scenario, SpecError, SweptAxes};
 use crate::toml::{self, Spanned, Table, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -248,7 +248,14 @@ impl Sweep {
             let mut name_parts = Vec::with_capacity(self.axes.len());
             for (axis, &i) in self.axes.iter().zip(&indices) {
                 let value = &axis.values[i];
-                set_path(&mut doc, &axis.path, value.clone(), axis.line);
+                set_path(
+                    &mut doc,
+                    &axis.path,
+                    Spanned {
+                        value: value.clone(),
+                        line: axis.line,
+                    },
+                );
                 name_parts.push(format!("{}={}", axis.path, value.display_compact()));
             }
             let name = name_parts.join(",");
@@ -573,30 +580,6 @@ fn parse_axes(table: &Table) -> Result<Vec<Axis>, SpecError> {
         });
     }
     Ok(axes)
-}
-
-/// Substitutes `value` at the dotted `table.key` path, creating the table
-/// if the base spec leaves it to defaults. `line` is the axis entry's
-/// spec line, so validation errors on substituted values point at the
-/// `[sweep]` axis that produced them.
-fn set_path(doc: &mut Table, path: &str, value: Value, line: usize) {
-    let (table_name, key) = path.split_once('.').expect("sweepable paths are dotted");
-    let sub_line = doc.get(table_name).map_or(line, |v| v.line);
-    // Clone-modify-store: `Table` exposes no mutable traversal, and spec
-    // tables are a handful of entries.
-    let mut sub = doc
-        .get(table_name)
-        .and_then(|v| v.value.as_table())
-        .cloned()
-        .unwrap_or_default();
-    sub.set(key, Spanned { value, line });
-    doc.set(
-        table_name,
-        Spanned {
-            value: Value::Table(sub),
-            line: sub_line,
-        },
-    );
 }
 
 /// Why a sweep failed: the spec, or the physics of one grid point.

@@ -2,7 +2,8 @@
 //! input must come back with an actionable message and, where a line
 //! exists, the right line number.
 
-use tps_scenario::{Scenario, SpecError, Sweep};
+use tps_core::RunError;
+use tps_scenario::{DispatcherKind, Scenario, SpecError, Sweep, SweepError};
 
 fn fail_scenario(src: &str) -> SpecError {
     Scenario::parse(src, "t").expect_err("spec should be rejected")
@@ -386,4 +387,137 @@ fn a_spec_whose_jobs_never_run_fails_with_a_named_error() {
             .starts_with("grid point `sparse` consumed no IT energy"),
         "{e}"
     );
+}
+
+#[test]
+fn out_of_envelope_and_oversized_values_are_named_at_their_line() {
+    let class = "[fleet]\nclasses = [\"a\"]\n[[server_class]]\nname = \"a\"\n";
+    let cases = [
+        (
+            "[fleet]\ngrid_pitch_mm = 1e-300\n".to_owned(),
+            2,
+            "0.25..=4.5 mm envelope",
+        ),
+        (
+            "[fleet]\ngrid_pitch_mm = 1e300\n".to_owned(),
+            2,
+            "0.25..=4.5 mm envelope",
+        ),
+        (
+            format!("{class}grid_pitch_mm = 1e-300\n"),
+            5,
+            "0.25..=4.5 mm envelope",
+        ),
+        (
+            "[cooling]\nheat_reuse_c = 1e300\n".to_owned(),
+            2,
+            "0.0..=100.0 °C envelope",
+        ),
+        (
+            "[cooling]\nheat_reuse_c = -300\n".to_owned(),
+            2,
+            "0.0..=100.0 °C envelope",
+        ),
+        (
+            "[control]\npolicy = \"setpoint\"\ntimes_s = [0]\nsetpoints_c = [-300]\n".to_owned(),
+            4,
+            "`setpoints_c` = -300.0 °C",
+        ),
+        (
+            "[control]\npolicy = \"planner\"\nsetpoint_grid = [45, 1e300]\n".to_owned(),
+            3,
+            "`setpoint_grid` = 1e300 °C",
+        ),
+        (
+            "[fleet]\nracks = 9223372036854775807\n".to_owned(),
+            2,
+            "must be below 4294967295",
+        ),
+        (
+            "[fleet]\nracks = 65536\nservers_per_rack = 65536\n".to_owned(),
+            3,
+            "exceed the kernel's 4294967295-server limit",
+        ),
+        (
+            "[workload]\njobs = 4294967296\n".to_owned(),
+            2,
+            "4294967295-job limit",
+        ),
+        (
+            "[workload]\nrate = 5e-324\n".to_owned(),
+            2,
+            "1e-280..=1e280 jobs/s envelope",
+        ),
+        (
+            "[workload]\ndemand = \"constant\"\nrate = 5e-324\n".to_owned(),
+            3,
+            "1e-280..=1e280 jobs/s envelope",
+        ),
+        (
+            "[workload]\nmean_service_s = 1e300\n".to_owned(),
+            2,
+            "0.0..=86400.0 s envelope",
+        ),
+        (
+            "[workload]\nmode = \"serving\"\nsurge = 1e300\n".to_owned(),
+            3,
+            "1.0..=1000000.0 × envelope",
+        ),
+    ];
+    for (src, line, named) in &cases {
+        let e = fail_scenario(src);
+        assert_eq!(e.line, Some(*line), "{src}: {e}");
+        assert!(e.message.contains(named), "{src}: {e}");
+    }
+}
+
+#[test]
+fn intervals_too_short_for_the_run_fail_with_a_named_error() {
+    let base = "[fleet]\nracks = 1\nservers_per_rack = 2\ngrid_pitch_mm = 3.0\n\
+                [workload]\njobs = 4\ndemand = \"constant\"\n";
+    let tick = Sweep::parse(
+        &format!("{base}[control]\npolicy = \"shed\"\ntick_s = 1e-300\n"),
+        "tick",
+    )
+    .expect("the spec itself is valid");
+    let sample = Sweep::parse(&format!("{base}[telemetry]\nsample_s = 1e-300\n"), "sample")
+        .expect("the spec itself is valid");
+    for (e, what) in [
+        (tick.run(1).map(|_| ()), "control tick"),
+        (sample.run_traced(1).map(|_| ()), "telemetry sample"),
+    ] {
+        let e = e.expect_err("the run cannot advance time");
+        assert!(
+            matches!(
+                &e,
+                SweepError::Run { source: RunError::IntervalTooShort { what: w, .. }, .. } if *w == what
+            ),
+            "{e:?}"
+        );
+        assert!(
+            e.to_string()
+                .contains(&format!("the {what} interval of 1e-300 s cannot step")),
+            "{e}"
+        );
+    }
+}
+
+#[test]
+fn dispatchers_parse_by_spec_or_outcome_name() {
+    for (name, kind) in [
+        ("rr", DispatcherKind::RoundRobin),
+        ("round-robin", DispatcherKind::RoundRobin),
+        ("coolest", DispatcherKind::CoolestRackFirst),
+        ("coolest-rack-first", DispatcherKind::CoolestRackFirst),
+        ("thermal", DispatcherKind::ThermalAware),
+        ("thermal-aware", DispatcherKind::ThermalAware),
+        ("planned", DispatcherKind::Planned),
+    ] {
+        let s = Scenario::parse(&format!("[dispatch]\ndispatcher = \"{name}\"\n"), "t").unwrap();
+        assert_eq!(s.dispatcher, kind, "{name}");
+        assert_eq!(DispatcherKind::from_name(kind.spec_name()), Some(kind));
+    }
+    let e = fail_scenario("[dispatch]\ndispatcher = \"all\"\n");
+    assert_eq!(e.line, Some(2));
+    assert!(e.message.contains("unknown dispatcher `all`"), "{e}");
 }

@@ -85,11 +85,20 @@ impl CliArgs {
 
     /// The raw value of `flag`, if given (last occurrence wins).
     pub fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(f, _)| f == name)
-            .map(|(_, v)| v.as_str())
+        self.flag_at(name).map(|(_, value)| value)
+    }
+
+    /// The value of `flag` and its position on the command line (1-based,
+    /// counting flags), if given (last occurrence wins).
+    pub fn flag_at(&self, name: &str) -> Option<(usize, &str)> {
+        let i = self.flags.iter().rposition(|(f, _)| f == name)?;
+        Some((i + 1, self.flags[i].1.as_str()))
+    }
+
+    /// The flag and value at a [`flag_at`](Self::flag_at) position.
+    pub fn flag_by_position(&self, position: usize) -> Option<(&str, &str)> {
+        let (flag, value) = self.flags.get(position.checked_sub(1)?)?;
+        Some((flag, value))
     }
 
     /// The value of `flag`, or `default` when absent.
@@ -211,5 +220,9 @@ mod tests {
     fn last_duplicate_wins() {
         let a = CliArgs::parse(&strs(&["--jobs=1", "--jobs=2"]), &["jobs"], 0).unwrap();
         assert_eq!(a.flag("jobs"), Some("2"));
+        assert_eq!(a.flag_at("jobs"), Some((2, "2")));
+        assert_eq!(a.flag_by_position(2), Some(("jobs", "2")));
+        assert_eq!(a.flag_by_position(0), None);
+        assert_eq!(a.flag_by_position(3), None);
     }
 }

@@ -11,36 +11,31 @@
 //! ```
 //!
 //! Every subcommand accepts both `--flag value` and `--flag=value`
-//! (parsed by the shared [`cliargs::CliArgs`] helper).
+//! (parsed by the shared [`cliargs::CliArgs`] helper). `tps fleet` lowers
+//! its flags onto a scenario spec, so the spec validator checks them.
 
 mod cliargs;
 
 use cliargs::CliArgs;
 use std::path::Path;
 use std::process::ExitCode;
-use tps::cluster::{
-    synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ControlPolicy, CoolestRackFirst,
-    Fleet, FleetCatalog, FleetConfig, FleetDispatcher, FleetOutcome, Job, JobMix,
-    LoadSheddingControl, OutcomeCache, PlanSolver, PlannedDispatch, PlannerControl, RoundRobin,
-    ServerClass, ServerPolicy, SetpointScheduler, StaticControl, TelemetryConfig,
-    ThermalAwareDispatch,
-};
-use tps::cooling::Chiller;
-use tps::core::{
-    ConfigSelector, CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector,
-    PackAndCapSelector, PackedMapping, ProposedMapping, Server,
-};
+use tps::cluster::{Fleet, FleetConfig, FleetOutcome, OutcomeCache};
+use tps::core::{ConfigSelector, MinPowerSelector, PackAndCapSelector, Server};
 use tps::power::CState;
-use tps::scenario::Sweep;
-use tps::units::{Celsius, Seconds};
-use tps::workload::{
-    profile_application, Benchmark, BurstyDemand, ConstantDemand, DiurnalDemand, QosClass,
-    ServingDemand,
+use tps::scenario::toml::{Spanned, Table, Value};
+use tps::scenario::{
+    policy_from_name, DispatcherKind, Scenario, Sweep, GRID_PITCH_MM, KERNEL_INDEX_MAX,
 };
+use tps::workload::{profile_application, Benchmark, QosClass};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     match args.first().map(String::as_str) {
+        Some("run" | "profile" | "fleet" | "sweep" | "list") if help => {
+            print_usage();
+            ExitCode::SUCCESS
+        }
         Some("run") => cmd_run(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("fleet") => cmd_fleet(&args[1..]),
@@ -116,12 +111,11 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         (Ok(b), Ok(q)) => (b, q),
         (Err(e), _) | (_, Err(e)) => return fail(e),
     };
-    let policy: Box<dyn MappingPolicy> = match args.flag_or("policy", "proposed") {
-        "proposed" => Box::new(ProposedMapping),
-        "coskun" => Box::new(CoskunBalancing),
-        "inlet" => Box::new(InletFirstMapping),
-        "packed" => Box::new(PackedMapping),
-        other => return fail(format!("unknown policy `{other}`")),
+    let policy_name = args.flag_or("policy", "proposed");
+    let Some(policy) = policy_from_name(policy_name).map(|p| p.as_policy()) else {
+        return fail(format!(
+            "unknown policy `{policy_name}` (use proposed, coskun, inlet or packed)"
+        ));
     };
     let selector: Box<dyn ConfigSelector> = match args.flag_or("selector", "minpower") {
         "minpower" => Box::new(MinPowerSelector),
@@ -129,8 +123,12 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         other => return fail(format!("unknown selector `{other}`")),
     };
     let pitch: f64 = match args.parsed("pitch", 1.0) {
-        Ok(p) if positive(p) => p,
-        Ok(_) => return fail("--pitch must be a positive, finite number of millimetres"),
+        Ok(p) if GRID_PITCH_MM.contains(&p) => p,
+        Ok(_) => {
+            return fail(format!(
+                "--pitch must be a finite number of millimetres in {GRID_PITCH_MM:?}"
+            ))
+        }
         Err(e) => return fail(e),
     };
 
@@ -140,7 +138,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         policy.name()
     );
     let server = Server::xeon(pitch);
-    match server.run(bench, qos, selector.as_ref(), policy.as_ref()) {
+    match server.run(bench, qos, selector.as_ref(), policy) {
         Ok(out) => {
             println!("configuration : {}", out.profile.config);
             println!("slowdown      : {:.2}x", out.profile.normalized_time);
@@ -211,503 +209,214 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parsed `tps fleet` arguments.
-struct FleetArgs {
-    servers: usize,
-    racks: Option<usize>,
-    jobs: usize,
-    seed: u64,
-    rate: f64,
-    demand: String,
-    dispatcher: String,
-    policy: ServerPolicy,
-    ambient: f64,
-    pitch: f64,
-    threads: usize,
-    classes: Vec<ServerClass>,
-    control: ControlSpec,
-    trace_out: Option<String>,
-    sample: f64,
-    stats: bool,
-    serving: bool,
-}
+/// Every `tps fleet` flag and the spec key it sets to its value as given.
+/// Flags without a key expand in [`fleet_scenario`] or, like
+/// `--trace-out`, stay with the CLI (docs/SCENARIOS.md maps them all).
+const FLEET_FLAGS: [(&str, &str); 22] = [
+    ("servers", ""),
+    ("racks", ""),
+    ("jobs", "workload.jobs"),
+    ("seed", "workload.seed"),
+    ("rate", "workload.rate"),
+    ("demand", "workload.demand"),
+    ("dispatcher", "dispatch.dispatcher"),
+    ("policy", "fleet.policy"),
+    ("ambient", "cooling.heat_reuse_c"),
+    ("pitch", "fleet.grid_pitch_mm"),
+    ("threads", "fleet.threads"),
+    ("classes", ""),
+    ("control", "control.policy"),
+    ("setpoints", ""),
+    ("tick", "control.tick_s"),
+    ("horizon", "control.horizon_s"),
+    ("replan-ticks", "control.replan_ticks"),
+    ("setpoint-grid", ""),
+    ("anneal-iters", "control.anneal_iters"),
+    ("solver", "control.solver"),
+    ("trace-out", ""),
+    ("sample", "telemetry.sample_s"),
+];
 
-/// Parses a `--classes` entry list: `NAME[:PITCH[:INLET[:POLICY]]]`,
-/// comma-separated. Omitted fields inherit the fleet-wide flags.
-fn parse_classes(raw: &str) -> Result<Vec<ServerClass>, String> {
-    let mut classes: Vec<ServerClass> = Vec::new();
-    for entry in raw.split(',') {
-        let mut fields = entry.split(':');
-        let name = fields.next().unwrap_or("").trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(format!(
-                "bad --classes entry `{entry}` (expected NAME[:PITCH[:INLET[:POLICY]]], \
-                 name of letters, digits and `_`)"
-            ));
-        }
-        if classes.iter().any(|c| c.name == name) {
-            return Err(format!("duplicate --classes name `{name}`"));
-        }
-        let mut class = ServerClass::new(name);
-        if let Some(pitch) = fields.next().filter(|s| !s.trim().is_empty()) {
-            let p: f64 = pitch
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad --classes pitch `{pitch}`: {e}"))?;
-            if !(p > 0.0 && p.is_finite()) {
-                return Err(format!("--classes pitch `{pitch}` must be positive"));
-            }
-            class.grid_pitch_mm = Some(p);
-        }
-        if let Some(inlet) = fields.next().filter(|s| !s.trim().is_empty()) {
-            let t: f64 = inlet
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad --classes inlet `{inlet}`: {e}"))?;
-            if !(5.0..=60.0).contains(&t) {
-                return Err(format!(
-                    "--classes inlet `{inlet}` outside the 5..=60 °C chiller envelope"
-                ));
-            }
-            class.water_inlet_c = Some(t);
-        }
-        if let Some(policy) = fields.next().filter(|s| !s.trim().is_empty()) {
-            class.policy = Some(match policy.trim() {
-                "proposed" => ServerPolicy::Proposed,
-                "coskun" => ServerPolicy::Coskun,
-                "inlet" => ServerPolicy::InletFirst,
-                "packed" => ServerPolicy::Packed,
-                other => return Err(format!("unknown --classes policy `{other}`")),
-            });
-        }
-        if let Some(extra) = fields.next() {
-            return Err(format!("trailing `:{extra}` in --classes entry `{entry}`"));
-        }
-        classes.push(class);
-    }
-    Ok(classes)
-}
-
-/// Which control policy `tps fleet` runs (policies can be stateful, so
-/// each dispatcher run instantiates a fresh one from this spec).
-enum ControlSpec {
-    Static,
-    Setpoint(Vec<(Seconds, Celsius)>),
-    Shed {
-        tick: f64,
-    },
-    Autoscale {
-        tick: f64,
-    },
-    Planner {
-        tick: f64,
-        horizon: f64,
-        replan_ticks: usize,
-        grid: Vec<f64>,
-        anneal_iters: usize,
-        solver: PlanSolver,
-    },
-}
-
-impl ControlSpec {
-    /// `rack_step` is the fleet's servers-per-rack: activation is
-    /// rack-granular, so the autoscaler steps (and floors) at whole racks.
-    fn instantiate(&self, rack_step: usize) -> Box<dyn ControlPolicy> {
-        match self {
-            ControlSpec::Static => Box::new(StaticControl),
-            ControlSpec::Setpoint(program) => Box::new(SetpointScheduler::new(program.clone())),
-            ControlSpec::Shed { tick } => {
-                Box::new(LoadSheddingControl::new(Seconds::new(*tick), 8, 2))
-            }
-            ControlSpec::Autoscale { tick } => Box::new(AutoscaleControl::new(
-                Seconds::new(*tick),
-                rack_step,
-                rack_step,
-                2.0,
-                0.25,
-                Seconds::new(10.0),
-            )),
-            ControlSpec::Planner {
-                tick,
-                horizon,
-                replan_ticks,
-                grid,
-                anneal_iters,
-                solver,
-            } => Box::new(PlannerControl::new(
-                Seconds::new(*tick),
-                Seconds::new(*horizon),
-                *replan_ticks,
-                grid.clone(),
-                *anneal_iters,
-                *solver,
-            )),
-        }
+/// A flag value as a spec value: an integer if it parses as one, else a
+/// float (NaN and ∞ included, for the validator to name), else a string.
+fn typed(raw: &str) -> Value {
+    if let Ok(i) = raw.parse() {
+        Value::Integer(i)
+    } else if let Ok(x) = raw.parse() {
+        Value::Float(x)
+    } else {
+        Value::String(raw.to_owned())
     }
 }
 
-/// Parses `--setpoint-grid C,C,...` into the planner's candidate list.
-fn parse_setpoint_grid(raw: &str) -> Result<Vec<f64>, String> {
-    let mut grid = Vec::new();
-    for entry in raw.split(',') {
-        let c: f64 = entry
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoint-grid entry `{entry}`: {e}"))?;
-        if !c.is_finite() {
-            return Err(format!("--setpoint-grid entry `{entry}` must be finite"));
+/// The scenario `tps fleet`'s flags describe: each flag lowers onto
+/// `table.key` overrides of an empty spec, carrying its position as the
+/// line, and [`Scenario::from_overrides`] validates them.
+///
+/// # Errors
+///
+/// A composite flag whose own syntax is malformed, or the validator's
+/// error prefixed with the flag that caused it.
+fn fleet_scenario(args: &CliArgs) -> Result<Scenario, String> {
+    let at = |line, value| Spanned { value, line };
+    let mut out = Vec::new();
+    for (flag, path) in FLEET_FLAGS {
+        match args.flag_at(flag) {
+            Some((_, "all")) if flag == "dispatcher" => {}
+            Some((line, raw)) if !path.is_empty() => out.push((path, at(line, typed(raw)))),
+            _ => {}
         }
-        grid.push(c);
     }
-    if grid.is_empty() {
-        return Err("--setpoint-grid needs at least one temperature".to_owned());
-    }
-    Ok(grid)
-}
 
-/// Parses `--setpoints T:C,T:C,...` into a set-point program.
-fn parse_setpoints(raw: &str) -> Result<Vec<(Seconds, Celsius)>, String> {
-    let mut program = Vec::new();
-    for entry in raw.split(',') {
-        let Some((t, c)) = entry.split_once(':') else {
-            return Err(format!(
-                "bad --setpoints entry `{entry}` (expected TIME:CELSIUS, e.g. 300:45)"
-            ));
-        };
-        let t: f64 = t
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoints time `{t}`: {e}"))?;
-        let c: f64 = c
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoints temperature `{c}`: {e}"))?;
-        if !(t >= 0.0 && t.is_finite() && c.is_finite()) {
-            return Err(format!("--setpoints entry `{entry}` out of range"));
-        }
-        program.push((Seconds::new(t), Celsius::new(c)));
+    // `--servers N [--racks R]` fills whole racks: R defaults to N/8 (one
+    // rack below 2 servers, two below 16) and N rounds up to R × ⌈N/R⌉.
+    // Other values pass through for the validator to name.
+    let servers = args.flag_at("servers");
+    let racks = args.flag_at("racks");
+    let n_line = servers.or(racks).map_or(0, |(line, _)| line);
+    let r_line = racks.map_or(n_line, |(line, _)| line);
+    let n = servers.map_or(Value::Integer(16), |(_, raw)| typed(raw));
+    let r = racks.map(|(_, raw)| typed(raw));
+    let shape = match (&n, &r) {
+        (&Value::Integer(n @ 1..), None) => Some((n, if n < 16 { n.min(2) } else { n / 8 })),
+        (&Value::Integer(n @ 1..), Some(Value::Integer(r @ 1..))) => Some((n, *r)),
+        _ => None,
     }
-    if program.is_empty() {
-        return Err("--setpoints needs at least one TIME:CELSIUS entry".to_owned());
-    }
-    if program.windows(2).any(|w| w[0].0.value() >= w[1].0.value()) {
-        return Err("--setpoints times must be strictly ascending".to_owned());
-    }
-    Ok(program)
-}
-
-fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
-    let args = CliArgs::parse_with_switches(
-        raw,
-        &[
-            "servers",
-            "racks",
-            "jobs",
-            "seed",
-            "rate",
-            "demand",
-            "dispatcher",
-            "policy",
-            "ambient",
-            "pitch",
-            "threads",
-            "classes",
-            "control",
-            "setpoints",
-            "tick",
-            "horizon",
-            "replan-ticks",
-            "setpoint-grid",
-            "anneal-iters",
-            "solver",
-            "trace-out",
-            "sample",
-        ],
-        &["stats", "serving"],
-        0,
-    )?;
-    let serving: bool = args.parsed("serving", false)?;
-    let control_name = args.flag_or("control", "static");
-    // Mirror the spec layer: a policy-specific flag under the wrong
-    // policy is an error, never silently dropped.
-    if args.flag("setpoints").is_some() && control_name != "setpoint" {
-        return Err(format!(
-            "--setpoints only applies to --control setpoint (got --control {control_name})"
-        ));
-    }
-    if args.flag("tick").is_some() && !matches!(control_name, "shed" | "autoscale" | "planner") {
-        return Err(format!(
-            "--tick only applies to --control shed, autoscale or planner \
-             (got --control {control_name})"
-        ));
-    }
-    for flag in [
-        "horizon",
-        "replan-ticks",
-        "setpoint-grid",
-        "anneal-iters",
-        "solver",
-    ] {
-        if args.flag(flag).is_some() && control_name != "planner" {
-            return Err(format!(
-                "--{flag} only applies to --control planner (got --control {control_name})"
-            ));
-        }
-    }
-    if args.flag("sample").is_some() && args.flag("trace-out").is_none() {
-        return Err("--sample only applies together with --trace-out DIR".to_owned());
-    }
-    if args.flag("demand").is_some() && serving {
-        return Err(
-            "--demand selects a batch demand model; --serving always runs the \
-             diurnal + flash-crowd request stream"
-                .to_owned(),
-        );
-    }
-    let control = match control_name {
-        "static" => ControlSpec::Static,
-        "setpoint" => {
-            let raw = args
-                .flag("setpoints")
-                .ok_or_else(|| "--control setpoint needs --setpoints T:C,T:C,...".to_owned())?;
-            ControlSpec::Setpoint(parse_setpoints(raw)?)
-        }
-        "shed" => ControlSpec::Shed {
-            tick: args.parsed("tick", 60.0)?,
-        },
-        "autoscale" => {
-            if !serving {
-                return Err(
-                    "--control autoscale needs --serving (it scales the active-server set \
-                     against request latency)"
-                        .to_owned(),
-                );
-            }
-            ControlSpec::Autoscale {
-                tick: args.parsed("tick", 30.0)?,
-            }
-        }
-        "planner" => {
-            let grid = parse_setpoint_grid(args.flag("setpoint-grid").ok_or_else(|| {
-                "--control planner needs --setpoint-grid C,C,... (candidate set-points)".to_owned()
-            })?)?;
-            let replan_ticks: usize = args.parsed("replan-ticks", 1usize)?;
-            let anneal_iters: usize = args.parsed("anneal-iters", 2_000usize)?;
-            if replan_ticks == 0 || anneal_iters == 0 {
-                return Err("--replan-ticks and --anneal-iters must be positive".to_owned());
-            }
-            ControlSpec::Planner {
-                tick: args.parsed("tick", 30.0)?,
-                horizon: args.parsed("horizon", 120.0)?,
-                replan_ticks,
-                grid,
-                anneal_iters,
-                solver: match args.flag_or("solver", "lp") {
-                    "lp" => PlanSolver::Lp,
-                    "anneal" => PlanSolver::Anneal,
-                    other => {
-                        return Err(format!(
-                            "unknown planner solver `{other}` (use lp or anneal)"
-                        ))
-                    }
-                },
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown control policy `{other}` \
-                 (use static, setpoint, shed, autoscale or planner)"
-            ))
-        }
+    .map(|(n, r)| (r, n / r + i64::from(n % r != 0)));
+    let (racks, per_rack) = match shape {
+        Some((racks, per_rack)) => (Some(Value::Integer(racks)), Value::Integer(per_rack)),
+        None => (r, n),
     };
-    let out = FleetArgs {
-        servers: args.parsed("servers", 16)?,
-        racks: match args.flag("racks") {
-            None => None,
-            Some(_) => Some(args.parsed("racks", 0usize)?),
-        },
-        jobs: args.parsed("jobs", 200)?,
-        seed: args.parsed("seed", 42)?,
-        rate: args.parsed("rate", 0.7)?,
-        demand: args.flag_or("demand", "diurnal").to_owned(),
-        dispatcher: args.flag_or("dispatcher", "all").to_owned(),
-        policy: match args.flag_or("policy", "proposed") {
-            "proposed" => ServerPolicy::Proposed,
-            "coskun" => ServerPolicy::Coskun,
-            "inlet" => ServerPolicy::InletFirst,
-            "packed" => ServerPolicy::Packed,
-            other => return Err(format!("unknown policy `{other}`")),
-        },
-        ambient: args.parsed("ambient", 70.0)?,
-        pitch: args.parsed("pitch", 2.0)?,
-        threads: args.parsed("threads", FleetConfig::default_threads())?,
-        classes: match args.flag("classes") {
-            None => Vec::new(),
-            Some(raw) => parse_classes(raw)?,
-        },
-        control,
-        trace_out: args.flag("trace-out").map(str::to_owned),
-        sample: args.parsed("sample", 30.0)?,
-        stats: args.parsed("stats", false)?,
-        serving,
-    };
-    if out.servers == 0
-        || out.jobs == 0
-        || out.racks == Some(0)
-        || !positive(out.rate)
-        || !positive(out.pitch)
-        || out.threads == 0
-        || !positive(out.sample)
-    {
-        return Err(
-            "--servers, --racks, --jobs, --rate, --pitch, --threads and --sample \
-             must be positive and finite"
-                .to_owned(),
-        );
-    }
-    match &out.control {
-        ControlSpec::Shed { tick } | ControlSpec::Autoscale { tick } if !positive(*tick) => {
-            return Err("--tick must be positive and finite".to_owned());
-        }
-        ControlSpec::Planner { tick, horizon, .. } if !positive(*tick) || !positive(*horizon) => {
-            return Err("--tick and --horizon must be positive and finite".to_owned());
-        }
-        _ => {}
-    }
-    Ok(out)
-}
+    out.extend(racks.map(|r| ("fleet.racks", at(r_line, r))));
+    out.push(("fleet.servers_per_rack", at(n_line, per_rack)));
 
-/// Whether a real-valued flag is usable as a rate, length or interval: a
-/// bare `x <= 0.0` test lets NaN and ∞ through to constructor asserts.
-fn positive(x: f64) -> bool {
-    x > 0.0 && x.is_finite()
-}
-
-fn synthesize_fleet_jobs(a: &FleetArgs) -> Result<Vec<Job>, String> {
-    if a.serving {
-        // Peak `--rate` requests/s over a 10-minute diurnal cycle with
-        // 2.5× flash crowds, 2 s mean service time — the CLI counterpart
-        // of `scenarios/serving_diurnal.toml`.
-        let demand = ServingDemand::new(
-            a.rate * 0.2,
-            a.rate,
-            Seconds::new(600.0),
-            2.5,
-            Seconds::new(60.0),
-            Seconds::new(420.0),
-            a.seed,
-        );
-        return Ok(synthesize_request_jobs(
-            a.jobs,
-            &demand,
-            Seconds::new(2.0),
-            a.seed,
-        ));
+    if let (Some((line, "autoscale")), Some((_, per_rack))) = (args.flag_at("control"), shape) {
+        // Activation is rack-granular: the autoscaler floors and steps at
+        // whole racks.
+        out.push(("control.min_servers", at(line, Value::Integer(per_rack))));
+        out.push(("control.step_servers", at(line, Value::Integer(per_rack))));
     }
-    let mix = JobMix::default();
-    match a.demand.as_str() {
-        "constant" => Ok(synthesize_jobs(
-            a.jobs,
-            &ConstantDemand::new(a.rate),
-            mix,
-            a.seed,
-        )),
-        "diurnal" => Ok(synthesize_jobs(
-            a.jobs,
-            &DiurnalDemand::new(a.rate * 0.2, a.rate, Seconds::new(600.0)),
-            mix,
-            a.seed,
-        )),
-        "bursty" => Ok(synthesize_jobs(
-            a.jobs,
-            &BurstyDemand::new(
-                a.rate * 0.2,
-                a.rate,
-                Seconds::new(60.0),
-                Seconds::new(240.0),
-                a.seed,
-            ),
-            mix,
-            a.seed,
-        )),
-        other => Err(format!("unknown demand model `{other}`")),
+    if args.parsed("serving", false)? {
+        // The CLI counterpart of `scenarios/serving_diurnal.toml`.
+        let line = args.flag_at("serving").map_or(0, |(line, _)| line);
+        out.push(("workload.mode", at(line, Value::String("serving".into()))));
+        out.push(("workload.mean_service_s", at(line, Value::Integer(2))));
     }
+    if let Some((line, raw)) = args.flag_at("setpoints") {
+        let (mut times, mut temps) = (Vec::new(), Vec::new());
+        for entry in raw.split(',') {
+            let (t, c) = entry.split_once(':').ok_or_else(|| {
+                format!("bad --setpoints entry `{entry}` (expected TIME:CELSIUS, e.g. 300:45)")
+            })?;
+            times.push(at(line, typed(t.trim())));
+            temps.push(at(line, typed(c.trim())));
+        }
+        out.push(("control.times_s", at(line, Value::Array(times))));
+        out.push(("control.setpoints_c", at(line, Value::Array(temps))));
+    }
+    if let Some((line, raw)) = args.flag_at("setpoint-grid") {
+        let grid = raw.split(',').map(|c| at(line, typed(c.trim()))).collect();
+        out.push(("control.setpoint_grid", at(line, Value::Array(grid))));
+    }
+    if let Some((line, raw)) = args.flag_at("classes") {
+        // `NAME[:PITCH[:INLET[:POLICY]]],…`: one `[[server_class]]` per
+        // entry, omitted fields inheriting the fleet-wide keys.
+        let (mut classes, mut names) = (Vec::new(), Vec::new());
+        for entry in raw.split(',') {
+            let mut fields = entry.split(':').map(str::trim);
+            let name = fields.next().unwrap_or_default();
+            let mut class = Table::default();
+            class.set("name", at(line, Value::String(name.to_owned())));
+            let keys = ["grid_pitch_mm", "water_inlet_c", "policy"];
+            for (key, field) in keys.into_iter().zip(fields.by_ref()) {
+                if !field.is_empty() {
+                    class.set(key, at(line, typed(field)));
+                }
+            }
+            if let Some(extra) = fields.next() {
+                return Err(format!("trailing `:{extra}` in --classes entry `{entry}`"));
+            }
+            classes.push(at(line, Value::Table(class)));
+            names.push(name);
+        }
+        // Rack r is entirely class r mod k. A fleet past the validator's
+        // size limit fails before `classes` is read, so it gets one entry
+        // rather than a per-rack list.
+        let racks = shape
+            .filter(|&(racks, per_rack)| racks.saturating_mul(per_rack) <= KERNEL_INDEX_MAX as i64)
+            .map_or(1, |(racks, _)| racks as usize);
+        let cycle = (0..racks).map(|r| at(line, Value::String(names[r % names.len()].into())));
+        out.push(("server_class", at(line, Value::Array(classes))));
+        out.push(("fleet.classes", at(line, Value::Array(cycle.collect()))));
+    }
+    Scenario::from_overrides("fleet", out).map_err(|e| {
+        match e.line.and_then(|line| args.flag_by_position(line)) {
+            Some((flag, value)) => format!("--{flag} {value}: {}", e.message),
+            None => e.message,
+        }
+    })
 }
 
 fn cmd_fleet(raw: &[String]) -> ExitCode {
-    let a = match parse_fleet_args(raw) {
+    let known = FLEET_FLAGS.map(|(flag, _)| flag);
+    let args = match CliArgs::parse_with_switches(raw, &known, &["stats", "serving"], 0) {
         Ok(a) => a,
         Err(e) => return fail(e),
     };
-    let racks = a.racks.unwrap_or(match a.servers {
-        0..=1 => 1,
-        2..=15 => 2,
-        n => n / 8,
-    });
-    let servers_per_rack = a.servers.div_ceil(racks);
-    if racks * servers_per_rack != a.servers {
-        println!(
-            "note: rounding {} servers up to {} ({racks} racks × {servers_per_rack}) so every rack is full",
-            a.servers,
-            racks * servers_per_rack
-        );
+    if args.flag("sample").is_some() && args.flag("trace-out").is_none() {
+        return fail("--sample only applies together with --trace-out DIR");
     }
-    let jobs = match synthesize_fleet_jobs(&a) {
-        Ok(j) => j,
+    let stats = match args.parsed("stats", false) {
+        Ok(s) => s,
         Err(e) => return fail(e),
     };
-
-    let mut dispatchers: Vec<Box<dyn FleetDispatcher>> = Vec::new();
-    match a.dispatcher.as_str() {
-        "all" => {
-            dispatchers.push(Box::new(RoundRobin::default()));
-            dispatchers.push(Box::new(CoolestRackFirst));
-            dispatchers.push(Box::new(ThermalAwareDispatch::default()));
-        }
-        "rr" | "round-robin" => dispatchers.push(Box::new(RoundRobin::default())),
-        "coolest" | "coolest-rack-first" => dispatchers.push(Box::new(CoolestRackFirst)),
-        "thermal" | "thermal-aware" => dispatchers.push(Box::new(ThermalAwareDispatch::default())),
-        "planned" => dispatchers.push(Box::new(PlannedDispatch)),
-        other => {
-            return fail(format!(
-                "unknown dispatcher `{other}` (use all, rr, coolest, thermal or planned)"
-            ))
-        }
+    let s = match fleet_scenario(&args) {
+        Ok(s) => s,
+        Err(e) => return fail(e),
+    };
+    // Validation passed, so `--servers` is a positive integer.
+    let servers: usize = args.parsed("servers", 16).unwrap_or_default();
+    let total = s.racks * s.servers_per_rack;
+    if servers != total {
+        println!(
+            "note: rounding {servers} servers up to {total} ({} racks × {}) so every rack is full",
+            s.racks, s.servers_per_rack
+        );
     }
-
-    let mut config = FleetConfig::new(racks, servers_per_rack);
-    config.grid_pitch_mm = a.pitch;
-    config.chiller = Chiller::new(Celsius::new(a.ambient));
-    config.policy = a.policy;
-    config.threads = a.threads;
-    config.serving = a.serving;
-    if !a.classes.is_empty() {
-        // Classes cycle across racks: rack r is entirely class r mod k.
-        let k = a.classes.len();
-        config.catalog =
-            FleetCatalog::new(a.classes.clone()).assign((0..racks).map(|r| vec![r % k]).collect());
-    }
-    let fleet = Fleet::new(config);
+    let jobs = s.synthesize_jobs();
+    let dispatchers = match args.flag("dispatcher") {
+        None | Some("all") => vec![
+            DispatcherKind::RoundRobin,
+            DispatcherKind::CoolestRackFirst,
+            DispatcherKind::ThermalAware,
+        ],
+        Some(_) => vec![s.dispatcher],
+    };
+    let fleet = Fleet::new(s.fleet_config());
+    let trace_out = args.flag("trace-out");
+    let sampling = s.telemetry.unwrap_or_default();
+    let telemetry = trace_out.map(|_| sampling.to_config());
 
     println!(
-        "fleet: {racks} racks × {servers_per_rack} servers, {} jobs ({} demand, rate {} jobs/s, seed {})",
+        "fleet: {} racks × {} servers, {} jobs ({} demand, rate {} jobs/s, seed {})",
+        s.racks,
+        s.servers_per_rack,
         jobs.len(),
-        if a.serving { "serving" } else { &a.demand },
-        a.rate,
-        a.seed
+        s.serving.map_or(s.demand.spec_name(), |_| "serving"),
+        s.demand.rate(),
+        s.seed
     );
-    if !a.classes.is_empty() {
-        let summary: Vec<String> = a
+    if !s.classes.is_empty() {
+        let summary: Vec<String> = s
             .classes
             .iter()
             .map(|c| {
                 format!(
                     "{} (pitch {:.1} mm, inlet {:.1} °C, {})",
                     c.name,
-                    c.grid_pitch_mm.unwrap_or(a.pitch),
-                    c.water_inlet_c
-                        .unwrap_or_else(|| fleet.config().op.water_inlet().value()),
-                    c.policy.unwrap_or(a.policy).spec_name(),
+                    c.grid_pitch_mm.unwrap_or(s.grid_pitch_mm),
+                    c.water_inlet_c.unwrap_or(s.water_inlet_c),
+                    c.policy.unwrap_or(s.policy).spec_name(),
                 )
             })
             .collect();
@@ -715,25 +424,17 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     }
     println!(
         "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads",
-        a.ambient,
+        s.heat_reuse_c,
         fleet.config().op.water_inlet(),
-        a.pitch,
-        a.threads,
+        s.grid_pitch_mm,
+        s.threads,
     );
-    println!(
-        "control: {}{}\n",
-        a.control.instantiate(servers_per_rack).name(),
-        match &a.trace_out {
-            Some(dir) => format!(", telemetry every {:.0} s → {dir}/", a.sample),
-            None => String::new(),
-        }
-    );
+    let sampled =
+        trace_out.map(|dir| format!(", telemetry every {:.0} s → {dir}/", sampling.sample_s));
+    let control = s.control.instantiate().name();
+    println!("control: {control}{}\n", sampled.unwrap_or_default());
 
-    let telemetry = a.trace_out.as_ref().map(|_| TelemetryConfig {
-        sample_interval: Seconds::new(a.sample),
-        capacity: TelemetryConfig::default().capacity,
-    });
-    if let Some(dir) = &a.trace_out {
+    if let Some(dir) = trace_out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             return fail(format!("cannot create `{dir}`: {e}"));
         }
@@ -746,102 +447,100 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     );
     let mut peak_queue_depth = 0usize;
     let mut arena_high_water = 0usize;
-    for mut d in dispatchers {
-        let mut control = a.control.instantiate(servers_per_rack);
+    for kind in dispatchers {
+        let mut d = kind.instantiate();
+        let mut control = s.control.instantiate();
         let started = std::time::Instant::now();
-        match fleet.simulate_with(
+        let result = match fleet.simulate_with(
             &jobs,
             d.as_mut(),
             control.as_mut(),
             telemetry.as_ref(),
             &cache,
         ) {
-            Ok(result) => {
-                let elapsed = started.elapsed().as_secs_f64();
-                peak_queue_depth = peak_queue_depth.max(result.stats.peak_queue_depth);
-                arena_high_water = arena_high_water.max(result.stats.arena_high_water);
-                let out = result.outcome;
-                let Some(pue) = out.pue() else {
-                    return fail(format!(
-                        "the {} run consumed no IT energy: no job ran for a nonzero time, so \
-                         its PUE is undefined (arrivals this sparse round every runtime away; \
-                         raise --rate)",
-                        out.dispatcher
-                    ));
-                };
-                println!(
-                    "{:<20} {:>9.3} {:>9.3} {:>9.3} {:>7.3} {:>6} {:>6} {:>9.1} {:>9.1}",
-                    out.dispatcher,
-                    out.it_energy.to_kwh(),
-                    out.cooling_energy.to_kwh(),
-                    out.total_energy().to_kwh(),
-                    pue,
-                    out.violations,
-                    out.shed,
-                    out.mean_wait.value(),
-                    out.makespan.value()
-                );
-                if a.stats {
-                    println!(
-                        "  kernel: {} events in {:.3} s ({:.2} M events/s), peak queue depth {}, arena high-water {}",
-                        result.stats.events,
-                        elapsed,
-                        result.stats.events as f64 / elapsed.max(1e-9) / 1e6,
-                        result.stats.peak_queue_depth,
-                        result.stats.arena_high_water,
-                    );
-                    println!(
-                        "  cache (this run): {} table hits, {} miss solves, {} lock acquisitions",
-                        result.stats.table_hits,
-                        result.stats.miss_solves,
-                        result.stats.lock_acquisitions,
-                    );
-                }
-                if let Some(s) = &out.serving {
-                    println!(
-                        "  serving: {} requests, latency p50 {:.2} s / p95 {:.2} s / p99 {:.2} s, \
-                         active servers mean {:.1} (min {}, max {})",
-                        s.requests,
-                        s.latency_p50.value(),
-                        s.latency_p95.value(),
-                        s.latency_p99.value(),
-                        s.mean_active_servers,
-                        s.min_active_servers,
-                        s.max_active_servers,
-                    );
-                }
-                if out.class_names.len() > 1 {
-                    let per_class: Vec<String> = out
-                        .class_names
-                        .iter()
-                        .enumerate()
-                        .map(|(i, name)| {
-                            format!(
-                                "{name} {} jobs / {} viol / {:.3} kWh",
-                                out.class_placements[i],
-                                out.class_violations[i],
-                                out.class_it_energy[i].to_kwh(),
-                            )
-                        })
-                        .collect();
-                    println!("  per class: {}", per_class.join("; "));
-                }
-                if let (Some(dir), Some(trace)) = (&a.trace_out, result.trace) {
-                    let path = Path::new(dir).join(format!("trace_{}.csv", out.dispatcher));
-                    if let Err(e) = std::fs::write(&path, trace.to_csv()) {
-                        return fail(format!("cannot write `{}`: {e}", path.display()));
-                    }
-                    if trace.dropped() > 0 {
-                        println!(
-                            "  note: trace ring dropped {} oldest samples (raise [telemetry] capacity)",
-                            trace.dropped()
-                        );
-                    }
-                }
-                outcomes.push(out);
-            }
+            Ok(result) => result,
             Err(e) => return fail(e),
+        };
+        let elapsed = started.elapsed().as_secs_f64();
+        peak_queue_depth = peak_queue_depth.max(result.stats.peak_queue_depth);
+        arena_high_water = arena_high_water.max(result.stats.arena_high_water);
+        let out = result.outcome;
+        let Some(pue) = out.pue() else {
+            return fail(format!(
+                "the {} run consumed no IT energy: no job ran for a nonzero time, so \
+                     its PUE is undefined (arrivals this sparse round every runtime away; \
+                     raise --rate)",
+                out.dispatcher
+            ));
+        };
+        println!(
+            "{:<20} {:>9.3} {:>9.3} {:>9.3} {:>7.3} {:>6} {:>6} {:>9.1} {:>9.1}",
+            out.dispatcher,
+            out.it_energy.to_kwh(),
+            out.cooling_energy.to_kwh(),
+            out.total_energy().to_kwh(),
+            pue,
+            out.violations,
+            out.shed,
+            out.mean_wait.value(),
+            out.makespan.value()
+        );
+        if stats {
+            println!(
+                    "  kernel: {} events in {:.3} s ({:.2} M events/s), peak queue depth {}, arena high-water {}",
+                    result.stats.events,
+                    elapsed,
+                    result.stats.events as f64 / elapsed.max(1e-9) / 1e6,
+                    result.stats.peak_queue_depth,
+                    result.stats.arena_high_water,
+                );
+            println!(
+                "  cache (this run): {} table hits, {} miss solves, {} lock acquisitions",
+                result.stats.table_hits, result.stats.miss_solves, result.stats.lock_acquisitions,
+            );
         }
+        if let Some(s) = &out.serving {
+            println!(
+                "  serving: {} requests, latency p50 {:.2} s / p95 {:.2} s / p99 {:.2} s, \
+                     active servers mean {:.1} (min {}, max {})",
+                s.requests,
+                s.latency_p50.value(),
+                s.latency_p95.value(),
+                s.latency_p99.value(),
+                s.mean_active_servers,
+                s.min_active_servers,
+                s.max_active_servers,
+            );
+        }
+        if out.class_names.len() > 1 {
+            let per_class: Vec<String> = out
+                .class_names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    format!(
+                        "{name} {} jobs / {} viol / {:.3} kWh",
+                        out.class_placements[i],
+                        out.class_violations[i],
+                        out.class_it_energy[i].to_kwh(),
+                    )
+                })
+                .collect();
+            println!("  per class: {}", per_class.join("; "));
+        }
+        if let (Some(dir), Some(trace)) = (trace_out, result.trace) {
+            let path = Path::new(dir).join(format!("trace_{}.csv", out.dispatcher));
+            if let Err(e) = std::fs::write(&path, trace.to_csv()) {
+                return fail(format!("cannot write `{}`: {e}", path.display()));
+            }
+            if trace.dropped() > 0 {
+                println!(
+                    "  note: trace ring dropped {} oldest samples (raise [telemetry] capacity)",
+                    trace.dropped()
+                );
+            }
+        }
+        outcomes.push(out);
     }
     println!(
         "\nserver-physics cache (process total): {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}",
