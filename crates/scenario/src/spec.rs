@@ -93,6 +93,12 @@ const ARRIVAL_RATE: RangeInclusive<f64> = 1e-280..=1e280;
 /// The flash-crowd multiplier envelope (see [`ARRIVAL_RATE`]).
 const SURGE: RangeInclusive<f64> = 1.0..=1e6;
 
+/// The largest peak-to-mean arrival-rate ratio a demand shape may have.
+/// Poisson thinning draws candidates at the peak rate and keeps a
+/// fraction `mean / peak` of them, so this ratio is the work per accepted
+/// arrival; every shipped shape stays below 4.
+const THINNING_RATIO_MAX: f64 = 1000.0;
+
 /// The mean service time envelope, seconds: a batch job replays phases
 /// of at most a few seconds, so a day-long mean already means ~10⁵ phases
 /// per job.
@@ -733,6 +739,31 @@ impl Scenario {
         } else {
             None
         };
+        let ratio = thinning_ratio(demand, serving);
+        if ratio > THINNING_RATIO_MAX {
+            // Constant and diurnal rates peak at most 2× their mean, so
+            // the windows of a bursty or serving shape are the cause.
+            let (keys, fix): (&[&str], &str) = match serving {
+                Some(_) => (
+                    &["base_fraction", "surge", "surge_s", "surge_gap_s"],
+                    "lower `surge`, lengthen `surge_s` or shorten `surge_gap_s`",
+                ),
+                None => (
+                    &["base_fraction", "burst_s", "gap_s"],
+                    "raise `base_fraction` or `burst_s`, or shorten `gap_s`",
+                ),
+            };
+            let key = keys.iter().find(|k| workload.has(k)).unwrap_or(&keys[0]);
+            return Err(workload.value_error(
+                key,
+                format!(
+                    "`{}` make the arrival rate peak at {ratio:.3e} × its long-run mean, so \
+                     thinning would draw that many candidates per arrival (the limit is \
+                     {THINNING_RATIO_MAX} ×) — {fix}",
+                    keys.join("`, `")
+                ),
+            ));
+        }
         let mean_service_s = workload.positive_f64("mean_service_s", 40.0)?;
         workload.within("mean_service_s", mean_service_s, &MEAN_SERVICE_S, "s")?;
         let qos_weights = workload.weights3("qos_weights", [0.2, 0.4, 0.4])?;
@@ -1093,6 +1124,30 @@ impl Scenario {
             ),
         }
     }
+}
+
+/// The peak arrival rate of a demand shape over its long-run mean: the
+/// candidates Poisson thinning draws per accepted arrival. A window's duty
+/// cycle `on / (on + off)` is computed so that neither a huge nor a tiny
+/// window overflows it.
+fn thinning_ratio(demand: DemandKind, serving: Option<ServingSpec>) -> f64 {
+    let duty = |on: f64, off: f64| 1.0 / (1.0 + off / on);
+    let mean_over_peak = match demand {
+        DemandKind::Constant { .. } => 1.0,
+        DemandKind::Diurnal { base_fraction, .. } => {
+            let surges = serving.map_or(1.0, |sv| {
+                (1.0 + (sv.surge - 1.0) * duty(sv.surge_s, sv.surge_gap_s)) / sv.surge
+            });
+            (1.0 + base_fraction) / 2.0 * surges
+        }
+        DemandKind::Bursty {
+            base_fraction: bf,
+            burst_s,
+            gap_s,
+            ..
+        } => bf + (1.0 - bf) * duty(burst_s, gap_s),
+    };
+    1.0 / mean_over_peak
 }
 
 /// Substitutes `value` at the dotted `table.key` path, creating the table

@@ -463,12 +463,47 @@ fn out_of_envelope_and_oversized_values_are_named_at_their_line() {
             3,
             "1.0..=1000000.0 × envelope",
         ),
+        // Thinning keeps `mean / peak` of its candidates: 8 jobs under a
+        // 1 µs burst per 10⁶ s would cost ~10¹³ draws. The first cited
+        // key the spec sets carries the line.
+        (
+            "[workload]\njobs = 8\ndemand = \"bursty\"\nbase_fraction = 0\nburst_s = 1e-6\n\
+             gap_s = 1e6\n"
+                .to_owned(),
+            4,
+            "`base_fraction`, `burst_s`, `gap_s` make the arrival rate peak at 1.000e12 × \
+             its long-run mean",
+        ),
+        (
+            "[workload]\njobs = 200\nmode = \"serving\"\nsurge = 1e6\nsurge_s = 1e-6\n\
+             surge_gap_s = 1e6\n"
+                .to_owned(),
+            4,
+            "`base_fraction`, `surge`, `surge_s`, `surge_gap_s` make the arrival rate peak \
+             at 1.667e6 ×",
+        ),
     ];
     for (src, line, named) in &cases {
         let e = fail_scenario(src);
         assert_eq!(e.line, Some(*line), "{src}: {e}");
         assert!(e.message.contains(named), "{src}: {e}");
     }
+}
+
+#[test]
+fn the_thinning_limit_is_1000_times_the_mean_rate() {
+    // A 1 s burst per 998 s of gap over a zero background peaks at 999 ×
+    // its mean rate; a 1000 s gap peaks at 1001 ×.
+    let bursty = |gap_s: u32| {
+        format!(
+            "[workload]\ndemand = \"bursty\"\nbase_fraction = 0\nburst_s = 1\ngap_s = {gap_s}\n"
+        )
+    };
+    Scenario::parse(&bursty(998), "t").expect("999 × the mean is within the limit");
+    let e = fail_scenario(&bursty(1000));
+    assert_eq!(e.line, Some(3), "{e}");
+    assert!(e.message.contains("peak at 1.001e3 ×"), "{e}");
+    assert!(e.message.contains("(the limit is 1000 ×)"), "{e}");
 }
 
 #[test]

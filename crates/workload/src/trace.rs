@@ -3,7 +3,9 @@
 //! Real PARSEC executions alternate between compute-heavy and memory-heavy
 //! phases (the paper's runtime controller reacts to the resulting thermal
 //! transients). [`WorkloadTrace::synthesize`] generates a reproducible
-//! phase sequence per benchmark for the transient examples and tests.
+//! phase sequence per benchmark for the transient examples and tests, and
+//! [`WorkloadTrace::synthesized_duration`] replays the same sequence for
+//! its total alone, without storing it.
 
 use crate::benchmark::Benchmark;
 use rand::rngs::StdRng;
@@ -34,27 +36,18 @@ impl WorkloadTrace {
     /// Compute-bound benchmarks produce long, hot phases; memory-bound ones
     /// alternate faster between cooler stall phases and bursts.
     pub fn synthesize(bench: Benchmark, total: Seconds, seed: u64) -> Self {
-        let profile = bench.profile();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mem = profile.mem_fraction();
-        // Memory-bound ⇒ shorter phases, larger swing around a lower mean.
-        let mean_phase_s = 2.0 - 1.5 * mem;
-        let swing = 0.15 + 0.5 * mem;
-        let mut phases = Vec::new();
-        let mut elapsed = 0.0;
-        let mut hot = true;
-        while elapsed < total.value() {
-            let dur = (mean_phase_s * rng.gen_range(0.5..1.5)).min(total.value() - elapsed);
-            let base = if hot { 1.0 + swing } else { 1.0 - swing };
-            let scale = (base + rng.gen_range(-0.1..0.1)).clamp(0.3, 1.5);
-            phases.push(Phase {
-                duration: Seconds::new(dur),
-                power_scale: scale,
-            });
-            elapsed += dur;
-            hot = !hot;
+        Self {
+            bench,
+            phases: Phases::new(bench, total, seed).collect(),
         }
-        Self { bench, phases }
+    }
+
+    /// The [`duration`](Self::duration) of
+    /// `WorkloadTrace::synthesize(bench, total, seed)`, bit for bit,
+    /// without allocating: it folds the same phase generator through the
+    /// same sum (an empty trace is `-0.0` s in both).
+    pub fn synthesized_duration(bench: Benchmark, total: Seconds, seed: u64) -> Seconds {
+        Phases::new(bench, total, seed).map(|p| p.duration).sum()
     }
 
     /// The benchmark this trace belongs to.
@@ -95,6 +88,58 @@ impl WorkloadTrace {
             .map(|p| p.power_scale * p.duration.value())
             .sum::<f64>()
             / total
+    }
+}
+
+/// The phase generator behind both [`WorkloadTrace::synthesize`] and
+/// [`WorkloadTrace::synthesized_duration`]: one RNG draw sequence and one
+/// `elapsed` chain, so the two cannot drift apart.
+struct Phases {
+    rng: StdRng,
+    mean_phase_s: f64,
+    swing: f64,
+    total: f64,
+    elapsed: f64,
+    hot: bool,
+}
+
+impl Phases {
+    fn new(bench: Benchmark, total: Seconds, seed: u64) -> Self {
+        let mem = bench.profile().mem_fraction();
+        // Memory-bound ⇒ shorter phases, larger swing around a lower mean.
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            mean_phase_s: 2.0 - 1.5 * mem,
+            swing: 0.15 + 0.5 * mem,
+            total: total.value(),
+            elapsed: 0.0,
+            hot: true,
+        }
+    }
+}
+
+impl Iterator for Phases {
+    type Item = Phase;
+
+    fn next(&mut self) -> Option<Phase> {
+        if self.elapsed < self.total {
+            let dur =
+                (self.mean_phase_s * self.rng.gen_range(0.5..1.5)).min(self.total - self.elapsed);
+            let base = if self.hot {
+                1.0 + self.swing
+            } else {
+                1.0 - self.swing
+            };
+            let scale = (base + self.rng.gen_range(-0.1..0.1)).clamp(0.3, 1.5);
+            self.elapsed += dur;
+            self.hot = !self.hot;
+            Some(Phase {
+                duration: Seconds::new(dur),
+                power_scale: scale,
+            })
+        } else {
+            None
+        }
     }
 }
 

@@ -1,9 +1,47 @@
 //! Property tests across the whole configuration lattice: the execution
-//! and power models must stay physically ordered for every benchmark.
+//! and power models must stay physically ordered for every benchmark, and
+//! a trace's allocation-free total must equal the built trace's.
 
 use proptest::prelude::*;
 use tps_power::{CState, CoreFrequency};
-use tps_workload::{profile_application, profile_config, Benchmark, WorkloadConfig};
+use tps_units::Seconds;
+use tps_workload::{profile_application, profile_config, Benchmark, WorkloadConfig, WorkloadTrace};
+
+/// `WorkloadTrace::synthesized_duration` and the built trace's
+/// `duration()` have the same bits.
+fn assert_replayed_total(bench: Benchmark, total: f64, seed: u64) {
+    let total = Seconds::new(total);
+    let replayed = WorkloadTrace::synthesized_duration(bench, total, seed).value();
+    let built = WorkloadTrace::synthesize(bench, total, seed)
+        .duration()
+        .value();
+    assert_eq!(
+        replayed.to_bits(),
+        built.to_bits(),
+        "{bench}, {total:?}, seed {seed}: replayed {replayed:e} s, built {built:e} s"
+    );
+}
+
+#[test]
+fn an_empty_trace_totals_negative_zero_both_ways() {
+    // `f64`'s `Sum` starts from -0.0, so a trace with no phases totals
+    // -0.0 s, and the replay keeps that sign bit.
+    for bench in Benchmark::ALL {
+        let built = WorkloadTrace::synthesize(bench, Seconds::ZERO, 1).duration();
+        let replayed = WorkloadTrace::synthesized_duration(bench, Seconds::ZERO, 1);
+        for total in [built, replayed] {
+            assert_eq!(total.value().to_bits(), 0x8000_0000_0000_0000, "{bench}");
+        }
+    }
+}
+
+#[test]
+fn a_day_long_trace_total_replays_bit_for_bit() {
+    // 86 400 s is the `mean_service_s` ceiling: 10⁴–10⁵ phases a trace.
+    for (i, bench) in Benchmark::ALL.into_iter().enumerate() {
+        assert_replayed_total(bench, 86_400.0, 0x5eed + i as u64);
+    }
+}
 
 proptest! {
     /// Package power decomposes exactly into its parts, for every
@@ -58,6 +96,19 @@ proptest! {
                     a.config,
                     b.config
                 );
+            }
+        }
+    }
+
+    /// The replayed total equals the built trace's for every benchmark
+    /// and random seeds: the empty trace, the smallest positive total, a
+    /// total shorter than any phase (≥ 0.25 s) and the batch mix's
+    /// 20–60 s range.
+    #[test]
+    fn synthesized_duration_is_the_trace_total(seed in 0u64..=u64::MAX, total in 20.0f64..60.0) {
+        for bench in Benchmark::ALL {
+            for t in [0.0, 5e-324, 0.1, total] {
+                assert_replayed_total(bench, t, seed);
             }
         }
     }

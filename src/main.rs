@@ -71,7 +71,7 @@ fn print_usage() {
          {:14}[--serving]  open-loop request stream with latency percentiles\n  \
          {:14}(autoscale requires --serving; steps the active set by whole racks)\n  \
          {:14}[--trace-out DIR] [--sample S]  write per-dispatcher telemetry CSVs\n  \
-         {:14}[--stats]  per-dispatcher kernel timing (events/s, queue depth, arena)\n  \
+         {:14}[--stats]  job-synthesis time, per-dispatcher kernel timing (events/s, queue depth, arena)\n  \
          tps sweep <spec.toml> [--out DIR] [--threads N] [--trace-out DIR]\n  \
          {:14}expand a scenario spec's sweep grid, write CSV + Markdown reports\n  \
          {:14}(spec schema and cookbook: docs/SCENARIOS.md, examples: scenarios/)\n  \
@@ -383,7 +383,9 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
             s.racks, s.servers_per_rack
         );
     }
+    let synth_started = std::time::Instant::now();
     let jobs = s.synthesize_jobs();
+    let synth_s = synth_started.elapsed().as_secs_f64();
     let dispatchers = match args.flag("dispatcher") {
         None | Some("all") => vec![
             DispatcherKind::RoundRobin,
@@ -441,6 +443,9 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     }
     let cache = OutcomeCache::new();
     let mut outcomes: Vec<FleetOutcome> = Vec::new();
+    if stats {
+        println!("synthesis: {} jobs in {synth_s:.3} s", jobs.len());
+    }
     println!(
         "{:<20} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>9} {:>9}",
         "dispatcher", "IT kWh", "cool kWh", "tot kWh", "PUE", "viol", "shed", "wait s", "span s"

@@ -187,6 +187,53 @@ fn out_of_envelope_and_endless_runs_exit_1_with_a_named_error() {
     );
 }
 
+#[test]
+fn demand_shapes_thinning_cannot_sample_exit_1_within_10s() {
+    let dir = format!("{}/cli-thinning", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).expect("the target temp dir is writable");
+    let cases = [
+        (
+            "bursty",
+            "demand = \"bursty\"\nbase_fraction = 0\nburst_s = 1e-6\ngap_s = 1e6",
+        ),
+        (
+            "surge",
+            "mode = \"serving\"\nsurge = 1e6\nsurge_s = 1e-6\nsurge_gap_s = 1e6",
+        ),
+    ];
+    for (name, workload) in cases {
+        let path = format!("{dir}/{name}.toml");
+        let spec = format!("[fleet]\nracks = 1\ngrid_pitch_mm = 3\n[workload]\n{workload}\n");
+        std::fs::write(&path, spec).expect("the spec is writable");
+        let out = format!("{dir}/out-{name}");
+        let (code, stderr) = tps_within_10s(&owned(&["sweep", &path, "--out", &out]));
+        assert_eq!(code, Some(1), "tps sweep {path}: {stderr}");
+        assert!(
+            stderr.contains("× its long-run mean, so thinning would draw"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn stats_times_job_synthesis_just_above_the_dispatcher_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tps"))
+        .args(["fleet", "--servers", "8", "--jobs", "8", "--pitch", "3"])
+        .args(["--dispatcher", "rr", "--stats"])
+        .output()
+        .expect("the tps binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(
+        lines
+            .windows(2)
+            .any(|w| w[0].starts_with("synthesis: 8 jobs in ")
+                && w[0].ends_with(" s")
+                && w[1].starts_with("dispatcher ")),
+        "{stdout}"
+    );
+}
+
 /// Every `tps fleet` flag lowered onto the spec, with `{}` where the probe
 /// value goes (verbatim).
 const FLAG_PROBES: &[&str] = &[
