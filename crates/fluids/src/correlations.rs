@@ -30,19 +30,32 @@ pub fn cooper_pool_boiling(
     q: HeatFlux,
     roughness_um: f64,
 ) -> HeatTransferCoeff {
+    cooper_with_prefactor(cooper_prefactor(p_reduced, molar_mass, roughness_um), q)
+}
+
+/// The flux-independent factor of [`cooper_pool_boiling`],
+/// `55 · p_r^(0.12−0.2·log10 Rp) · (−log10 p_r)^(−0.55) · M^(−0.5)`, for
+/// callers that evaluate many fluxes at one pressure.
+///
+/// # Panics
+///
+/// Panics if `p_reduced` is outside `(0, 1)` or inputs are non-positive.
+pub fn cooper_prefactor(p_reduced: f64, molar_mass: f64, roughness_um: f64) -> f64 {
     assert!(
         p_reduced > 0.0 && p_reduced < 1.0,
         "reduced pressure {p_reduced} outside (0, 1)"
     );
     assert!(molar_mass > 0.0 && roughness_um > 0.0);
-    let q = q.value().max(1.0); // floor avoids h = 0 at zero flux
     let exp_pr = 0.12 - 0.2 * roughness_um.log10();
-    let h = 55.0
-        * p_reduced.powf(exp_pr)
-        * (-p_reduced.log10()).powf(-0.55)
-        * molar_mass.powf(-0.5)
-        * q.powf(0.67);
-    HeatTransferCoeff::new(h)
+    55.0 * p_reduced.powf(exp_pr) * (-p_reduced.log10()).powf(-0.55) * molar_mass.powf(-0.5)
+}
+
+/// [`cooper_pool_boiling`] from its [`cooper_prefactor`]:
+/// `prefactor · q″^0.67`, with the flux floored at 1 W/m² so that zero flux
+/// does not give `h = 0`. Multiplying in this order rounds exactly like the
+/// correlation's single left-to-right product.
+pub fn cooper_with_prefactor(prefactor: f64, q: HeatFlux) -> HeatTransferCoeff {
+    HeatTransferCoeff::new(prefactor * q.value().max(1.0).powf(0.67))
 }
 
 /// Flow-boiling enhancement/suppression factor `S(x)` applied to the Cooper
@@ -195,6 +208,22 @@ mod tests {
         assert!(h3 > h1);
     }
 
+    /// Cooper's correlation as one left-to-right product: the oracle the
+    /// split form must match bit for bit.
+    fn cooper_single_expression(
+        p_reduced: f64,
+        molar_mass: f64,
+        q: HeatFlux,
+        roughness_um: f64,
+    ) -> f64 {
+        let q = q.value().max(1.0);
+        let exp_pr = 0.12 - 0.2 * roughness_um.log10();
+        55.0 * p_reduced.powf(exp_pr)
+            * (-p_reduced.log10()).powf(-0.55)
+            * molar_mass.powf(-0.5)
+            * q.powf(0.67)
+    }
+
     #[test]
     fn flow_boiling_rises_then_collapses() {
         let xc = Fraction::new(0.45).unwrap();
@@ -253,6 +282,21 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn cooper_split_is_bit_identical(
+            p_r in 0.001f64..0.9,
+            molar in 2.0f64..400.0,
+            roughness in 0.01f64..20.0,
+            q in 1.0f64..1e6,
+            q_floored in -1e3f64..=1.0,
+        ) {
+            for q in [q, q_floored] {
+                let split = cooper_pool_boiling(p_r, molar, HeatFlux::new(q), roughness);
+                let single = cooper_single_expression(p_r, molar, HeatFlux::new(q), roughness);
+                prop_assert_eq!(split.value().to_bits(), single.to_bits());
+            }
+        }
+
         #[test]
         fn void_fraction_monotonic(x1 in 0.0f64..0.99, dx in 0.001f64..0.01) {
             let r = Refrigerant::R236fa;

@@ -181,37 +181,38 @@ impl ThermalModel {
     }
 
     /// `y ← A·x` for the conduction operator with the given full diagonal.
+    ///
+    /// Walks layer by layer in one pass per stencil term. The in-row pass
+    /// sets `diag·x − west − east` row by row, with the first and last
+    /// column peeled. Whole-layer passes then subtract the south, north,
+    /// below and above terms from exactly the cells that have those
+    /// neighbours. So every cell subtracts only the terms it has, in the
+    /// order west, east, south, north, below, above, which makes the result
+    /// bit-identical to a cell-by-cell stencil, and no pass has a modulo or
+    /// a per-cell branch.
     fn apply(&self, diag: &[f64], x: &[f64], y: &mut [f64]) {
         let nc = self.grid.n_cells();
         let nx = self.grid.nx();
-        let nl = self.n_layers();
-        for l in 0..nl {
-            let base = l * nc;
+        for (l, y) in y.chunks_exact_mut(nc).enumerate() {
+            let at = l * nc;
+            let (d, xl) = (&diag[at..at + nc], &x[at..at + nc]);
             let gx = &self.gx[l];
-            let gy = &self.gy[l];
-            for i in 0..nc {
-                let gi = base + i;
-                let mut acc = diag[gi] * x[gi];
-                let ix = i % nx;
-                if ix > 0 {
-                    acc -= gx[i - 1] * x[gi - 1];
-                }
-                if ix + 1 < nx {
-                    acc -= gx[i] * x[gi + 1];
-                }
-                if i >= nx {
-                    acc -= gy[i - nx] * x[gi - nx];
-                }
-                if i + nx < nc {
-                    acc -= gy[i] * x[gi + nx];
-                }
-                if l > 0 {
-                    acc -= self.gz[l - 1][i] * x[gi - nc];
-                }
-                if l + 1 < nl {
-                    acc -= self.gz[l][i] * x[gi + nc];
-                }
-                y[gi] = acc;
+            for (((y, d), x), gx) in y
+                .chunks_exact_mut(nx)
+                .zip(d.chunks_exact(nx))
+                .zip(xl.chunks_exact(nx))
+                .zip(gx.chunks_exact(nx))
+            {
+                lateral(y, d, x, gx);
+            }
+            let gy = &self.gy[l][..nc - nx];
+            subtract(&mut y[nx..], gy, &xl[..nc - nx]);
+            subtract(&mut y[..nc - nx], gy, &xl[nx..]);
+            if l > 0 {
+                subtract(y, &self.gz[l - 1], &x[at - nc..at]);
+            }
+            if let Some(gz) = self.gz.get(l) {
+                subtract(y, gz, &x[at + nc..at + 2 * nc]);
             }
         }
     }
@@ -426,6 +427,32 @@ impl ThermalModel {
     }
 }
 
+/// `y ← diag·x − west − east` along one grid row; `gx` holds the
+/// conductance to each cell's eastern neighbour.
+fn lateral(y: &mut [f64], d: &[f64], x: &[f64], gx: &[f64]) {
+    let n = y.len();
+    if n == 1 {
+        y[0] = d[0] * x[0];
+        return;
+    }
+    y[0] = d[0] * x[0] - gx[0] * x[1];
+    let m = n - 2;
+    let (dc, xw, xc, xe) = (&d[1..=m], &x[..m], &x[1..=m], &x[2..]);
+    let (gw, ge) = (&gx[..m], &gx[1..=m]);
+    for (i, y) in y[1..=m].iter_mut().enumerate() {
+        *y = dc[i] * xc[i] - gw[i] * xw[i] - ge[i] * xe[i];
+    }
+    y[n - 1] = d[n - 1] * x[n - 1] - gx[n - 2] * x[n - 2];
+}
+
+/// `y −= g·x`, cell by cell: one out-of-row neighbour term for a run of
+/// cells that all have that neighbour.
+fn subtract(y: &mut [f64], g: &[f64], x: &[f64]) {
+    for ((y, g), x) in y.iter_mut().zip(g).zip(x) {
+        *y -= g * x;
+    }
+}
+
 /// A solved temperature field: one layer of temperatures (°C) per stack
 /// layer, bottom (die) first.
 #[derive(Debug, Clone)]
@@ -508,8 +535,285 @@ mod tests {
     use super::*;
     use crate::material::Material;
     use crate::stack::LayerStack;
-    use tps_floorplan::Rect;
+    use proptest::prelude::*;
+    use tps_floorplan::{xeon_e5_v4, PackageGeometry, Rect};
     use tps_units::HeatTransferCoeff;
+
+    /// The cell-by-cell stencil, with a modulo and six wall tests per cell:
+    /// the oracle [`ThermalModel::apply`] must match bit for bit.
+    fn apply_cellwise(model: &ThermalModel, diag: &[f64], x: &[f64], y: &mut [f64]) {
+        let nc = model.grid.n_cells();
+        let nx = model.grid.nx();
+        let nl = model.n_layers();
+        for l in 0..nl {
+            let base = l * nc;
+            let gx = &model.gx[l];
+            let gy = &model.gy[l];
+            for i in 0..nc {
+                let gi = base + i;
+                let mut acc = diag[gi] * x[gi];
+                let ix = i % nx;
+                if ix > 0 {
+                    acc -= gx[i - 1] * x[gi - 1];
+                }
+                if ix + 1 < nx {
+                    acc -= gx[i] * x[gi + 1];
+                }
+                if i >= nx {
+                    acc -= gy[i - nx] * x[gi - nx];
+                }
+                if i + nx < nc {
+                    acc -= gy[i] * x[gi + nx];
+                }
+                if l > 0 {
+                    acc -= model.gz[l - 1][i] * x[gi - nc];
+                }
+                if l + 1 < nl {
+                    acc -= model.gz[l][i] * x[gi + nc];
+                }
+                y[gi] = acc;
+            }
+        }
+    }
+
+    /// [`ThermalModel::steady_state`] on the oracle stencil and CG loop.
+    fn steady_state_oracle(
+        model: &ThermalModel,
+        power: &ScalarField,
+        top: &TopBoundary,
+    ) -> Result<ThermalSolution, SolverError> {
+        let (diag, b) = model.assemble(power, top, None);
+        let mut x = vec![top.fluid_temp().mean() + 10.0; model.n_cells()];
+        let stats = model.solver.solve_unfused(
+            |v, y| apply_cellwise(model, &diag, v, y),
+            &diag,
+            &b,
+            &mut x,
+        )?;
+        Ok(model.split_solution(x, stats))
+    }
+
+    /// [`ThermalModel::transient_step`] on the oracle stencil and CG loop.
+    fn transient_step_oracle(
+        model: &ThermalModel,
+        state: &mut TransientState,
+        dt: Seconds,
+        power: &ScalarField,
+        top: &TopBoundary,
+    ) -> Result<SolveStats, SolverError> {
+        let (diag, b) = model.assemble(power, top, Some((dt.value(), state.temps.as_slice())));
+        let mut x = state.temps.clone();
+        let stats = model.solver.solve_unfused(
+            |v, y| apply_cellwise(model, &diag, v, y),
+            &diag,
+            &b,
+            &mut x,
+        )?;
+        state.temps = x;
+        state.elapsed += dt;
+        Ok(stats)
+    }
+
+    /// A solve's outcome with its floats as bits, so that NaN residuals
+    /// compare too.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Solved { iterations: usize, residual: u64 },
+        NoConvergence { iterations: usize, residual: u64 },
+        Breakdown,
+    }
+
+    fn outcome(result: Result<SolveStats, &SolverError>) -> Outcome {
+        match result {
+            Ok(s) => Outcome::Solved {
+                iterations: s.iterations,
+                residual: s.residual.to_bits(),
+            },
+            Err(SolverError::NoConvergence {
+                iterations,
+                residual,
+            }) => Outcome::NoConvergence {
+                iterations: *iterations,
+                residual: residual.to_bits(),
+            },
+            Err(SolverError::NumericalBreakdown) => Outcome::Breakdown,
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every layer's field bits and the outcome of a steady solve.
+    fn steady_bits(result: &Result<ThermalSolution, SolverError>) -> (Vec<Vec<u64>>, Outcome) {
+        match result {
+            Ok(sol) => (
+                (0..sol.n_layers())
+                    .map(|l| bits(sol.layer(l).values()))
+                    .collect(),
+                outcome(Ok(sol.stats())),
+            ),
+            Err(e) => (Vec::new(), outcome(Err(e))),
+        }
+    }
+
+    /// Runs `steady_state` and then three chained `transient_step`s on the
+    /// shipped kernels and on their oracles, asserts that every field bit,
+    /// iteration count and residual bit agrees, and returns the steady
+    /// outcome.
+    fn assert_matches_oracle(
+        model: &ThermalModel,
+        power: &ScalarField,
+        top: &TopBoundary,
+        start: Celsius,
+        dt: Seconds,
+    ) -> Outcome {
+        let steady = steady_bits(&model.steady_state(power, top));
+        assert_eq!(
+            steady,
+            steady_bits(&steady_state_oracle(model, power, top)),
+            "steady state differs from the oracle"
+        );
+        let (mut shipped, mut oracle) = (model.initial_state(start), model.initial_state(start));
+        for step in 0..3 {
+            let a = model.transient_step(&mut shipped, dt, power, top);
+            let b = transient_step_oracle(model, &mut oracle, dt, power, top);
+            assert_eq!(
+                outcome(a.as_ref().copied()),
+                outcome(b.as_ref().copied()),
+                "transient step {step} outcome differs from the oracle"
+            );
+            assert_eq!(
+                bits(&shipped.temps),
+                bits(&oracle.temps),
+                "transient step {step} field differs from the oracle"
+            );
+        }
+        steady.1
+    }
+
+    /// A deterministic stream of uniform numbers in `[0, 1)` (xorshift).
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The Xeon thermosyphon stack at `pitch_mm`, with the die drawing
+    /// 120 W and a lumpy boiling boundary.
+    fn xeon_case(pitch_mm: f64, solver: CgSolver) -> (ThermalModel, ScalarField, TopBoundary) {
+        let pkg = PackageGeometry::xeon(&xeon_e5_v4());
+        let stack = LayerStack::xeon_thermosyphon(&pkg);
+        let grid = GridSpec::with_pitch(*stack.extent(), pitch_mm * 1e-3);
+        let model =
+            ThermalModel::with_options(&stack, grid.clone(), BottomBoundary::default(), solver);
+        let die = pkg.die_rect();
+        let mut power = ScalarField::from_fn(grid.clone(), |x, y| {
+            if die.contains(x, y) {
+                1.0 + (x * 4e3).sin().abs()
+            } else {
+                0.0
+            }
+        });
+        power.scale(120.0 / power.total());
+        let htc = ScalarField::from_fn(grid.clone(), |x, y| 9e3 + 4e3 * ((x - y) * 7e2).cos());
+        let top = TopBoundary::new(htc, ScalarField::filled(grid, 38.0));
+        (model, power, top)
+    }
+
+    #[test]
+    fn xeon_stack_matches_oracle_at_sweep_pitches() {
+        for pitch in [1.5, 3.0] {
+            let (model, power, top) = xeon_case(pitch, CgSolver::default());
+            let steady =
+                assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+            assert!(
+                matches!(steady, Outcome::Solved { .. }),
+                "{pitch} mm: {steady:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn iteration_cap_matches_oracle() {
+        let (model, power, top) = xeon_case(3.0, CgSolver::new(1e-12, 1));
+        let steady =
+            assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+        assert!(
+            matches!(steady, Outcome::NoConvergence { iterations: 1, .. }),
+            "{steady:?}"
+        );
+    }
+
+    #[test]
+    fn nan_power_breaks_down_like_oracle() {
+        let (model, mut power, top) = xeon_case(3.0, CgSolver::default());
+        power.values_mut()[7] = f64::NAN;
+        let steady =
+            assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+        assert_eq!(steady, Outcome::Breakdown);
+    }
+
+    proptest! {
+        /// The shipped stencil and CG loop are bit for bit their oracles on
+        /// random stacks, grids (single cells, rows and columns included),
+        /// power maps and boundaries with zero-HTC cells.
+        #[test]
+        fn kernels_match_oracles(
+            nx in 1usize..=32,
+            ny in 1usize..=32,
+            layers in 1usize..=5,
+            die_frac in 0.2f64..=1.0,
+            total_w in 0.0f64..150.0,
+            zero_htc_share in 0.0f64..0.5,
+            dt in 1e-4f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let extent = Rect::from_mm(0.0, 0.0, 20.0, 16.0);
+            let die = Rect::from_m(
+                extent.x_min() + extent.width().value() * (1.0 - die_frac) / 2.0,
+                extent.y_min() + extent.height().value() * (1.0 - die_frac) / 2.0,
+                extent.width().value() * die_frac,
+                extent.height().value() * die_frac,
+            );
+            let upper = [
+                ("tim1", Material::tim_grease(), 0.08e-3),
+                ("spreader", Material::copper(), 2.0e-3),
+                ("tim2", Material::tim_mount(), 0.1e-3),
+                ("evap-base", Material::copper(), 1.0e-3),
+            ];
+            let stack = upper[..layers - 1]
+                .iter()
+                .fold(
+                    LayerStack::builder(extent).windowed_layer("die", Material::silicon(), 0.7e-3, die),
+                    |b, (name, m, dz)| b.layer(*name, m.clone(), *dz),
+                )
+                .build()
+                .expect("generated stacks are valid");
+            let grid = GridSpec::new(nx, ny, extent);
+            let model = ThermalModel::new(&stack, grid.clone());
+            let mut u = uniform(seed);
+            let mut power = ScalarField::from_fn(grid.clone(), |_, _| u());
+            if power.total() > 0.0 {
+                power.scale(total_w / power.total());
+            }
+            let htc = ScalarField::from_fn(grid.clone(), |_, _| {
+                if u() < zero_htc_share {
+                    0.0
+                } else {
+                    500.0 + 4e4 * u()
+                }
+            });
+            let fluid = ScalarField::from_fn(grid.clone(), |_, _| 20.0 + 30.0 * u());
+            let top = TopBoundary::new(htc, fluid);
+            let start = Celsius::new(20.0 + 30.0 * u());
+            assert_matches_oracle(&model, &power, &top, start, Seconds::new(dt));
+        }
+    }
 
     fn slab_model(nx: usize, ny: usize) -> (ThermalModel, GridSpec) {
         let extent = Rect::from_mm(0.0, 0.0, 10.0, 10.0);

@@ -18,7 +18,7 @@ use crate::circulation;
 use crate::design::{Orientation, ThermosyphonDesign};
 use crate::filling;
 use tps_floorplan::{GridSpec, ScalarField};
-use tps_fluids::correlations::{cooper_pool_boiling, flow_boiling_factor};
+use tps_fluids::correlations::{cooper_prefactor, cooper_with_prefactor, flow_boiling_factor};
 use tps_units::{Celsius, Fraction, HeatFlux, KgPerSecond, Watts};
 
 /// HTC of a fully dried-out (vapour-cooled) cell, before the fin factor.
@@ -161,8 +161,8 @@ impl Evaporator {
         let grid = wall_heat.spec();
         let r = self.design.refrigerant();
         let h_fg = r.latent_heat(t_sat).value();
-        let p_red = r.reduced_pressure(t_sat);
-        let molar = r.molar_mass();
+        // Only Cooper's flux term varies from cell to cell.
+        let cooper = cooper_prefactor(r.reduced_pressure(t_sat), r.molar_mass(), ROUGHNESS_UM);
         let x_crit = filling::dryout_quality(self.design.filling_ratio());
         let fin = self.design.fin_factor();
         let cell_area = grid.cell_area();
@@ -192,7 +192,7 @@ impl Evaporator {
                     VAPOR_HTC
                 } else {
                     let q_flux = HeatFlux::new((q_cell / cell_area).max(500.0));
-                    let pool = cooper_pool_boiling(p_red, molar, q_flux, ROUGHNESS_UM);
+                    let pool = cooper_with_prefactor(cooper, q_flux);
                     pool.value() * flow_boiling_factor(x_cell, x_crit)
                 };
                 htc.set(ix, iy, h * fin);

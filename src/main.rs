@@ -149,6 +149,11 @@ fn cmd_run(raw: &[String]) -> ExitCode {
                 "T_sat / T_case: {:.1} / {:.1}",
                 out.solution.t_sat, out.solution.t_case
             );
+            println!(
+                "solver        : {} fixed-point iterations, {} CG iterations in the last",
+                out.solution.iterations,
+                out.solution.thermal.stats().iterations
+            );
             println!("die           : {}", out.die);
             println!("package       : {}", out.package);
             println!();

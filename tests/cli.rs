@@ -234,6 +234,34 @@ fn stats_times_job_synthesis_just_above_the_dispatcher_table() {
     );
 }
 
+#[test]
+fn run_reports_its_solver_iterations_identically_across_runs() {
+    let solver_line = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_tps"))
+            .args(["run", "x264", "--pitch", "2.0"])
+            .output()
+            .expect("the tps binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let lines: Vec<&str> = stdout.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("T_sat / T_case: "))
+            .unwrap_or_else(|| panic!("no T_sat line: {stdout}"));
+        let line = lines.get(at + 1).copied().unwrap_or_default().to_owned();
+        let counts: Vec<&str> = line
+            .strip_prefix("solver        : ")
+            .and_then(|l| l.strip_suffix(" CG iterations in the last"))
+            .map(|l| l.split(" fixed-point iterations, ").collect())
+            .unwrap_or_default();
+        assert!(
+            counts.len() == 2 && counts.iter().all(|c| c.parse::<usize>().is_ok()),
+            "{stdout}"
+        );
+        line
+    };
+    assert_eq!(solver_line(), solver_line());
+}
+
 /// Every `tps fleet` flag lowered onto the spec, with `{}` where the probe
 /// value goes (verbatim).
 const FLAG_PROBES: &[&str] = &[
