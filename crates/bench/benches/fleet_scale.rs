@@ -12,15 +12,13 @@
 //! budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 use tps_cluster::{
-    synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ClassSolve, CoolestRackFirst,
-    Fleet, FleetConfig, FleetDispatcher, JobMix, OutcomeCache, PolicyId, RoundRobin,
-    TelemetryConfig, ThermalAwareDispatch,
+    synthesize_jobs, synthesize_request_jobs, AutoscaleControl, CoolestRackFirst, Fleet,
+    FleetConfig, FleetDispatcher, JobMix, OutcomeCache, RoundRobin, TelemetryConfig,
+    ThermalAwareDispatch,
 };
-use tps_core::{MinPowerSelector, Server, T_CASE_MAX};
 use tps_units::Seconds;
-use tps_workload::{Benchmark, DiurnalDemand, QosClass, ServingDemand};
+use tps_workload::{DiurnalDemand, ServingDemand};
 
 /// The pinned scale grid: (servers, jobs). 100k × 1M is the headline
 /// million-job point; smoke keeps only the first tier.
@@ -121,64 +119,5 @@ fn bench_serving(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cache's two tiers head to head, per lookup: the striped-map
-/// oracle read (`OutcomeCache::peek` — hash, lock, tree walk) against
-/// the frozen dense table (`SolveTable::get` — pure index arithmetic
-/// off a pre-resolved solve slot, the kernel's steady-state hot path),
-/// on both a present key (hit) and an absent one (miss fall-through).
-fn bench_cache_lookup(c: &mut Criterion) {
-    let server = Server::xeon(3.0);
-    let class = ClassSolve {
-        id: 0,
-        server: &server,
-        policy: PolicyId::Proposed,
-    };
-    let pairs: Vec<(Benchmark, QosClass)> = [
-        (Benchmark::X264, QosClass::OneX),
-        (Benchmark::X264, QosClass::TwoX),
-        (Benchmark::Canneal, QosClass::ThreeX),
-        (Benchmark::Dedup, QosClass::TwoX),
-    ]
-    .to_vec();
-    let cache = OutcomeCache::new();
-    for &(b, q) in &pairs {
-        cache
-            .get_or_solve(&class, b, q, &MinPowerSelector, T_CASE_MAX)
-            .expect("solve");
-    }
-    let table = cache.publish();
-    let slot = table.class_slot(&class).expect("class is in the table");
-    // An absent key on each tier: solved pairs never include this one.
-    let miss = (Benchmark::Ferret, QosClass::OneX);
-
-    let mut group = c.benchmark_group("fleet_scale");
-    group.bench_function("cache_lookup/striped_map/hit", |bench| {
-        bench.iter(|| {
-            for &(b, q) in &pairs {
-                black_box(cache.peek(black_box(&class), b, q));
-            }
-        })
-    });
-    group.bench_function("cache_lookup/striped_map/miss", |bench| {
-        bench.iter(|| black_box(cache.peek(black_box(&class), miss.0, miss.1)))
-    });
-    group.bench_function("cache_lookup/solve_table/hit", |bench| {
-        bench.iter(|| {
-            for &(b, q) in &pairs {
-                black_box(table.get(black_box(slot), class.id, b, q));
-            }
-        })
-    });
-    group.bench_function("cache_lookup/solve_table/miss", |bench| {
-        bench.iter(|| black_box(table.get(black_box(slot), class.id, miss.0, miss.1)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fleet_scale,
-    bench_serving,
-    bench_cache_lookup
-);
+criterion_group!(benches, bench_fleet_scale, bench_serving);
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! * `current` — this build, measured now: `wall_ms` (minimum over
 //!   `--reps` runs, so a noisy box cannot inflate a point) plus the
 //!   kernel's queue counters (`events`, `peak_queue_depth`,
-//!   `arena_high_water`), the two-tier cache counters of the last rep
+//!   `arena_high_water`), the solve cache's counters of the last rep
 //!   (`table_hits`, `miss_solves`, `lock_acquisitions` — the last two
 //!   read 0 on every steady-state point: the pre-published `SolveTable`
 //!   absorbs all lookups lock-free) and the tier's one-off `warm_ms`
@@ -155,7 +155,7 @@ fn emit(scale: &str, points: &[Point]) -> String {
         ));
     }
     out.push_str("    ]\n  },\n");
-    out.push_str("  \"current\": {\n    \"name\": \"frozen solve table + streamed arrivals + calendar queue + incremental ranking + online energy integration\",\n    \"points\": [\n");
+    out.push_str("  \"current\": {\n    \"name\": \"frozen solve table + streamed arrivals + heap queue + incremental ranking + online energy integration\",\n    \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"servers\": {}, \"jobs\": {}, \"dispatcher\": \"{}\", \"wall_ms\": {:.1}, \"events\": {}, \"peak_queue_depth\": {}, \"arena_high_water\": {}, \"table_hits\": {}, \"miss_solves\": {}, \"lock_acquisitions\": {}, \"warm_ms\": {:.1}}}{}\n",

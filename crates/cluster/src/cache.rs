@@ -1,4 +1,5 @@
-//! Memoized per-server steady-state outcomes, two-tiered.
+//! Memoized per-server steady-state outcomes: one locked map plus a
+//! frozen snapshot.
 //!
 //! A fleet run dispatches hundreds to thousands of jobs, but the
 //! per-server physics depends only on `(server class, benchmark, qos,
@@ -9,26 +10,24 @@
 //! cached [`SteadyState`] summaries, which is what lets a million-job
 //! scenario finish in seconds even on a heterogeneous fleet.
 //!
-//! The cache has two tiers:
+//! The cache is one `Mutex<BTreeMap>` that warm-up workers fill — each
+//! miss holds the lock twice, briefly, to look up and to insert, around
+//! a coupled solve of milliseconds that runs outside it — plus the latest
+//! **frozen [`SolveTable`]**: a clone of the map, published as an
+//! immutable epoch and shared read-only (`Arc`) across runs and sweep
+//! workers. A run resolves its demand states through the snapshot once,
+//! before its event loop: once a run's keys are published, resolving
+//! them acquires **zero** locks. Keys the snapshot lacks (a new
+//! `inlet_milli` from a swept set-point, a planner grid) are solved into
+//! the map and appear in the *next* epoch, frozen at a global
+//! synchronization point — a run start, the same place the kernel's
+//! chiller epoch advances — so readers never observe a torn table: they
+//! hold the epoch they started with.
 //!
-//! * a **frozen dense [`SolveTable`]** — a flat `Vec` indexed by a dense
-//!   `(solve slot, class, bench, qos)` key computed arithmetically (no
-//!   hashing, no tree walk, no lock), published as an immutable epoch and
-//!   shared read-only (`Arc`) across runs and sweep workers. Every run
-//!   reads its demand states through it: once a run's keys are published,
-//!   resolving them acquires **zero** locks.
-//! * a **striped on-demand miss path** — the mutable `BTreeMap`, split
-//!   across [`STRIPES`] locks by key hash, that absorbs keys the table
-//!   does not cover yet (a new `inlet_milli` from a swept set-point, a
-//!   planner grid, lazily-solved pairs). Misses are folded into a *new*
-//!   table epoch at the next global synchronization point — a run start,
-//!   the same place the kernel's chiller epoch advances — so readers
-//!   never observe a torn table: they hold the epoch they started with.
-//!
-//! Counter taxonomy: `hits`/`solves` account the striped map (the miss
-//! tier), `table_hits`/`miss_solves` account the dense tier, and
-//! `lock_acquisitions` counts every stripe or publication lock taken —
-//! the determinism smoke asserts it stays flat across a steady-state run.
+//! Counter taxonomy: `hits`/`solves` account the locked map,
+//! `table_hits`/`miss_solves` account the snapshot, and
+//! `lock_acquisitions` counts every map or publication lock taken — the
+//! zero-lock test asserts it stays flat across a steady-state run.
 
 use crate::catalog::ClassId;
 use crate::fleet::PolicyId;
@@ -89,33 +88,9 @@ impl CacheKey {
             bench,
             qos,
             policy,
-            inlet_milli: quantize_inlet(inlet),
+            inlet_milli: (inlet.value() * 1000.0).round() as i64,
         }
     }
-
-    /// The stripe this key hashes to — a SplitMix64-style mix over every
-    /// coordinate, so sweeps that vary only the inlet (or only the class)
-    /// still spread across stripes.
-    fn stripe(&self) -> usize {
-        let mut x = (self.class as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.bench as u64)
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9)
-            .wrapping_add(self.qos as u64)
-            .wrapping_mul(0x94d0_49bb_1331_11eb)
-            .wrapping_add(self.policy as u64)
-            .wrapping_add(self.inlet_milli as u64);
-        x ^= x >> 31;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 29;
-        (x as usize) % STRIPES
-    }
-}
-
-/// The milli-°C quantization shared by the map key and the table's
-/// solve-slot axis.
-fn quantize_inlet(inlet: Celsius) -> i64 {
-    (inlet.value() * 1000.0).round() as i64
 }
 
 /// One server class's solve context: what [`OutcomeCache::warm`] and the
@@ -131,38 +106,19 @@ pub struct ClassSolve<'a> {
 }
 
 impl ClassSolve<'_> {
-    /// The class's water inlet, quantized exactly like the cache key.
-    fn inlet_milli(&self) -> i64 {
-        quantize_inlet(self.server.simulation().operating_point().water_inlet())
+    /// The cache key of `(bench, qos)` on this class.
+    fn key(&self, bench: Benchmark, qos: QosClass) -> CacheKey {
+        let inlet = self.server.simulation().operating_point().water_inlet();
+        CacheKey::new(self.id, bench, qos, self.policy, inlet)
     }
 }
 
-/// Stripe count of the miss path. A power of two comfortably above the
-/// warm-up thread counts seen in practice; the hash spreads keys evenly,
-/// so two workers only collide on a stripe 1/16th of the time.
-const STRIPES: usize = 16;
-
-/// A frozen, dense, read-only snapshot of the cache: every key the cache
-/// held at publication, laid out flat so a lookup is pure arithmetic.
-///
-/// The dense key has four axes. `(policy, inlet_milli)` pairs — the two
-/// coordinates that are *per-run constants* for a given class — collapse
-/// into a **solve slot** (an index into a small sorted list, resolved
-/// once per class per run via [`class_slot`](Self::class_slot)); the
-/// remaining axes are the class id and the fixed `Benchmark`/`QosClass`
-/// cardinalities. The value index is then
-///
-/// ```text
-/// ((slot · classes + class) · |Benchmark| + bench) · |QosClass| + qos
-/// ```
-///
-/// — no hash, no tree, no lock, shared read-only via `Arc` across runs
-/// and sweep workers. Absent keys hold `None` and fall through to the
-/// striped miss path.
+/// A frozen, read-only snapshot of the cache: every key the cache held at
+/// publication.
 ///
 /// Epoch-publication invariant: a `SolveTable` is immutable after
-/// construction. New keys are solved into the striped map and appear
-/// only in the *next* published table (a higher [`epoch`](Self::epoch)),
+/// construction. New keys are solved into the locked map and appear only
+/// in the *next* published table (a higher [`epoch`](Self::epoch)),
 /// swapped in at a global synchronization point (a run start — the same
 /// cadence the kernel's chiller epoch advances on). Readers therefore
 /// never race a mutation: they keep using the epoch they fetched until
@@ -170,20 +126,10 @@ const STRIPES: usize = 16;
 #[derive(Debug)]
 pub struct SolveTable {
     epoch: u64,
-    classes: usize,
-    /// Sorted distinct `(policy, inlet_milli)` solve slots.
-    slots: Vec<(PolicyId, i64)>,
-    /// Dense values; `None` where the cache held no entry.
-    values: Vec<Option<SteadyState>>,
-    entries: usize,
+    entries: BTreeMap<CacheKey, SteadyState>,
 }
 
 impl SolveTable {
-    /// The benchmark axis length of the dense layout.
-    pub const BENCH_AXIS: usize = Benchmark::ALL.len();
-    /// The QoS axis length of the dense layout.
-    pub const QOS_AXIS: usize = QosClass::ALL.len();
-
     /// The publication epoch (1-based; each publication bumps it).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -191,80 +137,35 @@ impl SolveTable {
 
     /// Distinct outcomes frozen into this table.
     pub fn len(&self) -> usize {
-        self.entries
+        self.entries.len()
     }
 
     /// Whether the table holds no outcomes.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.entries.is_empty()
     }
 
-    /// The class-axis length.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// The solve slot for a `(policy, inlet)` pair, or `None` when the
-    /// table predates that pair. The slot list is a handful of entries
-    /// (one per distinct policy × inlet in the run or sweep), so this
-    /// resolves in a few comparisons — and callers resolve it **once per
-    /// class per run**, after which every lookup is pure arithmetic.
-    pub fn slot(&self, policy: PolicyId, inlet: Celsius) -> Option<usize> {
-        self.slots
-            .binary_search(&(policy, quantize_inlet(inlet)))
-            .ok()
-    }
-
-    /// The solve slot for a class's own `(policy, inlet)`.
-    pub fn class_slot(&self, class: &ClassSolve<'_>) -> Option<usize> {
-        self.slots
-            .binary_search(&(class.policy, class.inlet_milli()))
-            .ok()
-    }
-
-    /// The frozen outcome at `(slot, class, bench, qos)` — the arithmetic
-    /// hot-path lookup. `None` when the key was absent at publication.
-    #[inline]
-    pub fn get(
-        &self,
-        slot: usize,
-        class: ClassId,
-        bench: Benchmark,
-        qos: QosClass,
-    ) -> Option<SteadyState> {
-        if slot >= self.slots.len() || class >= self.classes {
-            return None;
-        }
-        let i = ((slot * self.classes + class) * Self::BENCH_AXIS + bench as usize)
-            * Self::QOS_AXIS
-            + qos as usize;
-        self.values[i]
-    }
-
-    /// Convenience lookup resolving the class's slot first (tests and
-    /// one-off callers; hot paths resolve the slot once instead).
+    /// The frozen outcome of `(bench, qos)` on `class`, or `None` when
+    /// the key was absent at publication.
     pub fn lookup(
         &self,
         class: &ClassSolve<'_>,
         bench: Benchmark,
         qos: QosClass,
     ) -> Option<SteadyState> {
-        self.class_slot(class)
-            .and_then(|s| self.get(s, class.id, bench, qos))
+        self.entries.get(&class.key(bench, qos)).copied()
     }
 }
 
-/// A concurrent memo table of [`SteadyState`] outcomes: the striped
-/// mutable miss path plus the latest published [`SolveTable`] epoch.
+/// A concurrent memo table of [`SteadyState`] outcomes: the locked
+/// mutable map plus the latest published [`SolveTable`] epoch.
 ///
 /// Deterministic by construction: values are pure functions of their key,
 /// so neither thread count nor insertion order affects what a lookup
-/// returns — and the dense table replays the exact map bits.
-#[derive(Debug)]
+/// returns — and the frozen table replays the exact map bits.
+#[derive(Debug, Default)]
 pub struct OutcomeCache {
-    /// The miss path: key-hash-striped so concurrent warm-up workers and
-    /// sweep threads don't serialize on one lock.
-    stripes: Vec<Mutex<BTreeMap<CacheKey, SteadyState>>>,
+    map: Mutex<BTreeMap<CacheKey, SteadyState>>,
     /// The latest published epoch (`None` until the first publication).
     published: Mutex<Option<Arc<SolveTable>>>,
     epoch: AtomicU64,
@@ -275,19 +176,12 @@ pub struct OutcomeCache {
     lock_acquisitions: AtomicUsize,
 }
 
-impl Default for OutcomeCache {
-    fn default() -> Self {
-        Self {
-            stripes: (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            published: Mutex::new(None),
-            epoch: AtomicU64::new(0),
-            hits: AtomicUsize::new(0),
-            solves: AtomicUsize::new(0),
-            table_hits: AtomicUsize::new(0),
-            miss_solves: AtomicUsize::new(0),
-            lock_acquisitions: AtomicUsize::new(0),
-        }
-    }
+/// Every `(class index, bench, qos)` triple of `classes × pairs`.
+fn triples<'a>(
+    classes: &'a [ClassSolve<'_>],
+    pairs: &'a [(Benchmark, QosClass)],
+) -> impl Iterator<Item = (usize, Benchmark, QosClass)> + 'a {
+    (0..classes.len()).flat_map(move |ci| pairs.iter().map(move |&(b, q)| (ci, b, q)))
 }
 
 impl OutcomeCache {
@@ -296,15 +190,15 @@ impl OutcomeCache {
         Self::default()
     }
 
+    /// Locks the map, counting the acquisition.
+    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<CacheKey, SteadyState>> {
+        self.note_lock();
+        self.map.lock().expect("cache poisoned")
+    }
+
     /// Distinct outcomes computed so far.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                self.note_lock();
-                s.lock().expect("cache poisoned").len()
-            })
-            .sum()
+        self.lock_map().len()
     }
 
     /// Whether nothing has been computed yet.
@@ -312,7 +206,7 @@ impl OutcomeCache {
         self.len() == 0
     }
 
-    /// Lookups served from the striped map.
+    /// Lookups served from the locked map.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
@@ -334,11 +228,11 @@ impl OutcomeCache {
         self.miss_solves.load(Ordering::Relaxed)
     }
 
-    /// Stripe and publication locks acquired so far. Steady-state replays
-    /// on a published table add **zero** — the determinism smoke pins
-    /// that. The count is a deterministic function of the operation
-    /// sequence (each miss costs exactly one lookup lock and one insert
-    /// lock), not of thread interleaving.
+    /// Map and publication locks acquired so far. Steady-state replays on
+    /// a published table add **zero** — the zero-lock test pins that. The
+    /// count is a deterministic function of the operation sequence (each
+    /// miss costs exactly one lookup lock and one insert lock), not of
+    /// thread interleaving.
     pub fn lock_acquisitions(&self) -> usize {
         self.lock_acquisitions.load(Ordering::Relaxed)
     }
@@ -348,9 +242,9 @@ impl OutcomeCache {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Credits `n` dense-table lookups to this cache's counters — the
-    /// kernel resolves its demand states straight off the `Arc` and
-    /// reports in bulk, so the hot path touches no shared atomics.
+    /// Credits `n` table lookups to this cache's counters — the kernel
+    /// resolves its demand states straight off the `Arc` and reports in
+    /// bulk, so the hot path touches no shared atomics.
     pub fn record_table_hits(&self, n: usize) {
         self.table_hits.fetch_add(n, Ordering::Relaxed);
     }
@@ -372,26 +266,8 @@ impl OutcomeCache {
         self.published.lock().expect("cache poisoned").clone()
     }
 
-    /// The cached outcome for `(class, bench, qos)` without solving —
-    /// the striped-map read (micro-bench and test hook).
-    pub fn peek(
-        &self,
-        class: &ClassSolve<'_>,
-        bench: Benchmark,
-        qos: QosClass,
-    ) -> Option<SteadyState> {
-        let op = class.server.simulation().operating_point();
-        let key = CacheKey::new(class.id, bench, qos, class.policy, op.water_inlet());
-        self.note_lock();
-        self.stripes[key.stripe()]
-            .lock()
-            .expect("cache poisoned")
-            .get(&key)
-            .copied()
-    }
-
     /// Returns the cached outcome for `(bench, qos)` on the given server
-    /// class, solving the coupled problem on a miss. This is the striped
+    /// class, solving the coupled problem on a miss. This is the locked
     /// miss path; steady-state readers go through a published
     /// [`SolveTable`] instead.
     ///
@@ -406,16 +282,14 @@ impl OutcomeCache {
         selector: &dyn ConfigSelector,
         t_case_max: Celsius,
     ) -> Result<SteadyState, RunError> {
-        let op = class.server.simulation().operating_point();
-        let key = CacheKey::new(class.id, bench, qos, class.policy, op.water_inlet());
-        let stripe = &self.stripes[key.stripe()];
-        self.note_lock();
-        if let Some(state) = stripe.lock().expect("cache poisoned").get(&key) {
+        let key = class.key(bench, qos);
+        if let Some(state) = self.lock_map().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*state);
         }
         // Solve outside the lock: a rare duplicate solve beats serializing
         // every worker behind one coupled simulation.
+        let op = class.server.simulation().operating_point();
         let outcome = class
             .server
             .run(bench, qos, selector, class.policy.as_policy())?;
@@ -429,49 +303,20 @@ impl OutcomeCache {
             die_max: outcome.die.max,
         };
         self.solves.fetch_add(1, Ordering::Relaxed);
-        self.note_lock();
-        stripe.lock().expect("cache poisoned").insert(key, state);
+        self.lock_map().insert(key, state);
         Ok(state)
     }
 
-    /// Freezes the striped map into a new immutable [`SolveTable`] epoch
-    /// and publishes it. Call only at global synchronization points (run
-    /// starts, sweep phase boundaries): readers that fetched an earlier
-    /// epoch keep it — `Arc` keeps every epoch alive while referenced, so
-    /// publication can never tear a table out from under a run in progress.
+    /// Freezes a clone of the map into a new immutable [`SolveTable`]
+    /// epoch and publishes it. Call only at global synchronization points
+    /// (run starts, sweep phase boundaries): readers that fetched an
+    /// earlier epoch keep it — `Arc` keeps every epoch alive while
+    /// referenced, so publication can never tear a table out from under a
+    /// run in progress.
     pub fn publish(&self) -> Arc<SolveTable> {
-        let mut entries: Vec<(CacheKey, SteadyState)> = Vec::new();
-        for stripe in &self.stripes {
-            self.note_lock();
-            let map = stripe.lock().expect("cache poisoned");
-            entries.extend(map.iter().map(|(k, v)| (*k, *v)));
-        }
-        let mut slots: Vec<(PolicyId, i64)> = entries
-            .iter()
-            .map(|(k, _)| (k.policy, k.inlet_milli))
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        let classes = entries.iter().map(|(k, _)| k.class + 1).max().unwrap_or(0);
-        let mut values =
-            vec![None; slots.len() * classes * SolveTable::BENCH_AXIS * SolveTable::QOS_AXIS];
-        for (k, v) in &entries {
-            let slot = slots
-                .binary_search(&(k.policy, k.inlet_milli))
-                .expect("slot list was built from these keys");
-            let i = ((slot * classes + k.class) * SolveTable::BENCH_AXIS + k.bench as usize)
-                * SolveTable::QOS_AXIS
-                + k.qos as usize;
-            values[i] = Some(*v);
-        }
+        let entries = self.lock_map().clone();
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let table = Arc::new(SolveTable {
-            epoch,
-            classes,
-            slots,
-            values,
-            entries: entries.len(),
-        });
+        let table = Arc::new(SolveTable { epoch, entries });
         self.note_lock();
         *self.published.lock().expect("cache poisoned") = Some(Arc::clone(&table));
         table
@@ -496,26 +341,13 @@ impl OutcomeCache {
         threads: usize,
     ) -> Result<Arc<SolveTable>, RunError> {
         let published = self.table();
-        let missing: Vec<(usize, Benchmark, QosClass)> = match &published {
-            Some(table) => {
-                let slots: Vec<Option<usize>> =
-                    classes.iter().map(|c| table.class_slot(c)).collect();
-                classes
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(ci, _)| pairs.iter().map(move |&(b, q)| (ci, b, q)))
-                    .filter(|&(ci, b, q)| match slots[ci] {
-                        Some(slot) => table.get(slot, classes[ci].id, b, q).is_none(),
-                        None => true,
-                    })
-                    .collect()
-            }
-            None => classes
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, _)| pairs.iter().map(move |&(b, q)| (ci, b, q)))
-                .collect(),
-        };
+        let missing: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs)
+            .filter(|&(ci, b, q)| {
+                published
+                    .as_ref()
+                    .map_or(true, |t| t.lookup(&classes[ci], b, q).is_none())
+            })
+            .collect();
         if missing.is_empty() {
             if let Some(table) = published {
                 return Ok(table);
@@ -552,12 +384,8 @@ impl OutcomeCache {
         t_case_max: Celsius,
         threads: usize,
     ) -> Result<(), RunError> {
-        let triples: Vec<(usize, Benchmark, QosClass)> = classes
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, _)| pairs.iter().map(move |&(b, q)| (ci, b, q)))
-            .collect();
-        self.warm_triples(&triples, classes, selector, t_case_max, threads)
+        let all: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs).collect();
+        self.warm_triples(&all, classes, selector, t_case_max, threads)
     }
 
     /// The shared warm-up worker loop over an explicit triple list.

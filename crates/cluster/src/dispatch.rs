@@ -16,10 +16,10 @@
 //!
 //! Enumerating every `(rack, class)` slot per arrival would be the
 //! simulator's whole runtime at 100 k servers, so every [`FleetView`]
-//! carries a [`FleetIndex`]: the committed racks ordered by heat, the
-//! idle racks grouped by class pattern, and a per-rack mutation stamp.
-//! The full enumeration survives only as the oracle in this module's
-//! tests and in `tests/properties.rs`. Two facts make the indexed walk
+//! carries a [`FleetIndex`]: the committed racks ordered by heat and the
+//! idle racks grouped by class pattern. The full enumeration survives
+//! only as the oracle in this module's tests and in
+//! `tests/properties.rs`. Two facts make the indexed walk
 //! *bit-identical* to it:
 //!
 //! * every idle rack of one class pattern has the exact same
@@ -36,9 +36,8 @@
 //! Each occupied entry carries its rack's COP and chiller draw inline
 //! (kept by [`RackLoads`](crate::RackLoads), the owner of the chiller),
 //! so [`ThermalAwareDispatch`] scores an occupied rack with one division.
-//! The per-rack stamps drive the score memo of its sorted slow path: a
-//! rack is re-scored only when its committed load (or the chiller) moved
-//! since the last ranking with the same demand signature.
+//! Its sorted slow path, taken only when the cheapest slot would blow
+//! its wait budget, scores every candidate afresh.
 //!
 //! # Activation: the serving-mode capacity mask
 //!
@@ -270,8 +269,8 @@ impl ServerTable {
 }
 
 /// The kernel's incremental dispatch index over the rack state: who is
-/// committed (ordered by heat), who is idle (grouped by class pattern),
-/// and a per-rack mutation stamp for score caching.
+/// committed (ordered by heat) and who is idle (grouped by class
+/// pattern).
 ///
 /// Maintained by [`RackLoads`](crate::RackLoads) as placements commit and
 /// expire; see the module docs for why walking this index is
@@ -293,15 +292,8 @@ pub struct FleetIndex<'a> {
     /// needs each group's representative — its minimum — and the cached
     /// minimum is read in O(1).
     pub idle_min: &'a [Option<u32>],
-    /// Rack → rack-group id (racks in one group host the same class
-    /// pattern).
-    pub group_of: &'a [u32],
     /// Rack-group → distinct classes hosted, ascending by class id.
     pub group_classes: &'a [Vec<ClassId>],
-    /// Rack → stamp of its last committed-load mutation; a rack whose
-    /// stamp did not move has a bit-identical [`RackView`], so cached
-    /// scores for it remain exact.
-    pub stamps: &'a [u64],
 }
 
 /// A read-only snapshot of the fleet as one job arrives.
@@ -520,38 +512,6 @@ fn consider(cand: Candidate, best: &mut Candidate) {
     }
 }
 
-/// Cached marginal-power scores for one rack: valid while the rack's
-/// mutation stamp and the chiller epoch both match, one score slab per
-/// demand signature (scores are pure functions of `(rack view, chiller,
-/// class states)`, so replaying them is bit-identical to recomputing).
-#[derive(Debug, Default, Clone)]
-struct RackScores {
-    stamp: u64,
-    epoch: u64,
-    /// Signature → per-class scores in `classes_in_rack` order.
-    by_sig: Vec<Option<Box<[f64]>>>,
-}
-
-/// The incremental score memo behind [`ThermalAwareDispatch`]: per-rack
-/// slabs invalidated by the kernel's dirty stamps, plus per-group slabs
-/// for the (chiller-epoch-only) idle scores.
-#[derive(Debug, Default)]
-struct ScoreMemo {
-    racks: Vec<RackScores>,
-    groups: Vec<RackScores>,
-}
-
-impl ScoreMemo {
-    fn resize(&mut self, racks: usize, groups: usize) {
-        if self.racks.len() != racks || self.groups.len() != groups {
-            self.racks.clear();
-            self.racks.resize(racks, RackScores::default());
-            self.groups.clear();
-            self.groups.resize(groups, RackScores::default());
-        }
-    }
-}
-
 /// The paper's policy, lifted to the fleet: rank `(rack, class)` slots by
 /// the *marginal chiller electrical power* of accepting the job there —
 /// accounting for the class-specific heat, the supply-temperature drop
@@ -570,7 +530,6 @@ impl ScoreMemo {
 /// module docs).
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
-    memo: ScoreMemo,
     ranked: Vec<Candidate>,
     /// Per-signature `(epoch, per-class [`SigClass`])` slabs — pure
     /// functions of the chiller and the signature's frozen demand states,
@@ -753,40 +712,22 @@ impl ThermalAwareDispatch {
 
     /// The indexed slow path, taken only when the fold's winner blows its
     /// wait budget: materialize the full candidate list (same entries as
-    /// the fold), sort it under the same key, and walk it in order.
+    /// the fold), score each with [`marginal_power`], sort it under the
+    /// same key, and walk it in order.
     fn walk_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let ix = &view.index;
-        let sig = demand.sig as usize;
-        let epoch = view.chiller_epoch;
         let active_racks = view.servers.active_racks();
-        self.memo.resize(view.racks.len(), ix.group_classes.len());
         self.ranked.clear();
         for e in ix.occupied.iter() {
             let r = e.rack as usize;
             if r >= active_racks {
                 continue;
             }
-            let entry = &mut self.memo.racks[r];
-            if entry.stamp != ix.stamps[r] || entry.epoch != epoch {
-                entry.by_sig.clear();
-                entry.stamp = ix.stamps[r];
-                entry.epoch = epoch;
-            }
-            if entry.by_sig.len() <= sig {
-                entry.by_sig.resize(sig + 1, None);
-            }
-            let scores = entry.by_sig[sig].get_or_insert_with(|| {
-                view.servers
-                    .classes_in_rack(r)
-                    .iter()
-                    .map(|&c| marginal_power(view.chiller, &view.racks[r], &demand.class(c).state))
-                    .collect()
-            });
-            let h = view.racks[r].heat.value();
-            for (k, &c) in view.servers.classes_in_rack(r).iter().enumerate() {
+            let rack = &view.racks[r];
+            for &c in view.servers.classes_in_rack(r) {
                 self.ranked.push(Candidate {
-                    p: scores[k],
-                    h,
+                    p: marginal_power(view.chiller, rack, &demand.class(c).state),
+                    h: rack.heat.value(),
                     rack: e.rack,
                     class: c as u32,
                 });
@@ -802,23 +743,9 @@ impl ThermalAwareDispatch {
             let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
                 continue;
             };
-            let entry = &mut self.memo.groups[g];
-            if entry.epoch != epoch {
-                entry.by_sig.clear();
-                entry.epoch = epoch;
-            }
-            if entry.by_sig.len() <= sig {
-                entry.by_sig.resize(sig + 1, None);
-            }
-            let scores = entry.by_sig[sig].get_or_insert_with(|| {
-                ix.group_classes[g]
-                    .iter()
-                    .map(|&c| marginal_power(view.chiller, &idle_view, &demand.class(c).state))
-                    .collect()
-            });
-            for (k, &c) in ix.group_classes[g].iter().enumerate() {
+            for &c in &ix.group_classes[g] {
                 self.ranked.push(Candidate {
-                    p: scores[k],
+                    p: marginal_power(view.chiller, &idle_view, &demand.class(c).state),
                     h: 0.0,
                     rack: first,
                     class: c as u32,
@@ -866,7 +793,6 @@ impl FleetDispatcher for ThermalAwareDispatch {
     }
 
     fn begin_run(&mut self) {
-        self.memo = ScoreMemo::default();
         self.sig_lab.clear();
     }
 }
@@ -962,14 +888,12 @@ mod tests {
     }
 
     /// Owns the [`FleetIndex`] the kernel would maintain for hand-built
-    /// rack views: committed racks ordered by `(heat bits, rack)`, the
-    /// lowest idle rack of each class pattern, every stamp at zero.
+    /// rack views: committed racks ordered by `(heat bits, rack)` and the
+    /// lowest idle rack of each class pattern.
     struct Index {
         occupied: Vec<OccupiedRack>,
         idle_min: Vec<Option<u32>>,
-        group_of: Vec<u32>,
         group_classes: Vec<Vec<ClassId>>,
-        stamps: Vec<u64>,
     }
 
     impl Index {
@@ -1001,9 +925,7 @@ mod tests {
             Self {
                 occupied,
                 idle_min,
-                group_of,
                 group_classes,
-                stamps: vec![0; racks.len()],
             }
         }
 
@@ -1022,9 +944,7 @@ mod tests {
                 index: FleetIndex {
                     occupied: &self.occupied,
                     idle_min: &self.idle_min,
-                    group_of: &self.group_of,
                     group_classes: &self.group_classes,
-                    stamps: &self.stamps,
                 },
             }
         }
@@ -1341,8 +1261,8 @@ mod tests {
     fn indexed_dispatch_matches_the_full_scan() {
         // Two rack groups — racks {0,1} host class 0, racks {2,3} host
         // both — with rack 1 committed and the rest idle. The indexed
-        // walk (group representatives + occupied racks, via the score
-        // memo) must pick exactly what the full enumeration picks, for
+        // walk (group representatives + occupied racks) must pick
+        // exactly what the full enumeration picks, for
         // cold and warm demand signatures alike, across repeated calls.
         let j = job();
         let racks = vec![

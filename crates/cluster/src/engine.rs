@@ -5,7 +5,7 @@
 //! telemetry trace.
 //!
 //! Everything in here is sequential and byte-deterministic: the
-//! [`CalendarQueue`](crate::CalendarQueue) orders events by a stable
+//! [`EventQueue`](crate::EventQueue) orders events by a stable
 //! `(time, class, seq)` key, so two runs of the same inputs — at any
 //! thread count — replay the identical event sequence and produce
 //! bit-identical floats. The five event kinds and their same-instant
@@ -34,7 +34,7 @@ use crate::metrics::{
     EnergyIntegrator, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
-use crate::queue::CalendarQueue;
+use crate::queue::EventQueue;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use tps_cooling::Chiller;
@@ -46,14 +46,9 @@ use tps_workload::{Benchmark, QosClass};
 /// horizon. Arrivals are streamed from the time-sorted order, one pushed
 /// per arrival processed, so the queue holds O(`ARRIVAL_LOOKAHEAD` +
 /// in-flight completions) events instead of the whole job stream. Any
-/// positive window preserves pop order (see `run_impl`); this one is
-/// large enough to keep the calendar queue's buckets well fed.
+/// positive window preserves pop order (see `run`); the window bounds
+/// the heap's depth, and with it the cost of every push and pop.
 pub const ARRIVAL_LOOKAHEAD: usize = 1024;
-
-/// Minimum fleet size (racks) before a telemetry sample fans its per-rack
-/// cooling pass out to worker threads: below this the per-sample scoped
-/// spawn costs more than the arithmetic it parallelizes.
-const SAMPLE_FANOUT_MIN_RACKS: usize = 1024;
 
 /// A typed simulation event.
 ///
@@ -101,10 +96,10 @@ impl Event {
 ///
 /// Beyond the per-rack sums, the structure maintains the kernel's
 /// *dispatch index* incrementally: the current [`RackView`] per rack, the
-/// occupied racks ordered by `(heat bits, rack)`, the idle racks per rack
-/// group, and a per-rack mutation stamp. Each placement or expiry touches
-/// exactly one rack, so the index updates in O(log racks) — this is what
-/// lets dispatchers skip the per-arrival full-fleet rescan.
+/// occupied racks ordered by `(heat bits, rack)` and the idle racks per
+/// rack group. Each placement or expiry touches exactly one rack, so the
+/// index updates in O(log racks) — this is what lets dispatchers skip the
+/// per-arrival full-fleet rescan.
 ///
 /// It also owns the run's chiller and its epoch: every occupied entry
 /// carries its rack's COP and chiller draw under that chiller
@@ -161,9 +156,6 @@ pub struct RackLoads {
     idle_min: Vec<Option<u32>>,
     /// Rack → rack-group id.
     group_of: Vec<u32>,
-    /// Rack → stamp of its last mutation (monotone clock).
-    stamps: Vec<u64>,
-    stamp_clock: u64,
     chiller: Chiller,
     /// Bumped on every chiller change; dispatch score caches key on it.
     chiller_epoch: u64,
@@ -295,8 +287,6 @@ impl RackLoads {
             idle,
             idle_min,
             group_of,
-            stamps: vec![0; racks],
-            stamp_clock: 0,
             chiller,
             chiller_epoch: 0,
         }
@@ -391,8 +381,6 @@ impl RackLoads {
             }
             (false, false) => {}
         }
-        self.stamp_clock += 1;
-        self.stamps[rack] = self.stamp_clock;
     }
 
     /// Commits `state`'s load to `rack` until `end`.
@@ -473,17 +461,6 @@ impl RackLoads {
     /// racks).
     pub fn idle_group_mins(&self) -> &[Option<u32>] {
         &self.idle_min
-    }
-
-    /// Rack → rack-group id.
-    pub fn rack_groups(&self) -> &[u32] {
-        &self.group_of
-    }
-
-    /// Rack → stamp of its last mutation; unchanged stamp ⇒ bit-identical
-    /// [`RackView`].
-    pub fn stamps(&self) -> &[u64] {
-        &self.stamps
     }
 
     /// The per-rack dispatch views as a fresh vector (allocating
@@ -742,19 +719,15 @@ pub(crate) fn run(
     for (sig, &(bench, qos)) in pairs.iter().enumerate() {
         sig_of[pair_index(bench, qos)] = sig as u32;
     }
-    // Each class's `(policy, inlet)` solve slot resolves once and every
-    // `(bench, qos)` lookup after that is pure arithmetic on the shared
-    // frozen epoch — zero lock acquisitions. Keys the table predates fall
-    // back to the striped solve path.
-    let class_slots: Vec<Option<usize>> = solvers.iter().map(|s| table.class_slot(s)).collect();
+    // Each lookup reads the shared frozen epoch — zero lock acquisitions.
+    // Keys the table predates fall back to the locked solve path.
     let mut table_hits = 0usize;
     let mut miss_solves = 0usize;
     let mut pair_states: Vec<Vec<SteadyState>> = Vec::with_capacity(pairs.len());
     for &(bench, qos) in pairs {
         let mut per_class = Vec::with_capacity(solvers.len());
-        for (ci, solver) in solvers.iter().enumerate() {
-            let frozen = class_slots[ci].and_then(|slot| table.get(slot, solver.id, bench, qos));
-            per_class.push(match frozen {
+        for solver in &solvers {
+            per_class.push(match table.lookup(solver, bench, qos) {
                 Some(state) => {
                     table_hits += 1;
                     state
@@ -774,15 +747,15 @@ pub(crate) fn run(
         cache.record_miss_solves(miss_solves);
     }
 
-    let mut queue = CalendarQueue::new();
+    let mut queue = EventQueue::new();
     // Arrivals in time order (id on ties), pushed in that order so the
     // queue's seq tie-break preserves it. Only a bounded lookahead window
     // is in the queue at once: each processed arrival streams the next
-    // one in, so peak queue depth (and the calendar arena) stay O(window
-    // + in-flight) instead of O(total jobs). Order is unaffected — every
-    // unpushed arrival is no earlier than the latest pending one, and on
-    // exact time ties the arrival class pops last anyway, so nothing can
-    // pop before the window catches up to it.
+    // one in, so peak queue depth stays O(window + in-flight) instead of
+    // O(total jobs). Order is unaffected — every unpushed arrival is no
+    // earlier than the latest pending one, and on exact time ties the
+    // arrival class pops last anyway, so nothing can pop before the
+    // window catches up to it.
     let n_jobs = u32::try_from(jobs.len()).expect("a job stream holds at most u32::MAX jobs");
     let mut order: Vec<u32> = (0..n_jobs).collect();
     order.sort_by(|&a, &b| {
@@ -1015,9 +988,7 @@ pub(crate) fn run(
                     index: FleetIndex {
                         occupied: loads.occupied_racks(),
                         idle_min: loads.idle_group_mins(),
-                        group_of: loads.rack_groups(),
                         group_classes: &group_classes,
-                        stamps: loads.stamps(),
                     },
                 };
                 // A planning control policy may have a placement hint for
@@ -1148,37 +1119,6 @@ fn hinted_server(
     (wait.value() <= demand.class(hint.class).wait_budget.value() + 1e-9).then_some(server)
 }
 
-/// Fills one contiguous rack range's telemetry columns: settled running
-/// heat, coldest running supply, and that rack's chiller electrical power
-/// (left at `0.0` for racks with no supply — the caller's sequential sum
-/// skips those, exactly like the old fused loop did).
-fn cooling_chunk(
-    running: &RunningSet,
-    chiller: &Chiller,
-    lo: usize,
-    heat_out: &mut [Watts],
-    water_out: &mut [Option<Celsius>],
-    cooling_out: &mut [f64],
-) {
-    for (i, ((h, w), c)) in heat_out
-        .iter_mut()
-        .zip(water_out.iter_mut())
-        .zip(cooling_out.iter_mut())
-        .enumerate()
-    {
-        let r = lo + i;
-        let heat = running.heat[r].max(0.0);
-        let supply = running.water[r]
-            .first()
-            .map(|&(bits, _)| Celsius::new(f64::from_bits(bits)));
-        if let Some(supply) = supply {
-            *c = chiller.electrical_power(Watts::new(heat), supply).value();
-        }
-        *h = Watts::new(heat);
-        *w = supply;
-    }
-}
-
 /// Captures one telemetry sample from the settled running layer. In
 /// serving mode `latency` carries the whole-run percentile sketch and the
 /// sample gains the active-server count and latency quantiles.
@@ -1194,54 +1134,22 @@ fn sample(
         .active_servers()
         .saturating_sub(running.running) as f64
         * config.idle_server_power.value();
-    // Two-pass cooling: per-rack heat/supply/chiller power first (each
-    // rack's values are independent, so contiguous rack ranges can fill
-    // on worker threads), then one *sequential* rack-order sum — the same
-    // accumulation order at any thread count, so the fan-out can never
-    // perturb a bit of the trace.
-    let racks = config.racks;
-    let mut rack_heat = vec![Watts::ZERO; racks];
-    let mut rack_water: Vec<Option<Celsius>> = vec![None; racks];
-    let mut rack_cooling = vec![0.0f64; racks];
-    let workers = config.threads.max(1);
-    if workers > 1 && racks >= SAMPLE_FANOUT_MIN_RACKS {
-        // Split `0..racks` into `workers` contiguous ranges (the thread
-        // budget is shared with sweep workers — see `thread_budget`), one
-        // scoped worker per range, each writing disjoint rack slices.
-        let per = racks.div_ceil(workers);
-        let chiller = state.loads.chiller();
-        std::thread::scope(|s| {
-            let mut heat_rest = &mut rack_heat[..];
-            let mut water_rest = &mut rack_water[..];
-            let mut cool_rest = &mut rack_cooling[..];
-            let mut lo = 0;
-            while lo < racks {
-                let hi = (lo + per).min(racks);
-                let (heat, hr) = heat_rest.split_at_mut(hi - lo);
-                let (water, wr) = water_rest.split_at_mut(hi - lo);
-                let (cool, cr) = cool_rest.split_at_mut(hi - lo);
-                heat_rest = hr;
-                water_rest = wr;
-                cool_rest = cr;
-                s.spawn(move || cooling_chunk(running, chiller, lo, heat, water, cool));
-                lo = hi;
-            }
-        });
-    } else {
-        cooling_chunk(
-            running,
-            state.loads.chiller(),
-            0,
-            &mut rack_heat,
-            &mut rack_water,
-            &mut rack_cooling,
-        );
-    }
+    // One rack-order pass fills the per-rack columns and sums the
+    // chiller power of every rack with a supply.
+    let chiller = state.loads.chiller();
+    let mut rack_heat = Vec::with_capacity(config.racks);
+    let mut rack_water = Vec::with_capacity(config.racks);
     let mut cooling = 0.0;
-    for r in 0..racks {
-        if rack_water[r].is_some() {
-            cooling += rack_cooling[r];
+    for (&heat, water) in running.heat.iter().zip(&running.water) {
+        let heat = heat.max(0.0);
+        let supply = water
+            .first()
+            .map(|&(bits, _)| Celsius::new(f64::from_bits(bits)));
+        if let Some(supply) = supply {
+            cooling += chiller.electrical_power(Watts::new(heat), supply).value();
         }
+        rack_heat.push(Watts::new(heat));
+        rack_water.push(supply);
     }
     FleetSample {
         t: now,
@@ -1329,16 +1237,14 @@ mod tests {
             loads.idle_groups()[1].iter().copied().collect::<Vec<_>>(),
             vec![3]
         );
-        let stamp_before = loads.stamps()[2];
 
         loads.expire_until(Seconds::new(15.0));
-        // Rack 2 drained: back to its group's idle set, stamp bumped.
+        // Rack 2 drained: back to its group's idle set.
         assert_eq!(loads.occupied_racks().len(), 1);
         assert_eq!(
             loads.idle_groups()[1].iter().copied().collect::<Vec<_>>(),
             vec![2, 3]
         );
-        assert!(loads.stamps()[2] > stamp_before);
         // Maintained views match a naive read of the drained state.
         assert_eq!(loads.view_slice()[2].heat.value(), 0.0);
         assert_eq!(loads.view_slice()[2].committed, 0);

@@ -100,12 +100,9 @@ pub struct FleetConfig {
     pub idle_server_power: Watts,
     /// Fleet-wide default mapping policy. Classes may override it.
     pub policy: PolicyId,
-    /// OS threads for the cache warm-up phase and for the telemetry
-    /// fan-out (each sample's per-rack cooling pass on fleets of 1024+
-    /// racks). Thread count never changes simulation results, only wall
-    /// time; callers nesting simulations inside their own worker pool
-    /// should derive this via [`thread_budget`] so the two levels never
-    /// oversubscribe.
+    /// OS threads for the cache warm-up phase. Thread count never changes
+    /// simulation results, only wall time; the event loop itself is
+    /// sequential.
     pub threads: usize,
     /// The server catalog: which hardware class sits in each rack slot.
     /// The default [`FleetCatalog::uniform`] is one fully inheriting
@@ -159,16 +156,6 @@ impl FleetConfig {
     pub fn total_servers(&self) -> usize {
         self.racks * self.servers_per_rack
     }
-}
-
-/// Splits a thread budget across `outer` concurrent workers: the threads
-/// each worker may use internally so the two levels of parallelism never
-/// oversubscribe the machine. The scenario sweep hands each grid worker
-/// `thread_budget(threads, workers)` for its per-point simulations
-/// (warm-up and telemetry fan-out); a single foreground run is the `outer = 1`
-/// case and keeps the whole budget. Never returns zero.
-pub fn thread_budget(total: usize, outer: usize) -> usize {
-    (total / outer.max(1)).max(1)
 }
 
 /// One catalog class, resolved against the fleet defaults and assembled:

@@ -49,8 +49,9 @@ pub(crate) fn pair_index(bench: Benchmark, qos: QosClass) -> usize {
 }
 
 /// The sorted distinct `(bench, qos)` pairs of a job stream, read off a
-/// presence table filled in one pass over the jobs.
-pub(crate) fn demand_pairs(jobs: &[Job]) -> Vec<(Benchmark, QosClass)> {
+/// presence table filled in one pass over the jobs: the pairs
+/// [`Fleet::warm`](crate::Fleet::warm) needs to cover the stream.
+pub fn demand_pairs(jobs: &[Job]) -> Vec<(Benchmark, QosClass)> {
     let mut present = [false; Benchmark::ALL.len() * QosClass::ALL.len()];
     for job in jobs {
         present[pair_index(job.bench, job.qos)] = true;

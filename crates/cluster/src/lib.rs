@@ -17,15 +17,15 @@
 //!   slot; the default uniform catalog is the homogeneous fleet, bit for
 //!   bit,
 //! * [`OutcomeCache`] — per-server physics memoized by
-//!   `(class, benchmark, qos, policy, water inlet)` and warmed across OS
-//!   threads,
+//!   `(class, benchmark, qos, policy, water inlet)` in one locked map,
+//!   warmed across OS threads and frozen into a read-only [`SolveTable`]
+//!   snapshot that runs resolve their demand states through,
 //! * [`FleetDispatcher`] — [`RoundRobin`], [`CoolestRackFirst`] and the
 //!   paper-style [`ThermalAwareDispatch`] that ranks `(rack, class)`
 //!   slots by marginal chiller power,
-//! * [`CalendarQueue`]/[`Event`] — the deterministic kernel: typed
-//!   events in an arena-backed calendar queue ordered by a stable
-//!   `(time, class, seq)` key, so results are byte-identical across runs
-//!   and thread counts,
+//! * [`EventQueue`]/[`Event`] — the deterministic kernel: typed events
+//!   in a binary heap ordered by a stable `(time, class, seq)` key, so
+//!   results are byte-identical across runs and thread counts,
 //! * [`ControlPolicy`] — runtime control evaluated on
 //!   [`ControlTick`](Event::ControlTick): [`StaticControl`] (open loop),
 //!   [`SetpointScheduler`] (chiller set-point program),
@@ -115,11 +115,11 @@ pub use dispatch::{
     PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
 };
 pub use engine::{Event, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
-pub use fleet::{thread_budget, Fleet, FleetConfig, PolicyId, ServerPolicy};
-pub use job::{synthesize_jobs, synthesize_request_jobs, Job, JobMix};
+pub use fleet::{Fleet, FleetConfig, PolicyId, ServerPolicy};
+pub use job::{demand_pairs, synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{
     FleetOutcome, FleetSample, FleetTrace, KernelStats, LatencyHistogram, ServingOutcome,
     ServingSample, SimResult, TelemetryConfig,
 };
 pub use plan::{PlanSolver, PlannerControl};
-pub use queue::{CalendarQueue, QueueStats};
+pub use queue::{EventQueue, QueueStats};

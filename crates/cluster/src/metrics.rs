@@ -227,17 +227,18 @@ pub struct KernelStats {
     pub events: u64,
     /// Most events pending at once.
     pub peak_queue_depth: usize,
-    /// High-water mark of the calendar queue's entry arena.
+    /// Most entries the event queue's storage held: its peak length, so
+    /// always equal to `peak_queue_depth`.
     pub arena_high_water: usize,
     /// Demand-state lookups served lock-free off the frozen
     /// [`SolveTable`](crate::SolveTable) epoch.
     pub table_hits: usize,
-    /// Demand-state lookups the table lacked, solved through the striped
+    /// Demand-state lookups the table lacked, solved through the locked
     /// miss path (always 0 once a covering table is published).
     pub miss_solves: usize,
-    /// Cache lock acquisitions observed over the run — stripe and
+    /// Cache lock acquisitions observed over the run — map and
     /// publication locks. A steady-state replay on a covering table
-    /// reads **zero**; the determinism smoke asserts it.
+    /// reads **zero**; a test asserts it.
     pub lock_acquisitions: usize,
 }
 

@@ -1,4 +1,4 @@
-//! The arena-backed calendar event queue that drives the kernel.
+//! The binary-heap event queue that drives the kernel.
 //!
 //! Events pop in a stable `(time, class, seq)` order — `f64::to_bits` is
 //! monotone for the non-negative times in play, `class` is the
@@ -9,27 +9,15 @@
 //! queue against a naive sorted-`Vec` model of that key, and this
 //! module's tests replay long interleavings against a reference queue.
 //!
-//! [`CalendarQueue`] is Brown's classic design, adapted for determinism
-//! and arena storage:
-//!
-//! * entries live in a flat arena (`Vec<Entry>` plus a free list), so a
-//!   million-event run performs a handful of allocations instead of one
-//!   per event;
-//! * the bucket array covers one *year* of virtual time
-//!   (`nbuckets × width`); an event at time `t` hashes to bucket
-//!   `⌊t/width⌋ mod nbuckets`, and every bucket holds events of exactly
-//!   one virtual bucket index, so a pop scans one bucket for the minimum
-//!   key;
-//! * events scheduled beyond the current year go to an *overflow* list
-//!   (with its minimum key cached) and are folded back in bulk when one
-//!   comes due or the calendar drains — far-future telemetry or
-//!   completion events never slow the near-term scan;
-//! * the bucket count doubles/halves with occupancy and the bucket width
-//!   is re-derived from the live span at each resize, so both dense
-//!   (million pre-pushed arrivals) and sparse (a lone control tick)
-//!   regimes stay O(1) amortized per operation.
+//! A plain [`BinaryHeap`] is enough: the kernel streams arrivals through
+//! a fixed lookahead window ([`ARRIVAL_LOOKAHEAD`](crate::ARRIVAL_LOOKAHEAD)),
+//! so the queue holds that window plus the in-flight completions and
+//! periodic events — a few thousand entries, where a push or pop costs a
+//! dozen comparisons.
 
 use crate::engine::Event;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use tps_units::Seconds;
 
 /// Depth and storage counters a queue accumulates over a run, surfaced
@@ -41,11 +29,12 @@ pub struct QueueStats {
     pub pushed: u64,
     /// Highest number of events pending at once.
     pub peak_depth: usize,
-    /// High-water mark of arena slots ever allocated.
+    /// Most entries the queue's storage ever held: the heap's peak
+    /// length, so always equal to `peak_depth`.
     pub arena_high_water: usize,
 }
 
-/// One scheduled event in the arena.
+/// One scheduled event, ordered by its key alone.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     /// `(time_bits, class, seq)` — the queue's total pop order.
@@ -53,18 +42,33 @@ struct Entry {
     event: Event,
 }
 
-/// Smallest bucket count; kept a power of two so the slot computation is
-/// a mask.
-const MIN_BUCKETS: usize = 16;
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
 
-/// An arena-backed calendar queue popping events in exact
-/// `(time, class, seq)` order.
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// A min-heap of events popping in exact `(time, class, seq)` order.
 ///
 /// ```
-/// use tps_cluster::{CalendarQueue, Event};
+/// use tps_cluster::{Event, EventQueue};
 /// use tps_units::Seconds;
 ///
-/// let mut q = CalendarQueue::new();
+/// let mut q = EventQueue::new();
 /// q.push(Seconds::new(5.0), Event::JobArrival(1));
 /// q.push(Seconds::new(5.0), Event::JobCompletion { job: 0, server: 0 });
 /// q.push(Seconds::new(1.0), Event::ControlTick);
@@ -73,152 +77,39 @@ const MIN_BUCKETS: usize = 16;
 /// assert!(matches!(q.pop(), Some((_, Event::JobCompletion { .. }))));
 /// assert_eq!(q.pop(), Some((Seconds::new(5.0), Event::JobArrival(1))));
 /// assert_eq!(q.pop(), None);
-/// assert!(q.stats().peak_depth >= 3);
+/// assert_eq!(q.stats().peak_depth, 3);
 /// ```
-#[derive(Debug)]
-pub struct CalendarQueue {
-    /// All entries ever scheduled; slots are recycled through `free`.
-    arena: Vec<Entry>,
-    free: Vec<u32>,
-    /// `buckets[vb % nbuckets]` holds exactly the entries of virtual
-    /// bucket `vb`, for `vb` in `[base, base + nbuckets)`.
-    buckets: Vec<Vec<u32>>,
-    /// Entries at virtual buckets `≥ base + nbuckets` (the far future),
-    /// folded back into the calendar when one comes due or the calendar
-    /// drains.
-    overflow: Vec<u32>,
-    /// Smallest key in `overflow` (`None` when empty): pop compares the
-    /// best calendar-resident key against it so an overflow event that
-    /// comes due is served on time even while near-term re-arms keep the
-    /// calendar from ever draining.
-    overflow_min: Option<(u64, u8, u64)>,
-    /// Seconds of virtual time each bucket covers.
-    width: f64,
-    /// Lower bound (inclusive) of the calendar's current year, as a
-    /// virtual bucket index; no pending entry maps below it.
-    base: u64,
-    len: usize,
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
-    pushed: u64,
     peak_depth: usize,
 }
 
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CalendarQueue {
+impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        Self {
-            arena: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            overflow: Vec::new(),
-            overflow_min: None,
-            width: 1.0,
-            base: 0,
-            len: 0,
-            seq: 0,
-            pushed: 0,
-            peak_depth: 0,
-        }
+        Self::default()
     }
 
-    /// The virtual bucket an event time maps to (saturating cast: times
-    /// past `u64::MAX × width` all land in the last representable bucket,
-    /// which only coarsens their bucketing, never their pop order).
-    fn vbucket(&self, time_bits: u64) -> u64 {
-        (f64::from_bits(time_bits) / self.width) as u64
-    }
-
-    fn alloc(&mut self, entry: Entry) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.arena[i as usize] = entry;
-                i
-            }
-            None => {
-                let i = u32::try_from(self.arena.len()).expect("calendar arena capped at 2^32");
-                self.arena.push(entry);
-                i
-            }
-        }
-    }
-
-    /// Files an already-allocated entry into its bucket or the overflow
-    /// list. Caller guarantees `vb ≥ base`.
-    fn file(&mut self, idx: u32) {
-        let vb = self.vbucket(self.arena[idx as usize].key.0);
-        debug_assert!(vb >= self.base);
-        if vb - self.base >= self.buckets.len() as u64 {
-            let key = self.arena[idx as usize].key;
-            if self.overflow_min.is_none_or(|m| key < m) {
-                self.overflow_min = Some(key);
-            }
-            self.overflow.push(idx);
-        } else {
-            let slot = (vb % self.buckets.len() as u64) as usize;
-            self.buckets[slot].push(idx);
-        }
-    }
-
-    /// Rebuilds the bucket array: re-derives the width from the live
-    /// span, resizes to `nbuckets`, resets `base` to the earliest pending
-    /// entry and refiles everything. Deterministic — a pure function of
-    /// the queue's current contents.
-    fn rebuild(&mut self, nbuckets: usize) {
-        let live: Vec<u32> = self
-            .buckets
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .chain(self.overflow.drain(..))
-            .collect();
-        debug_assert_eq!(live.len(), self.len);
-        self.overflow_min = None;
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for &i in &live {
-            let t = f64::from_bits(self.arena[i as usize].key.0);
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        // Width ≈ the mean inter-event gap, clamped positive and finite;
-        // a degenerate span (empty, or all events at one instant) keeps
-        // the previous width so the mapping stays well defined.
-        if self.len >= 2 && hi > lo {
-            self.width = ((hi - lo) / self.len as f64).max(f64::MIN_POSITIVE);
-        }
-        self.buckets = vec![Vec::new(); nbuckets.max(MIN_BUCKETS)];
-        self.base = if lo.is_finite() {
-            self.vbucket(lo.to_bits())
-        } else {
-            0
-        };
-        for i in live {
-            self.file(i);
-        }
-    }
-
-    /// Lifetime depth/storage counters.
+    /// Lifetime depth/storage counters. Every push takes a fresh `seq`,
+    /// so the push count is the sequence counter.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            pushed: self.pushed,
+            pushed: self.seq,
             peak_depth: self.peak_depth,
-            arena_high_water: self.arena.len(),
+            arena_high_water: self.peak_depth,
         }
     }
 
     /// Pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at `time`.
@@ -233,93 +124,25 @@ impl CalendarQueue {
         );
         let key = (time.value().to_bits(), event.class(), self.seq);
         self.seq += 1;
-        self.pushed += 1;
-        let idx = self.alloc(Entry { key, event });
-        self.len += 1;
-        self.peak_depth = self.peak_depth.max(self.len);
-        let vb = self.vbucket(key.0);
-        if vb < self.base {
-            // A push behind the calendar's cursor (never the kernel —
-            // events are scheduled at or after `now` — but legal for the
-            // general API): rewind by rebuilding around the new minimum.
-            let n = self.buckets.len();
-            self.buckets[(vb % n as u64) as usize].push(idx);
-            self.rebuild(n);
-        } else {
-            self.file(idx);
-        }
-        if self.len > 2 * self.buckets.len() {
-            let n = self.buckets.len() * 2;
-            self.rebuild(n);
-        }
+        self.heap.push(Reverse(Entry { key, event }));
+        self.peak_depth = self.peak_depth.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event by `(time, class, seq)`.
     pub fn pop(&mut self) -> Option<(Seconds, Event)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Scan at most one year of buckets from the calendar cursor;
-            // the bucketing invariant (one virtual bucket per slot, all in
-            // `[base, base + n)`) means the first non-empty slot in scan
-            // order holds the earliest calendar-resident key.
-            let n = self.buckets.len() as u64;
-            let mut found = None;
-            let mut vb = self.base;
-            for _ in 0..n {
-                let slot = (vb % n) as usize;
-                if !self.buckets[slot].is_empty() {
-                    found = Some((slot, vb));
-                    break;
-                }
-                vb += 1;
-            }
-            let Some((slot, vb)) = found else {
-                // The calendar year is empty but events remain: they are
-                // all in the overflow list — rebuild the calendar around
-                // them (re-deriving the width for the new time span).
-                debug_assert!(!self.overflow.is_empty());
-                let n = self.buckets.len();
-                self.rebuild(n);
-                continue;
-            };
-            let bucket = &self.buckets[slot];
-            let mut best = 0;
-            let mut best_key = self.arena[bucket[0] as usize].key;
-            for (j, &i) in bucket.iter().enumerate().skip(1) {
-                let key = self.arena[i as usize].key;
-                if key < best_key {
-                    best = j;
-                    best_key = key;
-                }
-            }
-            // An overflow event can come due while near-term re-arms keep
-            // the calendar busy (so the drained-calendar path above never
-            // runs): fold it back in before serving anything later than
-            // it. After the rebuild the overflow minimum is strictly
-            // later than the best bucketed key, so this cannot loop.
-            if self.overflow_min.is_some_and(|m| m < best_key) {
-                let n = self.buckets.len();
-                self.rebuild(n);
-                continue;
-            }
-            let idx = self.buckets[slot].swap_remove(best);
-            self.free.push(idx);
-            self.len -= 1;
-            self.base = vb;
-            let entry = self.arena[idx as usize];
-            if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                let half = self.buckets.len() / 2;
-                self.rebuild(half);
-            }
-            return Some((Seconds::new(f64::from_bits(entry.key.0)), entry.event));
-        }
+        let Reverse(entry) = self.heap.pop()?;
+        Some((Seconds::new(f64::from_bits(entry.key.0)), entry.event))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Several test names say "calendar", "overflow" or "cursor": they
+    //! come from the bucketed calendar queue this heap replaced. The
+    //! regimes they name — far-future events, pushes behind the last
+    //! pop, re-arms that never let the queue drain — still pin the pop
+    //! order.
+
     use super::*;
     use tps_units::Celsius;
 
@@ -351,7 +174,7 @@ mod tests {
 
     #[test]
     fn calendar_orders_by_time_then_class_then_push_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         let t = Seconds::new(10.0);
         q.push(t, Event::JobArrival(0));
         q.push(t, Event::TelemetrySample);
@@ -389,7 +212,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-        let mut cal = CalendarQueue::new();
+        let mut cal = EventQueue::new();
         let mut oracle = Reference::default();
         for i in 0..4000u64 {
             let r = mix(7, i);
@@ -420,7 +243,7 @@ mod tests {
 
     #[test]
     fn far_future_events_ride_the_overflow_list() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         // A tight cluster fixes a small width, then a far-future event
         // must overflow (≥ one year ahead) and still pop last.
         for i in 0..64usize {
@@ -439,7 +262,7 @@ mod tests {
 
     #[test]
     fn all_events_at_one_instant_pop_in_class_then_push_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         let t = Seconds::new(3.0);
         for id in [4usize, 2, 9] {
             q.push(t, Event::JobArrival(id));
@@ -459,7 +282,7 @@ mod tests {
 
     #[test]
     fn pushes_behind_the_cursor_rewind_the_calendar() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         for i in 0..100usize {
             q.push(Seconds::new(100.0 + i as f64), Event::JobArrival(i));
         }
@@ -478,9 +301,9 @@ mod tests {
         // start life in the overflow list). Every event must still pop in
         // key order — a starved overflow entry would either pop late or
         // never.
-        let mut cal = CalendarQueue::new();
+        let mut cal = EventQueue::new();
         let mut oracle = Reference::default();
-        let push = |cal: &mut CalendarQueue, oracle: &mut Reference, t: f64, e: Event| {
+        let push = |cal: &mut EventQueue, oracle: &mut Reference, t: f64, e: Event| {
             cal.push(Seconds::new(t), e);
             oracle.push(Seconds::new(t), e);
         };
@@ -536,7 +359,7 @@ mod tests {
 
     #[test]
     fn arena_slots_are_recycled() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         for round in 0..50usize {
             for i in 0..8usize {
                 q.push(Seconds::new((round * 8 + i) as f64), Event::JobArrival(i));
@@ -559,6 +382,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn calendar_rejects_negative_times() {
-        CalendarQueue::new().push(Seconds::new(-1.0), Event::ControlTick);
+        EventQueue::new().push(Seconds::new(-1.0), Event::ControlTick);
     }
 }

@@ -126,7 +126,7 @@ fn thermal_aware_beats_round_robin_on_the_mixed_catalog() {
 #[test]
 fn hundred_thousand_server_shape_stays_deterministic_across_threads() {
     // The kernel's scale structures (SoA server table, occupancy index,
-    // calendar queue, group-representative dispatch) at the 100k-server
+    // event queue, group-representative dispatch) at the 100k-server
     // shape the bench trajectory pins, smoke-sized job stream: outcomes
     // must stay byte-identical across warm-up thread counts. `Debug`
     // prints floats at round-trip precision, so equal strings pin bits.

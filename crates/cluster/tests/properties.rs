@@ -371,11 +371,11 @@ fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
 
 proptest! {
     /// Drive the kernel's dispatch index (occupied set, idle groups,
-    /// stamps, inline chiller terms, score memo) and the full-fleet
+    /// inline chiller terms, per-signature slabs) and the full-fleet
     /// rescore oracles through the same random interleaving of
     /// placements, expiries and set-point changes made through
     /// `RackLoads::set_chiller`: every placement decision must be
-    /// bit-identical. The incremental dispatcher keeps its memo warm
+    /// bit-identical. The incremental dispatcher keeps its slabs warm
     /// across the whole interleaving while the oracles rescore every rack
     /// each call — any stale cache entry or index drift shows up as a
     /// diverged pick.
@@ -443,9 +443,7 @@ proptest! {
                         index: FleetIndex {
                             occupied: loads.occupied_racks(),
                             idle_min: loads.idle_group_mins(),
-                            group_of: loads.rack_groups(),
                             group_classes: &group_classes,
-                            stamps: loads.stamps(),
                         },
                     };
                     let chosen = warm.place(&demand, &view);

@@ -1,11 +1,12 @@
-//! Model-based property tests for the calendar event queue: any
+//! Model-based property tests for the kernel's event queue: any
 //! interleaving of pushes and pops must produce exactly the pop order of
 //! a naive sorted-`Vec` model of the kernel's `(time, class, seq)` key —
 //! including same-instant ties, all-events-at-one-time degeneracy and
-//! far-future times that ride the overflow list.
+//! far-future times (the regimes that once stressed a bucketed calendar
+//! queue's overflow list).
 
 use proptest::prelude::*;
-use tps_cluster::{CalendarQueue, Event};
+use tps_cluster::{Event, EventQueue};
 use tps_units::{Celsius, Seconds};
 
 /// SplitMix64, the same deterministic mix the workload layer uses.
@@ -79,7 +80,7 @@ proptest! {
         ops in 1usize..400,
         spread in 1u64..4,
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut cal = EventQueue::new();
         let mut model = SortedVecModel::default();
         for i in 0..ops as u64 {
             let r = mix(seed, i);
@@ -116,7 +117,7 @@ proptest! {
         n in 1usize..120,
         t in 0u32..1000,
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut cal = EventQueue::new();
         let mut model = SortedVecModel::default();
         let at = Seconds::new(t as f64 * 0.25);
         for i in 0..n as u64 {
@@ -139,7 +140,7 @@ proptest! {
         seed in 0u64..200,
         rounds in 1usize..60,
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut cal = EventQueue::new();
         let mut model = SortedVecModel::default();
         let mut now = 0.0f64;
         for i in 0..rounds as u64 {

@@ -183,11 +183,11 @@ pub struct SweepReport {
     /// after the phase-boundary publication, every grid point's lookups
     /// land here.
     pub table_hits: usize,
-    /// Solves taken through the striped miss path because a published
+    /// Solves taken through the locked miss path because a published
     /// table lacked the key (zero on a grid whose phase-1 warm covered
     /// every pair).
     pub miss_solves: usize,
-    /// Stripe/publication lock acquisitions across the grid — the warm
+    /// Map and publication lock acquisitions across the grid — the warm
     /// phase owns effectively all of them; phase-2 replays add one table
     /// fetch each.
     pub lock_acquisitions: usize,

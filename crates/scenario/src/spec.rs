@@ -6,6 +6,7 @@
 //! loudly, not silently fall back to a default).
 
 use crate::toml::{self, Spanned, Table, Value};
+use std::f64::consts::PI;
 use std::fmt;
 use std::ops::RangeInclusive;
 use tps_cluster::{
@@ -98,6 +99,18 @@ const SURGE: RangeInclusive<f64> = 1.0..=1e6;
 /// fraction `mean / peak` of them, so this ratio is the work per accepted
 /// arrival; every shipped shape stays below 4.
 const THINNING_RATIO_MAX: f64 = 1000.0;
+
+/// The most thinning candidates a demand shape may expect to draw before
+/// it accepts its first arrival (see [`first_arrival_candidates`]). The
+/// ratio limit above bounds the long-run work per arrival, not this wait:
+/// a zero background under a long first gap or period keeps drawing at
+/// the peak rate. Every shipped shape expects fewer than 20.
+const FIRST_ARRIVAL_CANDIDATES_MAX: f64 = 1e8;
+
+/// The most simulated-annealing iterations a planner may ask for: 500 ×
+/// the default. Planning time grows linearly in it, to seconds per run
+/// at the limit on a small fleet.
+const ANNEAL_ITERS_MAX: usize = 1_000_000;
 
 /// The mean service time envelope, seconds: a batch job replays phases
 /// of at most a few seconds, so a day-long mean already means ~10⁵ phases
@@ -764,6 +777,25 @@ impl Scenario {
                 ),
             ));
         }
+        let first = first_arrival_candidates(demand, serving);
+        if first > FIRST_ARRIVAL_CANDIDATES_MAX {
+            let keys: &[&str] = match (demand, serving) {
+                (DemandKind::Bursty { .. }, _) => &["rate", "base_fraction", "gap_s"],
+                (_, Some(_)) => &["rate", "base_fraction", "period_s", "surge"],
+                _ => &["rate", "base_fraction", "period_s"],
+            };
+            let key = keys.iter().find(|k| workload.has(k)).unwrap_or(&keys[0]);
+            return Err(workload.value_error(
+                key,
+                format!(
+                    "`{}` make thinning expect {first:.3e} candidates before the first \
+                     arrival (the limit is {FIRST_ARRIVAL_CANDIDATES_MAX:e}) — raise \
+                     `base_fraction`, or lower `rate` or `{}`",
+                    keys.join("`, `"),
+                    keys[2],
+                ),
+            ));
+        }
         let mean_service_s = workload.positive_f64("mean_service_s", 40.0)?;
         workload.within("mean_service_s", mean_service_s, &MEAN_SERVICE_S, "s")?;
         let qos_weights = workload.weights3("qos_weights", [0.2, 0.4, 0.4])?;
@@ -969,6 +1001,15 @@ impl Scenario {
                     control_tbl.within("setpoint_grid", c, &HEAT_REUSE_C, "°C")?;
                 }
                 let anneal_iters = control_tbl.count("anneal_iters", 2_000)?;
+                if anneal_iters > ANNEAL_ITERS_MAX {
+                    return Err(control_tbl.value_error(
+                        "anneal_iters",
+                        format!(
+                            "`anneal_iters` = {anneal_iters} exceeds the planner's \
+                             {ANNEAL_ITERS_MAX}-iteration limit"
+                        ),
+                    ));
+                }
                 let solver = match control_tbl.string("solver", "lp")?.as_str() {
                     "lp" => PlanSolver::Lp,
                     "anneal" => PlanSolver::Anneal,
@@ -1148,6 +1189,39 @@ fn thinning_ratio(demand: DemandKind, serving: Option<ServingSpec>) -> f64 {
         } => bf + (1.0 - bf) * duty(burst_s, gap_s),
     };
     1.0 / mean_over_peak
+}
+
+/// An upper estimate of the candidates Poisson thinning expects to draw
+/// before it accepts the first arrival. Thinning draws at the peak rate
+/// from `t = 0`, where each shape sits at its trough:
+///
+/// * bursty — the background accepts one in `1 / base_fraction`, and the
+///   first burst opens within `gap_s`, after at most `rate · gap_s` draws;
+/// * diurnal — the background bound again, or the raised cosine's rise
+///   from a zero trough, `rate · π² t³ / (3 · period_s²)` expected
+///   arrivals by `t`, which reaches one after `∛(3 · (rate · period_s)² /
+///   π²)` draws at the peak rate;
+/// * serving — thinning draws at `surge ×` the diurnal peak, and surges
+///   only bring the first arrival earlier, so `surge ×` the diurnal bound.
+fn first_arrival_candidates(demand: DemandKind, serving: Option<ServingSpec>) -> f64 {
+    match demand {
+        DemandKind::Constant { .. } => 1.0,
+        DemandKind::Bursty {
+            rate,
+            base_fraction,
+            gap_s,
+            ..
+        } => (rate * gap_s).min(1.0 / base_fraction),
+        DemandKind::Diurnal {
+            rate,
+            base_fraction,
+            period_s,
+        } => {
+            let per_period = rate * period_s;
+            let rise = (3.0 * per_period * per_period / (PI * PI)).cbrt();
+            serving.map_or(1.0, |sv| sv.surge) * rise.min(1.0 / base_fraction)
+        }
+    }
 }
 
 /// Substitutes `value` at the dotted `table.key` path, creating the table

@@ -473,7 +473,7 @@ fn run_grid(
     // Phase boundary: freeze each warmed cache into a published
     // `SolveTable` epoch now, so every phase-2 replay finds a covering
     // table up front and resolves its demand states lock-free — no
-    // first-run-in racing to publish, no per-point stripe traffic.
+    // first-run-in racing to publish, no per-point map traffic.
     for (_, cache) in &caches {
         cache.publish();
     }
@@ -487,12 +487,11 @@ fn run_grid(
     };
 
     // Phase 2: replay the grid across workers. Each point gets fresh
-    // dispatcher *and* control instances (both can be stateful) and the
-    // leftover share of the thread budget for its own telemetry fan-out;
-    // outcomes and traces are bit-identical at any worker and thread
-    // count, so the split is pure scheduling.
+    // dispatcher *and* control instances (both can be stateful); phase 1
+    // warmed every pair a point needs, so a replay never solves and its
+    // spec's warm-up `threads` go unused. Outcomes and traces are
+    // bit-identical at any worker count, so the split is pure scheduling.
     let workers = threads.clamp(1, scenarios.len().max(1));
-    let inner_threads = tps_cluster::thread_budget(threads, workers);
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Result<SimResult, RunError>>>> =
         scenarios.iter().map(|_| Mutex::new(None)).collect();
@@ -504,9 +503,7 @@ fn run_grid(
                     break;
                 }
                 let scenario = &scenarios[i];
-                let mut config = scenario.fleet_config();
-                config.threads = inner_threads;
-                let fleet = tps_cluster::Fleet::new(config);
+                let fleet = tps_cluster::Fleet::new(scenario.fleet_config());
                 let mut dispatcher = scenario.dispatcher.instantiate();
                 let mut control = scenario.control.instantiate();
                 let telemetry =
@@ -996,8 +993,8 @@ mod tests {
         // The shared cache warmed each (class, bench, qos, …) key once,
         // and the phase-boundary publication froze those solves into a
         // covering `SolveTable`: every grid point's demand states resolve
-        // lock-free from the table (zero striped-map traffic, zero miss
-        // solves in phase 2).
+        // lock-free from the table (zero map traffic, zero miss solves in
+        // phase 2).
         assert!(a.cache_solves > 0);
         assert!(a.table_hits > 0);
         assert_eq!(a.cache_hits, 0);

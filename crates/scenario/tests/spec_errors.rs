@@ -482,6 +482,36 @@ fn out_of_envelope_and_oversized_values_are_named_at_their_line() {
             "`base_fraction`, `surge`, `surge_s`, `surge_gap_s` make the arrival rate peak \
              at 1.667e6 ×",
         ),
+        // Thinning draws at the peak rate from `t = 0`, where every
+        // shape sits at its trough: a zero background waits for the
+        // first burst or for the diurnal rise.
+        (
+            "[workload]\ndemand = \"bursty\"\nrate = 1e9\nbase_fraction = 0\nburst_s = 1\n\
+             gap_s = 100\n"
+                .to_owned(),
+            3,
+            "`rate`, `base_fraction`, `gap_s` make thinning expect 1.000e11 candidates before \
+             the first arrival (the limit is 1e8)",
+        ),
+        (
+            "[workload]\ndemand = \"diurnal\"\nbase_fraction = 0\nrate = 1\nperiod_s = 1e15\n"
+                .to_owned(),
+            4,
+            "`rate`, `base_fraction`, `period_s` make thinning expect 6.724e9 candidates",
+        ),
+        (
+            "[workload]\nmode = \"serving\"\nbase_fraction = 0\nperiod_s = 1e12\nsurge = 10\n"
+                .to_owned(),
+            3,
+            "`rate`, `base_fraction`, `period_s`, `surge` make thinning expect 5.301e8 candidates",
+        ),
+        (
+            "[control]\npolicy = \"planner\"\nsetpoint_grid = [45]\n\
+             anneal_iters = 9223372036854775807\n"
+                .to_owned(),
+            4,
+            "`anneal_iters` = 9223372036854775807 exceeds the planner's 1000000-iteration limit",
+        ),
     ];
     for (src, line, named) in &cases {
         let e = fail_scenario(src);
@@ -504,6 +534,28 @@ fn the_thinning_limit_is_1000_times_the_mean_rate() {
     assert_eq!(e.line, Some(3), "{e}");
     assert!(e.message.contains("peak at 1.001e3 ×"), "{e}");
     assert!(e.message.contains("(the limit is 1000 ×)"), "{e}");
+}
+
+#[test]
+fn the_first_arrival_limit_is_1e8_candidates() {
+    // A zero background waits at the burst rate for the first burst:
+    // 1e6 jobs/s over a 99 s gap expects 9.9e7 candidates, over 101 s
+    // 1.01e8. A background of one in five caps the wait at five
+    // candidates whatever the gap or period.
+    let bursty = |gap_s: u32| {
+        format!("[workload]\ndemand = \"bursty\"\nrate = 1e6\nbase_fraction = 0\ngap_s = {gap_s}\n")
+    };
+    Scenario::parse(&bursty(99), "t").expect("9.9e7 candidates are within the limit");
+    let e = fail_scenario(&bursty(101));
+    assert_eq!(e.line, Some(3), "{e}");
+    assert!(e.message.contains("expect 1.010e8 candidates"), "{e}");
+    for src in [
+        "[workload]\ndemand = \"bursty\"\nrate = 1e9\nbase_fraction = 0.2\ngap_s = 1e6\n",
+        "[workload]\ndemand = \"diurnal\"\nrate = 1\nbase_fraction = 0.2\nperiod_s = 1e15\n",
+        "[control]\npolicy = \"planner\"\nsetpoint_grid = [45]\nanneal_iters = 1000000\n",
+    ] {
+        Scenario::parse(src, "t").unwrap_or_else(|e| panic!("{src}: {e}"));
+    }
 }
 
 #[test]

@@ -168,6 +168,19 @@ fn out_of_envelope_and_endless_runs_exit_1_with_a_named_error() {
             vec!["--rate", "1e-12", "--control", "shed"],
             "the control tick interval of 60.0 s cannot step",
         ),
+        (
+            vec![
+                "--control",
+                "planner",
+                "--setpoint-grid",
+                "45,70",
+                "--solver",
+                "anneal",
+                "--anneal-iters",
+                "9223372036854775807",
+            ],
+            "`anneal_iters` = 9223372036854775807 exceeds the planner's 1000000-iteration limit",
+        ),
     ];
     for (case, named) in &cases {
         let args = owned(&fleet.iter().chain(case).copied().collect::<Vec<_>>());
@@ -191,28 +204,73 @@ fn out_of_envelope_and_endless_runs_exit_1_with_a_named_error() {
 fn demand_shapes_thinning_cannot_sample_exit_1_within_10s() {
     let dir = format!("{}/cli-thinning", env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("the target temp dir is writable");
+    let ratio = "× its long-run mean, so thinning would draw";
+    let first = "candidates before the first arrival (the limit is 1e8)";
     let cases = [
         (
             "bursty",
             "demand = \"bursty\"\nbase_fraction = 0\nburst_s = 1e-6\ngap_s = 1e6",
+            ratio,
         ),
         (
             "surge",
             "mode = \"serving\"\nsurge = 1e6\nsurge_s = 1e-6\nsurge_gap_s = 1e6",
+            ratio,
+        ),
+        (
+            "first-burst",
+            "demand = \"bursty\"\nrate = 1e9\nbase_fraction = 0\nburst_s = 1\ngap_s = 100",
+            first,
+        ),
+        (
+            "first-rise",
+            "demand = \"diurnal\"\nrate = 1\nbase_fraction = 0\nperiod_s = 1e15",
+            first,
         ),
     ];
-    for (name, workload) in cases {
+    for (name, workload, named) in cases {
         let path = format!("{dir}/{name}.toml");
         let spec = format!("[fleet]\nracks = 1\ngrid_pitch_mm = 3\n[workload]\n{workload}\n");
         std::fs::write(&path, spec).expect("the spec is writable");
         let out = format!("{dir}/out-{name}");
         let (code, stderr) = tps_within_10s(&owned(&["sweep", &path, "--out", &out]));
         assert_eq!(code, Some(1), "tps sweep {path}: {stderr}");
-        assert!(
-            stderr.contains("× its long-run mean, so thinning would draw"),
-            "{stderr}"
-        );
+        assert!(stderr.contains(named), "{stderr}");
     }
+}
+
+#[test]
+fn stats_miss_solves_agree_per_run_and_process_total() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tps"))
+        .args([
+            "fleet",
+            "--servers",
+            "8",
+            "--jobs",
+            "32",
+            "--pitch",
+            "3",
+            "--stats",
+        ])
+        .output()
+        .expect("the tps binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let miss_solves = |line: &str| -> usize {
+        let head = &line[..line.find(" miss solves").expect("a miss-solve count")];
+        let count = head.rsplit(' ').next().unwrap_or_default();
+        count.parse().unwrap_or_else(|_| panic!("{line}"))
+    };
+    let per_run: Vec<usize> = stdout
+        .lines()
+        .filter(|l| l.starts_with("  cache (this run): "))
+        .map(miss_solves)
+        .collect();
+    let total = stdout
+        .lines()
+        .find(|l| l.starts_with("server-physics cache (process total): "))
+        .map(miss_solves);
+    assert_eq!(per_run.len(), 3, "{stdout}");
+    assert_eq!(Some(per_run.iter().sum()), total, "{stdout}");
 }
 
 #[test]
