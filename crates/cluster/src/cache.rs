@@ -3,8 +3,9 @@
 //!
 //! A fleet run dispatches hundreds to thousands of jobs, but the
 //! per-server physics depends only on `(server class, benchmark, qos,
-//! mapping policy, water inlet)` — the coupled thermosyphon/thermal solve
-//! is steady-state and every server of one class is identical.
+//! mapping policy, water inlet, grid pitch, water flow, case limit)` —
+//! the coupled thermosyphon/thermal solve is steady-state and every
+//! server of one class is identical.
 //! [`OutcomeCache`] therefore computes each distinct key once (in
 //! parallel across OS threads) and the event-driven simulator replays the
 //! cached [`SteadyState`] summaries, which is what lets a million-job
@@ -20,9 +21,8 @@
 //! them acquires **zero** locks. Keys the snapshot lacks (a new
 //! `inlet_milli` from a swept set-point, a planner grid) are solved into
 //! the map and appear in the *next* epoch, frozen at a global
-//! synchronization point — a run start, the same place the kernel's
-//! chiller epoch advances — so readers never observe a torn table: they
-//! hold the epoch they started with.
+//! synchronization point — a run start — so readers never observe a torn
+//! table: they hold the epoch they started with.
 //!
 //! Counter taxonomy: `hits`/`solves` account the locked map,
 //! `table_hits`/`miss_solves` account the snapshot, and
@@ -58,7 +58,7 @@ pub struct SteadyState {
     pub die_max: Celsius,
 }
 
-/// Cache key: the five coordinates the steady-state outcome depends on.
+/// Cache key: every coordinate the steady-state outcome depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     /// The server class the solve ran on (catalog index).
@@ -73,28 +73,16 @@ pub struct CacheKey {
     /// Water inlet (ambient of the server loop) in milli-°C, quantized so
     /// the key is hashable/orderable.
     pub inlet_milli: i64,
+    /// `to_bits` of the thermal-grid pitch in millimetres.
+    pub pitch_bits: u64,
+    /// `to_bits` of the server loop's water flow in kg/h.
+    pub flow_bits: u64,
+    /// `to_bits` of the case-temperature limit in °C.
+    pub t_case_max_bits: u64,
 }
 
-impl CacheKey {
-    fn new(
-        class: ClassId,
-        bench: Benchmark,
-        qos: QosClass,
-        policy: PolicyId,
-        inlet: Celsius,
-    ) -> Self {
-        Self {
-            class,
-            bench,
-            qos,
-            policy,
-            inlet_milli: (inlet.value() * 1000.0).round() as i64,
-        }
-    }
-}
-
-/// One server class's solve context: what [`OutcomeCache::warm`] and the
-/// event kernel need to run jobs on that class.
+/// One server class's solve context: everything a solve of a job on that
+/// class depends on, and so everything its [`CacheKey`] holds.
 #[derive(Debug, Clone, Copy)]
 pub struct ClassSolve<'a> {
     /// The class's catalog index (part of the cache key).
@@ -103,13 +91,28 @@ pub struct ClassSolve<'a> {
     pub server: &'a Server,
     /// The class's (possibly overridden) mapping policy.
     pub policy: PolicyId,
+    /// The thermal-grid pitch the server template was built at, in
+    /// millimetres.
+    pub pitch_mm: f64,
+    /// The fleet's case-temperature constraint.
+    pub t_case_max: Celsius,
 }
 
 impl ClassSolve<'_> {
-    /// The cache key of `(bench, qos)` on this class.
+    /// The cache key of `(bench, qos)` on this class — the one place a
+    /// key is built.
     fn key(&self, bench: Benchmark, qos: QosClass) -> CacheKey {
-        let inlet = self.server.simulation().operating_point().water_inlet();
-        CacheKey::new(self.id, bench, qos, self.policy, inlet)
+        let op = self.server.simulation().operating_point();
+        CacheKey {
+            class: self.id,
+            bench,
+            qos,
+            policy: self.policy,
+            inlet_milli: (op.water_inlet().value() * 1000.0).round() as i64,
+            pitch_bits: self.pitch_mm.to_bits(),
+            flow_bits: op.water_flow().value().to_bits(),
+            t_case_max_bits: self.t_case_max.value().to_bits(),
+        }
     }
 }
 
@@ -119,10 +122,9 @@ impl ClassSolve<'_> {
 /// Epoch-publication invariant: a `SolveTable` is immutable after
 /// construction. New keys are solved into the locked map and appear only
 /// in the *next* published table (a higher [`epoch`](Self::epoch)),
-/// swapped in at a global synchronization point (a run start — the same
-/// cadence the kernel's chiller epoch advances on). Readers therefore
-/// never race a mutation: they keep using the epoch they fetched until
-/// the next sync point.
+/// swapped in at a global synchronization point (a run start). Readers
+/// therefore never race a mutation: they keep using the epoch they
+/// fetched until the next sync point.
 #[derive(Debug)]
 pub struct SolveTable {
     epoch: u64,
@@ -280,7 +282,6 @@ impl OutcomeCache {
         bench: Benchmark,
         qos: QosClass,
         selector: &dyn ConfigSelector,
-        t_case_max: Celsius,
     ) -> Result<SteadyState, RunError> {
         let key = class.key(bench, qos);
         if let Some(state) = self.lock_map().get(&key) {
@@ -293,7 +294,7 @@ impl OutcomeCache {
         let outcome = class
             .server
             .run(bench, qos, selector, class.policy.as_policy())?;
-        let load = outcome.cooling_load(op, t_case_max);
+        let load = outcome.cooling_load(op, class.t_case_max);
         let state = SteadyState {
             package_power: outcome.profile.package_power,
             heat: load.heat,
@@ -323,11 +324,12 @@ impl OutcomeCache {
     }
 
     /// Returns a published table covering every `(class, bench, qos)`
-    /// triple of `classes × pairs`, warming only the **missing** triples
-    /// (in parallel) and publishing a fresh epoch when needed. On a fully
-    /// covered cache this is one publication-lock fetch — the steady-state
-    /// replay path; on a cold cache it is the old eager warm-up, now as
-    /// an on-demand prefetch.
+    /// triple of `classes × pairs`, plus how many triples it had to solve
+    /// for that: only the **missing** triples are warmed (in parallel),
+    /// and a fresh epoch is published when needed. On a fully covered
+    /// cache this is one publication-lock fetch — the steady-state replay
+    /// path; on a cold cache it is the old eager warm-up, now as an
+    /// on-demand prefetch.
     ///
     /// # Errors
     ///
@@ -337,9 +339,8 @@ impl OutcomeCache {
         classes: &[ClassSolve<'_>],
         pairs: &[(Benchmark, QosClass)],
         selector: &(dyn ConfigSelector + Sync),
-        t_case_max: Celsius,
         threads: usize,
-    ) -> Result<Arc<SolveTable>, RunError> {
+    ) -> Result<(Arc<SolveTable>, usize), RunError> {
         let published = self.table();
         let missing: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs)
             .filter(|&(ci, b, q)| {
@@ -350,13 +351,13 @@ impl OutcomeCache {
             .collect();
         if missing.is_empty() {
             if let Some(table) = published {
-                return Ok(table);
+                return Ok((table, 0));
             }
         } else {
             self.record_miss_solves(missing.len());
-            self.warm_triples(&missing, classes, selector, t_case_max, threads)?;
+            self.warm_triples(&missing, classes, selector, threads)?;
         }
-        Ok(self.publish())
+        Ok((self.publish(), missing.len()))
     }
 
     /// Pre-computes the outcomes for every `(class, bench, qos)` triple —
@@ -381,11 +382,10 @@ impl OutcomeCache {
         classes: &[ClassSolve<'_>],
         pairs: &[(Benchmark, QosClass)],
         selector: &(dyn ConfigSelector + Sync),
-        t_case_max: Celsius,
         threads: usize,
     ) -> Result<(), RunError> {
         let all: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs).collect();
-        self.warm_triples(&all, classes, selector, t_case_max, threads)
+        self.warm_triples(&all, classes, selector, threads)
     }
 
     /// The shared warm-up worker loop over an explicit triple list.
@@ -396,7 +396,6 @@ impl OutcomeCache {
         triples: &[(usize, Benchmark, QosClass)],
         classes: &[ClassSolve<'_>],
         selector: &(dyn ConfigSelector + Sync),
-        t_case_max: Celsius,
         threads: usize,
     ) -> Result<(), RunError> {
         let jobs = triples.len();
@@ -413,7 +412,7 @@ impl OutcomeCache {
                     }
                     let (ci, bench, qos) = triples[i];
                     let class = &classes[ci];
-                    if let Err(e) = self.get_or_solve(class, bench, qos, selector, t_case_max) {
+                    if let Err(e) = self.get_or_solve(class, bench, qos, selector) {
                         failed.store(true, Ordering::Relaxed);
                         let mut slot = failure.lock().expect("poisoned");
                         if slot.is_none() {
@@ -434,6 +433,7 @@ impl OutcomeCache {
 mod tests {
     use super::*;
     use tps_core::{MinPowerSelector, T_CASE_MAX};
+    use tps_thermosyphon::OperatingPoint;
 
     fn server() -> Server {
         Server::xeon(3.0)
@@ -444,6 +444,8 @@ mod tests {
             id: 0,
             server,
             policy: PolicyId::Proposed,
+            pitch_mm: 3.0,
+            t_case_max: T_CASE_MAX,
         }
     }
 
@@ -453,22 +455,10 @@ mod tests {
         let s = server();
         let c = class(&s);
         let a = cache
-            .get_or_solve(
-                &c,
-                Benchmark::X264,
-                QosClass::TwoX,
-                &MinPowerSelector,
-                T_CASE_MAX,
-            )
+            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
             .unwrap();
         let b = cache
-            .get_or_solve(
-                &c,
-                Benchmark::X264,
-                QosClass::TwoX,
-                &MinPowerSelector,
-                T_CASE_MAX,
-            )
+            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.solves(), 1);
@@ -484,23 +474,17 @@ mod tests {
         let s = server();
         let a = ClassSolve {
             id: 0,
-            server: &s,
             policy: PolicyId::Proposed,
+            ..class(&s)
         };
         let b = ClassSolve {
             id: 1,
-            server: &s,
             policy: PolicyId::Proposed,
+            ..class(&s)
         };
         for c in [&a, &b] {
             cache
-                .get_or_solve(
-                    c,
-                    Benchmark::X264,
-                    QosClass::TwoX,
-                    &MinPowerSelector,
-                    T_CASE_MAX,
-                )
+                .get_or_solve(c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
@@ -512,40 +496,33 @@ mod tests {
         // The key quantizes the inlet to milli-°C: two inlets within
         // 0.5 m°C are *deliberately* the same key (they are the same
         // physics to far beyond solver tolerance)…
-        let close_a = CacheKey::new(
-            0,
-            Benchmark::X264,
-            QosClass::TwoX,
-            PolicyId::Proposed,
-            Celsius::new(30.0001),
+        let s = server();
+        let at = |inlet: f64| {
+            s.with_operating_point(OperatingPoint::paper().with_inlet(Celsius::new(inlet)))
+        };
+        let key = |server: &Server, policy| {
+            ClassSolve {
+                policy,
+                ..class(server)
+            }
+            .key(Benchmark::X264, QosClass::TwoX)
+        };
+        let (close_a, close_b, apart) = (at(30.0001), at(30.0004), at(30.001));
+        let proposed = PolicyId::Proposed;
+        assert_eq!(
+            key(&close_a, proposed),
+            key(&close_b, proposed),
+            "inlets within 0.5 m°C must collide"
         );
-        let close_b = CacheKey::new(
-            0,
-            Benchmark::X264,
-            QosClass::TwoX,
-            PolicyId::Proposed,
-            Celsius::new(30.0004),
-        );
-        assert_eq!(close_a, close_b, "inlets within 0.5 m°C must collide");
         // …while inlets a full millidegree apart stay distinct.
-        let apart = CacheKey::new(
-            0,
-            Benchmark::X264,
-            QosClass::TwoX,
-            PolicyId::Proposed,
-            Celsius::new(30.001),
+        assert_ne!(
+            key(&close_a, proposed),
+            key(&apart, proposed),
+            "distinct milli-°C bins must not collide"
         );
-        assert_ne!(close_a, apart, "distinct milli-°C bins must not collide");
         // And the policy is a typed component: changing it alone changes
         // the key.
-        let other_policy = CacheKey::new(
-            0,
-            Benchmark::X264,
-            QosClass::TwoX,
-            PolicyId::Coskun,
-            Celsius::new(30.0001),
-        );
-        assert_ne!(close_a, other_policy);
+        assert_ne!(key(&close_a, proposed), key(&close_a, PolicyId::Coskun));
     }
 
     #[test]
@@ -555,13 +532,13 @@ mod tests {
         let classes = [
             ClassSolve {
                 id: 0,
-                server: &s,
                 policy: PolicyId::Proposed,
+                ..class(&s)
             },
             ClassSolve {
                 id: 1,
-                server: &s,
                 policy: PolicyId::Coskun,
+                ..class(&s)
             },
         ];
         let pairs: Vec<(Benchmark, QosClass)> = [
@@ -569,17 +546,13 @@ mod tests {
             (Benchmark::Canneal, QosClass::ThreeX),
         ]
         .to_vec();
-        cache
-            .warm(&classes, &pairs, &MinPowerSelector, T_CASE_MAX, 4)
-            .unwrap();
+        cache.warm(&classes, &pairs, &MinPowerSelector, 4).unwrap();
         assert_eq!(cache.len(), 4);
         // Replay after warm never solves again.
         let before = cache.solves();
         for c in &classes {
             for &(b, q) in &pairs {
-                cache
-                    .get_or_solve(c, b, q, &MinPowerSelector, T_CASE_MAX)
-                    .unwrap();
+                cache.get_or_solve(c, b, q, &MinPowerSelector).unwrap();
             }
         }
         assert_eq!(cache.solves(), before);
@@ -593,22 +566,10 @@ mod tests {
         let s = server();
         let c = class(&s);
         let hot = cache
-            .get_or_solve(
-                &c,
-                Benchmark::X264,
-                QosClass::OneX,
-                &MinPowerSelector,
-                T_CASE_MAX,
-            )
+            .get_or_solve(&c, Benchmark::X264, QosClass::OneX, &MinPowerSelector)
             .unwrap();
         let cool = cache
-            .get_or_solve(
-                &c,
-                Benchmark::Canneal,
-                QosClass::ThreeX,
-                &MinPowerSelector,
-                T_CASE_MAX,
-            )
+            .get_or_solve(&c, Benchmark::Canneal, QosClass::ThreeX, &MinPowerSelector)
             .unwrap();
         assert!(hot.max_water_temp < cool.max_water_temp);
         assert!(hot.package_power > cool.package_power);
@@ -621,31 +582,27 @@ mod tests {
         let classes = [
             ClassSolve {
                 id: 0,
-                server: &s,
                 policy: PolicyId::Proposed,
+                ..class(&s)
             },
             ClassSolve {
                 id: 1,
-                server: &s,
                 policy: PolicyId::Coskun,
+                ..class(&s)
             },
         ];
         let pairs = [
             (Benchmark::X264, QosClass::OneX),
             (Benchmark::Canneal, QosClass::ThreeX),
         ];
-        cache
-            .warm(&classes, &pairs, &MinPowerSelector, T_CASE_MAX, 2)
-            .unwrap();
+        cache.warm(&classes, &pairs, &MinPowerSelector, 2).unwrap();
         let table = cache.publish();
         assert_eq!(table.len(), 4);
         assert_eq!(table.epoch(), 1);
         for c in &classes {
             for &(b, q) in &pairs {
                 let dense = table.lookup(c, b, q).expect("warmed key is in the table");
-                let oracle = cache
-                    .get_or_solve(c, b, q, &MinPowerSelector, T_CASE_MAX)
-                    .unwrap();
+                let oracle = cache.get_or_solve(c, b, q, &MinPowerSelector).unwrap();
                 assert_eq!(dense, oracle);
             }
         }
@@ -661,18 +618,20 @@ mod tests {
         let s = server();
         let classes = [class(&s)];
         let pairs = [(Benchmark::X264, QosClass::TwoX)];
-        let first = cache
-            .ensure_published(&classes, &pairs, &MinPowerSelector, T_CASE_MAX, 2)
+        let (first, solved) = cache
+            .ensure_published(&classes, &pairs, &MinPowerSelector, 2)
             .unwrap();
         assert_eq!(first.epoch(), 1);
+        assert_eq!(solved, 1);
         assert_eq!(cache.miss_solves(), 1);
         // Covered: the second call fetches the same epoch with exactly
         // one publication-lock acquisition and no new solves.
         let locks = cache.lock_acquisitions();
-        let second = cache
-            .ensure_published(&classes, &pairs, &MinPowerSelector, T_CASE_MAX, 2)
+        let (second, solved) = cache
+            .ensure_published(&classes, &pairs, &MinPowerSelector, 2)
             .unwrap();
         assert_eq!(second.epoch(), 1);
+        assert_eq!(solved, 0);
         assert_eq!(cache.lock_acquisitions(), locks + 1);
         assert_eq!(cache.miss_solves(), 1);
         // A new pair republishes a richer epoch.
@@ -680,10 +639,11 @@ mod tests {
             (Benchmark::X264, QosClass::TwoX),
             (Benchmark::X264, QosClass::OneX),
         ];
-        let third = cache
-            .ensure_published(&classes, &wider, &MinPowerSelector, T_CASE_MAX, 2)
+        let (third, solved) = cache
+            .ensure_published(&classes, &wider, &MinPowerSelector, 2)
             .unwrap();
         assert_eq!(third.epoch(), 2);
+        assert_eq!(solved, 1);
         assert_eq!(third.len(), 2);
         // The earlier epoch is still alive and unchanged for its holders.
         assert_eq!(first.len(), 1);

@@ -78,11 +78,6 @@ pub struct JobDemand<'a> {
     pub job: &'a Job,
     /// Per-class demand, indexed by [`ClassId`].
     pub classes: &'a [ClassDemand],
-    /// Identity of the job's `(benchmark, QoS)` pair within this run —
-    /// two arrivals with the same signature carry bit-identical
-    /// [`ClassDemand::state`]s, so dispatchers may key score caches on
-    /// it. Callers with a single demand kind can pass `0`.
-    pub sig: u32,
 }
 
 impl JobDemand<'_> {
@@ -103,9 +98,9 @@ pub struct RackView {
     pub committed: usize,
 }
 
-/// Structure-of-arrays server state: availability, class and rack ids as
-/// flat vectors indexed by global server id, plus the per-rack
-/// distinct-class lists derived from them.
+/// Structure-of-arrays server state: availability and class ids as flat
+/// vectors indexed by global server id, plus the per-rack distinct-class
+/// lists derived from them.
 ///
 /// This is the kernel's mutable per-server state *and* the dispatchers'
 /// read-only lookup table — one contiguous layout instead of a
@@ -116,8 +111,6 @@ pub struct ServerTable {
     free_at: Vec<Seconds>,
     /// Catalog class per server.
     class_of: Vec<ClassId>,
-    /// Rack per server (`server / servers_per_rack`, precomputed flat).
-    rack_of: Vec<u32>,
     servers_per_rack: usize,
     /// Distinct classes hosted by each rack, ascending by class id —
     /// immutable for a run, so precomputed once (the dispatch hot path
@@ -144,9 +137,6 @@ impl ServerTable {
             0,
             "server count must be a whole number of racks"
         );
-        let rack_of = (0..class_of.len())
-            .map(|s| (s / servers_per_rack) as u32)
-            .collect();
         let rack_classes = class_of
             .chunks(servers_per_rack)
             .map(|rack| {
@@ -164,7 +154,6 @@ impl ServerTable {
         Self {
             free_at: vec![Seconds::ZERO; class_of.len()],
             class_of,
-            rack_of,
             servers_per_rack,
             rack_classes,
             active,
@@ -220,7 +209,7 @@ impl ServerTable {
 
     /// The rack hosting `server`.
     pub fn rack_of(&self, server: usize) -> usize {
-        self.rack_of[server] as usize
+        server / self.servers_per_rack
     }
 
     /// Earliest availability of `server`.
@@ -236,11 +225,6 @@ impl ServerTable {
     /// The flat per-server availability column.
     pub fn free_slice(&self) -> &[Seconds] {
         &self.free_at
-    }
-
-    /// The flat per-server class column.
-    pub fn class_slice(&self) -> &[ClassId] {
-        &self.class_of
     }
 
     /// The distinct classes hosted by `rack`, ascending by class id.
@@ -303,15 +287,11 @@ pub struct FleetView<'a> {
     pub now: Seconds,
     /// Per-rack committed load.
     pub racks: &'a [RackView],
-    /// Per-server state: availability, class and rack columns.
+    /// Per-server state: availability and class columns.
     pub servers: &'a ServerTable,
     /// The per-rack chiller model in force: the kernel passes
     /// [`RackLoads::chiller`](crate::RackLoads::chiller).
     pub chiller: &'a Chiller,
-    /// Bumped whenever the run's chiller changes (set-point events);
-    /// scores cached under an older epoch are stale. The kernel passes
-    /// [`RackLoads::chiller_epoch`](crate::RackLoads::chiller_epoch).
-    pub chiller_epoch: u64,
     /// The kernel's incremental occupancy index over
     /// [`racks`](FleetView::racks), which the ranking dispatchers walk
     /// instead of enumerating every rack. A hand-assembled view must keep
@@ -531,19 +511,17 @@ fn consider(cand: Candidate, best: &mut Candidate) {
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
     ranked: Vec<Candidate>,
-    /// Per-signature `(epoch, per-class [`SigClass`])` slabs — pure
-    /// functions of the chiller and the signature's frozen demand states,
-    /// so they replay until a set-point change. Flattening the fold's
-    /// class inputs into one contiguous record keeps the hot loop off the
-    /// scattered `ClassDemand`/`SteadyState` structs.
-    sig_lab: Vec<Option<(u64, Box<[SigClass]>)>>,
+    /// The arriving job's per-class fold inputs, refilled on every
+    /// arrival. Flattening them into one contiguous record keeps the hot
+    /// loop off the scattered `ClassDemand`/`SteadyState` structs.
+    inputs: Vec<ClassInputs>,
 }
 
-/// One class's fold inputs under a fixed signature and chiller epoch:
-/// the class's added heat, its water ceiling, `cop(max_water_temp)`, and
-/// the (rack-independent) idle-rack marginal power.
+/// One class's fold inputs for the arriving job under the chiller in
+/// force: the class's added heat, its water ceiling, `cop(max_water_temp)`,
+/// and the (rack-independent) idle-rack marginal power.
 #[derive(Debug, Clone, Copy)]
-struct SigClass {
+struct ClassInputs {
     heat: f64,
     mwt: f64,
     cop_mwt: f64,
@@ -551,40 +529,6 @@ struct SigClass {
 }
 
 impl ThermalAwareDispatch {
-    /// Refreshes the per-signature [`SigClass`] slab for `sig` under the
-    /// current chiller epoch (a no-op when it is already fresh).
-    fn refresh_sig_lab(
-        &mut self,
-        sig: usize,
-        epoch: u64,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-    ) {
-        if self.sig_lab.len() <= sig {
-            self.sig_lab.resize_with(sig + 1, || None);
-        }
-        let fresh = matches!(
-            &self.sig_lab[sig],
-            Some((e, v)) if *e == epoch && v.len() == demand.classes.len()
-        );
-        if !fresh {
-            let idle_view = idle_rack_view();
-            self.sig_lab[sig] = Some((
-                epoch,
-                demand
-                    .classes
-                    .iter()
-                    .map(|cd| SigClass {
-                        heat: cd.state.heat.value(),
-                        mwt: cd.state.max_water_temp.value(),
-                        cop_mwt: view.chiller.cop(cd.state.max_water_temp),
-                        idle_p: marginal_power(view.chiller, &idle_view, &cd.state),
-                    })
-                    .collect(),
-            ));
-        }
-    }
-
     /// Scores candidates from the incremental index and picks the
     /// cheapest slot meeting its wait budget.
     ///
@@ -602,16 +546,20 @@ impl ThermalAwareDispatch {
     /// occupied rack costs one division and no rack-indexed load.
     fn place_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let ix = &view.index;
-        let sig = demand.sig as usize;
         let active_racks = view.servers.active_racks();
-        self.refresh_sig_lab(sig, view.chiller_epoch, demand, view);
-        let lab: &[SigClass] = match &self.sig_lab[sig] {
-            Some((_, v)) => v,
-            None => unreachable!("slab was just filled"),
-        };
+        let idle_view = idle_rack_view();
+        self.inputs.clear();
+        self.inputs
+            .extend(demand.classes.iter().map(|cd| ClassInputs {
+                heat: cd.state.heat.value(),
+                mwt: cd.state.max_water_temp.value(),
+                cop_mwt: view.chiller.cop(cd.state.max_water_temp),
+                idle_p: marginal_power(view.chiller, &idle_view, &cd.state),
+            }));
+        let lab = &self.inputs;
         let mut best = SENTINEL;
         // Idle representatives first — their scores are rack-independent
-        // slab reads. The fold's minimum under the strict `(p, h, rack,
+        // input reads. The fold's minimum under the strict `(p, h, rack,
         // class)` total order is the same whatever the visit order, since
         // every candidate's `(rack, class)` is unique.
         for (g, &m) in ix.idle_min.iter().enumerate() {
@@ -791,10 +739,6 @@ impl FleetDispatcher for ThermalAwareDispatch {
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         self.place_indexed(demand, view)
     }
-
-    fn begin_run(&mut self) {
-        self.sig_lab.clear();
-    }
 }
 
 /// Per-arrival total-energy dispatch: the greedy single-job projection of
@@ -940,7 +884,6 @@ mod tests {
                 racks,
                 servers,
                 chiller,
-                chiller_epoch: 0,
                 index: FleetIndex {
                     occupied: &self.occupied,
                     idle_min: &self.idle_min,
@@ -1018,7 +961,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         let picks: Vec<usize> = (0..5).map(|_| rr.place(&d, &view)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0]);
@@ -1049,7 +991,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         // Marginal chiller power favors the cooler class 0…
         assert_eq!(scan_thermal(&d, &view), 0);
@@ -1082,7 +1023,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         assert_eq!(CoolestRackFirst.place(&d, &view), 3);
     }
@@ -1118,7 +1058,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &cold,
-            sig: 0,
         };
         let pick = ta.place(&d, &view);
         assert!(pick < 2, "cold job went to rack {}", pick / 2);
@@ -1127,7 +1066,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &warm,
-            sig: 1,
         };
         let pick = ta.place(&d, &view);
         assert!(pick >= 2, "warm job went to rack {}", pick / 2);
@@ -1147,7 +1085,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         let pick = ThermalAwareDispatch::default().place(&d, &view);
         assert_eq!(pick, 2, "budget-violating rack chosen");
@@ -1180,7 +1117,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         assert_eq!(ThermalAwareDispatch::default().place(&d, &view), 1);
         // CoolestRackFirst agrees once the (single) rack is fixed.
@@ -1243,7 +1179,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         let mut rr = RoundRobin::default();
         for i in 0..8 {
@@ -1263,7 +1198,7 @@ mod tests {
         // both — with rack 1 committed and the rest idle. The indexed
         // walk (group representatives + occupied racks) must pick
         // exactly what the full enumeration picks, for
-        // cold and warm demand signatures alike, across repeated calls.
+        // cold and warm demands alike, across repeated calls.
         let j = job();
         let racks = vec![
             idle_rack_view(),
@@ -1282,7 +1217,7 @@ mod tests {
         assert_eq!(ix.idle_min, vec![Some(0), Some(2)]);
         let view = ix.view(&racks, &servers, &chiller);
         let mut ta = ThermalAwareDispatch::default();
-        for (sig, (heat, water)) in [(70.0, 60.0), (70.0, 76.0), (120.0, 55.0)]
+        for (case, (heat, water)) in [(70.0, 60.0), (70.0, 76.0), (120.0, 55.0)]
             .into_iter()
             .enumerate()
         {
@@ -1301,14 +1236,13 @@ mod tests {
             let d = JobDemand {
                 job: &j,
                 classes: &classes,
-                sig: sig as u32,
             };
             for _ in 0..3 {
-                assert_eq!(ta.place(&d, &view), scan_thermal(&d, &view), "sig {sig}");
+                assert_eq!(ta.place(&d, &view), scan_thermal(&d, &view), "case {case}");
                 assert_eq!(
                     CoolestRackFirst.place(&d, &view),
                     scan_coolest(&d, &view),
-                    "sig {sig}"
+                    "case {case}"
                 );
             }
         }
@@ -1334,7 +1268,6 @@ mod tests {
         let d = JobDemand {
             job: &j,
             classes: &classes,
-            sig: 0,
         };
         let pick = ThermalAwareDispatch::default().place(&d, &view);
         assert_eq!(pick, scan_thermal(&d, &view));

@@ -8,21 +8,24 @@
 //! [`EventQueue`](crate::EventQueue) orders events by a stable
 //! `(time, class, seq)` key, so two runs of the same inputs — at any
 //! thread count — replay the identical event sequence and produce
-//! bit-identical floats. The five event kinds and their same-instant
+//! bit-identical floats. The six event kinds and their same-instant
 //! ordering:
 //!
-//! 1. [`Event::JobCompletion`] — a server finishes a job; committed rack
-//!    load expires *before* anything else sees that instant (a placement
-//!    covers `[start, end)`).
-//! 2. [`Event::SetpointChange`] — the chiller/heat-reuse set-point moves;
+//! 1. [`Event::JobStart`] — a placement starts executing; the running
+//!    layer folds it in before anything else sees that instant.
+//! 2. [`Event::JobCompletion`] — a server finishes a job; committed rack
+//!    load expires and the running layer folds the placement out before
+//!    set-points, ticks, samples or arrivals see that instant (a
+//!    placement covers `[start, end)`).
+//! 3. [`Event::SetpointChange`] — the chiller/heat-reuse set-point moves;
 //!    later dispatch decisions and energy windows see the new chiller.
-//! 3. [`Event::ControlTick`] — the control policy observes the fleet and
+//! 4. [`Event::ControlTick`] — the control policy observes the fleet and
 //!    may emit actions.
-//! 4. [`Event::TelemetrySample`] — a [`FleetSample`] is recorded.
-//! 5. [`Event::JobArrival`] — the dispatcher places the job against the
-//!    settled fleet state.
+//! 5. [`Event::TelemetrySample`] — a [`FleetSample`] is recorded.
+//! 6. [`Event::JobArrival`] — the dispatcher places the job against the
+//!    committed fleet state.
 
-use crate::cache::{OutcomeCache, SolveTable, SteadyState};
+use crate::cache::SteadyState;
 use crate::catalog::ClassId;
 use crate::control::{ControlAction, ControlPolicy, ControlStatus, PlacementHint, RunContext};
 use crate::dispatch::{
@@ -30,6 +33,7 @@ use crate::dispatch::{
 };
 use crate::fleet::{Fleet, FleetConfig};
 use crate::job::{pair_index, Job};
+use crate::load::{Load, RackLoad, Running, Tally};
 use crate::metrics::{
     EnergyIntegrator, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
@@ -38,14 +42,14 @@ use crate::queue::EventQueue;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use tps_cooling::Chiller;
-use tps_core::{MinPowerSelector, RunError};
+use tps_core::RunError;
 use tps_units::{Celsius, Seconds, Watts};
 use tps_workload::{Benchmark, QosClass};
 
 /// How many future arrivals the kernel keeps enqueued ahead of the event
 /// horizon. Arrivals are streamed from the time-sorted order, one pushed
 /// per arrival processed, so the queue holds O(`ARRIVAL_LOOKAHEAD` +
-/// in-flight completions) events instead of the whole job stream. Any
+/// in-flight placements) events instead of the whole job stream. Any
 /// positive window preserves pop order (see `run`); the window bounds
 /// the heap's depth, and with it the cost of every push and pop.
 pub const ARRIVAL_LOOKAHEAD: usize = 1024;
@@ -53,14 +57,22 @@ pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 /// A typed simulation event.
 ///
 /// Events carry only identities; the payloads they act on (committed rack
-/// load, running power, set-point) live in the kernel's `FleetState`, which settles
-/// lazily to the event's timestamp.
+/// load, the running layer, the chiller) live in the kernel's
+/// `FleetState`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
+    /// A placement starts executing on a server (the running layer folds
+    /// its load in).
+    JobStart {
+        /// The job's index into the simulated stream.
+        job: usize,
+        /// The global server index it runs on.
+        server: usize,
+    },
     /// A job finishes executing on a server (its committed rack load
-    /// expires at this instant).
+    /// expires at this instant and the running layer folds it out).
     JobCompletion {
-        /// The completing job's id.
+        /// The job's index into the simulated stream.
         job: usize,
         /// The global server index it ran on.
         server: usize,
@@ -77,17 +89,25 @@ pub enum Event {
 
 impl Event {
     /// Same-instant ordering class (lower runs first); see the module
-    /// docs for the rationale of completion-before-arrival.
+    /// docs for the rationale of the order.
     pub(crate) fn class(&self) -> u8 {
         match self {
-            Event::JobCompletion { .. } => 0,
-            Event::SetpointChange(_) => 1,
-            Event::ControlTick => 2,
-            Event::TelemetrySample => 3,
-            Event::JobArrival(_) => 4,
+            Event::JobStart { .. } => 0,
+            Event::JobCompletion { .. } => 1,
+            Event::SetpointChange(_) => 2,
+            Event::ControlTick => 3,
+            Event::TelemetrySample => 4,
+            Event::JobArrival(_) => 5,
         }
     }
 }
+
+/// A committed placement waiting in the [`RackLoads`] expiry heap:
+/// `(end bits, insertion seq, rack, heat bits, water bits)`. The unique
+/// seq makes the key total, so pops replay the exact `(end, insertion)`
+/// order a sorted map would — on a flat array instead of B-tree nodes
+/// (this is a per-placement hot path).
+type Expiry = Reverse<(u64, usize, u32, u64, u64)>;
 
 /// Incremental per-rack committed load: every placement that has not
 /// finished (running or still queued) counts against its rack until its
@@ -101,37 +121,15 @@ impl Event {
 /// index updates in O(log racks) — this is what lets dispatchers skip the
 /// per-arrival full-fleet rescan.
 ///
-/// It also owns the run's chiller and its epoch: every occupied entry
-/// carries its rack's COP and chiller draw under that chiller
-/// ([`OccupiedRack::cop`], [`OccupiedRack::draw`]), refreshed when the
-/// rack mutates and, for every entry, on [`set_chiller`](Self::set_chiller).
-///
-/// Invariant note: the heat-sum / water-multiset / pin-drained-to-zero
-/// bookkeeping here is mirrored (over different windows and orderings)
-/// by the kernel's `RunningSet` and by the streaming `EnergyIntegrator`
-/// (`metrics.rs`), all three keeping the water multiset as sorted
-/// `(key, count)` vectors. The chiller terms cached here (each occupied
-/// entry's `cop`/`draw`) and the integrator's dense draw array refresh
-/// at the same two points: a mutation of the rack and a chiller change.
-/// A change to these rules must land in all three; the property tests
-/// (including the integrator's post-pass oracle) plus the golden
-/// bit-for-bit fleet and serving tests pin the behavior.
+/// It also owns the run's chiller: every occupied entry carries its
+/// rack's COP and chiller draw under that chiller ([`OccupiedRack::cop`],
+/// [`OccupiedRack::draw`]), refreshed when the rack mutates and, for
+/// every entry, on [`set_chiller`](Self::set_chiller).
 #[derive(Debug)]
 pub struct RackLoads {
-    heat: Vec<f64>,
-    /// Multiset of tolerable-water keys per rack, as an ascending sorted
-    /// `(key, count)` vector; `f64::to_bits` is monotone for the
-    /// non-negative temperatures in play and round-trips the exact value.
-    /// A vector, not a `BTreeMap`: the handful of distinct keys per rack
-    /// makes the binary search trivial, and the capacity survives the
-    /// rack draining — no node allocation per placement on the hot path.
-    water: Vec<Vec<(u64, u32)>>,
-    count: Vec<usize>,
-    /// Min-heap of `(end_bits, insertion seq, rack, heat_bits,
-    /// water_bits)`. The unique seq makes the key total, so pops replay
-    /// the exact `(end, insertion)` order a sorted map would — on a flat
-    /// array instead of B-tree nodes (this is a per-placement hot path).
-    expiry: BinaryHeap<Reverse<(u64, usize, u32, u64, u64)>>,
+    /// Each rack's committed load.
+    racks: Vec<RackLoad>,
+    expiry: BinaryHeap<Expiry>,
     seq: usize,
     total: usize,
     /// The current dispatch view per rack, kept exactly equal to what a
@@ -157,8 +155,6 @@ pub struct RackLoads {
     /// Rack → rack-group id.
     group_of: Vec<u32>,
     chiller: Chiller,
-    /// Bumped on every chiller change; dispatch score caches key on it.
-    chiller_epoch: u64,
 }
 
 /// One entry of the occupied-rack index: the sort key `(heat bits,
@@ -189,7 +185,7 @@ pub struct OccupiedRack {
 }
 
 impl OccupiedRack {
-    /// Sentinel for "no settled supply" — an all-ones NaN pattern no real
+    /// Sentinel for "no supply" — an all-ones NaN pattern no real
     /// temperature produces.
     pub const NO_SUPPLY: u64 = u64::MAX;
 
@@ -232,7 +228,7 @@ impl OccupiedRack {
         f64::from_bits(self.heat_bits)
     }
 
-    /// The rack's settled supply, exactly the [`RackView`]'s.
+    /// The rack's supply, exactly the [`RackView`]'s.
     #[inline]
     pub fn supply(&self) -> Option<Celsius> {
         (self.supply_bits != Self::NO_SUPPLY)
@@ -269,9 +265,7 @@ impl RackLoads {
         }
         let idle_min = idle.iter().map(|s| s.first().copied()).collect();
         Self {
-            heat: vec![0.0; racks],
-            water: vec![Vec::new(); racks],
-            count: vec![0; racks],
+            racks: vec![RackLoad::default(); racks],
             expiry: BinaryHeap::new(),
             seq: 0,
             total: 0,
@@ -288,7 +282,6 @@ impl RackLoads {
             idle_min,
             group_of,
             chiller,
-            chiller_epoch: 0,
         }
     }
 
@@ -297,17 +290,10 @@ impl RackLoads {
         &self.chiller
     }
 
-    /// How many times [`set_chiller`](Self::set_chiller) has run: scores
-    /// cached under an older epoch are stale.
-    pub fn chiller_epoch(&self) -> u64 {
-        self.chiller_epoch
-    }
-
-    /// Swaps the chiller (a set-point change), bumps the epoch and
-    /// re-evaluates every occupied entry's COP terms under it.
+    /// Swaps the chiller (a set-point change) and re-evaluates every
+    /// occupied entry's COP terms under it.
     pub fn set_chiller(&mut self, chiller: Chiller) {
         self.chiller = chiller;
-        self.chiller_epoch += 1;
         for e in &mut self.occupied {
             e.refresh(&self.chiller);
         }
@@ -315,7 +301,7 @@ impl RackLoads {
 
     /// Number of racks.
     pub fn racks(&self) -> usize {
-        self.heat.len()
+        self.racks.len()
     }
 
     /// Committed placements across all racks.
@@ -327,12 +313,11 @@ impl RackLoads {
     /// The view expressions are exactly the from-scratch rebuild's, so
     /// the maintained views stay bit-identical to [`views`](Self::views).
     fn sync_rack(&mut self, rack: usize, was_occupied: bool, old_bits: u64) {
+        let load = &self.racks[rack];
         let view = RackView {
-            heat: Watts::new(self.heat[rack].max(0.0)),
-            supply: self.water[rack]
-                .first()
-                .map(|&(bits, _)| Celsius::new(f64::from_bits(bits))),
-            committed: self.count[rack],
+            heat: Watts::new(load.heat()),
+            supply: load.supply(),
+            committed: load.count(),
         };
         let now_occupied = view.committed > 0;
         let r = rack as u32;
@@ -389,23 +374,14 @@ impl RackLoads {
     ///
     /// Panics if `rack` is out of range.
     pub fn add(&mut self, rack: usize, state: &SteadyState, end: Seconds) {
-        let was_occupied = self.count[rack] > 0;
+        let (heat, water) = (state.heat.value(), state.max_water_temp.value().to_bits());
+        let was_occupied = self.racks[rack].count() > 0;
         let old_bits = self.views[rack].heat.value().to_bits();
-        let water_bits = state.max_water_temp.value().to_bits();
-        self.heat[rack] += state.heat.value();
-        self.count[rack] += 1;
+        self.racks[rack].add(heat, water);
         self.total += 1;
-        match self.water[rack].binary_search_by_key(&water_bits, |e| e.0) {
-            Ok(i) => self.water[rack][i].1 += 1,
-            Err(i) => self.water[rack].insert(i, (water_bits, 1)),
-        }
-        self.expiry.push(Reverse((
-            end.value().to_bits(),
-            self.seq,
-            rack as u32,
-            state.heat.value().to_bits(),
-            water_bits,
-        )));
+        let end = end.value().to_bits();
+        self.expiry
+            .push(Reverse((end, self.seq, rack as u32, heat.to_bits(), water)));
         self.seq += 1;
         self.sync_rack(rack, was_occupied, old_bits);
     }
@@ -413,28 +389,16 @@ impl RackLoads {
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
     /// in `(end, insertion)` order so float accumulation is deterministic.
     pub fn expire_until(&mut self, now: Seconds) {
-        while let Some(&Reverse((end_bits, _, rack, heat_bits, water_bits))) = self.expiry.peek() {
+        while let Some(&Reverse((end_bits, _, rack, heat_bits, water))) = self.expiry.peek() {
             if f64::from_bits(end_bits) > now.value() {
                 break;
             }
-            let (rack, heat) = (rack as usize, f64::from_bits(heat_bits));
             self.expiry.pop();
-            let was_occupied = self.count[rack] > 0;
+            let rack = rack as usize;
+            let was_occupied = self.racks[rack].count() > 0;
             let old_bits = self.views[rack].heat.value().to_bits();
-            self.heat[rack] -= heat;
-            self.count[rack] -= 1;
+            self.racks[rack].remove(f64::from_bits(heat_bits), water);
             self.total -= 1;
-            if let Ok(i) = self.water[rack].binary_search_by_key(&water_bits, |e| e.0) {
-                self.water[rack][i].1 -= 1;
-                if self.water[rack][i].1 == 0 {
-                    self.water[rack].remove(i);
-                }
-            }
-            // Pin drained racks back to exact zero: float residue must not
-            // perturb later dispatch comparisons.
-            if self.count[rack] == 0 {
-                self.heat[rack] = 0.0;
-            }
             self.sync_rack(rack, was_occupied, old_bits);
         }
     }
@@ -470,152 +434,19 @@ impl RackLoads {
     }
 }
 
-/// A placement boundary waiting in a [`RunningSet`] heap: `(time bits,
-/// commit seq, rack, class, heat bits, package-power bits, water bits)`.
-/// `to_bits` is monotone for the non-negative times in play and the seq
-/// is unique, so the min-heap pops in exactly the `(time, insertion)`
-/// order a sorted map would and never compares past the seq.
-type RunningEdge = Reverse<(u64, u64, u32, u32, u64, u64, u64)>;
-
-/// Pops the earliest boundary at or before `now`, decoded as `(rack,
-/// class, heat, power, water bits)`.
-fn pop_due(
-    heap: &mut BinaryHeap<RunningEdge>,
-    now: Seconds,
-) -> Option<(usize, usize, f64, f64, u64)> {
-    let &Reverse((bits, _, rack, class, heat, power, water)) = heap.peek()?;
-    if f64::from_bits(bits) > now.value() {
-        return None;
-    }
-    heap.pop();
-    let (heat, power) = (f64::from_bits(heat), f64::from_bits(power));
-    Some((rack as usize, class as usize, heat, power, water))
-}
-
-/// The *running* (started, not finished) layer of the fleet, maintained
-/// lazily for telemetry and control snapshots. Distinct from
-/// [`RackLoads`], which tracks *committed* (running or queued) load —
-/// the quantity dispatch decisions are made against. Shares its
-/// accumulation rules with [`RackLoads`] and the `EnergyIntegrator` (see
-/// the invariant note on [`RackLoads`]), but not its state: it settles
-/// every start at an instant before the ends, where the integrator folds
-/// ends first, so its float sums — and the trace bytes they print —
-/// differ from the integrator's.
-#[derive(Debug)]
-struct RunningSet {
-    /// Placements not yet started, keyed by start.
-    starts: BinaryHeap<RunningEdge>,
-    /// Placements started, not yet folded out, keyed by end.
-    ends: BinaryHeap<RunningEdge>,
-    seq: u64,
-    active_power: f64,
-    heat: Vec<f64>,
-    /// Running water keys per rack, as ascending sorted `(key, count)`
-    /// vectors like [`RackLoads`]'.
-    water: Vec<Vec<(u64, u32)>>,
-    count: Vec<usize>,
-    running: usize,
-    /// Per-class running counts and active package power (telemetry's
-    /// per-class columns on heterogeneous fleets).
-    class_running: Vec<usize>,
-    class_power: Vec<f64>,
-}
-
-impl RunningSet {
-    fn new(racks: usize, classes: usize) -> Self {
-        Self {
-            starts: BinaryHeap::new(),
-            ends: BinaryHeap::new(),
-            seq: 0,
-            active_power: 0.0,
-            heat: vec![0.0; racks],
-            water: vec![Vec::new(); racks],
-            count: vec![0; racks],
-            running: 0,
-            class_running: vec![0; classes],
-            class_power: vec![0.0; classes],
-        }
-    }
-
-    fn commit(
-        &mut self,
-        rack: usize,
-        class: ClassId,
-        state: &SteadyState,
-        start: Seconds,
-        end: Seconds,
-    ) {
-        let edge = |t: Seconds| {
-            Reverse((
-                t.value().to_bits(),
-                self.seq,
-                rack as u32,
-                class as u32,
-                state.heat.value().to_bits(),
-                state.package_power.value().to_bits(),
-                state.max_water_temp.value().to_bits(),
-            ))
-        };
-        self.starts.push(edge(start));
-        self.ends.push(edge(end));
-        self.seq += 1;
-    }
-
-    /// Folds all starts, then all ends, with time ≤ `now` into the
-    /// aggregates, in `(time, insertion)` order.
-    fn settle(&mut self, now: Seconds) {
-        while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.starts, now) {
-            self.active_power += power;
-            self.heat[rack] += heat;
-            self.count[rack] += 1;
-            self.running += 1;
-            self.class_running[class] += 1;
-            self.class_power[class] += power;
-            let water = &mut self.water[rack];
-            match water.binary_search_by_key(&water_bits, |w| w.0) {
-                Ok(at) => water[at].1 += 1,
-                Err(at) => water.insert(at, (water_bits, 1)),
-            }
-        }
-        while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.ends, now) {
-            self.active_power -= power;
-            self.heat[rack] -= heat;
-            self.count[rack] -= 1;
-            self.running -= 1;
-            self.class_running[class] -= 1;
-            self.class_power[class] -= power;
-            let water = &mut self.water[rack];
-            if let Ok(at) = water.binary_search_by_key(&water_bits, |w| w.0) {
-                water[at].1 -= 1;
-                if water[at].1 == 0 {
-                    water.remove(at);
-                }
-            }
-            if self.count[rack] == 0 {
-                self.heat[rack] = 0.0;
-            }
-            // Pin drained sums to exact zero (fleet-wide and per class)
-            // so float residue never leaks into later samples.
-            if self.class_running[class] == 0 {
-                self.class_power[class] = 0.0;
-            }
-            if self.running == 0 {
-                self.active_power = 0.0;
-            }
-        }
-    }
-}
-
 /// The kernel's mutable fleet state: per-rack committed load (which owns
-/// the current chiller), the structure-of-arrays server table, the
-/// running layer behind telemetry, and the control surface (set-point,
-/// shedding flag).
+/// the current chiller, and with it the set-point), the
+/// structure-of-arrays server table, the running layer behind control
+/// ticks and telemetry, and the control surface (shedding flag).
 #[derive(Debug)]
 pub(crate) struct FleetState {
     loads: RackLoads,
-    running: RunningSet,
+    /// The *running* (started, not finished) placements: folded in at
+    /// their [`Event::JobStart`] and out at their [`Event::JobCompletion`].
+    /// Distinct from [`RackLoads`], which tracks *committed* (running or
+    /// queued) load, the quantity dispatch ranks against.
+    running: Running,
     servers: ServerTable,
-    setpoint: Celsius,
     shedding: bool,
     shed: usize,
     violations: usize,
@@ -623,25 +454,6 @@ pub(crate) struct FleetState {
 }
 
 impl FleetState {
-    fn new(
-        config: &FleetConfig,
-        classes: usize,
-        pending_arrivals: usize,
-        servers: ServerTable,
-        loads: RackLoads,
-    ) -> Self {
-        Self {
-            loads,
-            running: RunningSet::new(config.racks, classes),
-            servers,
-            setpoint: config.chiller.ambient(),
-            shedding: false,
-            shed: 0,
-            violations: 0,
-            pending_arrivals,
-        }
-    }
-
     /// All arrivals processed and nothing committed: the simulation can
     /// stop re-arming periodic events.
     fn done(&self) -> bool {
@@ -650,41 +462,39 @@ impl FleetState {
 
     /// Placed but not yet started.
     fn queued(&self) -> usize {
-        self.loads.total_committed() - self.running.running
+        self.loads.total_committed() - self.running.count()
     }
 }
 
-/// Runs the event loop: arrivals dispatched against settled state,
+/// Runs the event loop: arrivals dispatched against committed state,
 /// completions expiring committed load, control ticks and set-point
 /// changes steering the chiller, telemetry sampled on its own cadence.
 ///
-/// The run's demand states resolve lock-free off the published
-/// [`SolveTable`] epoch ([`Fleet::simulate_with`](crate::Fleet::simulate_with)
-/// publishes a covering table first); keys the table lacks fall back to
-/// [`OutcomeCache::get_or_solve`], still correct, just locked. `pairs`
-/// are the stream's sorted distinct `(bench, qos)` pairs (see
-/// `job::demand_pairs`); a pair's position is its demand signature.
-#[allow(clippy::too_many_arguments)] // the run's inputs, passed straight through
+/// `pairs` are the stream's sorted distinct `(bench, qos)` pairs (see
+/// `job::demand_pairs`), and `pair_states[p][class]` is pair `p`'s
+/// solved demand state on each catalog class;
+/// [`Fleet::simulate_with`](crate::Fleet::simulate_with) reads them off
+/// a covering [`SolveTable`](crate::SolveTable) before the loop starts.
+/// The returned [`KernelStats`] carry the queue counters; the caller
+/// fills in the cache counters.
 pub(crate) fn run(
     fleet: &Fleet,
     jobs: &[Job],
     pairs: &[(Benchmark, QosClass)],
+    pair_states: &[Vec<SteadyState>],
     dispatcher: &mut dyn FleetDispatcher,
     control: &mut dyn ControlPolicy,
     telemetry: Option<&TelemetryConfig>,
-    cache: &OutcomeCache,
-    table: &SolveTable,
 ) -> Result<SimResult, RunError> {
     let config = fleet.config();
-    let locks_at_entry = cache.lock_acquisitions();
-    let selector = MinPowerSelector;
-    let solvers = fleet.class_solvers();
     let class_of = fleet.server_classes();
+    let class_names = fleet.class_names();
     let n_servers = config.total_servers();
+    let per_rack = config.servers_per_rack;
 
-    // Structure-of-arrays server state: availability, class and rack ids
-    // as flat columns indexed by server id.
-    let servers = ServerTable::new(class_of.to_vec(), config.servers_per_rack);
+    // Structure-of-arrays server state: availability and class ids as
+    // flat columns indexed by server id.
+    let servers = ServerTable::new(class_of.to_vec(), per_rack);
     // Rack groups: racks hosting the same class pattern are
     // interchangeable while idle, which is what collapses the dispatch
     // ranking from O(racks) to O(occupied + groups) per arrival.
@@ -708,44 +518,23 @@ pub(crate) fn run(
         config.chiller.clone(),
     );
 
-    // The per-(benchmark, QoS) demand states, solved once up front — a
-    // million arrivals share a handful of distinct demand signatures, so
-    // the per-arrival cache round-trip collapses to a slice index. The
-    // per-job fields (runtime, wait budget) are derived per arrival from
-    // the shared steady state with the exact same expressions as before.
-    // Each arrival finds its signature by direct index into a dense
-    // |Benchmark|×|QosClass| table of pair positions.
-    let mut sig_of = [u32::MAX; Benchmark::ALL.len() * QosClass::ALL.len()];
-    for (sig, &(bench, qos)) in pairs.iter().enumerate() {
-        sig_of[pair_index(bench, qos)] = sig as u32;
+    // Each arrival finds its pair's demand states by direct index into a
+    // dense |Benchmark|×|QosClass| table of pair positions — a million
+    // arrivals share a handful of distinct pairs. The per-job fields
+    // (runtime, wait budget) are derived per arrival from the shared
+    // steady state.
+    let mut pair_of = [u32::MAX; Benchmark::ALL.len() * QosClass::ALL.len()];
+    for (p, &(bench, qos)) in pairs.iter().enumerate() {
+        pair_of[pair_index(bench, qos)] = p as u32;
     }
-    // Each lookup reads the shared frozen epoch — zero lock acquisitions.
-    // Keys the table predates fall back to the locked solve path.
-    let mut table_hits = 0usize;
-    let mut miss_solves = 0usize;
-    let mut pair_states: Vec<Vec<SteadyState>> = Vec::with_capacity(pairs.len());
-    for &(bench, qos) in pairs {
-        let mut per_class = Vec::with_capacity(solvers.len());
-        for solver in &solvers {
-            per_class.push(match table.lookup(solver, bench, qos) {
-                Some(state) => {
-                    table_hits += 1;
-                    state
-                }
-                None => {
-                    miss_solves += 1;
-                    cache.get_or_solve(solver, bench, qos, &selector, config.t_case_max)?
-                }
-            });
-        }
-        pair_states.push(per_class);
-    }
-    if table_hits > 0 {
-        cache.record_table_hits(table_hits);
-    }
-    if miss_solves > 0 {
-        cache.record_miss_solves(miss_solves);
-    }
+    let states_of = |job: &Job| &pair_states[pair_of[pair_index(job.bench, job.qos)] as usize];
+    // The load a closed-loop placement folds into the running layer at
+    // its start and out at its completion, rebuilt from the job's stream
+    // index and its server.
+    let load_of = |ji: usize, server: usize| {
+        let class = class_of[server];
+        Load::new(server / per_rack, class, &states_of(&jobs[ji])[class])
+    };
 
     let mut queue = EventQueue::new();
     // Arrivals in time order (id on ties), pushed in that order so the
@@ -812,26 +601,34 @@ pub(crate) fn run(
     control.begin_run(&RunContext {
         jobs,
         pairs,
-        pair_states: &pair_states,
+        pair_states,
         chiller: &config.chiller,
         servers: &servers,
-        classes: solvers.len(),
+        classes: class_names.len(),
     });
-    let mut state = FleetState::new(config, solvers.len(), jobs.len(), servers, loads);
+    let mut state = FleetState {
+        loads,
+        running: Running::new(config.racks, class_names.len()),
+        servers,
+        shedding: false,
+        shed: 0,
+        violations: 0,
+        pending_arrivals: jobs.len(),
+    };
     dispatcher.begin_run();
-    // Closed-loop machinery — the running layer (telemetry's view of
-    // started-not-finished jobs) and the JobCompletion events that keep
-    // it and the tick/sample re-arming honest — costs two queue pushes
-    // and two ordered-map insertions per placement. When nothing reads
-    // it (open loop: no ticks, no telemetry) the kernel elides it: the
-    // committed layer already expires lazily at each arrival, so the
-    // event stream degenerates to arrivals only and the replay runs at
-    // the pre-kernel simulator's speed.
+    // Closed-loop machinery — the running layer (what ticks and
+    // telemetry see of started-not-finished jobs) and the JobStart and
+    // JobCompletion events that fold it, keeping the tick/sample
+    // re-arming honest — costs two queue pushes per placement. When
+    // nothing reads it (open loop: no ticks, no telemetry) the kernel
+    // elides it: the committed layer already expires lazily at each
+    // arrival, so the event stream degenerates to arrivals only and the
+    // replay runs at the pre-kernel simulator's speed.
     let closed_loop = telemetry.is_some() || tick.is_some();
     // Energy integrates online: each placement's window and each
     // set-point or activation change is fed as it happens, and folded
     // once no later event can precede it.
-    let mut energy = EnergyIntegrator::new(config, &fleet.class_names());
+    let mut energy = EnergyIntegrator::new(config, &class_names);
     // Serving mode: per-request latency (dispatch wait + runtime, known
     // at placement time) feeds two integer-bucket sketches — the whole
     // run for reported percentiles, plus a per-tick window the
@@ -842,48 +639,45 @@ pub(crate) fn run(
     let mut latency_window = LatencyHistogram::default();
     let mut activations: Vec<(Seconds, usize)> = Vec::new();
     let mut trace = telemetry.map(|t| {
-        let mut trace = FleetTrace::with_classes(config.racks, fleet.class_names(), t.capacity);
+        let mut trace = FleetTrace::with_classes(config.racks, class_names.clone(), t.capacity);
         if serving {
             trace.enable_serving();
         }
         trace
     });
-    let mut final_sampled = false;
     // Scratch for the per-class demands (hot path: one buffer for the
     // whole run instead of one allocation per arrival).
-    let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(solvers.len());
+    let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(class_names.len());
 
     while let Some((now, event)) = queue.pop() {
         match event {
-            Event::JobCompletion { .. } => {
+            Event::JobStart { job, server } => state.running.start(&load_of(job, server)),
+            Event::JobCompletion { job, server } => {
                 state.loads.expire_until(now);
-                state.running.settle(now);
+                state.running.end(&load_of(job, server));
                 // The trace ends exactly at the makespan: record the
-                // drained fleet once, at the event that drains it.
-                if state.done() && !final_sampled {
+                // drained fleet once, at the completion that drains it.
+                if state.done() && state.running.count() == 0 {
                     if let Some(trace) = trace.as_mut() {
                         trace.push(sample(&state, now, config, serving.then_some(&latency_all)));
-                        final_sampled = true;
                     }
                 }
             }
             Event::SetpointChange(c) => {
                 state.loads.set_chiller(config.chiller.with_ambient(c));
-                state.setpoint = c;
                 energy.setpoint(now, c);
             }
             Event::ControlTick => {
                 if !state.done() {
                     state.loads.expire_until(now);
-                    state.running.settle(now);
                     let status = ControlStatus {
                         now,
                         committed: state.loads.total_committed(),
-                        running: state.running.running,
+                        running: state.running.count(),
                         queued: state.queued(),
                         shed: state.shed,
                         violations: state.violations,
-                        setpoint: state.setpoint,
+                        setpoint: state.loads.chiller().ambient(),
                         shedding: state.shedding,
                         racks: state.loads.view_slice(),
                         active_servers: state.servers.active_servers(),
@@ -898,7 +692,6 @@ pub(crate) fn run(
                         match action {
                             ControlAction::SetSetpoint(c) => {
                                 state.loads.set_chiller(config.chiller.with_ambient(c));
-                                state.setpoint = c;
                                 energy.setpoint(now, c);
                             }
                             ControlAction::SetShedding(on) => state.shedding = on,
@@ -922,7 +715,6 @@ pub(crate) fn run(
             }
             Event::TelemetrySample => {
                 if !state.done() {
-                    state.running.settle(now);
                     let t = telemetry.expect("samples only fire when telemetry is on");
                     if let Some(trace) = trace.as_mut() {
                         trace.push(sample(&state, now, config, serving.then_some(&latency_all)));
@@ -947,16 +739,14 @@ pub(crate) fn run(
                     // has finished, the rest of the stream is dropped):
                     // the final trace row must still carry the final shed
                     // count, so the drained-fleet sample records here too.
-                    if state.done() && !final_sampled {
+                    if state.done() {
                         if let Some(trace) = trace.as_mut() {
-                            state.running.settle(now);
                             trace.push(sample(
                                 &state,
                                 now,
                                 config,
                                 serving.then_some(&latency_all),
                             ));
-                            final_sampled = true;
                         }
                     }
                     continue;
@@ -964,9 +754,8 @@ pub(crate) fn run(
                 // The job's demand on every catalog class: the same
                 // workload runs hotter (or slower) on one hardware bin
                 // than another, and the dispatcher ranks those options.
-                let pair = sig_of[pair_index(job.bench, job.qos)];
                 class_scratch.clear();
-                for steady in &pair_states[pair as usize] {
+                for steady in states_of(job) {
                     class_scratch.push(ClassDemand {
                         state: *steady,
                         runtime: job.service * steady.normalized_time,
@@ -976,7 +765,6 @@ pub(crate) fn run(
                 let demand = JobDemand {
                     job,
                     classes: &class_scratch,
-                    sig: pair,
                 };
                 let loads = &state.loads;
                 let view = FleetView {
@@ -984,7 +772,6 @@ pub(crate) fn run(
                     racks: loads.view_slice(),
                     servers: &state.servers,
                     chiller: loads.chiller(),
-                    chiller_epoch: loads.chiller_epoch(),
                     index: FleetIndex {
                         occupied: loads.occupied_racks(),
                         idle_min: loads.idle_group_mins(),
@@ -1023,26 +810,19 @@ pub(crate) fn run(
                 energy.place(
                     now,
                     &Placement {
-                        rack,
-                        class,
+                        load: Load::new(rack, class, &steady),
                         start,
                         end,
                         wait,
                         violated,
-                        state: steady,
                     },
                 );
                 state.loads.add(rack, &steady, end);
                 state.servers.set_free_at(placed, end);
                 if closed_loop {
-                    state.running.commit(rack, class, &steady, start, end);
-                    queue.push(
-                        end,
-                        Event::JobCompletion {
-                            job: job.id,
-                            server: placed,
-                        },
-                    );
+                    let (job, server) = (ji, placed);
+                    queue.push(start, Event::JobStart { job, server });
+                    queue.push(end, Event::JobCompletion { job, server });
                 }
             }
         }
@@ -1090,11 +870,7 @@ pub(crate) fn run(
             events: qstats.pushed,
             peak_queue_depth: qstats.peak_depth,
             arena_high_water: qstats.arena_high_water,
-            table_hits,
-            miss_solves,
-            // Cache locks observed over this run. A steady-state replay
-            // on a covering table reads 0 — the zero-lock smoke pins it.
-            lock_acquisitions: cache.lock_acquisitions() - locks_at_entry,
+            ..KernelStats::default()
         },
     })
 }
@@ -1119,9 +895,9 @@ fn hinted_server(
     (wait.value() <= demand.class(hint.class).wait_budget.value() + 1e-9).then_some(server)
 }
 
-/// Captures one telemetry sample from the settled running layer. In
-/// serving mode `latency` carries the whole-run percentile sketch and the
-/// sample gains the active-server count and latency quantiles.
+/// Captures one telemetry sample from the running layer. In serving mode
+/// `latency` carries the whole-run percentile sketch and the sample gains
+/// the active-server count and latency quantiles.
 fn sample(
     state: &FleetState,
     now: Seconds,
@@ -1132,7 +908,7 @@ fn sample(
     let idle = state
         .servers
         .active_servers()
-        .saturating_sub(running.running) as f64
+        .saturating_sub(running.count()) as f64
         * config.idle_server_power.value();
     // One rack-order pass fills the per-rack columns and sums the
     // chiller power of every rack with a supply.
@@ -1140,30 +916,31 @@ fn sample(
     let mut rack_heat = Vec::with_capacity(config.racks);
     let mut rack_water = Vec::with_capacity(config.racks);
     let mut cooling = 0.0;
-    for (&heat, water) in running.heat.iter().zip(&running.water) {
-        let heat = heat.max(0.0);
-        let supply = water
-            .first()
-            .map(|&(bits, _)| Celsius::new(f64::from_bits(bits)));
+    for rack in running.racks() {
+        let (heat, supply) = (Watts::new(rack.heat()), rack.supply());
         if let Some(supply) = supply {
-            cooling += chiller.electrical_power(Watts::new(heat), supply).value();
+            cooling += chiller.electrical_power(heat, supply).value();
         }
-        rack_heat.push(Watts::new(heat));
+        rack_heat.push(heat);
         rack_water.push(supply);
     }
     FleetSample {
         t: now,
-        setpoint: state.setpoint,
+        setpoint: chiller.ambient(),
         queued: state.queued(),
-        running: running.running,
+        running: running.count(),
         shed: state.shed,
         violations: state.violations,
-        it_power: Watts::new(running.active_power + idle),
+        it_power: Watts::new(running.power() + idle),
         cooling_power: Watts::new(cooling),
         rack_heat,
         rack_water,
-        class_running: running.class_running.clone(),
-        class_it_power: running.class_power.iter().map(|&p| Watts::new(p)).collect(),
+        class_running: running.classes().iter().map(Tally::count).collect(),
+        class_it_power: running
+            .classes()
+            .iter()
+            .map(|c| Watts::new(c.sum()))
+            .collect(),
         serving: latency.map(|h| ServingSample {
             active_servers: state.servers.active_servers(),
             p50: h.quantile(0.5).unwrap_or(Seconds::ZERO),
@@ -1176,6 +953,22 @@ fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::OutcomeCache;
+    use crate::control::StaticControl;
+    use crate::dispatch::RoundRobin;
+    use crate::fleet::Fleet;
+    use proptest::prelude::*;
+
+    fn state(heat: f64) -> SteadyState {
+        SteadyState {
+            package_power: Watts::new(heat),
+            heat: Watts::new(heat),
+            max_water_temp: Celsius::new(70.0),
+            normalized_time: 1.0,
+            n_cores: 8,
+            die_max: Celsius::new(70.0),
+        }
+    }
 
     #[test]
     fn rack_loads_track_supply_and_drain_to_exact_zero() {
@@ -1253,32 +1046,377 @@ mod tests {
 
     #[test]
     fn running_set_settles_starts_before_ends_and_pins_zero() {
-        let mut run = RunningSet::new(1, 2);
-        let state = |heat: f64| SteadyState {
-            package_power: Watts::new(heat),
-            heat: Watts::new(heat),
-            max_water_temp: Celsius::new(70.0),
-            normalized_time: 1.0,
-            n_cores: 8,
-            die_max: Celsius::new(70.0),
-        };
-        run.commit(0, 0, &state(40.0), Seconds::new(0.0), Seconds::new(10.0));
-        run.commit(0, 1, &state(60.0), Seconds::new(10.0), Seconds::new(20.0));
-        run.settle(Seconds::new(5.0));
-        assert_eq!(run.running, 1);
-        assert_eq!(run.active_power, 40.0);
-        assert_eq!(run.class_running, vec![1, 0]);
+        let mut run = Running::new(1, 2);
+        let a = Load::new(0, 0, &state(40.0));
+        let b = Load::new(0, 1, &state(60.0));
+        // t = 0: the first job starts.
+        run.start(&a);
+        assert_eq!(run.count(), 1);
+        assert_eq!(run.power(), 40.0);
+        let counts = |run: &Running| run.classes().iter().map(Tally::count).collect::<Vec<_>>();
+        let sums = |run: &Running| run.classes().iter().map(Tally::sum).collect::<Vec<_>>();
+        assert_eq!(counts(&run), vec![1, 0]);
         // At t = 10 the first job's end and the second's start coincide:
-        // both fold, leaving exactly the second running.
-        run.settle(Seconds::new(10.0));
-        assert_eq!(run.running, 1);
-        assert_eq!(run.active_power, 60.0);
-        assert_eq!(run.class_running, vec![0, 1]);
-        assert_eq!(run.class_power, vec![0.0, 60.0]);
-        run.settle(Seconds::new(30.0));
-        assert_eq!(run.running, 0);
-        assert_eq!(run.active_power, 0.0);
-        assert_eq!(run.heat[0], 0.0);
-        assert_eq!(run.class_power, vec![0.0, 0.0]);
+        // the start folds first (`JobStart` pops ahead of
+        // `JobCompletion`), leaving exactly the second running.
+        run.start(&b);
+        run.end(&a);
+        assert_eq!(run.count(), 1);
+        assert_eq!(run.power(), 60.0);
+        assert_eq!(counts(&run), vec![0, 1]);
+        assert_eq!(sums(&run), vec![0.0, 60.0]);
+        run.end(&b);
+        assert_eq!(run.count(), 0);
+        assert_eq!(run.power(), 0.0);
+        assert_eq!(run.racks()[0].heat_sum(), 0.0);
+        assert_eq!(sums(&run), vec![0.0, 0.0]);
+    }
+
+    /// A placement boundary waiting in a [`RunningSet`] heap: `(time
+    /// bits, commit seq, rack, class, heat bits, package-power bits,
+    /// water bits)`.
+    type RunningEdge = Reverse<(u64, u64, u32, u32, u64, u64, u64)>;
+
+    /// Pops the earliest boundary at or before `now`, decoded as `(rack,
+    /// class, heat, power, water bits)`.
+    fn pop_due(
+        heap: &mut BinaryHeap<RunningEdge>,
+        now: Seconds,
+    ) -> Option<(usize, usize, f64, f64, u64)> {
+        let &Reverse((bits, _, rack, class, heat, power, water)) = heap.peek()?;
+        if f64::from_bits(bits) > now.value() {
+            return None;
+        }
+        heap.pop();
+        let (heat, power) = (f64::from_bits(heat), f64::from_bits(power));
+        Some((rack as usize, class as usize, heat, power, water))
+    }
+
+    /// The running layer the kernel kept before it folded at its own
+    /// events: every placement's start and end waited in two private
+    /// heaps, and `settle(now)` folded every start at or before `now`,
+    /// then every end at or before `now`, each in placement order. The
+    /// kernel settled at every completion, tick, sample and shed arrival.
+    /// Kept as the oracle the event-driven fold is tested against, bit
+    /// for bit, with its own arithmetic.
+    #[derive(Debug)]
+    struct RunningSet {
+        starts: BinaryHeap<RunningEdge>,
+        ends: BinaryHeap<RunningEdge>,
+        seq: u64,
+        active_power: f64,
+        heat: Vec<f64>,
+        water: Vec<Vec<(u64, u32)>>,
+        count: Vec<usize>,
+        running: usize,
+        class_running: Vec<usize>,
+        class_power: Vec<f64>,
+    }
+
+    impl RunningSet {
+        fn new(racks: usize, classes: usize) -> Self {
+            Self {
+                starts: BinaryHeap::new(),
+                ends: BinaryHeap::new(),
+                seq: 0,
+                active_power: 0.0,
+                heat: vec![0.0; racks],
+                water: vec![Vec::new(); racks],
+                count: vec![0; racks],
+                running: 0,
+                class_running: vec![0; classes],
+                class_power: vec![0.0; classes],
+            }
+        }
+
+        fn commit(&mut self, load: &Load, start: Seconds, end: Seconds) {
+            let edge = |t: Seconds| {
+                Reverse((
+                    t.value().to_bits(),
+                    self.seq,
+                    load.rack as u32,
+                    load.class as u32,
+                    load.heat.to_bits(),
+                    load.power.to_bits(),
+                    load.water,
+                ))
+            };
+            self.starts.push(edge(start));
+            self.ends.push(edge(end));
+            self.seq += 1;
+        }
+
+        fn settle(&mut self, now: Seconds) {
+            while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.starts, now)
+            {
+                self.active_power += power;
+                self.heat[rack] += heat;
+                self.count[rack] += 1;
+                self.running += 1;
+                self.class_running[class] += 1;
+                self.class_power[class] += power;
+                let water = &mut self.water[rack];
+                match water.binary_search_by_key(&water_bits, |w| w.0) {
+                    Ok(at) => water[at].1 += 1,
+                    Err(at) => water.insert(at, (water_bits, 1)),
+                }
+            }
+            while let Some((rack, class, heat, power, water_bits)) = pop_due(&mut self.ends, now) {
+                self.active_power -= power;
+                self.heat[rack] -= heat;
+                self.count[rack] -= 1;
+                self.running -= 1;
+                self.class_running[class] -= 1;
+                self.class_power[class] -= power;
+                let water = &mut self.water[rack];
+                if let Ok(at) = water.binary_search_by_key(&water_bits, |w| w.0) {
+                    water[at].1 -= 1;
+                    if water[at].1 == 0 {
+                        water.remove(at);
+                    }
+                }
+                if self.count[rack] == 0 {
+                    self.heat[rack] = 0.0;
+                }
+                if self.class_running[class] == 0 {
+                    self.class_power[class] = 0.0;
+                }
+                if self.running == 0 {
+                    self.active_power = 0.0;
+                }
+            }
+        }
+
+        /// Every field of the settled layer, floats as raw bits, in the
+        /// layout [`running_bits`] reads a [`Running`] into.
+        fn bits(&self) -> Vec<u64> {
+            let mut out = vec![self.running as u64, self.active_power.to_bits()];
+            for (c, p) in self.class_running.iter().zip(&self.class_power) {
+                out.extend([*c as u64, p.to_bits()]);
+            }
+            for ((n, h), w) in self.count.iter().zip(&self.heat).zip(&self.water) {
+                out.extend([*n as u64, h.to_bits(), w.len() as u64]);
+                out.extend(w.iter().flat_map(|&(k, n)| [k, u64::from(n)]));
+            }
+            out
+        }
+    }
+
+    /// Every field of `running`, floats as raw bits (see
+    /// [`RunningSet::bits`]).
+    fn running_bits(running: &Running) -> Vec<u64> {
+        let mut out = vec![running.count() as u64, running.power().to_bits()];
+        for c in running.classes() {
+            out.extend([c.count() as u64, c.sum().to_bits()]);
+        }
+        for r in running.racks() {
+            out.extend([
+                r.count() as u64,
+                r.heat_sum().to_bits(),
+                r.water().len() as u64,
+            ]);
+            out.extend(r.water().iter().flat_map(|&(k, n)| [k, u64::from(n)]));
+        }
+        out
+    }
+
+    /// SplitMix64 over `(seed, i)`.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One random placement of a kernel-shaped run: dispatched at
+    /// `arrival` (non-decreasing along the run), its load, and its
+    /// execution window.
+    #[derive(Debug, Clone, Copy)]
+    struct Placed {
+        arrival: Seconds,
+        load: Load,
+        start: Seconds,
+        end: Seconds,
+    }
+
+    /// A random run on a half-second grid, so instants tie across
+    /// starts, ends, arrivals and observations: arrivals in time order,
+    /// starts queued past their arrival, zero-length windows, every
+    /// class, and non-dyadic watts so a changed fold order shows in the
+    /// low bits.
+    fn random_run(
+        seed: u64,
+        jobs: usize,
+        racks: usize,
+        classes: usize,
+    ) -> (Vec<Placed>, Vec<Seconds>) {
+        let mut i = 0u64;
+        let mut draw = |n: usize| {
+            i += 1;
+            (mix(seed, i) % n as u64) as usize
+        };
+        let mut now = 0.0f64;
+        let mut placed = Vec::with_capacity(jobs);
+        let mut observe = Vec::new();
+        for _ in 0..jobs {
+            now += 0.5 * [0, 0, 0, 1, 1, 2, 3, 8][draw(8)] as f64;
+            let start = now + 0.5 * [0, 0, 1, 3][draw(4)] as f64;
+            let end = start + 0.5 * draw(7) as f64;
+            let heat = [0.0, 35.1, 70.37, 120.53][draw(4)];
+            let mut s = state(heat);
+            s.package_power = Watts::new(heat + 12.29 * draw(3) as f64);
+            s.max_water_temp = Celsius::new([55.0, 60.0, 66.5, 80.0][draw(4)]);
+            placed.push(Placed {
+                arrival: Seconds::new(now),
+                load: Load::new(draw(racks), draw(classes), &s),
+                start: Seconds::new(start),
+                end: Seconds::new(end),
+            });
+            if draw(2) == 0 {
+                observe.push(Seconds::new(now + 0.5 * draw(6) as f64));
+            }
+        }
+        (placed, observe)
+    }
+
+    /// Replays `placed` through the kernel's event queue and running
+    /// layer — each placement pushes its `JobStart` and `JobCompletion`
+    /// when its arrival pops, observations are control ticks — beside
+    /// the [`RunningSet`] oracle settled where the kernel used to settle
+    /// it. Returns every observation as `(fold bits, oracle bits)`.
+    fn replay(
+        placed: &[Placed],
+        observe: &[Seconds],
+        racks: usize,
+        classes: usize,
+    ) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let mut queue = EventQueue::new();
+        for (ji, p) in placed.iter().enumerate() {
+            queue.push(p.arrival, Event::JobArrival(ji));
+        }
+        for &t in observe {
+            queue.push(t, Event::ControlTick);
+        }
+        let mut running = Running::new(racks, classes);
+        let mut oracle = RunningSet::new(racks, classes);
+        let mut seen = Vec::new();
+        let mut observed = |running: &Running, oracle: &mut RunningSet, now| {
+            oracle.settle(now);
+            seen.push((running_bits(running), oracle.bits()));
+        };
+        let mut last = Seconds::ZERO;
+        while let Some((now, event)) = queue.pop() {
+            last = now;
+            match event {
+                Event::JobArrival(ji) => {
+                    let p = &placed[ji];
+                    oracle.commit(&p.load, p.start, p.end);
+                    let (job, server) = (ji, 0);
+                    queue.push(p.start, Event::JobStart { job, server });
+                    queue.push(p.end, Event::JobCompletion { job, server });
+                }
+                Event::JobStart { job, .. } => running.start(&placed[job].load),
+                Event::JobCompletion { job, .. } => {
+                    running.end(&placed[job].load);
+                    oracle.settle(now);
+                }
+                Event::ControlTick => observed(&running, &mut oracle, now),
+                Event::SetpointChange(_) | Event::TelemetrySample => unreachable!(),
+            }
+        }
+        observed(&running, &mut oracle, last);
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The running layer folded at its own `JobStart` and
+        /// `JobCompletion` events matches the two-heap `settle` oracle
+        /// bit for bit at every observation: per-rack heat, water and
+        /// count, and the fleet and per-class tallies.
+        #[test]
+        fn running_layer_fold_matches_the_settle_oracle_bit_for_bit(
+            seed in 0u64..1_000_000,
+            jobs in 0usize..40,
+            racks in 1usize..4,
+            classes in 1usize..3,
+        ) {
+            let (placed, observe) = random_run(seed, jobs, racks, classes);
+            for (at, (fold, oracle)) in replay(&placed, &observe, racks, classes)
+                .into_iter()
+                .enumerate()
+            {
+                prop_assert_eq!(fold, oracle, "observation {} of {:?}", at, placed);
+            }
+        }
+    }
+
+    /// The random runs really reach the ties the fold-order property is
+    /// meant to cover.
+    #[test]
+    fn random_runs_cover_every_tie() {
+        let mut hit = [false; 5];
+        for seed in 0..200u64 {
+            let (placed, observe) = random_run(seed, 30, 2, 2);
+            let same_rack = |a: &Placed, b: &Placed| a.load.rack == b.load.rack;
+            hit[0] |= placed.iter().any(|p| p.start == p.end);
+            hit[1] |= placed.iter().any(|p| p.start > p.arrival);
+            // One placement ends as another starts on the same rack.
+            hit[2] |= placed.iter().any(|a| {
+                placed
+                    .iter()
+                    .any(|b| same_rack(a, b) && a.end == b.start && a.start < a.end)
+            });
+            // Two placements end at one instant.
+            hit[3] |= placed
+                .iter()
+                .enumerate()
+                .any(|(i, a)| placed[i + 1..].iter().any(|b| a.end == b.end));
+            // An observation at an instant where something starts or ends.
+            hit[4] |= observe
+                .iter()
+                .any(|&t| placed.iter().any(|p| p.start == t || p.end == t));
+        }
+        assert_eq!(hit, [true; 5]);
+    }
+
+    /// The drained-fleet row is the last row of a closed-loop trace, and
+    /// it is recorded once the completion that empties the running layer
+    /// has folded — here the last two jobs end at one instant, on two
+    /// servers.
+    #[test]
+    fn the_drained_row_follows_the_last_completion_at_the_makespan() {
+        let mut config = FleetConfig::new(1, 2);
+        config.grid_pitch_mm = 3.0;
+        let idle = config.idle_server_power.value();
+        let fleet = Fleet::new(config);
+        let job = |id| Job {
+            id,
+            bench: Benchmark::X264,
+            qos: QosClass::TwoX,
+            arrival: Seconds::new(5.0),
+            service: Seconds::new(40.0),
+        };
+        let telemetry = TelemetryConfig::default();
+        let result = fleet
+            .simulate_with(
+                &[job(0), job(1)],
+                &mut RoundRobin::default(),
+                &mut StaticControl,
+                Some(&telemetry),
+                &OutcomeCache::new(),
+            )
+            .unwrap();
+        let trace = result.trace.expect("telemetry was on");
+        let last = trace.samples().last().expect("the trace has rows");
+        assert_eq!(last.t, result.outcome.makespan);
+        assert_eq!((last.running, last.queued), (0, 0));
+        assert_eq!(last.it_power.value(), 2.0 * idle);
+        assert_eq!(last.cooling_power.value(), 0.0);
+        assert_eq!(last.rack_heat, vec![Watts::new(0.0)]);
+        assert_eq!(last.rack_water, vec![None]);
+        // The row before it still saw both jobs running.
+        let rows: Vec<&FleetSample> = trace.samples().collect();
+        assert_eq!(rows[rows.len() - 2].running, 2);
     }
 }

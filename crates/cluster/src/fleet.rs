@@ -4,10 +4,11 @@
 //! [`Fleet::simulate`] and [`Fleet::simulate_with`] are thin drivers over
 //! the discrete-event kernel in [`crate::engine`]: they warm the physics
 //! cache in parallel — one solve per distinct `(class, bench, qos)` —
-//! then hand the job stream, dispatcher, control policy and telemetry
+//! read the run's demand states off the published table, then hand the
+//! job stream, those states, dispatcher, control policy and telemetry
 //! settings to the sequential event loop.
 
-use crate::cache::{ClassSolve, OutcomeCache};
+use crate::cache::{ClassSolve, OutcomeCache, SteadyState};
 use crate::catalog::{ClassId, FleetCatalog};
 use crate::control::{ControlPolicy, StaticControl};
 use crate::dispatch::FleetDispatcher;
@@ -164,6 +165,7 @@ impl FleetConfig {
 pub(crate) struct ClassRuntime {
     pub(crate) name: String,
     pub(crate) policy: PolicyId,
+    pub(crate) pitch_mm: f64,
     pub(crate) server: Server,
 }
 
@@ -199,6 +201,7 @@ impl Fleet {
                 ClassRuntime {
                     name: c.name.clone(),
                     policy: c.policy.unwrap_or(config.policy),
+                    pitch_mm: pitch,
                     server: Server::builder()
                         .grid_pitch_mm(pitch)
                         .operating_point(op)
@@ -252,6 +255,8 @@ impl Fleet {
                 id,
                 server: &c.server,
                 policy: c.policy,
+                pitch_mm: c.pitch_mm,
+                t_case_max: self.config.t_case_max,
             })
             .collect()
     }
@@ -271,13 +276,7 @@ impl Fleet {
         cache: &OutcomeCache,
         threads: usize,
     ) -> Result<(), RunError> {
-        cache.warm(
-            &self.class_solvers(),
-            pairs,
-            &MinPowerSelector,
-            self.config.t_case_max,
-            threads,
-        )
+        cache.warm(&self.class_solvers(), pairs, &MinPowerSelector, threads)
     }
 
     /// Runs `jobs` through the fleet under `dispatcher`, reusing (and
@@ -328,19 +327,45 @@ impl Fleet {
         // published, solving only the missing keys — one solve per
         // distinct (class, bench, qos), in parallel.
         let pairs = demand_pairs(jobs);
-        let table = cache.ensure_published(
-            &self.class_solvers(),
-            &pairs,
-            &MinPowerSelector,
-            self.config.t_case_max,
-            self.config.threads,
-        )?;
+        let solvers = self.class_solvers();
+        let (table, miss_solves) =
+            cache.ensure_published(&solvers, &pairs, &MinPowerSelector, self.config.threads)?;
+        let locks = cache.lock_acquisitions();
+        // The run's demand states, read once off the frozen epoch — zero
+        // lock acquisitions: `pair_states[p][class]` is pair `p` on each
+        // catalog class.
+        let pair_states: Vec<Vec<SteadyState>> = pairs
+            .iter()
+            .map(|&(bench, qos)| {
+                solvers
+                    .iter()
+                    .map(|s| {
+                        table
+                            .lookup(s, bench, qos)
+                            .expect("the published table covers the run's pairs")
+                    })
+                    .collect()
+            })
+            .collect();
+        let table_hits = pairs.len() * solvers.len();
+        cache.record_table_hits(table_hits);
 
-        // Sequential phase: the deterministic event loop, reading the
-        // frozen epoch lock-free.
-        engine::run(
-            self, jobs, &pairs, dispatcher, control, telemetry, cache, &table,
-        )
+        // Sequential phase: the deterministic event loop.
+        let mut result = engine::run(
+            self,
+            jobs,
+            &pairs,
+            &pair_states,
+            dispatcher,
+            control,
+            telemetry,
+        )?;
+        result.stats.table_hits = table_hits;
+        result.stats.miss_solves = miss_solves;
+        // Cache locks taken after publication: a run on a covering table
+        // reads 0 — the zero-lock test pins it.
+        result.stats.lock_acquisitions = cache.lock_acquisitions() - locks;
+        Ok(result)
     }
 }
 

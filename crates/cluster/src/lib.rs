@@ -17,7 +17,8 @@
 //!   slot; the default uniform catalog is the homogeneous fleet, bit for
 //!   bit,
 //! * [`OutcomeCache`] — per-server physics memoized by
-//!   `(class, benchmark, qos, policy, water inlet)` in one locked map,
+//!   `(class, benchmark, qos, policy, water inlet, pitch, flow, case
+//!   limit)` in one locked map,
 //!   warmed across OS threads and frozen into a read-only [`SolveTable`]
 //!   snapshot that runs resolve their demand states through,
 //! * [`FleetDispatcher`] — [`RoundRobin`], [`CoolestRackFirst`] and the
@@ -100,6 +101,7 @@ mod dispatch;
 mod engine;
 mod fleet;
 mod job;
+mod load;
 mod metrics;
 pub mod plan;
 mod queue;

@@ -1,9 +1,8 @@
 //! Aggregate fleet metrics: energy integration over the event timeline,
 //! and the time-series telemetry the kernel samples along the way.
 
-use crate::cache::SteadyState;
-use crate::catalog::ClassId;
 use crate::fleet::FleetConfig;
+use crate::load::{Load, Running};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use tps_cooling::{pue, Chiller};
@@ -13,10 +12,8 @@ use tps_units::{Celsius, Joules, Seconds, Watts};
 /// the [`EnergyIntegrator`] at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Placement {
-    /// Rack index.
-    pub(crate) rack: usize,
-    /// Catalog class of the server it runs on.
-    pub(crate) class: ClassId,
+    /// Its contribution to rack state.
+    pub(crate) load: Load,
     /// Execution start (arrival + queueing).
     pub(crate) start: Seconds,
     /// Execution end.
@@ -25,8 +22,6 @@ pub(crate) struct Placement {
     pub(crate) wait: Seconds,
     /// Whether the wait blew the job's QoS budget.
     pub(crate) violated: bool,
-    /// The cached per-server outcome backing this placement.
-    pub(crate) state: SteadyState,
 }
 
 /// A fixed-bucket latency histogram: the streaming percentile sketch for
@@ -233,12 +228,13 @@ pub struct KernelStats {
     /// Demand-state lookups served lock-free off the frozen
     /// [`SolveTable`](crate::SolveTable) epoch.
     pub table_hits: usize,
-    /// Demand-state lookups the table lacked, solved through the locked
-    /// miss path (always 0 once a covering table is published).
+    /// `(class, bench, qos)` keys the run's published table lacked, which
+    /// [`OutcomeCache::ensure_published`](crate::OutcomeCache::ensure_published)
+    /// solved for it (0 on a warm cache).
     pub miss_solves: usize,
-    /// Cache lock acquisitions observed over the run — map and
-    /// publication locks. A steady-state replay on a covering table
-    /// reads **zero**; a test asserts it.
+    /// Cache lock acquisitions observed after the run's table was
+    /// published — map and publication locks. A run reads **zero**; a
+    /// test asserts it.
     pub lock_acquisitions: usize,
 }
 
@@ -530,18 +526,12 @@ const ADD: u8 = 3;
 struct Boundary {
     time: f64,
     kind: u8,
-    /// The placement's rack; the new active-server count for an
-    /// activation change; 0 for a set-point change.
-    rack: usize,
     /// Feed order: the last tie-break, which makes the key total.
     seq: u64,
-    class: ClassId,
-    heat: f64,
-    /// Tolerable-water key of a placement (`to_bits` is monotone for the
-    /// non-negative temperatures in play, and round-trips the exact f64),
-    /// or the bits of a set-point change's new temperature.
-    water_bits: u64,
-    power: f64,
+    /// A placement's load. A set-point change carries the bits of its
+    /// new temperature in `water`, an activation change its new
+    /// active-server count in `rack`, and both zeros elsewhere.
+    load: Load,
 }
 
 impl Ord for Boundary {
@@ -550,7 +540,7 @@ impl Ord for Boundary {
             .time
             .total_cmp(&self.time)
             .then(other.kind.cmp(&self.kind))
-            .then(other.rack.cmp(&self.rack))
+            .then(other.load.rack.cmp(&self.load.rack))
             .then(other.seq.cmp(&self.seq))
     }
 }
@@ -594,12 +584,11 @@ impl Eq for Boundary {}
 /// at or after the last end never open a window (neither may stretch the
 /// idle-floor integration past the makespan).
 ///
-/// The heat/water/pin-to-zero rules mirror `engine::RackLoads` (see its
-/// invariant note): a change to one accumulation must land in both, or
-/// the dispatch-time and integration-time views of rack state diverge.
-/// The per-class accumulators ride along in separate sums: they never
-/// feed the fleet-wide `it`/`cooling` totals, so the homogeneous
-/// integration stays bit-identical.
+/// The folded fleet state is a [`Running`], the kernel's running-layer
+/// type, folded here in the integrator's own order (ends before starts
+/// at an instant). The per-class tallies ride along in separate sums:
+/// they never feed the fleet-wide `it`/`cooling` totals, so the
+/// homogeneous integration stays bit-identical.
 #[derive(Debug)]
 pub(crate) struct EnergyIntegrator {
     /// The configured chiller, re-based by every set-point change.
@@ -616,13 +605,7 @@ pub(crate) struct EnergyIntegrator {
     window_start: Option<f64>,
     chiller: Chiller,
     active: usize,
-    busy: usize,
-    active_power: f64,
-    heat: Vec<f64>,
-    /// Ascending sorted `(key, count)` vectors, not `BTreeMap`s: few
-    /// distinct keys per rack, and the capacity survives rack drains, so
-    /// the fold never allocates tree nodes.
-    rack_water: Vec<Vec<(u64, u32)>>,
+    running: Running,
     /// Only racks with committed water contribute cooling (and drained
     /// racks are pinned to exactly 0.0 heat, so they can't move the peak
     /// either): each window walks the occupied set, ascending by rack so
@@ -637,8 +620,6 @@ pub(crate) struct EnergyIntegrator {
     /// coldest water and the chiller either way, so a window reads the
     /// exact bits a fresh evaluation would give.
     draw: Vec<f64>,
-    class_busy: Vec<usize>,
-    class_power: Vec<f64>,
     it: f64,
     cooling: f64,
     class_it: Vec<f64>,
@@ -666,14 +647,9 @@ impl EnergyIntegrator {
             window_start: None,
             chiller: config.chiller.clone(),
             active: config.total_servers(),
-            busy: 0,
-            active_power: 0.0,
-            heat: vec![0.0; config.racks],
-            rack_water: vec![Vec::new(); config.racks],
+            running: Running::new(config.racks, n_classes),
             occupied: Vec::new(),
             draw: Vec::new(),
-            class_busy: vec![0; n_classes],
-            class_power: vec![0.0; n_classes],
             it: 0.0,
             cooling: 0.0,
             class_it: vec![0.0; n_classes],
@@ -686,32 +662,26 @@ impl EnergyIntegrator {
         }
     }
 
-    fn push(&mut self, time: f64, kind: u8, rack: usize, class: ClassId, state: &SteadyState) {
+    fn push(&mut self, time: f64, kind: u8, load: Load) {
         self.pending.push(Boundary {
             time,
             kind,
-            rack,
             seq: self.seq,
-            class,
-            heat: state.heat.value(),
-            water_bits: state.max_water_temp.value().to_bits(),
-            power: state.package_power.value(),
+            load,
         });
         self.seq += 1;
     }
 
-    fn push_change(&mut self, time: f64, kind: u8, rack: usize, water_bits: u64) {
-        self.pending.push(Boundary {
-            time,
-            kind,
+    /// Queues a set-point or activation change (see [`Boundary::load`]).
+    fn push_change(&mut self, time: f64, kind: u8, rack: usize, water: u64) {
+        let load = Load {
             rack,
-            seq: self.seq,
             class: 0,
             heat: 0.0,
-            water_bits,
             power: 0.0,
-        });
-        self.seq += 1;
+            water,
+        };
+        self.push(time, kind, load);
     }
 
     /// Records a placement dispatched at `now` (its start is never
@@ -725,14 +695,14 @@ impl EnergyIntegrator {
         );
         self.wait_sum += p.wait.value();
         self.max_wait = self.max_wait.max(p.wait);
-        self.class_placements[p.class] += 1;
+        self.class_placements[p.load.class] += 1;
         if p.violated {
             self.violations += 1;
-            self.class_violations[p.class] += 1;
+            self.class_violations[p.load.class] += 1;
         }
         if p.end.value() > p.start.value() {
-            self.push(p.start.value(), ADD, p.rack, p.class, &p.state);
-            self.push(p.end.value(), REMOVE, p.rack, p.class, &p.state);
+            self.push(p.start.value(), ADD, p.load);
+            self.push(p.end.value(), REMOVE, p.load);
             self.first_start = self.first_start.min(p.start.value());
             self.last_end = self.last_end.max(p.end.value());
         }
@@ -785,14 +755,10 @@ impl EnergyIntegrator {
     /// The chiller electricity of an occupied rack's heat at its coldest
     /// committed water.
     fn rack_draw(&self, rack: usize) -> f64 {
-        let &(bits, _) = self.rack_water[rack]
-            .first()
-            .expect("occupied racks have committed water");
+        let rack = &self.running.racks()[rack];
+        let supply = rack.supply().expect("occupied racks have committed water");
         self.chiller
-            .electrical_power(
-                Watts::new(self.heat[rack].max(0.0)),
-                Celsius::new(f64::from_bits(bits)),
-            )
+            .electrical_power(Watts::new(rack.heat()), supply)
             .value()
     }
 
@@ -803,58 +769,30 @@ impl EnergyIntegrator {
             self.close_window(b.time - t);
         }
         self.window_start = Some(b.time);
-        let rack = b.rack as u32;
+        let rack = b.load.rack as u32;
         match b.kind {
             REMOVE => {
-                self.busy -= 1;
-                self.active_power -= b.power;
-                self.heat[b.rack] -= b.heat;
-                self.class_busy[b.class] -= 1;
-                self.class_power[b.class] -= b.power;
-                let water = &mut self.rack_water[b.rack];
-                if let Ok(at) = water.binary_search_by_key(&b.water_bits, |w| w.0) {
-                    water[at].1 -= 1;
-                    if water[at].1 == 0 {
-                        water.remove(at);
-                    }
-                }
+                self.running.end(&b.load);
                 let at = self.occupied.binary_search(&rack);
-                // Pin drained sums back to exact zero so float residue
-                // never leaks into later windows.
-                if water.is_empty() {
-                    self.heat[b.rack] = 0.0;
+                if self.running.racks()[b.load.rack].count() == 0 {
                     if let Ok(at) = at {
                         self.occupied.remove(at);
                         self.draw.remove(at);
                     }
                 } else if let Ok(at) = at {
-                    self.draw[at] = self.rack_draw(b.rack);
-                }
-                if self.class_busy[b.class] == 0 {
-                    self.class_power[b.class] = 0.0;
-                }
-                if self.busy == 0 {
-                    self.active_power = 0.0;
+                    self.draw[at] = self.rack_draw(b.load.rack);
                 }
             }
-            SETPOINT => self.set_chiller(Celsius::new(f64::from_bits(b.water_bits))),
-            ACTIVATION => self.active = b.rack,
+            SETPOINT => self.set_chiller(Celsius::new(f64::from_bits(b.load.water))),
+            ACTIVATION => self.active = b.load.rack,
             _ => {
-                self.busy += 1;
-                self.active_power += b.power;
-                self.heat[b.rack] += b.heat;
+                self.running.start(&b.load);
                 // The running max only ever grows at additions (heat is
                 // non-negative and drains pin back to zero), so observing
                 // it here sees every candidate a per-window pass would.
-                self.peak_rack_heat = self.peak_rack_heat.max(self.heat[b.rack]);
-                self.class_busy[b.class] += 1;
-                self.class_power[b.class] += b.power;
-                let water = &mut self.rack_water[b.rack];
-                match water.binary_search_by_key(&b.water_bits, |w| w.0) {
-                    Ok(at) => water[at].1 += 1,
-                    Err(at) => water.insert(at, (b.water_bits, 1)),
-                }
-                let draw = self.rack_draw(b.rack);
+                let heat = self.running.racks()[b.load.rack].heat_sum();
+                self.peak_rack_heat = self.peak_rack_heat.max(heat);
+                let draw = self.rack_draw(b.load.rack);
                 match self.occupied.binary_search(&rack) {
                     Ok(at) => self.draw[at] = draw,
                     Err(at) => {
@@ -869,12 +807,12 @@ impl EnergyIntegrator {
     /// Adds one window of length `dt` at the current fleet state.
     fn close_window(&mut self, dt: f64) {
         // Draining servers past a scale-down outnumbering `active` is
-        // fine: their package power is in `active_power` and no idle
+        // fine: their package power is in the running power and no idle
         // floor remains.
-        let idle = self.active.saturating_sub(self.busy) as f64 * self.idle_server_power;
-        self.it += (self.active_power + idle) * dt;
-        for (sum, power) in self.class_it.iter_mut().zip(&self.class_power) {
-            *sum += power * dt;
+        let idle = self.active.saturating_sub(self.running.count()) as f64 * self.idle_server_power;
+        self.it += (self.running.power() + idle) * dt;
+        for (sum, class) in self.class_it.iter_mut().zip(self.running.classes()) {
+            *sum += class.sum() * dt;
         }
         // One dependent multiply-add per occupied rack, in ascending rack
         // order: the pinned bits fix this summation order.
@@ -940,12 +878,11 @@ pub(crate) fn integrate_energy(
     // set-point changes before additions at equal times (a placement
     // covers `[start, end)`), then a fixed (rack, kind) order so float
     // accumulation is deterministic. The heat/water/pin-to-zero rules
-    // mirror `engine::RackLoads` (see its invariant note): a change to
-    // one accumulation must land in both, or the dispatch-time and
-    // integration-time views of rack state diverge. The per-class
-    // accumulators ride along in separate sums: they never feed the
-    // fleet-wide `it`/`cooling` totals, so the homogeneous integration
-    // stays bit-identical.
+    // are spelled out here rather than taken from `load.rs`, so the
+    // oracle checks the shared rules instead of reusing them. The
+    // per-class accumulators ride along in separate sums: they never
+    // feed the fleet-wide `it`/`cooling` totals, so the homogeneous
+    // integration stays bit-identical.
     const REMOVE: u8 = 0;
     const SETPOINT: u8 = 1;
     const ACTIVATION: u8 = 2;
@@ -954,7 +891,7 @@ pub(crate) fn integrate_energy(
         time: f64,
         kind: u8,
         rack: usize,
-        class: ClassId,
+        class: crate::catalog::ClassId,
         heat: f64,
         // Tolerable-water key: `to_bits` is monotone for the non-negative
         // temperatures in play, and round-trips the exact f64.
@@ -980,11 +917,11 @@ pub(crate) fn integrate_energy(
             let make = |time: f64, kind: u8, seq: u32| Event {
                 time,
                 kind,
-                rack: p.rack,
-                class: p.class,
-                heat: p.state.heat.value(),
-                water_bits: p.state.max_water_temp.value().to_bits(),
-                power: p.state.package_power.value(),
+                rack: p.load.rack,
+                class: p.load.class,
+                heat: p.load.heat,
+                water_bits: p.load.water,
+                power: p.load.power,
                 seq,
             };
             others.push(make(p.start.value(), ADD, others.len() as u32));
@@ -1222,9 +1159,9 @@ pub(crate) fn integrate_energy(
     let mut class_violations = vec![0usize; n_classes];
     let mut class_placements = vec![0usize; n_classes];
     for p in &placements {
-        class_placements[p.class] += 1;
+        class_placements[p.load.class] += 1;
         if p.violated {
-            class_violations[p.class] += 1;
+            class_violations[p.load.class] += 1;
         }
     }
     FleetOutcome {
@@ -1253,6 +1190,7 @@ pub(crate) fn integrate_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SteadyState;
     use crate::fleet::FleetConfig;
     use proptest::prelude::*;
     use tps_units::Celsius;
@@ -1270,13 +1208,11 @@ mod tests {
 
     fn placement(rack: usize, start: f64, end: f64, s: SteadyState) -> Placement {
         Placement {
-            rack,
-            class: 0,
+            load: Load::new(rack, 0, &s),
             start: Seconds::new(start),
             end: Seconds::new(end),
             wait: Seconds::ZERO,
             violated: false,
-            state: s,
         }
     }
 
@@ -1668,16 +1604,15 @@ mod tests {
                     let heat = [0.0, 35.1, 70.37, 120.53][draw(4)];
                     let mut s = state(heat, [55.0, 60.0, 66.5, 80.0][draw(4)]);
                     s.package_power = Watts::new(heat + 12.29 * draw(3) as f64);
+                    let load = Load::new(draw(racks), draw(classes), &s);
                     feed.push(Feed::Place(
                         at,
                         Placement {
-                            rack: draw(racks),
-                            class: draw(classes),
+                            load,
                             start: Seconds::new(start),
                             end: Seconds::new(end),
                             wait: Seconds::new(start - now),
                             violated: draw(3) == 0,
-                            state: s,
                         },
                     ));
                 }
@@ -1800,12 +1735,13 @@ mod tests {
             };
             hit[0] |= live.iter().any(|a| {
                 live.iter().any(|b| {
-                    a.rack != b.rack && (a.start == b.start || a.end == b.end || a.end == b.start)
+                    a.load.rack != b.load.rack
+                        && (a.start == b.start || a.end == b.end || a.end == b.start)
                 })
             });
             hit[1] |= places.iter().any(|(_, p)| p.end == p.start);
             hit[2] |= places.iter().any(|(now, p)| p.start.value() > now.value());
-            hit[3] |= live.iter().any(|p| p.class == 1);
+            hit[3] |= live.iter().any(|p| p.load.class == 1);
             // Racks whose draw a fold at `t` finds occupied: placements
             // ending at `t` fold out before it, those starting at `t` in
             // after it.
@@ -1813,7 +1749,7 @@ mod tests {
                 let mut racks: Vec<usize> = live
                     .iter()
                     .filter(|p| p.start.value() < t && t < p.end.value())
-                    .map(|p| p.rack)
+                    .map(|p| p.load.rack)
                     .collect();
                 racks.sort_unstable();
                 racks.dedup();
@@ -1823,10 +1759,10 @@ mod tests {
             // leaves and re-enters the dense array between two windows.
             hit[10] |= live.iter().any(|a| {
                 let t = a.end.value();
-                !running(t).contains(&a.rack)
+                !running(t).contains(&a.load.rack)
                     && live
                         .iter()
-                        .any(|b| b.rack == a.rack && b.start.value() == t)
+                        .any(|b| b.load.rack == a.load.rack && b.start.value() == t)
             });
             for f in &feed {
                 match *f {

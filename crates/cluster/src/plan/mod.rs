@@ -324,8 +324,8 @@ fn greedy_assign(inst: &PlanInstance, pwl: &PwlCop) -> Vec<(u32, u32)> {
             } else {
                 0.0
             };
-            for c in 0..classes {
-                if free[r][c] == 0 {
+            for (c, &slots) in free[r].iter().enumerate().take(classes) {
+                if slots == 0 {
                     continue;
                 }
                 let opt = &job.options[c];
@@ -661,18 +661,22 @@ pub fn solve_lp(inst: &PlanInstance) -> Plan {
 pub fn solve_greedy(inst: &PlanInstance) -> Plan {
     inst.validate();
     let pwls = inst.pwl_models();
-    let mut best: Option<(f64, usize, Vec<(u32, u32)>)> = None;
-    for (sp, pwl) in pwls.iter().enumerate() {
-        let assign = greedy_assign(inst, pwl);
-        let obj = objective_pwl(inst, &assign, pwl);
-        if best
-            .as_ref()
-            .map_or(true, |b| obj.total_cmp(&b.0) == std::cmp::Ordering::Less)
-        {
-            best = Some((obj, sp, assign));
-        }
-    }
-    let (objective_j, setpoint, assign) = best.expect("at least one set-point");
+    // The first set-point reaching the least objective wins.
+    let (objective_j, setpoint, assign) = pwls
+        .iter()
+        .enumerate()
+        .map(|(sp, pwl)| {
+            let assign = greedy_assign(inst, pwl);
+            (objective_pwl(inst, &assign, pwl), sp, assign)
+        })
+        .reduce(|best, cand| {
+            if cand.0.total_cmp(&best.0).is_lt() {
+                cand
+            } else {
+                best
+            }
+        })
+        .expect("at least one set-point");
     Plan {
         assign,
         setpoint,

@@ -121,8 +121,8 @@ impl Tableau {
         }
         let f = reduced[enter];
         if f != 0.0 {
-            for c in 0..self.cols - 1 {
-                reduced[c] -= f * self.at(leave, c);
+            for (c, red) in reduced.iter_mut().enumerate().take(self.cols - 1) {
+                *red -= f * self.at(leave, c);
             }
         }
         self.basis[leave] = enter;

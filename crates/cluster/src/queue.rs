@@ -181,10 +181,12 @@ mod tests {
         q.push(t, Event::ControlTick);
         q.push(t, Event::SetpointChange(Celsius::new(45.0)));
         q.push(t, Event::JobCompletion { job: 9, server: 1 });
+        q.push(t, Event::JobStart { job: 8, server: 1 });
         q.push(Seconds::new(2.0), Event::JobArrival(7));
-        assert_eq!(q.len(), 6);
+        assert_eq!(q.len(), 7);
 
         assert_eq!(q.pop(), Some((Seconds::new(2.0), Event::JobArrival(7))));
+        assert_eq!(q.pop(), Some((t, Event::JobStart { job: 8, server: 1 })));
         assert_eq!(
             q.pop(),
             Some((t, Event::JobCompletion { job: 9, server: 1 }))
@@ -198,9 +200,9 @@ mod tests {
         assert_eq!(q.pop(), Some((t, Event::JobArrival(0))));
         assert!(q.is_empty());
         let stats = q.stats();
-        assert_eq!(stats.pushed, 6);
-        assert_eq!(stats.peak_depth, 6);
-        assert!(stats.arena_high_water <= 6);
+        assert_eq!(stats.pushed, 7);
+        assert_eq!(stats.peak_depth, 7);
+        assert!(stats.arena_high_water <= 7);
     }
 
     #[test]
@@ -219,14 +221,13 @@ mod tests {
             if r % 3 != 0 {
                 // Cluster times so classes and seq break plenty of ties.
                 let t = Seconds::new((r % 97) as f64 * 0.5);
-                let event = match r % 5 {
-                    0 => Event::JobArrival(i as usize),
-                    1 => Event::JobCompletion {
-                        job: i as usize,
-                        server: 0,
-                    },
+                let (job, server) = (i as usize, 0);
+                let event = match r % 6 {
+                    0 => Event::JobArrival(job),
+                    1 => Event::JobCompletion { job, server },
                     2 => Event::ControlTick,
                     3 => Event::TelemetrySample,
+                    4 => Event::JobStart { job, server },
                     _ => Event::SetpointChange(Celsius::new(40.0)),
                 };
                 cal.push(t, event);
@@ -330,16 +331,24 @@ mod tests {
                     );
                 }
                 Event::JobArrival(i) => {
-                    // Single backlogged server: completions stack up far
-                    // beyond the calendar's current year.
+                    // Single backlogged server: starts and completions
+                    // stack up far beyond the calendar's current year.
                     let end = 500.0 + i as f64 * 90.0;
+                    let (job, server) = (i, 0);
+                    push(
+                        &mut cal,
+                        &mut oracle,
+                        end - 90.0,
+                        Event::JobStart { job, server },
+                    );
                     push(
                         &mut cal,
                         &mut oracle,
                         end,
-                        Event::JobCompletion { job: i, server: 0 },
+                        Event::JobCompletion { job, server },
                     );
                 }
+                Event::JobStart { .. } => {}
                 Event::JobCompletion { .. } => {
                     completions += 1;
                     if completions == 40 {

@@ -1,18 +1,19 @@
 //! The two-tier cache's contract, end to end: the frozen dense
 //! [`SolveTable`] must replay a plain `BTreeMap` oracle bit for bit under
-//! any solve/publish interleaving, and a steady-state replay on a
-//! covering table must acquire **zero** cache locks.
+//! any solve/publish interleaving, a steady-state replay on a covering
+//! table must acquire **zero** cache locks, and fleets that differ in any
+//! solve input never alias through a shared cache.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tps_cluster::{
-    synthesize_jobs, ClassSolve, Fleet, FleetConfig, JobMix, OutcomeCache, PolicyId, StaticControl,
-    SteadyState, ThermalAwareDispatch,
+    synthesize_jobs, ClassSolve, Fleet, FleetConfig, JobMix, OutcomeCache, PolicyId, RoundRobin,
+    StaticControl, SteadyState, ThermalAwareDispatch,
 };
 use tps_core::{MinPowerSelector, Server, T_CASE_MAX};
 use tps_thermosyphon::OperatingPoint;
-use tps_units::{Celsius, Seconds};
-use tps_workload::{Benchmark, DiurnalDemand, QosClass};
+use tps_units::{Celsius, KgPerHour, Seconds};
+use tps_workload::{Benchmark, ConstantDemand, DiurnalDemand, QosClass};
 
 /// Collapses a [`SteadyState`] to raw bits so "equal" means *bit*-equal —
 /// a table that perturbs even the last mantissa bit of any field fails.
@@ -59,8 +60,20 @@ proptest! {
         );
         let base = Server::xeon(3.0);
         let classes = [
-            ClassSolve { id: 0, server: &base, policy: PolicyId::Proposed },
-            ClassSolve { id: 1, server: &hot, policy: PolicyId::Coskun },
+            ClassSolve {
+                id: 0,
+                server: &base,
+                policy: PolicyId::Proposed,
+                pitch_mm: 3.0,
+                t_case_max: T_CASE_MAX,
+            },
+            ClassSolve {
+                id: 1,
+                server: &hot,
+                policy: PolicyId::Coskun,
+                pitch_mm: 3.0,
+                t_case_max: T_CASE_MAX,
+            },
         ];
         let benches = [Benchmark::X264, Benchmark::Canneal, Benchmark::Dedup];
         let qoses = [QosClass::OneX, QosClass::TwoX, QosClass::ThreeX];
@@ -78,7 +91,7 @@ proptest! {
                 let b = benches[(r as usize / 8) % benches.len()];
                 let q = qoses[(r as usize / 32) % qoses.len()];
                 let solved = cache
-                    .get_or_solve(&classes[ci], b, q, &MinPowerSelector, T_CASE_MAX)
+                    .get_or_solve(&classes[ci], b, q, &MinPowerSelector)
                     .unwrap();
                 if let Some(prev) = oracle.insert((ci, b, q), solved) {
                     // Replays of one key are themselves bit-stable.
@@ -107,11 +120,11 @@ proptest! {
             prop_assert_eq!(bits(&got), bits(want));
         }
         // …never-solved keys fall through instead of aliasing…
-        for ci in 0..classes.len() {
+        for (ci, class) in classes.iter().enumerate() {
             for &b in &benches {
                 for &q in &qoses {
                     if !oracle.contains_key(&(ci, b, q)) {
-                        prop_assert!(last.lookup(&classes[ci], b, q).is_none());
+                        prop_assert!(last.lookup(class, b, q).is_none());
                     }
                 }
             }
@@ -165,4 +178,38 @@ fn steady_state_replay_acquires_zero_cache_locks() {
         second.stats.lock_acquisitions, 0,
         "steady-state replay must touch no stripe or publication lock"
     );
+}
+
+/// Pitch, water flow and the case-temperature limit each decide a solve,
+/// so a fleet differing from another in one of them alone must not
+/// replay the other's physics through a shared cache: its outcome
+/// through the shared cache equals its outcome through a cache of its
+/// own.
+#[test]
+fn a_shared_cache_never_aliases_pitch_flow_or_case_limit() {
+    let jobs = synthesize_jobs(12, &ConstantDemand::new(0.5), JobMix::default(), 42);
+    let base = || {
+        let mut config = FleetConfig::new(2, 2);
+        config.grid_pitch_mm = 3.0;
+        config
+    };
+    let mut pitch = base();
+    pitch.grid_pitch_mm = 4.0;
+    let mut flow = base();
+    flow.op = flow.op.with_flow(KgPerHour::new(5.0));
+    let mut case_limit = base();
+    case_limit.t_case_max = Celsius::new(T_CASE_MAX.value() - 5.0);
+
+    let shared = OutcomeCache::new();
+    let run = |config: FleetConfig, cache: &OutcomeCache| {
+        Fleet::new(config)
+            .simulate(&jobs, &mut RoundRobin::default(), cache)
+            .unwrap()
+    };
+    run(base(), &shared);
+    for (what, config) in [("pitch", pitch), ("flow", flow), ("t_case_max", case_limit)] {
+        let own = run(config.clone(), &OutcomeCache::new());
+        let through_shared = run(config, &shared);
+        assert_eq!(through_shared, own, "{what}");
+    }
 }

@@ -2,11 +2,12 @@
 //! determinism guarantees the CLI relies on.
 
 use tps_cluster::{
-    synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, JobMix, OutcomeCache, RoundRobin,
-    SetpointScheduler, StaticControl, TelemetryConfig, ThermalAwareDispatch,
+    synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, JobMix,
+    LoadSheddingControl, OutcomeCache, RoundRobin, SetpointScheduler, StaticControl,
+    TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_units::{Celsius, Seconds};
-use tps_workload::{BurstyDemand, DiurnalDemand};
+use tps_workload::{BurstyDemand, ConstantDemand, DiurnalDemand};
 
 /// The shipped heat-reuse scenario, scaled down to 4 racks × 4 servers.
 fn heat_reuse_fleet() -> Fleet {
@@ -109,7 +110,8 @@ fn bursty_demand_runs_end_to_end() {
 fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
     // (dispatcher, it_energy, cooling_energy, violations, makespan,
     //  mean_wait, max_wait, peak_rack_heat) — f64s as raw bits.
-    const GOLDEN: [(&str, u64, u64, usize, u64, u64, u64, u64); 3] = [
+    type GoldenRow = (&'static str, u64, u64, usize, u64, u64, u64, u64);
+    const GOLDEN: [GoldenRow; 3] = [
         (
             "round-robin",
             0x411a6e67f13ee294,
@@ -178,6 +180,81 @@ fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
             golden.0
         );
     }
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Closed-loop batch traces, pinned byte for byte: every row reads the
+/// running layer (per-rack heat and water, IT and cooling power, running
+/// and queued counts), and the last row is the drained fleet at the
+/// makespan. The digests were taken from the traces of the kernel that
+/// settled its running layer from two private heaps, before it folded at
+/// its own `JobStart`/`JobCompletion` events.
+#[test]
+fn closed_loop_batch_traces_match_their_golden_digests() {
+    // The CI trace smoke: `tps fleet --servers 8 --jobs 32 --control
+    // setpoint --setpoints 0:70,120:45,300:70 --trace-out DIR`, one
+    // trace per dispatcher.
+    const SETPOINT_GOLDEN: [(&str, u64); 3] = [
+        ("round-robin", 0x7e20d976514273b1),
+        ("coolest-rack-first", 0xc084e08f38f7f763),
+        ("thermal-aware", 0x975763da18f7c586),
+    ];
+    let fleet = Fleet::new(FleetConfig::new(2, 4));
+    let demand = DiurnalDemand::new(0.7 * 0.2, 0.7, Seconds::new(600.0));
+    let jobs = synthesize_jobs(32, &demand, JobMix::default(), 42);
+    let cache = OutcomeCache::new();
+    let mut dispatchers: Vec<Box<dyn FleetDispatcher>> = vec![
+        Box::new(RoundRobin::default()),
+        Box::new(CoolestRackFirst),
+        Box::new(ThermalAwareDispatch::default()),
+    ];
+    for (d, (name, golden)) in dispatchers.iter_mut().zip(SETPOINT_GOLDEN) {
+        let mut control = SetpointScheduler::new(vec![
+            (Seconds::ZERO, Celsius::new(70.0)),
+            (Seconds::new(120.0), Celsius::new(45.0)),
+            (Seconds::new(300.0), Celsius::new(70.0)),
+        ]);
+        let telemetry = TelemetryConfig::default();
+        let result = fleet
+            .simulate_with(&jobs, d.as_mut(), &mut control, Some(&telemetry), &cache)
+            .unwrap();
+        let csv = result.trace.expect("telemetry was on").to_csv();
+        assert_eq!(fnv1a(csv.as_bytes()), golden, "{name}:\n{csv}");
+    }
+
+    // An overloaded rack under hysteretic load shedding, sampled every
+    // 5 s: the trace carries the shed count and ends on the drained row.
+    let mut config = FleetConfig::new(1, 2);
+    config.grid_pitch_mm = 3.0;
+    let fleet = Fleet::new(config);
+    let jobs = synthesize_jobs(60, &ConstantDemand::new(3.0), JobMix::default(), 5);
+    let mut control = LoadSheddingControl::new(Seconds::new(5.0), 6, 2);
+    let telemetry = TelemetryConfig {
+        sample_interval: Seconds::new(5.0),
+        capacity: 1024,
+    };
+    let result = fleet
+        .simulate_with(
+            &jobs,
+            &mut RoundRobin::default(),
+            &mut control,
+            Some(&telemetry),
+            &OutcomeCache::new(),
+        )
+        .unwrap();
+    assert!(result.outcome.shed > 0, "overload never triggered shedding");
+    let csv = result.trace.expect("telemetry was on").to_csv();
+    assert_eq!(
+        fnv1a(csv.as_bytes()),
+        0x1ca121a22a0d8e9e,
+        "shedding:\n{csv}"
+    );
 }
 
 #[test]

@@ -371,14 +371,13 @@ fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
 
 proptest! {
     /// Drive the kernel's dispatch index (occupied set, idle groups,
-    /// inline chiller terms, per-signature slabs) and the full-fleet
-    /// rescore oracles through the same random interleaving of
-    /// placements, expiries and set-point changes made through
-    /// `RackLoads::set_chiller`: every placement decision must be
-    /// bit-identical. The incremental dispatcher keeps its slabs warm
-    /// across the whole interleaving while the oracles rescore every rack
-    /// each call — any stale cache entry or index drift shows up as a
-    /// diverged pick.
+    /// inline chiller terms) and the dispatcher's per-arrival class
+    /// inputs, plus the full-fleet rescore oracles, through the same
+    /// random interleaving of placements, expiries and set-point changes
+    /// made through `RackLoads::set_chiller`: every placement decision
+    /// must be bit-identical. One dispatcher instance serves the whole
+    /// interleaving while the oracles rescore every rack each call — any
+    /// stale input or index drift shows up as a diverged pick.
     #[test]
     fn indexed_ranking_matches_a_full_rescore_after_any_interleaving(
         seed in 0u64..200,
@@ -399,9 +398,9 @@ proptest! {
             arrival: Seconds::ZERO,
             service: Seconds::new(30.0),
         };
-        // A demand signature names a fixed pair of steady states (the
-        // memo caches per-signature scores); only the job-specific
-        // runtime and wait budget vary per arrival.
+        // Three demand kinds, each a fixed pair of steady states (one
+        // per class); only the job-specific runtime and wait budget vary
+        // per arrival.
         let sig_states: Vec<[SteadyState; 2]> = (0..3u64)
             .map(|s| {
                 let heat = 60.0 + 40.0 * s as f64;
@@ -433,13 +432,12 @@ proptest! {
                             wait_budget: Seconds::new(budget),
                         })
                         .collect();
-                    let demand = JobDemand { job: &job, classes: &classes, sig: sig as u32 };
+                    let demand = JobDemand { job: &job, classes: &classes };
                     let view = FleetView {
                         now: Seconds::new(now),
                         racks: loads.view_slice(),
                         servers: &servers,
                         chiller: loads.chiller(),
-                        chiller_epoch: loads.chiller_epoch(),
                         index: FleetIndex {
                             occupied: loads.occupied_racks(),
                             idle_min: loads.idle_group_mins(),

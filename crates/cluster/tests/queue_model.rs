@@ -22,7 +22,7 @@ fn unit(seed: u64, i: u64) -> f64 {
 }
 
 fn event_for(r: u64, i: u64) -> Event {
-    match r % 5 {
+    match r % 6 {
         0 => Event::JobArrival(i as usize),
         1 => Event::JobCompletion {
             job: i as usize,
@@ -30,6 +30,10 @@ fn event_for(r: u64, i: u64) -> Event {
         },
         2 => Event::ControlTick,
         3 => Event::TelemetrySample,
+        4 => Event::JobStart {
+            job: i as usize,
+            server: (r % 7) as usize,
+        },
         _ => Event::SetpointChange(Celsius::new(35.0 + (r % 20) as f64)),
     }
 }
@@ -45,13 +49,14 @@ struct SortedVecModel {
 impl SortedVecModel {
     fn push(&mut self, time: Seconds, event: Event) {
         // The class component mirrors the kernel's same-instant ordering:
-        // completions < set-points < ticks < samples < arrivals.
+        // starts < completions < set-points < ticks < samples < arrivals.
         let class = match event {
-            Event::JobCompletion { .. } => 0u8,
-            Event::SetpointChange(_) => 1,
-            Event::ControlTick => 2,
-            Event::TelemetrySample => 3,
-            Event::JobArrival(_) => 4,
+            Event::JobStart { .. } => 0u8,
+            Event::JobCompletion { .. } => 1,
+            Event::SetpointChange(_) => 2,
+            Event::ControlTick => 3,
+            Event::TelemetrySample => 4,
+            Event::JobArrival(_) => 5,
         };
         self.pending
             .push(((time.value().to_bits(), class, self.seq), time, event));

@@ -13,10 +13,9 @@
 //! expands into the 3 × 2 cartesian grid, each point a full [`Scenario`]
 //! named after its axis values (`cooling.water_inlet_c=20,dispatch.dispatcher=rr`,
 //! …). [`Sweep::run`] executes the grid across OS threads, sharing one
-//! `tps-cluster` [`OutcomeCache`](tps_cluster::OutcomeCache) per distinct
-//! thermal-grid pitch so the per-server physics is solved once per
-//! `(benchmark, qos, policy, inlet)` no matter how many grid points replay
-//! it. Results are byte-deterministic: cache values are pure functions of
+//! `tps-cluster` [`OutcomeCache`](tps_cluster::OutcomeCache) across the
+//! whole grid so the per-server physics is solved once per `(benchmark,
+//! qos, policy, inlet, pitch)` no matter how many grid points replay it. Results are byte-deterministic: cache values are pure functions of
 //! their key and the report rows come back in grid order.
 
 use crate::report::{SweepReport, SweepRow};
@@ -392,12 +391,10 @@ struct GridCounters {
 /// grouped by the coordinates the physics actually depends on — the
 /// *resolved per-class* thermal pitch, water inlet and mapping policy of
 /// their catalog — and each group's union of `(benchmark, qos)` pairs is
-/// warmed *once*, in parallel across the group's classes, into the
-/// group's shared cache. Caches are shared between groups whose
-/// per-class pitch lists match (inlet, policy and class id are part of
-/// the cache key; pitch is not, so mixing pitch lists in one cache would
-/// alias different physics). Second, the grid points themselves run
-/// across worker threads as pure cache replays.
+/// warmed *once*, in parallel across the group's classes, into the one
+/// cache the whole grid shares (its key holds every input a solve
+/// depends on, so groups never alias). Second, the grid points
+/// themselves run across worker threads as pure cache replays.
 fn run_grid(
     scenarios: &[Scenario],
     threads: usize,
@@ -441,20 +438,9 @@ fn run_grid(
         }
     }
 
-    // Phase 1: one warm-up per physics group, into the cache shared by
-    // every group with the same per-class pitch list.
-    let pitches_of = |sig: &[ClassSig]| -> Vec<u64> { sig.iter().map(|c| c.0).collect() };
-    let mut caches: Vec<(Vec<u64>, OutcomeCache)> = Vec::new();
-    for (key, members) in &groups {
-        let pitches = pitches_of(key);
-        if !caches.iter().any(|(p, _)| *p == pitches) {
-            caches.push((pitches.clone(), OutcomeCache::new()));
-        }
-        let cache = &caches
-            .iter()
-            .find(|(p, _)| *p == pitches)
-            .expect("just inserted")
-            .1;
+    // Phase 1: one warm-up per physics group.
+    let cache = OutcomeCache::new();
+    for (_, members) in &groups {
         let representative = &scenarios[members[0]];
         let fleet = tps_cluster::Fleet::new(representative.fleet_config());
         let mut pairs: Vec<(tps_workload::Benchmark, tps_workload::QosClass)> = members
@@ -464,27 +450,17 @@ fn run_grid(
         pairs.sort();
         pairs.dedup();
         fleet
-            .warm(&pairs, cache, threads)
+            .warm(&pairs, &cache, threads)
             .map_err(|e| SweepError::Run {
                 scenario: representative.name.clone(),
                 source: e,
             })?;
     }
-    // Phase boundary: freeze each warmed cache into a published
+    // Phase boundary: freeze the warmed cache into a published
     // `SolveTable` epoch now, so every phase-2 replay finds a covering
     // table up front and resolves its demand states lock-free — no
     // first-run-in racing to publish, no per-point map traffic.
-    for (_, cache) in &caches {
-        cache.publish();
-    }
-    let cache_for = |s: &Scenario| {
-        let pitches = pitches_of(&sig_of(s));
-        &caches
-            .iter()
-            .find(|(p, _)| *p == pitches)
-            .expect("every pitch list has a cache")
-            .1
-    };
+    cache.publish();
 
     // Phase 2: replay the grid across workers. Each point gets fresh
     // dispatcher *and* control instances (both can be stateful); phase 1
@@ -513,18 +489,18 @@ fn run_grid(
                     dispatcher.as_mut(),
                     control.as_mut(),
                     telemetry.as_ref(),
-                    cache_for(scenario),
+                    &cache,
                 );
                 *results[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
     let counters = GridCounters {
-        solves: caches.iter().map(|(_, c)| c.solves()).sum(),
-        hits: caches.iter().map(|(_, c)| c.hits()).sum(),
-        table_hits: caches.iter().map(|(_, c)| c.table_hits()).sum(),
-        miss_solves: caches.iter().map(|(_, c)| c.miss_solves()).sum(),
-        lock_acquisitions: caches.iter().map(|(_, c)| c.lock_acquisitions()).sum(),
+        solves: cache.solves(),
+        hits: cache.hits(),
+        table_hits: cache.table_hits(),
+        miss_solves: cache.miss_solves(),
+        lock_acquisitions: cache.lock_acquisitions(),
     };
     results
         .into_iter()
