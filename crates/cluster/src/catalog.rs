@@ -176,12 +176,6 @@ impl FleetCatalog {
         self.classes.len()
     }
 
-    /// Whether the catalog declares a single class (the homogeneous
-    /// special case all emitters collapse to).
-    pub fn is_uniform(&self) -> bool {
-        self.classes.len() == 1
-    }
-
     /// `false` — a catalog always declares at least one class.
     pub fn is_empty(&self) -> bool {
         false
@@ -208,7 +202,6 @@ mod tests {
     #[test]
     fn uniform_catalog_is_class_zero_everywhere() {
         let c = FleetCatalog::uniform();
-        assert!(c.is_uniform());
         assert_eq!(c.len(), 1);
         assert_eq!(c.class_of(3, 7), 0);
         assert_eq!(c.classes()[0].name, "default");
@@ -229,7 +222,7 @@ mod tests {
         assert_eq!(c.class_of(2, 0), 0); // unassigned rack
         assert_eq!(c.find("b"), Some(1));
         assert_eq!(c.find("zzz"), None);
-        assert!(!c.is_uniform());
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

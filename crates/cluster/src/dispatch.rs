@@ -232,15 +232,6 @@ impl ServerTable {
         &self.rack_classes[rack]
     }
 
-    /// The server of `rack` that frees up first (lowest index on ties).
-    pub fn earliest_free_in(&self, rack: usize) -> (usize, Seconds) {
-        let base = rack * self.servers_per_rack;
-        (base..base + self.servers_per_rack)
-            .map(|s| (s, self.free_at[s]))
-            .min_by(|a, b| a.1.value().total_cmp(&b.1.value()))
-            .expect("racks have at least one server")
-    }
-
     /// The `class` server of `rack` that frees up first (lowest index on
     /// ties), `None` if the rack hosts no server of that class.
     pub fn earliest_free_of_class(&self, rack: usize, class: ClassId) -> Option<(usize, Seconds)> {
@@ -302,11 +293,6 @@ pub struct FleetView<'a> {
 }
 
 impl FleetView<'_> {
-    /// The server of `rack` that frees up first (lowest index on ties).
-    pub fn earliest_free_in(&self, rack: usize) -> (usize, Seconds) {
-        self.servers.earliest_free_in(rack)
-    }
-
     /// The `class` server of `rack` that frees up first (lowest index on
     /// ties), `None` if the rack hosts no server of that class.
     pub fn earliest_free_of_class(&self, rack: usize, class: ClassId) -> Option<(usize, Seconds)> {

@@ -35,8 +35,9 @@
 //!   depth and the p99 latency SLO) and [`PlannerControl`] (joint
 //!   placement + set-point co-optimization over a job horizon),
 //! * [`plan`] — the planner subsystem: piecewise-linear chiller
-//!   linearization, dense-simplex lower bounds, branch-and-bound and
-//!   simulated annealing, all hand-rolled with no external deps,
+//!   linearization, greedy construction with steepest descent,
+//!   branch-and-bound on small windows and simulated annealing, all
+//!   hand-rolled with no external deps,
 //! * [`FleetTrace`]/[`FleetSample`] — sampled time-series telemetry with
 //!   deterministic fixed-precision CSV emission,
 //! * [`Fleet::simulate`]/[`Fleet::simulate_with`] — thin drivers over the

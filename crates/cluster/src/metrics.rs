@@ -399,11 +399,6 @@ impl FleetTrace {
         self.serving = true;
     }
 
-    /// Whether the serving-mode columns are emitted.
-    pub fn serving(&self) -> bool {
-        self.serving
-    }
-
     /// Appends a sample, dropping (and counting) the oldest when full.
     pub fn push(&mut self, sample: FleetSample) {
         if self.samples.len() == self.capacity {

@@ -16,7 +16,8 @@
 //! Upper-envelope + knot-exactness gives the oracle tests their
 //! tolerance: for any assignment, `true ≤ pwl ≤ true + max_error`, so the
 //! solver's PWL optimum is within `max_error × Σheat × horizon` of the
-//! true optimum (see `crates/cluster/tests/planner_oracle.rs`).
+//! true optimum (see `crates/cluster/tests/planner_oracle.rs`). No solver
+//! reads the bound, so [`PwlCop::max_error`] measures it on demand.
 
 use tps_cooling::Chiller;
 use tps_units::Celsius;
@@ -42,8 +43,6 @@ pub struct PwlCop {
     free_from: f64,
     /// The exact free-cooling inverse COP (`1/max_cop`).
     free_inv: f64,
-    /// Conservative bound on `pwl − true` anywhere in the build range.
-    max_error: f64,
 }
 
 fn inv_cop(chiller: &Chiller, supply: f64) -> f64 {
@@ -76,7 +75,6 @@ impl PwlCop {
                 knots: Vec::new(),
                 free_from: lo,
                 free_inv,
-                max_error: 0.0,
             };
         }
 
@@ -131,26 +129,28 @@ impl PwlCop {
         linspace(kink, top, KNOTS_MIN_LIFT, &mut supplies);
         supplies.sort_by(f64::total_cmp);
         supplies.dedup_by(|x, first| *x - *first < 1e-9);
-        let knots: Vec<(f64, f64)> = supplies
-            .into_iter()
-            .map(|s| (s, inv_cop(chiller, s)))
-            .collect();
-
-        let mut pwl = Self {
-            knots,
+        Self {
+            knots: supplies
+                .into_iter()
+                .map(|s| (s, inv_cop(chiller, s)))
+                .collect(),
             free_from,
             free_inv,
-            max_error: 0.0,
-        };
-        pwl.max_error = pwl.measure_error(chiller);
-        pwl
+        }
     }
 
-    /// Conservative per-segment chord error: both branches have the form
-    /// `a/T + b` in the Kelvin supply, for which the chord−curve gap over
-    /// `[T₀, T₁]` peaks exactly at `T* = √(T₀·T₁)`; the analytic peak is
-    /// checked alongside a dense sample sweep and padded.
-    fn measure_error(&self, chiller: &Chiller) -> f64 {
+    /// Conservative bound on `eval(s) − 1/cop(s)` over the build range,
+    /// measured against `chiller`, the curve the model was built from
+    /// (zero when the whole range free-cools).
+    ///
+    /// Per-segment chord error: both branches have the form `a/T + b` in
+    /// the Kelvin supply, for which the chord−curve gap over `[T₀, T₁]`
+    /// peaks exactly at `T* = √(T₀·T₁)`; the analytic peak is checked
+    /// alongside a dense sample sweep and padded.
+    pub fn max_error(&self, chiller: &Chiller) -> f64 {
+        if self.knots.is_empty() {
+            return 0.0;
+        }
         let mut worst = 0.0f64;
         for seg in self.knots.windows(2) {
             let ((s0, v0), (s1, v1)) = (seg[0], seg[1]);
@@ -209,22 +209,6 @@ impl PwlCop {
         let t = (supply - s0) / (s1 - s0);
         v0 + t * (v1 - v0)
     }
-
-    /// Supplies at or above this temperature evaluate to the exact
-    /// free-cooling inverse COP.
-    pub fn free_from(&self) -> f64 {
-        self.free_from
-    }
-
-    /// Conservative bound on `eval(s) − 1/cop(s)` over the build range.
-    pub fn max_error(&self) -> f64 {
-        self.max_error
-    }
-
-    /// The sampled `(supply, 1/COP)` knots.
-    pub fn knots(&self) -> &[(f64, f64)] {
-        &self.knots
-    }
 }
 
 /// Appends `n + 1` evenly spaced points covering `[lo, hi]` (both ends).
@@ -243,6 +227,7 @@ mod tests {
     use super::*;
 
     fn dense_sweep(chiller: &Chiller, pwl: &PwlCop, lo: f64, hi: f64) {
+        let max_error = pwl.max_error(chiller);
         for i in 0..=4000 {
             let s = lo + (hi - lo) * i as f64 / 4000.0;
             let truth = inv_cop(chiller, s);
@@ -252,9 +237,8 @@ mod tests {
                 "model dips below the curve at {s}: {model} < {truth}"
             );
             assert!(
-                model <= truth + pwl.max_error(),
-                "model exceeds its own error bound at {s}: {model} vs {truth} + {}",
-                pwl.max_error()
+                model <= truth + max_error,
+                "model exceeds its own error bound at {s}: {model} vs {truth} + {max_error}"
             );
         }
     }
@@ -264,7 +248,7 @@ mod tests {
         for ambient in [25.0, 45.0, 70.0] {
             let chiller = Chiller::new(Celsius::new(ambient));
             let pwl = PwlCop::build(&chiller, 15.0, ambient + 10.0);
-            for &(s, v) in pwl.knots() {
+            for &(s, v) in &pwl.knots {
                 assert_eq!(v, inv_cop(&chiller, s), "knot at {s} not exact");
                 assert_eq!(pwl.eval(s), v, "eval at knot {s} not exact");
             }
@@ -278,20 +262,20 @@ mod tests {
         let pwl = PwlCop::build(&chiller, 20.0, 80.0);
         // Anything at or past the threshold is the exact cap, bit for bit.
         let cap = 1.0 / chiller.cop(Celsius::new(80.0));
-        assert_eq!(pwl.eval(pwl.free_from()), cap);
+        assert_eq!(pwl.eval(pwl.free_from), cap);
         assert_eq!(pwl.eval(60.0), cap);
         assert_eq!(pwl.eval(80.0), cap);
         // Just below the threshold the compressed branch rules: the
         // minimum-lift COP (≈6.7 here) is far off the free-cooling cap.
-        assert!(pwl.eval(pwl.free_from() - 0.1) > cap * 2.0);
+        assert!(pwl.eval(pwl.free_from - 0.1) > cap * 2.0);
     }
 
     #[test]
     fn all_free_range_degenerates_to_a_constant() {
         let chiller = Chiller::new(Celsius::new(25.0));
         let pwl = PwlCop::build(&chiller, 40.0, 70.0);
-        assert!(pwl.knots().is_empty());
-        assert_eq!(pwl.max_error(), 0.0);
+        assert!(pwl.knots.is_empty());
+        assert_eq!(pwl.max_error(&chiller), 0.0);
         assert_eq!(pwl.eval(55.0), 1.0 / chiller.cop(Celsius::new(55.0)));
     }
 
@@ -301,8 +285,9 @@ mod tests {
         let chiller = Chiller::new(Celsius::new(70.0));
         let wide = PwlCop::build(&chiller, 15.0, 70.0);
         let narrow = PwlCop::build(&chiller, 40.0, 50.0);
-        assert!(narrow.max_error() <= wide.max_error());
-        assert!(wide.max_error() < 0.05, "bound {}", wide.max_error());
+        let (wide, narrow) = (wide.max_error(&chiller), narrow.max_error(&chiller));
+        assert!(narrow <= wide);
+        assert!(wide < 0.05, "bound {wide}");
     }
 
     #[test]

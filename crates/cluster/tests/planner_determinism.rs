@@ -4,11 +4,13 @@
 //! the same invariant `serving.rs` pins for the autoscaler. The planner
 //! consults a placement-hint table before the dispatcher; any hidden
 //! iteration-order or timing dependence in the re-plan path would show
-//! up here as a trace diff.
+//! up here as a trace diff. Each case also pins FNV-1a digests of its
+//! outcome bits and trace CSV, so a solver change that moves a plan
+//! shows here even when it stays deterministic.
 
 use tps_cluster::{
-    synthesize_jobs, Fleet, FleetConfig, FleetDispatcher, Job, JobMix, OutcomeCache, PlanSolver,
-    PlannedDispatch, PlannerControl, TelemetryConfig, ThermalAwareDispatch,
+    synthesize_jobs, Fleet, FleetConfig, FleetDispatcher, FleetOutcome, Job, JobMix, OutcomeCache,
+    PlanSolver, PlannedDispatch, PlannerControl, TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_units::Seconds;
 use tps_workload::DiurnalDemand;
@@ -18,8 +20,8 @@ fn batch_jobs(count: usize, seed: u64) -> Vec<Job> {
     synthesize_jobs(count, &demand, JobMix::default(), seed)
 }
 
-fn config(threads: usize) -> FleetConfig {
-    let mut config = FleetConfig::new(2, 3);
+fn config(racks: usize, servers_per_rack: usize, threads: usize) -> FleetConfig {
+    let mut config = FleetConfig::new(racks, servers_per_rack);
     config.grid_pitch_mm = 3.0;
     config.threads = threads;
     config
@@ -36,8 +38,48 @@ fn planner(solver: PlanSolver) -> PlannerControl {
     )
 }
 
-fn run_matrix(solver: PlanSolver, planned_dispatch: bool) {
-    let jobs = batch_jobs(60, 7);
+/// FNV-1a 64 over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over every float field of a batch outcome as raw bits, then
+/// every count, so a plan that moves one placement shows here.
+fn outcome_digest(o: &FleetOutcome) -> u64 {
+    let floats = [
+        o.makespan.value(),
+        o.it_energy.value(),
+        o.cooling_energy.value(),
+        o.mean_wait.value(),
+        o.max_wait.value(),
+        o.peak_rack_heat.value(),
+    ]
+    .into_iter()
+    .chain(o.class_it_energy.iter().map(|e| e.value()))
+    .map(f64::to_bits);
+    let counts = [o.violations, o.shed]
+        .into_iter()
+        .chain(o.class_violations.iter().copied())
+        .chain(o.class_placements.iter().copied())
+        .map(|c| c as u64);
+    floats
+        .chain(counts)
+        .fold(FNV_OFFSET, |h, x| fnv1a(h, &x.to_le_bytes()))
+}
+
+/// Runs `jobs` on a `racks × servers_per_rack` fleet under the planner at
+/// one, two and eight warm-up threads, asserts the outcome and trace are
+/// byte-identical across them, and returns their digests.
+fn run_matrix(
+    solver: PlanSolver,
+    planned_dispatch: bool,
+    (racks, servers_per_rack): (usize, usize),
+    jobs: &[Job],
+) -> (u64, u64) {
     let telemetry = TelemetryConfig {
         sample_interval: Seconds::new(15.0),
         capacity: 4096,
@@ -45,7 +87,7 @@ fn run_matrix(solver: PlanSolver, planned_dispatch: bool) {
     let mut outcomes = Vec::new();
     let mut csvs = Vec::new();
     for threads in [1, 2, 8] {
-        let fleet = Fleet::new(config(threads));
+        let fleet = Fleet::new(config(racks, servers_per_rack, threads));
         let cache = OutcomeCache::new();
         let mut control = planner(solver);
         let mut dispatcher: Box<dyn FleetDispatcher> = if planned_dispatch {
@@ -55,7 +97,7 @@ fn run_matrix(solver: PlanSolver, planned_dispatch: bool) {
         };
         let result = fleet
             .simulate_with(
-                &jobs,
+                jobs,
                 dispatcher.as_mut(),
                 &mut control,
                 Some(&telemetry),
@@ -74,21 +116,42 @@ fn run_matrix(solver: PlanSolver, planned_dispatch: bool) {
         "planner trace diverged across thread counts"
     );
     assert!(csvs[0].lines().count() > 3, "{}", csvs[0]);
+    (
+        outcome_digest(&outcomes[0]),
+        fnv1a(FNV_OFFSET, csvs[0].as_bytes()),
+    )
 }
+
+/// The 2 × 3 fleet caps every window at six jobs, so all three solver
+/// and dispatcher pairings below end on the same bits.
+const SMALL: (u64, u64) = (0x0a2a_f179_3af8_9a80, 0x008c_1652_5317_f07b);
 
 #[test]
 fn lp_planner_is_byte_identical_across_threads() {
-    run_matrix(PlanSolver::Lp, false);
+    let digests = run_matrix(PlanSolver::Lp, false, (2, 3), &batch_jobs(60, 7));
+    assert_eq!(digests, SMALL);
 }
 
 #[test]
 fn anneal_planner_is_byte_identical_across_threads() {
-    run_matrix(PlanSolver::Anneal, false);
+    let digests = run_matrix(PlanSolver::Anneal, false, (2, 3), &batch_jobs(60, 7));
+    assert_eq!(digests, SMALL);
 }
 
 #[test]
 fn planned_dispatch_under_planner_control_is_byte_identical() {
-    run_matrix(PlanSolver::Lp, true);
+    let digests = run_matrix(PlanSolver::Lp, true, (2, 3), &batch_jobs(60, 7));
+    assert_eq!(digests, SMALL);
+}
+
+/// Windows larger than branch-and-bound's 12-job cap: 64 servers leave
+/// room for up to 32 jobs per window, and the diurnal peak puts about
+/// 60 arrivals in each 120 s horizon, so most re-plans rest on greedy
+/// construction plus descent alone.
+#[test]
+fn lp_planner_on_windows_beyond_the_branch_and_bound_cap_is_pinned() {
+    let digests = run_matrix(PlanSolver::Lp, false, (8, 8), &batch_jobs(240, 11));
+    assert_eq!(digests, (0xfb3a_2c9d_f5ce_0960, 0x5376_1faa_2803_daf2));
 }
 
 /// The planner actually moves the set-point: with candidates below the
@@ -98,7 +161,7 @@ fn planned_dispatch_under_planner_control_is_byte_identical() {
 fn planner_moves_the_setpoint_and_never_loses_to_static() {
     let jobs = batch_jobs(60, 7);
     let cache = OutcomeCache::new();
-    let fleet = Fleet::new(config(1));
+    let fleet = Fleet::new(config(2, 3, 1));
     let static_outcome = fleet
         .simulate(&jobs, &mut ThermalAwareDispatch::default(), &cache)
         .unwrap();

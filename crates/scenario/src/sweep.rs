@@ -14,8 +14,12 @@
 //! named after its axis values (`cooling.water_inlet_c=20,dispatch.dispatcher=rr`,
 //! …). [`Sweep::run`] executes the grid across OS threads, sharing one
 //! `tps-cluster` [`OutcomeCache`](tps_cluster::OutcomeCache) across the
-//! whole grid so the per-server physics is solved once per `(benchmark,
-//! qos, policy, inlet, pitch)` no matter how many grid points replay it. Results are byte-deterministic: cache values are pure functions of
+//! whole grid, so the per-server physics is solved once per cache key
+//! ([`CacheKey`](tps_cluster::CacheKey): server class, benchmark, QoS,
+//! policy, water inlet, grid pitch, water flow and case-temperature
+//! limit) no matter how many grid points replay it.
+//!
+//! Results are byte-deterministic: cache values are pure functions of
 //! their key and the report rows come back in grid order.
 
 use crate::report::{SweepReport, SweepRow};
@@ -287,10 +291,11 @@ impl Sweep {
     /// Expands and executes the whole grid across up to `threads` OS
     /// threads, returning the report in grid order.
     ///
-    /// Grid points share an [`OutcomeCache`] per distinct thermal-grid
-    /// pitch (the cache key does not include the pitch), so e.g. a
-    /// five-point heat-reuse sweep performs the per-server solves exactly
-    /// once. Byte-deterministic: thread count only changes wall time.
+    /// Grid points share one [`OutcomeCache`], whose key holds every
+    /// input a solve depends on (pitch, water flow and case limit
+    /// included), so e.g. a five-point heat-reuse sweep performs the
+    /// per-server solves exactly once. Byte-deterministic: thread count
+    /// only changes wall time.
     ///
     /// # Errors
     ///

@@ -208,25 +208,58 @@ impl DemandModel for BurstyDemand {
 #[derive(Debug, Clone)]
 pub struct ArrivalSource<'a, D: DemandModel + ?Sized> {
     demand: &'a D,
-    rng: StdRng,
-    peak: f64,
-    t: f64,
+    thinning: Thinning,
 }
 
 impl<D: DemandModel + ?Sized> Iterator for ArrivalSource<'_, D> {
     type Item = Seconds;
 
-    /// The next arrival (the stream never ends: a demand model has a
-    /// positive peak rate, so thinning accepts with positive probability).
     fn next(&mut self) -> Option<Seconds> {
+        Some(self.thinning.next_arrival(self.demand))
+    }
+}
+
+/// The thinning state both arrival streams ([`ArrivalSource`] and
+/// [`RequestStream`]) draw their times through: a homogeneous Poisson
+/// process at the model's peak rate, thinned to its instantaneous rate.
+#[derive(Debug, Clone)]
+struct Thinning {
+    rng: StdRng,
+    peak: f64,
+    t: f64,
+}
+
+impl Thinning {
+    /// Thinning for `demand` from the model's origin (`t = 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's peak rate is not positive and finite.
+    fn new<D: DemandModel + ?Sized>(demand: &D, seed: u64) -> Self {
+        let peak = demand.peak_rate();
+        assert!(
+            peak > 0.0 && peak.is_finite(),
+            "peak rate must be positive and finite"
+        );
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            peak,
+            t: 0.0,
+        }
+    }
+
+    /// The next arrival under `demand`, the model this state was built
+    /// for (the stream never ends: a demand model has a positive peak
+    /// rate, so thinning accepts with positive probability).
+    fn next_arrival<D: DemandModel + ?Sized>(&mut self, demand: &D) -> Seconds {
         loop {
             // Exponential inter-arrival at the majorizing rate…
             let u: f64 = self.rng.gen_range(0.0..1.0);
             self.t += -(1.0 - u).ln() / self.peak;
             // …thinned down to the instantaneous rate.
             let accept: f64 = self.rng.gen_range(0.0..1.0);
-            if accept * self.peak < self.demand.rate_at(Seconds::new(self.t)) {
-                return Some(Seconds::new(self.t));
+            if accept * self.peak < demand.rate_at(Seconds::new(self.t)) {
+                return Seconds::new(self.t);
             }
         }
     }
@@ -240,16 +273,9 @@ impl<D: DemandModel + ?Sized> Iterator for ArrivalSource<'_, D> {
 ///
 /// Panics if the model's peak rate is not positive and finite.
 pub fn arrival_source<D: DemandModel + ?Sized>(demand: &D, seed: u64) -> ArrivalSource<'_, D> {
-    let peak = demand.peak_rate();
-    assert!(
-        peak > 0.0 && peak.is_finite(),
-        "peak rate must be positive and finite"
-    );
     ArrivalSource {
         demand,
-        rng: StdRng::seed_from_u64(seed),
-        peak,
-        t: 0.0,
+        thinning: Thinning::new(demand, seed),
     }
 }
 
@@ -381,10 +407,8 @@ pub struct Request {
 #[derive(Debug, Clone)]
 pub struct RequestStream<D: DemandModel> {
     demand: D,
-    rng: StdRng,
+    arrivals: Thinning,
     service_rng: StdRng,
-    peak: f64,
-    t: f64,
     mean_service: f64,
     next_id: usize,
 }
@@ -393,16 +417,7 @@ impl<D: DemandModel> Iterator for RequestStream<D> {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        // The exact thinning loop of [`ArrivalSource`]; the stream never
-        // ends because the peak rate is positive.
-        let arrival = loop {
-            let u: f64 = self.rng.gen_range(0.0..1.0);
-            self.t += -(1.0 - u).ln() / self.peak;
-            let accept: f64 = self.rng.gen_range(0.0..1.0);
-            if accept * self.peak < self.demand.rate_at(Seconds::new(self.t)) {
-                break Seconds::new(self.t);
-            }
-        };
+        let arrival = self.arrivals.next_arrival(&self.demand);
         let service = self.mean_service * self.service_rng.gen_range(0.5..1.5);
         let id = self.next_id;
         self.next_id += 1;
@@ -427,23 +442,17 @@ pub fn request_stream<D: DemandModel>(
     mean_service: Seconds,
     seed: u64,
 ) -> RequestStream<D> {
-    let peak = demand.peak_rate();
-    assert!(
-        peak > 0.0 && peak.is_finite(),
-        "peak rate must be positive and finite"
-    );
+    let arrivals = Thinning::new(&demand, seed);
     assert!(
         mean_service.value() > 0.0 && mean_service.value().is_finite(),
         "mean service demand must be positive and finite"
     );
     RequestStream {
         demand,
-        rng: StdRng::seed_from_u64(seed),
+        arrivals,
         // Distinct stream: the same xor-split convention the job
         // synthesizer uses to decouple attribute draws from arrivals.
         service_rng: StdRng::seed_from_u64(seed ^ 0x243f_6a88_85a3_08d3),
-        peak,
-        t: 0.0,
         mean_service: mean_service.value(),
         next_id: 0,
     }
