@@ -3,9 +3,11 @@
 //!
 //! A fleet run dispatches hundreds to thousands of jobs, but the
 //! per-server physics depends only on `(server class, benchmark, qos,
-//! mapping policy, water inlet, grid pitch, water flow, case limit)` —
+//! active cores, water inlet, grid pitch, water flow, case limit)` —
 //! the coupled thermosyphon/thermal solve is steady-state and every
-//! server of one class is identical.
+//! server of one class is identical. A mapping policy reaches the
+//! physics only through the set of cores it maps a job onto, so two
+//! policies that pick the same cores share one key and one solve.
 //! [`OutcomeCache`] therefore computes each distinct key once (in
 //! parallel across OS threads) and the event-driven simulator replays the
 //! cached [`SteadyState`] summaries, which is what lets a million-job
@@ -34,7 +36,7 @@ use crate::fleet::PolicyId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use tps_core::{ConfigSelector, RunError, Server};
+use tps_core::{MinPowerSelector, RunError, RunPlan, Server};
 use tps_units::{Celsius, Watts};
 use tps_workload::{Benchmark, QosClass};
 
@@ -67,9 +69,10 @@ pub struct CacheKey {
     pub bench: Benchmark,
     /// The QoS class.
     pub qos: QosClass,
-    /// The mapping policy (typed, not a name string — two policies can
-    /// never alias, and the compiler checks exhaustiveness).
-    pub policy: PolicyId,
+    /// The active cores the class's mapping policy placed the job on, as
+    /// a bit set (bit `c − 1` for core `c`): the only way a policy
+    /// reaches the physics.
+    pub cores: u8,
     /// Water inlet (ambient of the server loop) in milli-°C, quantized so
     /// the key is hashable/orderable.
     pub inlet_milli: i64,
@@ -99,20 +102,43 @@ pub struct ClassSolve<'a> {
 }
 
 impl ClassSolve<'_> {
-    /// The cache key of `(bench, qos)` on this class — the one place a
-    /// key is built.
-    fn key(&self, bench: Benchmark, qos: QosClass) -> CacheKey {
+    /// Plans `(bench, qos)` on this class — minimum-power selection, then
+    /// the class's mapping policy — and returns the plan with its cache
+    /// key: the one place a key is built.
+    fn plan(&self, bench: Benchmark, qos: QosClass) -> Result<(CacheKey, RunPlan), RunError> {
+        let plan = self
+            .server
+            .plan(bench, qos, &MinPowerSelector, self.policy.as_policy())?;
         let op = self.server.simulation().operating_point();
-        CacheKey {
+        let key = CacheKey {
             class: self.id,
             bench,
             qos,
-            policy: self.policy,
+            cores: plan
+                .mapping
+                .iter()
+                .fold(0, |set, &core| set | 1 << (core - 1)),
             inlet_milli: (op.water_inlet().value() * 1000.0).round() as i64,
             pitch_bits: self.pitch_mm.to_bits(),
             flow_bits: op.water_flow().value().to_bits(),
             t_case_max_bits: self.t_case_max.value().to_bits(),
-        }
+        };
+        Ok((key, plan))
+    }
+
+    /// Runs the coupled solve of a plan and keeps what the fleet reads.
+    fn solve(&self, plan: RunPlan) -> Result<SteadyState, RunError> {
+        let outcome = self.server.solve_plan(plan)?;
+        let load =
+            outcome.cooling_load(self.server.simulation().operating_point(), self.t_case_max);
+        Ok(SteadyState {
+            package_power: outcome.profile.package_power,
+            heat: load.heat,
+            max_water_temp: load.max_water_temp,
+            normalized_time: outcome.profile.normalized_time,
+            n_cores: outcome.profile.config.n_cores(),
+            die_max: outcome.die.max,
+        })
     }
 }
 
@@ -148,14 +174,16 @@ impl SolveTable {
     }
 
     /// The frozen outcome of `(bench, qos)` on `class`, or `None` when
-    /// the key was absent at publication.
+    /// the key was absent at publication (or the pair has no feasible
+    /// configuration). Plans the pair to find its key.
     pub fn lookup(
         &self,
         class: &ClassSolve<'_>,
         bench: Benchmark,
         qos: QosClass,
     ) -> Option<SteadyState> {
-        self.entries.get(&class.key(bench, qos)).copied()
+        let (key, _) = class.plan(bench, qos).ok()?;
+        self.entries.get(&key).copied()
     }
 }
 
@@ -281,28 +309,15 @@ impl OutcomeCache {
         class: &ClassSolve<'_>,
         bench: Benchmark,
         qos: QosClass,
-        selector: &dyn ConfigSelector,
     ) -> Result<SteadyState, RunError> {
-        let key = class.key(bench, qos);
+        let (key, plan) = class.plan(bench, qos)?;
         if let Some(state) = self.lock_map().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*state);
         }
         // Solve outside the lock: a rare duplicate solve beats serializing
         // every worker behind one coupled simulation.
-        let op = class.server.simulation().operating_point();
-        let outcome = class
-            .server
-            .run(bench, qos, selector, class.policy.as_policy())?;
-        let load = outcome.cooling_load(op, class.t_case_max);
-        let state = SteadyState {
-            package_power: outcome.profile.package_power,
-            heat: load.heat,
-            max_water_temp: load.max_water_temp,
-            normalized_time: outcome.profile.normalized_time,
-            n_cores: outcome.profile.config.n_cores(),
-            die_max: outcome.die.max,
-        };
+        let state = class.solve(plan)?;
         self.solves.fetch_add(1, Ordering::Relaxed);
         self.lock_map().insert(key, state);
         Ok(state)
@@ -323,41 +338,50 @@ impl OutcomeCache {
         table
     }
 
-    /// Returns a published table covering every `(class, bench, qos)`
-    /// triple of `classes × pairs`, plus how many triples it had to solve
-    /// for that: only the **missing** triples are warmed (in parallel),
-    /// and a fresh epoch is published when needed. On a fully covered
+    /// Makes sure a published table covers every `(class, bench, qos)`
+    /// triple of `classes × pairs`, and returns the triples' outcomes off
+    /// it in class-major order (`states[class * pairs.len() + pair]`),
+    /// plus how many triples it had to solve for that: only the
+    /// **missing** triples are warmed (in parallel), and a fresh epoch is
+    /// published when needed. Every triple is planned to find its key (a
+    /// missing one again by the solve that fills it). On a fully covered
     /// cache this is one publication-lock fetch — the steady-state replay
     /// path; on a cold cache it is the old eager warm-up, now as an
     /// on-demand prefetch.
     ///
     /// # Errors
     ///
-    /// Propagates the first per-server [`RunError`] a worker hit.
+    /// Propagates the first per-server [`RunError`] planning or a worker
+    /// hit.
     pub fn ensure_published(
         &self,
         classes: &[ClassSolve<'_>],
         pairs: &[(Benchmark, QosClass)],
-        selector: &(dyn ConfigSelector + Sync),
         threads: usize,
-    ) -> Result<(Arc<SolveTable>, usize), RunError> {
+    ) -> Result<(Vec<SteadyState>, usize), RunError> {
+        let keys = triples(classes, pairs)
+            .map(|(ci, b, q)| Ok(classes[ci].plan(b, q)?.0))
+            .collect::<Result<Vec<CacheKey>, RunError>>()?;
         let published = self.table();
         let missing: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs)
-            .filter(|&(ci, b, q)| {
+            .zip(&keys)
+            .filter(|(_, key)| {
                 published
                     .as_ref()
-                    .map_or(true, |t| t.lookup(&classes[ci], b, q).is_none())
+                    .map_or(true, |t| !t.entries.contains_key(key))
             })
+            .map(|(triple, _)| triple)
             .collect();
-        if missing.is_empty() {
-            if let Some(table) = published {
-                return Ok((table, 0));
+        let table = match published {
+            Some(table) if missing.is_empty() => table,
+            _ => {
+                self.record_miss_solves(missing.len());
+                self.warm_triples(&missing, classes, threads)?;
+                self.publish()
             }
-        } else {
-            self.record_miss_solves(missing.len());
-            self.warm_triples(&missing, classes, selector, threads)?;
-        }
-        Ok((self.publish(), missing.len()))
+        };
+        let states = keys.iter().map(|key| table.entries[key]).collect();
+        Ok((states, missing.len()))
     }
 
     /// Pre-computes the outcomes for every `(class, bench, qos)` triple —
@@ -381,11 +405,10 @@ impl OutcomeCache {
         &self,
         classes: &[ClassSolve<'_>],
         pairs: &[(Benchmark, QosClass)],
-        selector: &(dyn ConfigSelector + Sync),
         threads: usize,
     ) -> Result<(), RunError> {
         let all: Vec<(usize, Benchmark, QosClass)> = triples(classes, pairs).collect();
-        self.warm_triples(&all, classes, selector, threads)
+        self.warm_triples(&all, classes, threads)
     }
 
     /// The shared warm-up worker loop over an explicit triple list.
@@ -395,7 +418,6 @@ impl OutcomeCache {
         &self,
         triples: &[(usize, Benchmark, QosClass)],
         classes: &[ClassSolve<'_>],
-        selector: &(dyn ConfigSelector + Sync),
         threads: usize,
     ) -> Result<(), RunError> {
         let jobs = triples.len();
@@ -411,8 +433,7 @@ impl OutcomeCache {
                         break;
                     }
                     let (ci, bench, qos) = triples[i];
-                    let class = &classes[ci];
-                    if let Err(e) = self.get_or_solve(class, bench, qos, selector) {
+                    if let Err(e) = self.get_or_solve(&classes[ci], bench, qos) {
                         failed.store(true, Ordering::Relaxed);
                         let mut slot = failure.lock().expect("poisoned");
                         if slot.is_none() {
@@ -432,7 +453,7 @@ impl OutcomeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::{MinPowerSelector, T_CASE_MAX};
+    use tps_core::T_CASE_MAX;
     use tps_thermosyphon::OperatingPoint;
 
     fn server() -> Server {
@@ -455,10 +476,10 @@ mod tests {
         let s = server();
         let c = class(&s);
         let a = cache
-            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
+            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX)
             .unwrap();
         let b = cache
-            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
+            .get_or_solve(&c, Benchmark::X264, QosClass::TwoX)
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.solves(), 1);
@@ -484,7 +505,7 @@ mod tests {
         };
         for c in [&a, &b] {
             cache
-                .get_or_solve(c, Benchmark::X264, QosClass::TwoX, &MinPowerSelector)
+                .get_or_solve(c, Benchmark::X264, QosClass::TwoX)
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
@@ -505,7 +526,9 @@ mod tests {
                 policy,
                 ..class(server)
             }
-            .key(Benchmark::X264, QosClass::TwoX)
+            .plan(Benchmark::X264, QosClass::TwoX)
+            .unwrap()
+            .0
         };
         let (close_a, close_b, apart) = (at(30.0001), at(30.0004), at(30.001));
         let proposed = PolicyId::Proposed;
@@ -520,9 +543,25 @@ mod tests {
             key(&apart, proposed),
             "distinct milli-°C bins must not collide"
         );
-        // And the policy is a typed component: changing it alone changes
-        // the key.
-        assert_ne!(key(&close_a, proposed), key(&close_a, PolicyId::Coskun));
+        // A policy enters the key only through the cores it maps: two
+        // policies share a key exactly when their core sets agree.
+        let policies = [
+            PolicyId::Proposed,
+            PolicyId::Coskun,
+            PolicyId::InletFirst,
+            PolicyId::Packed,
+        ];
+        for a in policies {
+            for b in policies {
+                let (ka, kb) = (key(&close_a, a), key(&close_a, b));
+                assert_eq!(ka == kb, ka.cores == kb.cores, "{a:?} vs {b:?}");
+            }
+        }
+        assert_ne!(
+            key(&close_a, PolicyId::Proposed),
+            key(&close_a, PolicyId::Packed),
+            "proposed and packed map 2× x264 onto different cores"
+        );
     }
 
     #[test]
@@ -546,13 +585,13 @@ mod tests {
             (Benchmark::Canneal, QosClass::ThreeX),
         ]
         .to_vec();
-        cache.warm(&classes, &pairs, &MinPowerSelector, 4).unwrap();
+        cache.warm(&classes, &pairs, 4).unwrap();
         assert_eq!(cache.len(), 4);
         // Replay after warm never solves again.
         let before = cache.solves();
         for c in &classes {
             for &(b, q) in &pairs {
-                cache.get_or_solve(c, b, q, &MinPowerSelector).unwrap();
+                cache.get_or_solve(c, b, q).unwrap();
             }
         }
         assert_eq!(cache.solves(), before);
@@ -566,10 +605,10 @@ mod tests {
         let s = server();
         let c = class(&s);
         let hot = cache
-            .get_or_solve(&c, Benchmark::X264, QosClass::OneX, &MinPowerSelector)
+            .get_or_solve(&c, Benchmark::X264, QosClass::OneX)
             .unwrap();
         let cool = cache
-            .get_or_solve(&c, Benchmark::Canneal, QosClass::ThreeX, &MinPowerSelector)
+            .get_or_solve(&c, Benchmark::Canneal, QosClass::ThreeX)
             .unwrap();
         assert!(hot.max_water_temp < cool.max_water_temp);
         assert!(hot.package_power > cool.package_power);
@@ -595,14 +634,14 @@ mod tests {
             (Benchmark::X264, QosClass::OneX),
             (Benchmark::Canneal, QosClass::ThreeX),
         ];
-        cache.warm(&classes, &pairs, &MinPowerSelector, 2).unwrap();
+        cache.warm(&classes, &pairs, 2).unwrap();
         let table = cache.publish();
         assert_eq!(table.len(), 4);
         assert_eq!(table.epoch(), 1);
         for c in &classes {
             for &(b, q) in &pairs {
                 let dense = table.lookup(c, b, q).expect("warmed key is in the table");
-                let oracle = cache.get_or_solve(c, b, q, &MinPowerSelector).unwrap();
+                let oracle = cache.get_or_solve(c, b, q).unwrap();
                 assert_eq!(dense, oracle);
             }
         }
@@ -618,34 +657,34 @@ mod tests {
         let s = server();
         let classes = [class(&s)];
         let pairs = [(Benchmark::X264, QosClass::TwoX)];
-        let (first, solved) = cache
-            .ensure_published(&classes, &pairs, &MinPowerSelector, 2)
-            .unwrap();
-        assert_eq!(first.epoch(), 1);
+        let (first, solved) = cache.ensure_published(&classes, &pairs, 2).unwrap();
+        assert_eq!(cache.epoch(), 1);
         assert_eq!(solved, 1);
         assert_eq!(cache.miss_solves(), 1);
-        // Covered: the second call fetches the same epoch with exactly
-        // one publication-lock acquisition and no new solves.
+        let held = cache.table().expect("published");
+        // Covered: the second call reuses the same epoch with exactly one
+        // publication-lock acquisition and no new solves.
         let locks = cache.lock_acquisitions();
-        let (second, solved) = cache
-            .ensure_published(&classes, &pairs, &MinPowerSelector, 2)
-            .unwrap();
-        assert_eq!(second.epoch(), 1);
+        let (second, solved) = cache.ensure_published(&classes, &pairs, 2).unwrap();
+        assert_eq!(second, first);
+        assert_eq!(cache.epoch(), 1);
         assert_eq!(solved, 0);
         assert_eq!(cache.lock_acquisitions(), locks + 1);
         assert_eq!(cache.miss_solves(), 1);
-        // A new pair republishes a richer epoch.
+        // A new pair republishes a richer epoch; the states come back in
+        // pair order.
         let wider = [
             (Benchmark::X264, QosClass::TwoX),
             (Benchmark::X264, QosClass::OneX),
         ];
-        let (third, solved) = cache
-            .ensure_published(&classes, &wider, &MinPowerSelector, 2)
-            .unwrap();
-        assert_eq!(third.epoch(), 2);
+        let (third, solved) = cache.ensure_published(&classes, &wider, 2).unwrap();
+        assert_eq!(cache.epoch(), 2);
         assert_eq!(solved, 1);
-        assert_eq!(third.len(), 2);
+        assert_eq!(third[0], first[0]);
+        let one_x = cache.get_or_solve(&classes[0], Benchmark::X264, QosClass::OneX);
+        assert_eq!(third[1], one_x.unwrap());
+        assert_eq!(cache.table().expect("published").len(), 2);
         // The earlier epoch is still alive and unchanged for its holders.
-        assert_eq!(first.len(), 1);
+        assert_eq!(held.len(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! [`Fleet::simulate`] and [`Fleet::simulate_with`] are thin drivers over
 //! the discrete-event kernel in [`crate::engine`]: they warm the physics
-//! cache in parallel — one solve per distinct `(class, bench, qos)` —
+//! cache in parallel — one solve per distinct cache key —
 //! read the run's demand states off the published table, then hand the
 //! job stream, those states, dispatcher, control policy and telemetry
 //! settings to the sequential event loop.
@@ -15,10 +15,11 @@ use crate::dispatch::FleetDispatcher;
 use crate::engine;
 use crate::job::{demand_pairs, Job};
 use crate::metrics::{FleetOutcome, SimResult, TelemetryConfig};
+use std::sync::OnceLock;
 use tps_cooling::Chiller;
 use tps_core::{
-    CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector, PackedMapping,
-    ProposedMapping, RunError, Server, T_CASE_MAX,
+    CoskunBalancing, InletFirstMapping, MappingPolicy, PackedMapping, ProposedMapping, RunError,
+    Server, T_CASE_MAX,
 };
 use tps_power::{CState, CoreFrequency, IdlePowerModel};
 use tps_thermosyphon::OperatingPoint;
@@ -28,9 +29,10 @@ use tps_workload::{Benchmark, QosClass};
 /// The per-server mapping policy a fleet (or one of its server classes)
 /// runs: the paper's proposed policy or one of its baselines.
 ///
-/// This is the *typed identity* the [`CacheKey`](crate::CacheKey) stores —
-/// two policies can never alias the way name strings could, and a match
-/// over it is checked for exhaustiveness.
+/// A typed identity — two policies can never alias the way name strings
+/// could, and a match over it is checked for exhaustiveness. The
+/// [`CacheKey`](crate::CacheKey) does not store it: it stores the cores
+/// the policy maps a job onto, so policies that agree share one solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PolicyId {
     /// The paper's C-state-aware thermal mapping.
@@ -149,8 +151,12 @@ impl FleetConfig {
     /// The default warm-up thread count — the machine's available
     /// parallelism, capped at 8 (the distinct solves saturate quickly).
     /// Thread count never changes simulation results, only wall time.
+    /// Resolved once per process, because asking the OS reads cgroup
+    /// files (tens of microseconds a call); a later change of CPU
+    /// affinity therefore goes unseen.
     pub fn default_threads() -> usize {
-        std::thread::available_parallelism().map_or(4, |n| n.get().min(8))
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get().min(8)))
     }
 
     /// Total server count.
@@ -276,7 +282,7 @@ impl Fleet {
         cache: &OutcomeCache,
         threads: usize,
     ) -> Result<(), RunError> {
-        cache.warm(&self.class_solvers(), pairs, &MinPowerSelector, threads)
+        cache.warm(&self.class_solvers(), pairs, threads)
     }
 
     /// Runs `jobs` through the fleet under `dispatcher`, reusing (and
@@ -325,25 +331,18 @@ impl Fleet {
     ) -> Result<SimResult, RunError> {
         // Synchronization point: make sure a covering table epoch is
         // published, solving only the missing keys — one solve per
-        // distinct (class, bench, qos), in parallel.
+        // distinct key, in parallel.
         let pairs = demand_pairs(jobs);
         let solvers = self.class_solvers();
-        let (table, miss_solves) =
-            cache.ensure_published(&solvers, &pairs, &MinPowerSelector, self.config.threads)?;
+        let (states, miss_solves) =
+            cache.ensure_published(&solvers, &pairs, self.config.threads)?;
         let locks = cache.lock_acquisitions();
-        // The run's demand states, read once off the frozen epoch — zero
-        // lock acquisitions: `pair_states[p][class]` is pair `p` on each
-        // catalog class.
-        let pair_states: Vec<Vec<SteadyState>> = pairs
-            .iter()
-            .map(|&(bench, qos)| {
-                solvers
-                    .iter()
-                    .map(|s| {
-                        table
-                            .lookup(s, bench, qos)
-                            .expect("the published table covers the run's pairs")
-                    })
+        // The run's demand states, read once off the frozen epoch:
+        // `pair_states[p][class]` is pair `p` on each catalog class.
+        let pair_states: Vec<Vec<SteadyState>> = (0..pairs.len())
+            .map(|p| {
+                (0..solvers.len())
+                    .map(|ci| states[ci * pairs.len() + p])
                     .collect()
             })
             .collect();

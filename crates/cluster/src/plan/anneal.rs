@@ -8,30 +8,19 @@
 //! [`StdRng`](rand::rngs::StdRng): the same seed replays the identical
 //! move sequence bit for bit.
 
-use super::{objective_pwl, PlanInstance, PwlCop};
+use super::{objective_pwl, Plan, PlanInstance, PwlCop};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A joint plan state the annealer walks over.
-#[derive(Debug, Clone)]
-pub(crate) struct AnnealState {
-    /// Per-job `(rack, class)` slot.
-    pub assign: Vec<(u32, u32)>,
-    /// Index into the instance's set-point grid.
-    pub setpoint: usize,
-    /// PWL objective of the state, joules.
-    pub objective: f64,
-}
 
 /// One annealing run of `iters` proposals from `init`, deterministic per
 /// `seed`. `pwls` holds one PWL chiller model per candidate set-point.
 pub(crate) fn run(
     inst: &PlanInstance,
     pwls: &[PwlCop],
-    init: AnnealState,
+    init: Plan,
     iters: usize,
     seed: u64,
-) -> AnnealState {
+) -> Plan {
     let n = inst.jobs.len();
     let classes = inst.classes();
     let mut free = inst.free_counts();
@@ -66,7 +55,7 @@ pub(crate) fn run(
     let mut best = init;
     // Geometric cooling from a scale-aware start down to effectively
     // greedy acceptance.
-    let t0 = 0.05 * (cur.objective.abs() + 1.0);
+    let t0 = 0.05 * (cur.objective_j.abs() + 1.0);
     let decay = (1e-6f64).powf(1.0 / iters as f64);
     let mut temp = t0;
 
@@ -88,8 +77,8 @@ pub(crate) fn run(
                 let new = open[rng.gen_range(0..open.len())];
                 cur.assign[j] = new;
                 let obj = objective_pwl(inst, &cur.assign, &pwls[cur.setpoint]);
-                if accept(obj - cur.objective, temp, &mut rng) {
-                    cur.objective = obj;
+                if accept(obj - cur.objective_j, temp, &mut rng) {
+                    cur.objective_j = obj;
                     free[old.0 as usize][old.1 as usize] += 1;
                     free[new.0 as usize][new.1 as usize] -= 1;
                 } else {
@@ -106,8 +95,8 @@ pub(crate) fn run(
                 }
                 cur.assign.swap(i, j);
                 let obj = objective_pwl(inst, &cur.assign, &pwls[cur.setpoint]);
-                if accept(obj - cur.objective, temp, &mut rng) {
-                    cur.objective = obj;
+                if accept(obj - cur.objective_j, temp, &mut rng) {
+                    cur.objective_j = obj;
                 } else {
                     cur.assign.swap(i, j);
                 }
@@ -120,13 +109,13 @@ pub(crate) fn run(
                     continue;
                 }
                 let obj = objective_pwl(inst, &cur.assign, &pwls[sp]);
-                if accept(obj - cur.objective, temp, &mut rng) {
-                    cur.objective = obj;
+                if accept(obj - cur.objective_j, temp, &mut rng) {
+                    cur.objective_j = obj;
                     cur.setpoint = sp;
                 }
             }
         }
-        if cur.objective < best.objective {
+        if cur.objective_j < best.objective_j {
             best = cur.clone();
         }
         temp *= decay;

@@ -549,18 +549,7 @@ pub fn solve_greedy(inst: &PlanInstance) -> Plan {
 pub fn solve_anneal(inst: &PlanInstance, iters: usize, seed: u64) -> Plan {
     inst.validate();
     let pwls = inst.pwl_models();
-    let greedy = greedy_plan(inst, &pwls);
-    let init = anneal::AnnealState {
-        assign: greedy.assign,
-        setpoint: greedy.setpoint,
-        objective: greedy.objective_j,
-    };
-    let out = anneal::run(inst, &pwls, init, iters, seed);
-    Plan {
-        assign: out.assign,
-        setpoint: out.setpoint,
-        objective_j: out.objective,
-    }
+    anneal::run(inst, &pwls, greedy_plan(inst, &pwls), iters, seed)
 }
 
 /// Which solver core a [`PlannerControl`] runs on each re-plan.

@@ -1,11 +1,12 @@
 //! The two-tier cache's contract, end to end: the frozen dense
 //! [`SolveTable`] must replay a plain `BTreeMap` oracle bit for bit under
 //! any solve/publish interleaving, a steady-state replay on a covering
-//! table must acquire **zero** cache locks, and fleets that differ in any
-//! solve input never alias through a shared cache.
+//! table must acquire **zero** cache locks, fleets that differ in any
+//! solve input never alias through a shared cache, and policies that map
+//! a job onto the same cores share one solve.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tps_cluster::{
     synthesize_jobs, ClassSolve, Fleet, FleetConfig, JobMix, OutcomeCache, PolicyId, RoundRobin,
     StaticControl, SteadyState, ThermalAwareDispatch,
@@ -90,9 +91,7 @@ proptest! {
                 let ci = (r as usize / 4) % classes.len();
                 let b = benches[(r as usize / 8) % benches.len()];
                 let q = qoses[(r as usize / 32) % qoses.len()];
-                let solved = cache
-                    .get_or_solve(&classes[ci], b, q, &MinPowerSelector)
-                    .unwrap();
+                let solved = cache.get_or_solve(&classes[ci], b, q).unwrap();
                 if let Some(prev) = oracle.insert((ci, b, q), solved) {
                     // Replays of one key are themselves bit-stable.
                     prop_assert_eq!(bits(&prev), bits(&solved));
@@ -139,6 +138,97 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+const POLICIES: [PolicyId; 4] = [
+    PolicyId::Proposed,
+    PolicyId::Coskun,
+    PolicyId::InletFirst,
+    PolicyId::Packed,
+];
+
+/// The steady state of `(bench, qos)` on `server` under `policy`, and the
+/// sorted cores it ran on, from an independent end-to-end
+/// [`Server::run`].
+fn oracle(
+    server: &Server,
+    bench: Benchmark,
+    qos: QosClass,
+    policy: PolicyId,
+) -> (SteadyState, Vec<u8>) {
+    let mut out = server
+        .run(bench, qos, &MinPowerSelector, policy.as_policy())
+        .unwrap();
+    let load = out.cooling_load(server.simulation().operating_point(), T_CASE_MAX);
+    let state = SteadyState {
+        package_power: out.profile.package_power,
+        heat: load.heat,
+        max_water_temp: load.max_water_temp,
+        normalized_time: out.profile.normalized_time,
+        n_cores: out.profile.config.n_cores(),
+        die_max: out.die.max,
+    };
+    out.mapping.sort_unstable();
+    (state, out.mapping)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One class warmed under two policies, one after the other, into one
+    /// cache: every table entry equals an independent `Server::run` under
+    /// the policy that asked for it, bit for bit, and the two share an
+    /// entry and a solve exactly where they map the same cores. A 1× job
+    /// runs on all eight cores under every policy, so each case has a
+    /// shared pair; the drawn pair may or may not be shared.
+    #[test]
+    fn policies_that_map_the_same_cores_share_one_solve(
+        pitch_step in 0u32..3,
+        inlet_step in 0u32..4,
+        first in 0usize..4,
+        second in 0usize..4,
+        bench in 0usize..13,
+        qos in 0usize..3,
+    ) {
+        let pitch = 3.0 + 0.5 * f64::from(pitch_step);
+        let server = Server::builder()
+            .grid_pitch_mm(pitch)
+            .operating_point(
+                OperatingPoint::paper().with_inlet(Celsius::new(25.0 + 2.5 * f64::from(inlet_step))),
+            )
+            .build();
+        let class = |policy| ClassSolve {
+            id: 0,
+            server: &server,
+            policy,
+            pitch_mm: pitch,
+            t_case_max: T_CASE_MAX,
+        };
+        let classes = [class(POLICIES[first]), class(POLICIES[second])];
+        let bench = Benchmark::ALL[bench];
+        let mut pairs = vec![(bench, QosClass::ALL[qos]), (bench, QosClass::OneX)];
+        pairs.dedup();
+
+        let cache = OutcomeCache::new();
+        for c in &classes {
+            cache.warm(std::slice::from_ref(c), &pairs, 2).unwrap();
+        }
+        let table = cache.publish();
+        prop_assert_eq!(cache.solves() + cache.hits(), classes.len() * pairs.len());
+
+        let mut distinct = BTreeSet::new();
+        for c in &classes {
+            for &(b, q) in &pairs {
+                let (want, cores) = oracle(&server, b, q, c.policy);
+                let got = table.lookup(c, b, q).expect("a warmed key is in the table");
+                prop_assert_eq!(bits(&got), bits(&want));
+                distinct.insert((b, q, cores));
+            }
+        }
+        prop_assert!(distinct.len() < classes.len() * pairs.len(), "the 1× pair is shared");
+        prop_assert_eq!(cache.solves(), distinct.len());
+        prop_assert_eq!(table.len(), distinct.len());
     }
 }
 

@@ -95,6 +95,21 @@ impl From<CouplingError> for RunError {
     }
 }
 
+/// One application planned onto a [`Server`], not yet solved: the first
+/// half of [`Server::run`], costing microseconds where the coupled solve
+/// of the second half ([`Server::solve_plan`]) costs milliseconds.
+#[derive(Debug, Clone)]
+pub struct RunPlan {
+    /// The selected configuration and its profiled power/QoS row.
+    pub profile: ConfigProfile,
+    /// The cores the threads were mapped to (1-based).
+    pub mapping: Vec<u8>,
+    /// The C-state idle cores were parked in.
+    pub idle_cstate: CState,
+    /// The per-component heat estimate fed to the thermal model.
+    pub breakdown: DiePowerBreakdown,
+}
+
 /// The result of running one application on a [`Server`].
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -161,8 +176,8 @@ impl Server {
         }
     }
 
-    /// Runs one application end to end: C-state choice → configuration
-    /// selection → mapping → heat estimation → coupled thermal solve.
+    /// Runs one application end to end: [`plan`](Self::plan), then
+    /// [`solve_plan`](Self::solve_plan).
     ///
     /// # Errors
     ///
@@ -175,6 +190,22 @@ impl Server {
         selector: &dyn ConfigSelector,
         policy: &dyn MappingPolicy,
     ) -> Result<RunOutcome, RunError> {
+        self.solve_plan(self.plan(bench, qos, selector, policy)?)
+    }
+
+    /// Plans one application without solving it: C-state choice →
+    /// configuration selection → mapping → heat estimation.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::NoFeasibleConfig`] if the selector finds nothing.
+    pub fn plan(
+        &self,
+        bench: Benchmark,
+        qos: QosClass,
+        selector: &dyn ConfigSelector,
+        policy: &dyn MappingPolicy,
+    ) -> Result<RunPlan, RunError> {
         let idle_cstate = CState::deepest_within(qos.idle_delay_tolerance());
         // The P_i vectors come from offline profiling, where idle cores sit
         // in the default POLL state (this reproduces the paper's
@@ -187,7 +218,27 @@ impl Server {
         let ctx = MappingContext::new(&self.topology, self.sim.design().orientation(), idle_cstate);
         let mapping = policy.select_cores(profile.config.n_cores() as usize, &ctx);
         let breakdown = breakdown_for_mapping(&profile, &mapping);
-        let (solution, die, package) = self.solve_breakdown(&breakdown)?;
+        Ok(RunPlan {
+            profile,
+            mapping,
+            idle_cstate,
+            breakdown,
+        })
+    }
+
+    /// Solves a plan's coupled thermal problem.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Coupling`] if the physics solve fails.
+    pub fn solve_plan(&self, plan: RunPlan) -> Result<RunOutcome, RunError> {
+        let (solution, die, package) = self.solve_breakdown(&plan.breakdown)?;
+        let RunPlan {
+            profile,
+            mapping,
+            idle_cstate,
+            breakdown,
+        } = plan;
         Ok(RunOutcome {
             profile,
             mapping,

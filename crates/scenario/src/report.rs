@@ -174,9 +174,11 @@ pub struct SweepReport {
     /// Index into `rows` deltas are taken against.
     pub baseline: usize,
     /// Coupled per-server solves the whole grid performed (the sweep's
-    /// core speed lever — one per distinct cache key).
+    /// core speed lever — one per distinct cache key, so policies that
+    /// map a job onto the same cores share one).
     pub cache_solves: usize,
-    /// Cache lookups served from memory across the whole grid.
+    /// Warmed triples and lookups served from memory across the whole
+    /// grid (a warmed triple is one solve or one hit).
     pub cache_hits: usize,
     /// Demand-state lookups served lock-free from published
     /// [`SolveTable`](tps_cluster::SolveTable) epochs across the grid —
