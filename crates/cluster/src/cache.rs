@@ -267,20 +267,15 @@ impl OutcomeCache {
         self.lock_acquisitions.load(Ordering::Relaxed)
     }
 
-    /// Publication epochs so far (0 until the first [`publish`](Self::publish)).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
     /// Credits `n` table lookups to this cache's counters — the kernel
     /// resolves its demand states straight off the `Arc` and reports in
     /// bulk, so the hot path touches no shared atomics.
-    pub fn record_table_hits(&self, n: usize) {
+    pub(crate) fn record_table_hits(&self, n: usize) {
         self.table_hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Credits `n` table misses that went through the solve path.
-    pub fn record_miss_solves(&self, n: usize) {
+    fn record_miss_solves(&self, n: usize) {
         self.miss_solves.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -291,7 +286,7 @@ impl OutcomeCache {
     /// The latest published table, if any. One publication-lock fetch —
     /// callers clone the `Arc` once per run at a synchronization point,
     /// never per lookup.
-    pub fn table(&self) -> Option<Arc<SolveTable>> {
+    fn table(&self) -> Option<Arc<SolveTable>> {
         self.note_lock();
         self.published.lock().expect("cache poisoned").clone()
     }
@@ -658,19 +653,19 @@ mod tests {
         let classes = [class(&s)];
         let pairs = [(Benchmark::X264, QosClass::TwoX)];
         let (first, solved) = cache.ensure_published(&classes, &pairs, 2).unwrap();
-        assert_eq!(cache.epoch(), 1);
         assert_eq!(solved, 1);
         assert_eq!(cache.miss_solves(), 1);
         let held = cache.table().expect("published");
+        assert_eq!(held.epoch(), 1);
         // Covered: the second call reuses the same epoch with exactly one
         // publication-lock acquisition and no new solves.
         let locks = cache.lock_acquisitions();
         let (second, solved) = cache.ensure_published(&classes, &pairs, 2).unwrap();
         assert_eq!(second, first);
-        assert_eq!(cache.epoch(), 1);
         assert_eq!(solved, 0);
         assert_eq!(cache.lock_acquisitions(), locks + 1);
         assert_eq!(cache.miss_solves(), 1);
+        assert!(Arc::ptr_eq(&cache.table().expect("published"), &held));
         // A new pair republishes a richer epoch; the states come back in
         // pair order.
         let wider = [
@@ -678,12 +673,12 @@ mod tests {
             (Benchmark::X264, QosClass::OneX),
         ];
         let (third, solved) = cache.ensure_published(&classes, &wider, 2).unwrap();
-        assert_eq!(cache.epoch(), 2);
         assert_eq!(solved, 1);
         assert_eq!(third[0], first[0]);
         let one_x = cache.get_or_solve(&classes[0], Benchmark::X264, QosClass::OneX);
         assert_eq!(third[1], one_x.unwrap());
-        assert_eq!(cache.table().expect("published").len(), 2);
+        let latest = cache.table().expect("published");
+        assert_eq!((latest.epoch(), latest.len()), (2, 2));
         // The earlier epoch is still alive and unchanged for its holders.
         assert_eq!(held.len(), 1);
     }

@@ -310,8 +310,8 @@ impl RackLoads {
     }
 
     /// Re-derives `rack`'s view and index membership after a mutation.
-    /// The view expressions are exactly the from-scratch rebuild's, so
-    /// the maintained views stay bit-identical to [`views`](Self::views).
+    /// The view expressions are exactly those of a from-scratch rebuild,
+    /// so the maintained views stay bit-identical to it.
     fn sync_rack(&mut self, rack: usize, was_occupied: bool, old_bits: u64) {
         let load = &self.racks[rack];
         let view = RackView {
@@ -415,22 +415,10 @@ impl RackLoads {
         &self.occupied
     }
 
-    /// Idle racks per rack group, each ascending by rack index.
-    pub fn idle_groups(&self) -> &[BTreeSet<u32>] {
-        &self.idle
-    }
-
-    /// Per-group cached minimum idle rack, always equal to
-    /// `idle_groups()[g].first()` (`None` while the group has no idle
-    /// racks).
+    /// Each rack group's lowest-indexed idle rack (`None` while the group
+    /// has no idle racks).
     pub fn idle_group_mins(&self) -> &[Option<u32>] {
         &self.idle_min
-    }
-
-    /// The per-rack dispatch views as a fresh vector (allocating
-    /// convenience over [`view_slice`](Self::view_slice)).
-    pub fn views(&self) -> Vec<RackView> {
-        self.views.clone()
     }
 }
 
@@ -984,19 +972,19 @@ mod tests {
         loads.add(0, &state(50.0, 80.0), Seconds::new(10.0));
         loads.add(0, &state(70.0, 60.0), Seconds::new(20.0));
         assert_eq!(loads.total_committed(), 2);
-        let views = loads.views();
+        let views = loads.view_slice();
         assert_eq!(views[0].heat, Watts::new(120.0));
         // The coldest committed demand caps the shared supply.
         assert_eq!(views[0].supply, Some(Celsius::new(60.0)));
         assert_eq!(views[1].supply, None);
 
         loads.expire_until(Seconds::new(10.0));
-        let views = loads.views();
+        let views = loads.view_slice();
         assert_eq!(views[0].heat, Watts::new(70.0));
         assert_eq!(views[0].supply, Some(Celsius::new(60.0)));
 
         loads.expire_until(Seconds::new(25.0));
-        let views = loads.views();
+        let views = loads.view_slice();
         assert_eq!(views[0].heat.value(), 0.0);
         assert_eq!(views[0].supply, None);
         assert_eq!(loads.total_committed(), 0);
@@ -1006,8 +994,8 @@ mod tests {
     fn rack_loads_maintain_the_occupancy_index() {
         let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::default());
         assert_eq!(loads.occupied_racks().len(), 0);
-        assert_eq!(loads.idle_groups()[0].len(), 2);
-        assert_eq!(loads.idle_groups()[1].len(), 2);
+        assert_eq!(loads.idle[0].len(), 2);
+        assert_eq!(loads.idle[1].len(), 2);
 
         let state = |heat: f64| SteadyState {
             package_power: Watts::new(heat),
@@ -1022,20 +1010,14 @@ mod tests {
         // Occupied orders by heat (bits), not rack index.
         let occ: Vec<u32> = loads.occupied_racks().iter().map(|e| e.rack).collect();
         assert_eq!(occ, vec![0, 2]);
-        assert_eq!(
-            loads.idle_groups()[0].iter().copied().collect::<Vec<_>>(),
-            vec![1]
-        );
-        assert_eq!(
-            loads.idle_groups()[1].iter().copied().collect::<Vec<_>>(),
-            vec![3]
-        );
+        assert_eq!(loads.idle[0].iter().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(loads.idle[1].iter().copied().collect::<Vec<_>>(), vec![3]);
 
         loads.expire_until(Seconds::new(15.0));
         // Rack 2 drained: back to its group's idle set.
         assert_eq!(loads.occupied_racks().len(), 1);
         assert_eq!(
-            loads.idle_groups()[1].iter().copied().collect::<Vec<_>>(),
+            loads.idle[1].iter().copied().collect::<Vec<_>>(),
             vec![2, 3]
         );
         // Maintained views match a naive read of the drained state.

@@ -46,10 +46,6 @@ pub enum PolicyId {
     Packed,
 }
 
-/// Back-compatible alias: scenario specs and the CLI call the fleet-wide
-/// default mapping policy the "server policy".
-pub type ServerPolicy = PolicyId;
-
 static PROPOSED: ProposedMapping = ProposedMapping;
 static COSKUN: CoskunBalancing = CoskunBalancing;
 static INLET: InletFirstMapping = InletFirstMapping;
@@ -269,9 +265,10 @@ impl Fleet {
 
     /// Pre-solves every `(class, bench, qos)` triple — `pairs` crossed
     /// with the whole catalog — into `cache` across up to `threads` OS
-    /// threads. [`simulate_with`](Self::simulate_with) calls this
-    /// internally; the sweep engine calls it directly to share one warm
-    /// cache across a whole scenario grid.
+    /// threads. [`simulate_with`](Self::simulate_with) does not need it:
+    /// it solves only the keys the published table lacks, through
+    /// [`OutcomeCache::ensure_published`]. The sweep engine calls this
+    /// directly to share one warm cache across a whole scenario grid.
     ///
     /// # Errors
     ///

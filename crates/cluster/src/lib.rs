@@ -17,10 +17,12 @@
 //!   slot; the default uniform catalog is the homogeneous fleet, bit for
 //!   bit,
 //! * [`OutcomeCache`] — per-server physics memoized by
-//!   `(class, benchmark, qos, policy, water inlet, pitch, flow, case
-//!   limit)` in one locked map,
-//!   warmed across OS threads and frozen into a read-only [`SolveTable`]
-//!   snapshot that runs resolve their demand states through,
+//!   `(class, benchmark, qos, cores, water inlet, pitch, flow, case
+//!   limit)` in one locked map, where `cores` is the set of cores the
+//!   class's policy maps the job onto (policies that agree share a
+//!   solve), warmed across OS threads and frozen into a read-only
+//!   [`SolveTable`] snapshot that runs resolve their demand states
+//!   through,
 //! * [`FleetDispatcher`] — [`RoundRobin`], [`CoolestRackFirst`] and the
 //!   paper-style [`ThermalAwareDispatch`] that ranks `(rack, class)`
 //!   slots by marginal chiller power,
@@ -118,7 +120,7 @@ pub use dispatch::{
     PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
 };
 pub use engine::{Event, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
-pub use fleet::{Fleet, FleetConfig, PolicyId, ServerPolicy};
+pub use fleet::{Fleet, FleetConfig, PolicyId};
 pub use job::{demand_pairs, synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{
     FleetOutcome, FleetSample, FleetTrace, KernelStats, LatencyHistogram, ServingOutcome,

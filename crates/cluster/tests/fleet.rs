@@ -2,9 +2,9 @@
 //! determinism guarantees the CLI relies on.
 
 use tps_cluster::{
-    synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, JobMix,
+    demand_pairs, synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, JobMix,
     LoadSheddingControl, OutcomeCache, RoundRobin, SetpointScheduler, StaticControl,
-    TelemetryConfig, ThermalAwareDispatch,
+    TelemetryConfig, ThermalAwareDispatch, ARRIVAL_LOOKAHEAD,
 };
 use tps_units::{Celsius, Seconds};
 use tps_workload::{BurstyDemand, ConstantDemand, DiurnalDemand};
@@ -98,6 +98,71 @@ fn bursty_demand_runs_end_to_end() {
     assert_eq!(out.class_placements, vec![60]);
     assert!(out.it_energy.value() > 0.0);
     assert!(out.makespan.value() > 0.0);
+}
+
+/// The kernel counters `tps fleet --servers 64 --jobs 2000 --stats`
+/// prints, on its shape: an 8 × 8 fleet on the default 2 mm grid, 2000
+/// diurnal jobs at 0.7 jobs/s peak, seed 42, each dispatcher on one
+/// published cache.
+#[test]
+fn kernel_counters_match_the_cli_stats_run() {
+    let fleet = Fleet::new(FleetConfig::new(8, 8));
+    let demand = DiurnalDemand::new(0.7 * 0.2, 0.7, Seconds::new(600.0));
+    let jobs = synthesize_jobs(2000, &demand, JobMix::default(), 42);
+    let pairs = demand_pairs(&jobs);
+    assert_eq!(pairs.len(), 39);
+    let cache = OutcomeCache::new();
+    fleet.warm(&pairs, &cache, fleet.config().threads).unwrap();
+    cache.publish();
+    let classes = fleet.config().catalog.classes().len();
+    let telemetry = TelemetryConfig::default();
+    let dispatchers: [fn() -> Box<dyn FleetDispatcher>; 3] = [
+        || Box::new(RoundRobin::default()),
+        || Box::new(CoolestRackFirst),
+        || Box::new(ThermalAwareDispatch::default()),
+    ];
+    for dispatcher in dispatchers {
+        // Open loop: the kernel pushes arrivals only, through a
+        // lookahead window the 2000-job stream fills.
+        let open = fleet
+            .simulate_with(
+                &jobs,
+                dispatcher().as_mut(),
+                &mut StaticControl,
+                None,
+                &cache,
+            )
+            .unwrap()
+            .stats;
+        assert_eq!(open.events, 2000);
+        assert_eq!(open.peak_queue_depth, ARRIVAL_LOOKAHEAD);
+        assert_eq!(open.arena_high_water, ARRIVAL_LOOKAHEAD);
+        // Every demand state comes off the published table: no solve and
+        // no lock inside the run.
+        assert_eq!(open.table_hits, pairs.len() * classes);
+        assert_eq!(open.miss_solves, 0);
+        assert_eq!(open.lock_acquisitions, 0);
+
+        // Telemetry closes the loop: each placement also pushes a
+        // `JobStart` and a `JobCompletion`, and samples fire every 30 s
+        // from t = 0 up to the first instant at or past the makespan.
+        let traced = fleet
+            .simulate_with(
+                &jobs,
+                dispatcher().as_mut(),
+                &mut StaticControl,
+                Some(&telemetry),
+                &cache,
+            )
+            .unwrap();
+        let placements: usize = traced.outcome.class_placements.iter().sum();
+        let span = traced.outcome.makespan / telemetry.sample_interval;
+        let samples = span.ceil() as usize + 1;
+        let stats = traced.stats;
+        assert_eq!(stats.events as usize, jobs.len() + 2 * placements + samples);
+        assert_eq!(stats.events, 6169);
+        assert_eq!(stats.peak_queue_depth, stats.arena_high_water);
+    }
 }
 
 /// The PR-2 heat-reuse dispatcher table, bit for bit: these eight-byte

@@ -82,7 +82,7 @@ proptest! {
             // Invariants after every step.
             loads.expire_until(Seconds::new(now));
             naive.retain(|&(_, _, _, end)| end > now);
-            let views = loads.views();
+            let views = loads.view_slice();
             prop_assert_eq!(views.len(), racks);
             prop_assert_eq!(
                 loads.total_committed(),
@@ -141,7 +141,7 @@ proptest! {
         }
         loads.expire_until(Seconds::new(horizon));
         prop_assert_eq!(loads.total_committed(), 0);
-        for view in loads.views() {
+        for view in loads.view_slice() {
             prop_assert_eq!(view.heat.value(), 0.0);
             prop_assert_eq!(view.committed, 0);
             prop_assert!(view.supply.is_none());
@@ -187,7 +187,7 @@ proptest! {
             }
 
             // Committed heat equals the naive per-class sum on every rack.
-            let views = loads.views();
+            let views = loads.view_slice();
             for (rk, view) in views.iter().enumerate() {
                 let expected: f64 = naive
                     .iter()
@@ -220,7 +220,7 @@ proptest! {
         let horizon = naive.iter().map(|p| p.2).fold(now, f64::max);
         loads.expire_until(Seconds::new(horizon));
         prop_assert_eq!(loads.total_committed(), 0);
-        for view in loads.views() {
+        for view in loads.view_slice() {
             prop_assert_eq!(view.heat.value(), 0.0);
             prop_assert!(view.supply.is_none());
         }

@@ -12,7 +12,7 @@ use std::ops::RangeInclusive;
 use tps_cluster::{
     synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ControlPolicy, CoolestRackFirst,
     FleetCatalog, FleetConfig, FleetDispatcher, Job, JobMix, LoadSheddingControl, PlanSolver,
-    PlannedDispatch, PlannerControl, RoundRobin, ServerClass, ServerPolicy, SetpointScheduler,
+    PlannedDispatch, PlannerControl, PolicyId, RoundRobin, ServerClass, SetpointScheduler,
     StaticControl, TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_cooling::Chiller;
@@ -412,7 +412,7 @@ pub struct ClassSpec {
     /// Water-inlet override, °C.
     pub water_inlet_c: Option<f64>,
     /// Mapping-policy override.
-    pub policy: Option<ServerPolicy>,
+    pub policy: Option<PolicyId>,
 }
 
 /// The axis values a sweep makes reachable beyond the base spec's own
@@ -460,7 +460,7 @@ pub struct Scenario {
     /// Per-server thermal-grid pitch, millimetres.
     pub grid_pitch_mm: f64,
     /// Per-server mapping policy.
-    pub policy: ServerPolicy,
+    pub policy: PolicyId,
     /// OS threads for the physics-cache warm-up.
     pub threads: usize,
     /// Chiller heat-rejection / heat-reuse loop temperature, °C.
@@ -1251,13 +1251,13 @@ pub(crate) fn set_path(doc: &mut Table, path: &str, value: Spanned<Value>) {
     );
 }
 
-/// Maps a spec/CLI policy spelling to its [`ServerPolicy`].
-pub fn policy_from_name(name: &str) -> Option<ServerPolicy> {
+/// Maps a spec/CLI policy spelling to its [`PolicyId`].
+pub fn policy_from_name(name: &str) -> Option<PolicyId> {
     match name {
-        "proposed" => Some(ServerPolicy::Proposed),
-        "coskun" => Some(ServerPolicy::Coskun),
-        "inlet" => Some(ServerPolicy::InletFirst),
-        "packed" => Some(ServerPolicy::Packed),
+        "proposed" => Some(PolicyId::Proposed),
+        "coskun" => Some(PolicyId::Coskun),
+        "inlet" => Some(PolicyId::InletFirst),
+        "packed" => Some(PolicyId::Packed),
         _ => None,
     }
 }
@@ -1756,7 +1756,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.name, "full");
-        assert_eq!(s.policy, ServerPolicy::Coskun);
+        assert_eq!(s.policy, PolicyId::Coskun);
         assert_eq!(s.heat_reuse_c, 55.0);
         assert_eq!(s.qos_weights, [1.0, 1.0, 2.0]);
         assert_eq!(s.dispatcher, DispatcherKind::RoundRobin);
@@ -1996,7 +1996,7 @@ mod tests {
         assert_eq!(s.classes[0].name, "dense");
         assert_eq!(s.classes[0].grid_pitch_mm, Some(2.5));
         assert_eq!(s.classes[1].water_inlet_c, Some(35.0));
-        assert_eq!(s.classes[1].policy, Some(ServerPolicy::Coskun));
+        assert_eq!(s.classes[1].policy, Some(PolicyId::Coskun));
         assert_eq!(s.rack_classes, vec![vec![0], vec![1], vec![0, 1]]);
         let cfg = s.fleet_config();
         assert_eq!(cfg.catalog.len(), 2);

@@ -417,7 +417,7 @@ fn run_grid(
 
     // Group key: the resolved (pitch, inlet, policy) of every catalog
     // class, in class-id order (one entry on a homogeneous spec).
-    type ClassSig = (u64, u64, tps_cluster::ServerPolicy);
+    type ClassSig = (u64, u64, tps_cluster::PolicyId);
     let sig_of = |s: &Scenario| -> Vec<ClassSig> {
         if s.classes.is_empty() {
             vec![(
