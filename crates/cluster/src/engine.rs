@@ -4,12 +4,11 @@
 //! — whose energy is integrated as they happen — and (optionally) a
 //! telemetry trace.
 //!
-//! Everything in here is sequential and byte-deterministic: the
-//! [`EventQueue`](crate::EventQueue) orders events by a stable
-//! `(time, class, seq)` key, so two runs of the same inputs — at any
-//! thread count — replay the identical event sequence and produce
-//! bit-identical floats. The six event kinds and their same-instant
-//! ordering:
+//! Everything in here is sequential and byte-deterministic: events are
+//! handled in a stable `(time, class, seq)` order, so two runs of the
+//! same inputs — at any thread count — replay the identical event
+//! sequence and produce bit-identical floats. The six event kinds and
+//! their same-instant ordering:
 //!
 //! 1. [`Event::JobStart`] — a placement starts executing; the running
 //!    layer folds it in before anything else sees that instant.
@@ -24,6 +23,25 @@
 //! 5. [`Event::TelemetrySample`] — a [`FleetSample`] is recorded.
 //! 6. [`Event::JobArrival`] — the dispatcher places the job against the
 //!    committed fleet state.
+//!
+//! Each placement boundary has exactly one time-ordered home:
+//!
+//! - **Arrivals** come from the stream sorted once by `(arrival, id)`,
+//!   through a cursor merged with the [`EventQueue`](crate::EventQueue):
+//!   an arrival is handled only when it is strictly earlier than the
+//!   queue's head, which is where the arrival class, last at every
+//!   instant, would pop it.
+//! - **Ends** live in the committed layer's heap ([`RackLoads`]), keyed
+//!   `(end, rack, seq)`. Each pop expires the committed load and hands
+//!   the end to the energy integrator, whose own heap holds only starts
+//!   and set-point/activation changes. That key keeps each rack's expiry
+//!   order (the committed sums are per rack) and is the integrator's own
+//!   removal order.
+//! - **Closed-loop starts and completions** are queue events for the
+//!   running layer, except that a start at its own dispatch instant folds
+//!   in place: nothing else at that instant is still queued, so it would
+//!   have been the next pop. Open-loop runs (no ticks, no telemetry) have
+//!   no running layer to fold and push neither.
 
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;
@@ -39,20 +57,12 @@ use crate::metrics::{
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::EventQueue;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 use tps_cooling::Chiller;
 use tps_core::RunError;
 use tps_units::{Celsius, Seconds, Watts};
 use tps_workload::{Benchmark, QosClass};
-
-/// How many future arrivals the kernel keeps enqueued ahead of the event
-/// horizon. Arrivals are streamed from the time-sorted order, one pushed
-/// per arrival processed, so the queue holds O(`ARRIVAL_LOOKAHEAD` +
-/// in-flight placements) events instead of the whole job stream. Any
-/// positive window preserves pop order (see `run`); the window bounds
-/// the heap's depth, and with it the cost of every push and pop.
-pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 
 /// A typed simulation event.
 ///
@@ -62,7 +72,8 @@ pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A placement starts executing on a server (the running layer folds
-    /// its load in).
+    /// its load in). The kernel queues only starts later than their
+    /// dispatch instant; the rest fold in place.
     JobStart {
         /// The job's index into the simulated stream.
         job: usize,
@@ -84,6 +95,8 @@ pub enum Event {
     /// A telemetry sample is recorded into the trace ring.
     TelemetrySample,
     /// A job (index into the simulated stream) arrives at the front-end.
+    /// The kernel reads arrivals off its sorted stream instead of queueing
+    /// them.
     JobArrival(usize),
 }
 
@@ -102,17 +115,55 @@ impl Event {
     }
 }
 
-/// A committed placement waiting in the [`RackLoads`] expiry heap:
-/// `(end bits, insertion seq, rack, heat bits, water bits)`. The unique
-/// seq makes the key total, so pops replay the exact `(end, insertion)`
-/// order a sorted map would — on a flat array instead of B-tree nodes
-/// (this is a per-placement hot path).
-type Expiry = Reverse<(u64, usize, u32, u64, u64)>;
+/// A committed placement waiting in the [`RackLoads`] end heap, ordered
+/// by `(end bits, rack, seq)`. The unique commit seq makes the key total.
+/// It carries the placement's [`Load`] for both layers its end reaches,
+/// and whether the energy integrator sees it (a placement with
+/// `end > start`).
+#[derive(Debug, Clone, Copy)]
+struct Ending {
+    end: u64,
+    seq: u64,
+    load: Load,
+    integrates: bool,
+}
+
+impl Ending {
+    fn key(&self) -> (u64, usize, u64) {
+        (self.end, self.load.rack, self.seq)
+    }
+}
+
+impl Ord for Ending {
+    /// Reversed, so the std max-heap pops the least key first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl PartialOrd for Ending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Ending {}
 
 /// Incremental per-rack committed load: every placement that has not
 /// finished (running or still queued) counts against its rack until its
 /// end time expires. Keeps dispatch O(racks + log jobs) per arrival
 /// instead of rescanning all placements.
+///
+/// Its end heap, keyed `(end, rack, commit order)`, is the kernel's only
+/// time order of placement ends: [`expire_until`](Self::expire_until)
+/// drops every end that is due, and the kernel's own expiry also hands
+/// each end on to the energy integrator.
 ///
 /// Beyond the per-rack sums, the structure maintains the kernel's
 /// *dispatch index* incrementally: the current [`RackView`] per rack, the
@@ -129,8 +180,8 @@ type Expiry = Reverse<(u64, usize, u32, u64, u64)>;
 pub struct RackLoads {
     /// Each rack's committed load.
     racks: Vec<RackLoad>,
-    expiry: BinaryHeap<Expiry>,
-    seq: usize,
+    ends: BinaryHeap<Ending>,
+    seq: u64,
     total: usize,
     /// The current dispatch view per rack, kept exactly equal to what a
     /// from-scratch rebuild would produce (heat clamped non-negative,
@@ -266,7 +317,7 @@ impl RackLoads {
         let idle_min = idle.iter().map(|s| s.first().copied()).collect();
         Self {
             racks: vec![RackLoad::default(); racks],
-            expiry: BinaryHeap::new(),
+            ends: BinaryHeap::new(),
             seq: 0,
             total: 0,
             views: vec![
@@ -374,32 +425,54 @@ impl RackLoads {
     ///
     /// Panics if `rack` is out of range.
     pub fn add(&mut self, rack: usize, state: &SteadyState, end: Seconds) {
-        let (heat, water) = (state.heat.value(), state.max_water_temp.value().to_bits());
+        self.commit(Load::new(rack, 0, state), false, end);
+    }
+
+    /// Commits `load` until `end`; [`expire`](Self::expire) hands the end
+    /// of an `integrates` placement on to the energy integrator.
+    pub(crate) fn commit(&mut self, load: Load, integrates: bool, end: Seconds) {
+        let rack = load.rack;
         let was_occupied = self.racks[rack].count() > 0;
         let old_bits = self.views[rack].heat.value().to_bits();
-        self.racks[rack].add(heat, water);
+        self.racks[rack].add(load.heat, load.water);
         self.total += 1;
-        let end = end.value().to_bits();
-        self.expiry
-            .push(Reverse((end, self.seq, rack as u32, heat.to_bits(), water)));
+        self.ends.push(Ending {
+            end: end.value().to_bits(),
+            seq: self.seq,
+            load,
+            integrates,
+        });
         self.seq += 1;
         self.sync_rack(rack, was_occupied, old_bits);
     }
 
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
-    /// in `(end, insertion)` order so float accumulation is deterministic.
+    /// in `(end, rack, seq)` order, so each rack's float accumulation is
+    /// deterministic.
     pub fn expire_until(&mut self, now: Seconds) {
-        while let Some(&Reverse((end_bits, _, rack, heat_bits, water))) = self.expiry.peek() {
-            if f64::from_bits(end_bits) > now.value() {
+        self.expire(now, |_, _| {});
+    }
+
+    /// [`expire_until`](Self::expire_until), handing each dropped
+    /// integrating placement's end time and load to `ended` as it goes.
+    pub(crate) fn expire(&mut self, now: Seconds, mut ended: impl FnMut(f64, &Load)) {
+        while let Some(e) = self.ends.peek() {
+            let end = f64::from_bits(e.end);
+            if end > now.value() {
                 break;
             }
-            self.expiry.pop();
-            let rack = rack as usize;
+            let Ending {
+                load, integrates, ..
+            } = self.ends.pop().expect("peeked above");
+            let rack = load.rack;
             let was_occupied = self.racks[rack].count() > 0;
             let old_bits = self.views[rack].heat.value().to_bits();
-            self.racks[rack].remove(f64::from_bits(heat_bits), water);
+            self.racks[rack].remove(load.heat, load.water);
             self.total -= 1;
             self.sync_rack(rack, was_occupied, old_bits);
+            if integrates {
+                ended(end, &load);
+            }
         }
     }
 
@@ -463,8 +536,8 @@ impl FleetState {
 /// solved demand state on each catalog class;
 /// [`Fleet::simulate_with`](crate::Fleet::simulate_with) reads them off
 /// a covering [`SolveTable`](crate::SolveTable) before the loop starts.
-/// The returned [`KernelStats`] carry the queue counters; the caller
-/// fills in the cache counters.
+/// The returned [`KernelStats`] carry the event and queue counters; the
+/// caller fills in the cache counters.
 pub(crate) fn run(
     fleet: &Fleet,
     jobs: &[Job],
@@ -525,14 +598,8 @@ pub(crate) fn run(
     };
 
     let mut queue = EventQueue::new();
-    // Arrivals in time order (id on ties), pushed in that order so the
-    // queue's seq tie-break preserves it. Only a bounded lookahead window
-    // is in the queue at once: each processed arrival streams the next
-    // one in, so peak queue depth stays O(window + in-flight) instead of
-    // O(total jobs). Order is unaffected — every unpushed arrival is no
-    // earlier than the latest pending one, and on exact time ties the
-    // arrival class pops last anyway, so nothing can pop before the
-    // window catches up to it.
+    // Arrivals in time order (id on ties), read through a cursor instead
+    // of the queue (see the module docs).
     let n_jobs = u32::try_from(jobs.len()).expect("a job stream holds at most u32::MAX jobs");
     let mut order: Vec<u32> = (0..n_jobs).collect();
     order.sort_by(|&a, &b| {
@@ -542,11 +609,7 @@ pub(crate) fn run(
             .total_cmp(&b.arrival.value())
             .then(a.id.cmp(&b.id))
     });
-    for &ji in order.iter().take(ARRIVAL_LOOKAHEAD) {
-        let ji = ji as usize;
-        queue.push(jobs[ji].arrival, Event::JobArrival(ji));
-    }
-    let mut next_arrival = order.len().min(ARRIVAL_LOOKAHEAD);
+    let mut next_arrival = 0;
     // Ticks and samples re-arm at `now + dt` until the run drains, which
     // (unless the last arrival is shed) is no earlier than that arrival
     // plus its service time. An interval that cannot step there in
@@ -607,15 +670,14 @@ pub(crate) fn run(
     // Closed-loop machinery — the running layer (what ticks and
     // telemetry see of started-not-finished jobs) and the JobStart and
     // JobCompletion events that fold it, keeping the tick/sample
-    // re-arming honest — costs two queue pushes per placement. When
-    // nothing reads it (open loop: no ticks, no telemetry) the kernel
-    // elides it: the committed layer already expires lazily at each
-    // arrival, so the event stream degenerates to arrivals only and the
-    // replay runs at the pre-kernel simulator's speed.
+    // re-arming honest — costs up to two queue pushes per placement.
+    // When nothing reads it (open loop: no ticks, no telemetry) the
+    // kernel elides it: the committed layer already expires lazily at
+    // each arrival, so the event stream degenerates to arrivals only.
     let closed_loop = telemetry.is_some() || tick.is_some();
-    // Energy integrates online: each placement's window and each
-    // set-point or activation change is fed as it happens, and folded
-    // once no later event can precede it.
+    // Energy integrates online: each placement's start and each
+    // set-point or activation change is fed as it happens, and each end
+    // as the committed layer expires it.
     let mut energy = EnergyIntegrator::new(config, &class_names);
     // Serving mode: per-request latency (dispatch wait + runtime, known
     // at placement time) feeds two integer-bucket sketches — the whole
@@ -636,12 +698,32 @@ pub(crate) fn run(
     // Scratch for the per-class demands (hot path: one buffer for the
     // whole run instead of one allocation per arrival).
     let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(class_names.len());
+    // Every event handled: queued ones, arrivals off the stream and
+    // starts folded in place.
+    let mut events = 0u64;
 
-    while let Some((now, event)) = queue.pop() {
+    loop {
+        let arrival = order.get(next_arrival).map(|&ji| ji as usize);
+        let (now, event) = match arrival {
+            Some(ji) if queue.peek_time().map_or(true, |t| jobs[ji].arrival < t) => {
+                next_arrival += 1;
+                let t = jobs[ji].arrival;
+                assert!(
+                    t.value() >= 0.0 && t.value().is_finite(),
+                    "event time must be non-negative and finite, got {t}"
+                );
+                (t, Event::JobArrival(ji))
+            }
+            _ => match queue.pop() {
+                Some(next) => next,
+                None => break,
+            },
+        };
+        events += 1;
         match event {
             Event::JobStart { job, server } => state.running.start(&load_of(job, server)),
             Event::JobCompletion { job, server } => {
-                state.loads.expire_until(now);
+                state.loads.expire(now, |end, load| energy.end(end, load));
                 state.running.end(&load_of(job, server));
                 // The trace ends exactly at the makespan: record the
                 // drained fleet once, at the completion that drains it.
@@ -657,7 +739,7 @@ pub(crate) fn run(
             }
             Event::ControlTick => {
                 if !state.done() {
-                    state.loads.expire_until(now);
+                    state.loads.expire(now, |end, load| energy.end(end, load));
                     let status = ControlStatus {
                         now,
                         committed: state.loads.total_committed(),
@@ -711,16 +793,9 @@ pub(crate) fn run(
                 }
             }
             Event::JobArrival(ji) => {
-                // Stream the next arrival in to replace this one, keeping
-                // the lookahead window full until the stream runs dry.
-                if next_arrival < order.len() {
-                    let nj = order[next_arrival] as usize;
-                    queue.push(jobs[nj].arrival, Event::JobArrival(nj));
-                    next_arrival += 1;
-                }
                 let job = &jobs[ji];
                 state.pending_arrivals -= 1;
-                state.loads.expire_until(now);
+                state.loads.expire(now, |end, load| energy.end(end, load));
                 if state.shedding {
                     state.shed += 1;
                     // A run can end on a shed arrival (everything placed
@@ -795,27 +870,40 @@ pub(crate) fn run(
                 if violated {
                     state.violations += 1;
                 }
-                energy.place(
-                    now,
-                    &Placement {
-                        load: Load::new(rack, class, &steady),
-                        start,
-                        end,
-                        wait,
-                        violated,
-                    },
-                );
-                state.loads.add(rack, &steady, end);
+                let placement = Placement {
+                    load: Load::new(rack, class, &steady),
+                    start,
+                    end,
+                    wait,
+                    violated,
+                };
+                energy.place(&placement);
+                state
+                    .loads
+                    .commit(placement.load, placement.integrates(), end);
                 state.servers.set_free_at(placed, end);
                 if closed_loop {
                     let (job, server) = (ji, placed);
-                    queue.push(start, Event::JobStart { job, server });
+                    // Every other event at `now` has popped already, so a
+                    // start at `now` would be the very next pop.
+                    if start == now {
+                        state.running.start(&placement.load);
+                        events += 1;
+                    } else {
+                        queue.push(start, Event::JobStart { job, server });
+                    }
                     queue.push(end, Event::JobCompletion { job, server });
                 }
             }
         }
     }
 
+    // The ends still committed, in the same order, before the outcome.
+    state
+        .loads
+        .expire(Seconds::new(f64::INFINITY), |end, load| {
+            energy.end(end, load)
+        });
     let qstats = queue.stats();
     let mut outcome = energy.finish(dispatcher.name(), control.name(), state.shed);
     if serving {
@@ -855,7 +943,7 @@ pub(crate) fn run(
         outcome,
         trace,
         stats: KernelStats {
-            events: qstats.pushed,
+            events,
             peak_queue_depth: qstats.peak_depth,
             arena_high_water: qstats.arena_high_water,
             ..KernelStats::default()
@@ -946,6 +1034,7 @@ mod tests {
     use crate::dispatch::RoundRobin;
     use crate::fleet::Fleet;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn state(heat: f64) -> SteadyState {
         SteadyState {

@@ -119,7 +119,7 @@ pub use dispatch::{
     ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, JobDemand,
     PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
 };
-pub use engine::{Event, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
+pub use engine::{Event, OccupiedRack, RackLoads};
 pub use fleet::{Fleet, FleetConfig, PolicyId};
 pub use job::{demand_pairs, synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{

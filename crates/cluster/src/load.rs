@@ -9,6 +9,13 @@
 //! keeps its own fold order, because the order of the float additions
 //! fixes the output bits; what they share is the rule one fold applies,
 //! and that rule lives here.
+//!
+//! The orders share one source for ends. The committed layer's heap,
+//! keyed `(end, rack, commit order)`, is the only time order of placement
+//! ends: it keeps each rack's expiry order, which is all its per-rack sums
+//! depend on, and it is the integrator's own removal order, so each pop
+//! folds the end out of both. The running layer folds at its own queued
+//! events, on closed-loop runs only.
 
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;

@@ -24,6 +24,15 @@ pub(crate) struct Placement {
     pub(crate) violated: bool,
 }
 
+impl Placement {
+    /// Whether the placement runs for a nonzero time: only such a
+    /// placement opens energy windows, so only its start and end reach
+    /// the [`EnergyIntegrator`].
+    pub(crate) fn integrates(&self) -> bool {
+        self.end.value() > self.start.value()
+    }
+}
+
 /// A fixed-bucket latency histogram: the streaming percentile sketch for
 /// serving mode. Integer bucket counts make every quantile a pure function
 /// of the recorded multiset — no floating accumulation, so the answer is
@@ -218,9 +227,14 @@ impl FleetOutcome {
 /// numbers without breaking golden outputs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Events pushed (= processed: the kernel drains its queue).
+    /// Events handled: every arrival, every start and completion of a
+    /// closed-loop run, every set-point change, tick and sample. Arrivals
+    /// read off the sorted stream and starts folded at their own dispatch
+    /// instant count too, though they never enter the event queue.
     pub events: u64,
-    /// Most events pending at once.
+    /// Most events pending at once in the event queue alone. Arrivals and
+    /// in-place starts never enter it, so an open-loop run without a
+    /// set-point program reads 0.
     pub peak_queue_depth: usize,
     /// Most entries the event queue's storage held: its peak length, so
     /// always equal to `peak_queue_depth`.
@@ -504,19 +518,18 @@ impl FleetTrace {
     }
 }
 
-/// Same-instant fold order of the [`EnergyIntegrator`]'s boundaries: a
-/// placement covers `[start, end)`, so removals fold before set-point
-/// changes, set-point changes before activation changes, and those before
-/// additions.
-const REMOVE: u8 = 0;
+/// Same-instant fold order of the [`EnergyIntegrator`]'s pending
+/// boundaries: set-point changes before activation changes, and those
+/// before additions. Removals (ends) fold before all three: a placement
+/// covers `[start, end)`.
 const SETPOINT: u8 = 1;
 const ACTIVATION: u8 = 2;
 const ADD: u8 = 3;
 
-/// One boundary of the piecewise-constant power timeline, waiting in the
-/// integrator until it is final. Ordered *descending* by the total key
-/// `(time, kind, rack, seq)`, so the std max-heap pops the earliest
-/// boundary first.
+/// One pending boundary of the piecewise-constant power timeline — a
+/// start or a change — waiting in the integrator until an end at or after
+/// it arrives. Ordered *descending* by the total key `(time, kind, rack,
+/// seq)`, so the std max-heap pops the earliest boundary first.
 #[derive(Debug, Clone, Copy)]
 struct Boundary {
     time: f64,
@@ -566,18 +579,23 @@ impl Eq for Boundary {}
 /// move the idle-floor base; servers still draining a placement after a
 /// scale-down keep their package power regardless.
 ///
-/// The kernel feeds each placement's start and end at dispatch time and
-/// each set-point or activation change as it happens. Boundaries wait in
-/// a min-heap under the total order `(time, kind, rack, feed order)` and
-/// fold once they are *final*: no placement starts before its own
-/// arrival, so nothing fed later can land before the instant the kernel
-/// is processing, and every boundary earlier than it is settled. Folding
-/// in that order replays the whole-run sort it replaces, so every float
-/// accumulates in the same order, bit for bit. A change only opens a
-/// window once a later placement boundary exists: changes at or before
-/// the first start set the initial chiller and activation, and changes
-/// at or after the last end never open a window (neither may stretch the
-/// idle-floor integration past the makespan).
+/// The kernel feeds each placement's start at dispatch time and each
+/// set-point or activation change as it happens; they wait in a min-heap
+/// under the total order `(time, kind, rack, feed order)`. It feeds each
+/// end as the committed layer ([`RackLoads`](crate::RackLoads)) expires
+/// it, in that layer's `(end, rack, commit order)` order, and drains the
+/// rest before [`finish`](Self::finish). An end at `t` first folds every
+/// pending boundary earlier than `t`, then itself. That is the total
+/// order with removals first at an instant: no placement starts before
+/// its own arrival, and an end is expired no earlier than it falls, so
+/// every start or change earlier than an end has been fed by the time the
+/// end arrives, and every end later fed lies later. Folding in that order
+/// replays the whole-run sort it replaces, so every float accumulates in
+/// the same order, bit for bit. A change only opens a window once a later
+/// end exists: changes at or before the first start set the initial
+/// chiller and activation, and changes at or after the last end never
+/// fold (neither may stretch the idle-floor integration past the
+/// makespan).
 ///
 /// The folded fleet state is a [`Running`], the kernel's running-layer
 /// type, folded here in the integrator's own order (ends before starts
@@ -590,11 +608,13 @@ pub(crate) struct EnergyIntegrator {
     base_chiller: Chiller,
     idle_server_power: f64,
     class_names: Vec<String>,
+    /// Starts and changes not yet folded.
     pending: BinaryHeap<Boundary>,
     seq: u64,
     /// Earliest fed start (`∞` until one is fed).
     first_start: f64,
-    /// Latest fed end (`0` until one is fed): the makespan.
+    /// Latest folded end (`0` until one is): the makespan once every end
+    /// is in.
     last_end: f64,
     /// Instant of the last folded boundary: the open window's left edge.
     window_start: Option<f64>,
@@ -679,15 +699,11 @@ impl EnergyIntegrator {
         self.push(time, kind, load);
     }
 
-    /// Records a placement dispatched at `now` (its start is never
-    /// earlier), then folds every boundary that is final at `now`.
-    /// Zero-length placements count toward the wait and violation tallies
-    /// but never open a window.
-    pub(crate) fn place(&mut self, now: Seconds, p: &Placement) {
-        debug_assert!(
-            p.start.value() >= now.value(),
-            "a placement starts after it arrives"
-        );
+    /// Records a placement at dispatch time and queues its start. Its end
+    /// comes later, through [`end`](Self::end). Zero-length placements
+    /// count toward the wait and violation tallies but never open a
+    /// window.
+    pub(crate) fn place(&mut self, p: &Placement) {
         self.wait_sum += p.wait.value();
         self.max_wait = self.max_wait.max(p.wait);
         self.class_placements[p.load.class] += 1;
@@ -695,13 +711,34 @@ impl EnergyIntegrator {
             self.violations += 1;
             self.class_violations[p.load.class] += 1;
         }
-        if p.end.value() > p.start.value() {
+        if p.integrates() {
             self.push(p.start.value(), ADD, p.load);
-            self.push(p.end.value(), REMOVE, p.load);
             self.first_start = self.first_start.min(p.start.value());
-            self.last_end = self.last_end.max(p.end.value());
         }
-        self.fold_before(now.value());
+    }
+
+    /// Folds the end at `time` of an integrating placement with load
+    /// `load`, after every pending boundary earlier than it. Ends must
+    /// come in `(time, rack, commit order)` order, each only once every
+    /// start and change earlier than it has been fed.
+    pub(crate) fn end(&mut self, time: f64, load: &Load) {
+        while let Some(b) = self.pending.peek().filter(|b| b.time < time).copied() {
+            self.pending.pop();
+            self.fold(&b);
+        }
+        self.advance(time);
+        self.last_end = time;
+        self.running.end(load);
+        let rack = load.rack as u32;
+        let at = self.occupied.binary_search(&rack);
+        if self.running.racks()[load.rack].count() == 0 {
+            if let Ok(at) = at {
+                self.occupied.remove(at);
+                self.draw.remove(at);
+            }
+        } else if let Ok(at) = at {
+            self.draw[at] = self.rack_draw(load.rack);
+        }
     }
 
     /// Records a chiller set-point change at `now`. At or before the first
@@ -724,20 +761,6 @@ impl EnergyIntegrator {
         }
     }
 
-    /// Folds, in key order, every pending boundary earlier than `limit`.
-    /// A change waits while no placement boundary later than it has been
-    /// fed: until one is, it may yet lie at or past the last end.
-    fn fold_before(&mut self, limit: f64) {
-        while let Some(b) = self.pending.peek() {
-            let change = b.kind == SETPOINT || b.kind == ACTIVATION;
-            if b.time >= limit || (change && b.time >= self.last_end) {
-                break;
-            }
-            let b = self.pending.pop().expect("peeked above");
-            self.fold(&b);
-        }
-    }
-
     /// Re-bases the chiller on `setpoint` and refreshes every occupied
     /// rack's draw under it.
     fn set_chiller(&mut self, setpoint: Celsius) {
@@ -757,27 +780,19 @@ impl EnergyIntegrator {
             .value()
     }
 
-    /// Closes the open window if `b` starts a new instant, then applies
-    /// `b` to the fleet state.
-    fn fold(&mut self, b: &Boundary) {
-        if let Some(t) = self.window_start.filter(|&t| t != b.time) {
-            self.close_window(b.time - t);
+    /// Closes the open window if `time` starts a new instant.
+    fn advance(&mut self, time: f64) {
+        if let Some(t) = self.window_start.filter(|&t| t != time) {
+            self.close_window(time - t);
         }
-        self.window_start = Some(b.time);
+        self.window_start = Some(time);
+    }
+
+    /// Applies a pending boundary `b` to the fleet state.
+    fn fold(&mut self, b: &Boundary) {
+        self.advance(b.time);
         let rack = b.load.rack as u32;
         match b.kind {
-            REMOVE => {
-                self.running.end(&b.load);
-                let at = self.occupied.binary_search(&rack);
-                if self.running.racks()[b.load.rack].count() == 0 {
-                    if let Ok(at) = at {
-                        self.occupied.remove(at);
-                        self.draw.remove(at);
-                    }
-                } else if let Ok(at) = at {
-                    self.draw[at] = self.rack_draw(b.load.rack);
-                }
-            }
             SETPOINT => self.set_chiller(Celsius::new(f64::from_bits(b.load.water))),
             ACTIVATION => self.active = b.load.rack,
             _ => {
@@ -818,15 +833,19 @@ impl EnergyIntegrator {
         self.cooling = cooling;
     }
 
-    /// Folds everything still pending and assembles the outcome. Changes
-    /// left waiting lie at or past the last end and open no window.
+    /// Assembles the outcome, once every end is in. Changes still
+    /// pending lie at or past the last end and open no window; no start
+    /// is left, since each folded before its own end.
     pub(crate) fn finish(
-        mut self,
+        self,
         dispatcher: &'static str,
         control: &'static str,
         shed: usize,
     ) -> FleetOutcome {
-        self.fold_before(f64::INFINITY);
+        debug_assert!(
+            self.pending.iter().all(|b| b.kind != ADD),
+            "every start folds before its own end"
+        );
         let n: usize = self.class_placements.iter().sum();
         FleetOutcome {
             dispatcher,
@@ -1186,6 +1205,7 @@ pub(crate) fn integrate_energy(
 mod tests {
     use super::*;
     use crate::cache::SteadyState;
+    use crate::engine::RackLoads;
     use crate::fleet::FleetConfig;
     use proptest::prelude::*;
     use tps_units::Celsius;
@@ -1221,11 +1241,35 @@ mod tests {
         vec!["default".to_owned()]
     }
 
+    /// The kernel's feed of one placement dispatched at `now`: the ends
+    /// due by then leave the committed layer's heap into `energy`, then
+    /// the placement is recorded and committed.
+    fn dispatch(energy: &mut EnergyIntegrator, loads: &mut RackLoads, now: Seconds, p: &Placement) {
+        loads.expire(now, |end, load| energy.end(end, load));
+        energy.place(p);
+        loads.commit(p.load, p.integrates(), p.end);
+    }
+
+    /// The kernel's close of a run: the ends still committed, in heap
+    /// order, then the outcome.
+    fn drain(
+        mut energy: EnergyIntegrator,
+        mut loads: RackLoads,
+        dispatcher: &'static str,
+        control: &'static str,
+        shed: usize,
+    ) -> FleetOutcome {
+        loads.expire(Seconds::new(f64::INFINITY), |end, load| {
+            energy.end(end, load)
+        });
+        energy.finish(dispatcher, control, shed)
+    }
+
     /// Feeds a finished run to the streaming [`EnergyIntegrator`] the way
     /// the kernel does, under the post-pass oracle's signature: each
     /// placement at its arrival (`start − wait`, non-decreasing in
     /// `placements` order), each change at its instant, ahead of the
-    /// arrivals sharing it.
+    /// arrivals sharing it, and each end through the committed layer.
     #[allow(clippy::too_many_arguments)] // mirrors `integrate_energy`
     fn stream(
         dispatcher: &'static str,
@@ -1238,6 +1282,7 @@ mod tests {
         activations: &[(Seconds, usize)],
     ) -> FleetOutcome {
         let mut energy = EnergyIntegrator::new(config, class_names);
+        let mut loads = RackLoads::new(config.racks, config.chiller.clone());
         let mut setpoints = setpoints.iter().peekable();
         let mut activations = activations.iter().peekable();
         for p in &placements {
@@ -1248,11 +1293,11 @@ mod tests {
             while let Some(&(t, n)) = activations.next_if(|a| a.0.value() <= now.value()) {
                 energy.activation(t, n);
             }
-            energy.place(now, p);
+            dispatch(&mut energy, &mut loads, now, p);
         }
         setpoints.for_each(|&(t, c)| energy.setpoint(t, c));
         activations.for_each(|&(t, n)| energy.activation(t, n));
-        energy.finish(dispatcher, control, shed)
+        drain(energy, loads, dispatcher, control, shed)
     }
 
     fn integrate(placements: Vec<Placement>, cfg: &FleetConfig) -> FleetOutcome {
@@ -1626,15 +1671,17 @@ mod tests {
         feed
     }
 
-    /// Runs `feed` through the streaming integrator and the post-pass
-    /// oracle; returns both outcomes.
+    /// Runs `feed` through the streaming integrator, its ends through the
+    /// committed layer, and through the post-pass oracle; returns both
+    /// outcomes.
     fn both(feed: &[Feed], config: &FleetConfig, names: &[String]) -> (FleetOutcome, FleetOutcome) {
         let mut energy = EnergyIntegrator::new(config, names);
+        let mut loads = RackLoads::new(config.racks, config.chiller.clone());
         let (mut placements, mut setpoints, mut activations) = (Vec::new(), Vec::new(), Vec::new());
         for step in feed {
             match *step {
                 Feed::Place(now, p) => {
-                    energy.place(now, &p);
+                    dispatch(&mut energy, &mut loads, now, &p);
                     placements.push(p);
                 }
                 Feed::Setpoint(t, c) => {
@@ -1657,7 +1704,7 @@ mod tests {
             &setpoints,
             &activations,
         );
-        (energy.finish("d", "c", 7), oracle)
+        (drain(energy, loads, "d", "c", 7), oracle)
     }
 
     /// Every float field of an outcome as raw bits.

@@ -9,11 +9,14 @@
 //! queue against a naive sorted-`Vec` model of that key, and this
 //! module's tests replay long interleavings against a reference queue.
 //!
-//! A plain [`BinaryHeap`] is enough: the kernel streams arrivals through
-//! a fixed lookahead window ([`ARRIVAL_LOOKAHEAD`](crate::ARRIVAL_LOOKAHEAD)),
-//! so the queue holds that window plus the in-flight completions and
-//! periodic events — a few thousand entries, where a push or pop costs a
-//! dozen comparisons.
+//! A plain [`BinaryHeap`] is enough. The kernel reads arrivals off its
+//! sorted job stream and merges them with the queue through
+//! [`peek_time`](EventQueue::peek_time), folds a start at its own
+//! dispatch instant in place, and keeps placement ends in the committed
+//! layer's heap. What reaches the queue is the set-point program and, on
+//! closed-loop runs, the in-flight completions, the starts still waiting
+//! behind a busy server and the next tick and sample: an open-loop run
+//! without a set-point program never pushes at all.
 
 use crate::engine::Event;
 use std::cmp::{Ordering, Reverse};
@@ -22,7 +25,8 @@ use tps_units::Seconds;
 
 /// Depth and storage counters a queue accumulates over a run, surfaced
 /// through [`KernelStats`](crate::KernelStats) so bench regressions are
-/// diagnosable from CI logs.
+/// diagnosable from CI logs. They count this heap alone: the kernel's
+/// arrivals and in-place starts never enter it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Events pushed over the queue's lifetime.
@@ -72,11 +76,13 @@ impl Ord for Entry {
 /// q.push(Seconds::new(5.0), Event::JobArrival(1));
 /// q.push(Seconds::new(5.0), Event::JobCompletion { job: 0, server: 0 });
 /// q.push(Seconds::new(1.0), Event::ControlTick);
+/// assert_eq!(q.peek_time(), Some(Seconds::new(1.0)));
 /// // Earliest time first; at equal times completions precede arrivals.
 /// assert_eq!(q.pop(), Some((Seconds::new(1.0), Event::ControlTick)));
 /// assert!(matches!(q.pop(), Some((_, Event::JobCompletion { .. }))));
 /// assert_eq!(q.pop(), Some((Seconds::new(5.0), Event::JobArrival(1))));
 /// assert_eq!(q.pop(), None);
+/// assert_eq!(q.peek_time(), None);
 /// assert_eq!(q.stats().peak_depth, 3);
 /// ```
 #[derive(Debug, Default)]
@@ -126,6 +132,12 @@ impl EventQueue {
         self.seq += 1;
         self.heap.push(Reverse(Entry { key, event }));
         self.peak_depth = self.peak_depth.max(self.heap.len());
+    }
+
+    /// The earliest pending event's time, leaving it queued.
+    pub fn peek_time(&self) -> Option<Seconds> {
+        let Reverse(entry) = self.heap.peek()?;
+        Some(Seconds::new(f64::from_bits(entry.key.0)))
     }
 
     /// Removes and returns the earliest event by `(time, class, seq)`.

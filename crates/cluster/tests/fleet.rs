@@ -2,9 +2,9 @@
 //! determinism guarantees the CLI relies on.
 
 use tps_cluster::{
-    demand_pairs, synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, JobMix,
-    LoadSheddingControl, OutcomeCache, RoundRobin, SetpointScheduler, StaticControl,
-    TelemetryConfig, ThermalAwareDispatch, ARRIVAL_LOOKAHEAD,
+    demand_pairs, synthesize_jobs, AutoscaleControl, CoolestRackFirst, Fleet, FleetConfig,
+    FleetDispatcher, JobMix, LoadSheddingControl, OutcomeCache, RoundRobin, SetpointScheduler,
+    StaticControl, TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_units::{Celsius, Seconds};
 use tps_workload::{BurstyDemand, ConstantDemand, DiurnalDemand};
@@ -121,9 +121,13 @@ fn kernel_counters_match_the_cli_stats_run() {
         || Box::new(CoolestRackFirst),
         || Box::new(ThermalAwareDispatch::default()),
     ];
-    for dispatcher in dispatchers {
-        // Open loop: the kernel pushes arrivals only, through a
-        // lookahead window the 2000-job stream fills.
+    // Peak event-queue depth of the traced runs, per dispatcher, as
+    // `--stats --trace-out DIR` prints it on this shape.
+    let traced_depth = [84, 69, 68];
+    for (dispatcher, depth) in dispatchers.into_iter().zip(traced_depth) {
+        // Open loop: every event is an arrival, read off the sorted
+        // stream rather than queued, and nothing else is scheduled, so
+        // the event queue stays empty.
         let open = fleet
             .simulate_with(
                 &jobs,
@@ -135,17 +139,19 @@ fn kernel_counters_match_the_cli_stats_run() {
             .unwrap()
             .stats;
         assert_eq!(open.events, 2000);
-        assert_eq!(open.peak_queue_depth, ARRIVAL_LOOKAHEAD);
-        assert_eq!(open.arena_high_water, ARRIVAL_LOOKAHEAD);
+        assert_eq!(open.peak_queue_depth, 0);
+        assert_eq!(open.arena_high_water, 0);
         // Every demand state comes off the published table: no solve and
         // no lock inside the run.
         assert_eq!(open.table_hits, pairs.len() * classes);
         assert_eq!(open.miss_solves, 0);
         assert_eq!(open.lock_acquisitions, 0);
 
-        // Telemetry closes the loop: each placement also pushes a
+        // Telemetry closes the loop: each placement also has a
         // `JobStart` and a `JobCompletion`, and samples fire every 30 s
         // from t = 0 up to the first instant at or past the makespan.
+        // Every one counts as an event, the starts folded in place at
+        // their own dispatch instant too.
         let traced = fleet
             .simulate_with(
                 &jobs,
@@ -161,7 +167,10 @@ fn kernel_counters_match_the_cli_stats_run() {
         let stats = traced.stats;
         assert_eq!(stats.events as usize, jobs.len() + 2 * placements + samples);
         assert_eq!(stats.events, 6169);
-        assert_eq!(stats.peak_queue_depth, stats.arena_high_water);
+        // The queue holds each committed placement's completion, each
+        // start still waiting behind a busy server, and the next sample.
+        assert_eq!(stats.peak_queue_depth, depth);
+        assert_eq!(stats.arena_high_water, depth);
     }
 }
 
@@ -319,6 +328,142 @@ fn closed_loop_batch_traces_match_their_golden_digests() {
         fnv1a(csv.as_bytes()),
         0x1ca121a22a0d8e9e,
         "shedding:\n{csv}"
+    );
+}
+
+/// A hand-built stream on 3 racks × 2 servers whose boundaries collide
+/// on purpose: integer arrivals with equal `OneX` runtimes (the native
+/// configuration, so runtime = service), whose ends tie across racks and
+/// land on later arrivals, set-point instants, ticks and samples;
+/// `service: 0` jobs; bursts deeper than the fleet, so starts queue, some
+/// past the last arrival; and distinct benchmarks ending at one instant
+/// on racks committed out of rack order while another job runs on, so
+/// the fleet's float sums depend on fold order.
+fn colliding_jobs() -> Vec<tps_cluster::Job> {
+    use tps_workload::{Benchmark as B, QosClass as Q};
+    let rows: [(f64, B, Q, f64); 28] = [
+        (0.0, B::X264, Q::OneX, 10.0),
+        (0.0, B::X264, Q::OneX, 10.0),
+        (0.0, B::Canneal, Q::ThreeX, 7.0),
+        (0.0, B::Ferret, Q::TwoX, 0.0),
+        (0.0, B::X264, Q::OneX, 10.0),
+        (0.0, B::Vips, Q::OneX, 10.0),
+        (0.0, B::X264, Q::OneX, 10.0),
+        (0.0, B::X264, Q::OneX, 5.0),
+        (5.0, B::Canneal, Q::ThreeX, 3.0),
+        (10.0, B::X264, Q::OneX, 5.0),
+        (10.0, B::Ferret, Q::TwoX, 0.0),
+        (10.0, B::Vips, Q::OneX, 5.0),
+        (10.0, B::X264, Q::OneX, 5.0),
+        (15.0, B::X264, Q::OneX, 5.0),
+        (15.0, B::Canneal, Q::ThreeX, 3.0),
+        (20.0, B::Blackscholes, Q::OneX, 10.0),
+        (20.0, B::Vips, Q::OneX, 10.0),
+        (20.0, B::Bodytrack, Q::OneX, 10.0),
+        (20.0, B::Ferret, Q::TwoX, 4.0),
+        (20.0, B::Dedup, Q::OneX, 10.0),
+        (20.0, B::Vips, Q::OneX, 20.0),
+        (25.0, B::Ferret, Q::TwoX, 0.0),
+        (30.0, B::X264, Q::OneX, 4.0),
+        (30.0, B::Vips, Q::OneX, 4.0),
+        (30.0, B::X264, Q::OneX, 0.0),
+        (30.0, B::Canneal, Q::ThreeX, 3.0),
+        (30.0, B::X264, Q::OneX, 6.0),
+        (30.0, B::Vips, Q::OneX, 4.0),
+    ];
+    rows.iter()
+        .enumerate()
+        .map(|(id, &(arrival, bench, qos, service))| tps_cluster::Job {
+            id,
+            bench,
+            qos,
+            arrival: Seconds::new(arrival),
+            service: Seconds::new(service),
+        })
+        .collect()
+}
+
+/// The colliding stream's outcomes and traces, pinned byte for byte:
+/// open loop, closed loop (a set-point program plus telemetry, every
+/// instant on the stream's integer grid) and an autoscaled serving run.
+/// Each digest is FNV-1a over the outcome's `Debug` text (floats at
+/// round-trip precision) or the trace CSV. The digests were taken from
+/// the kernel that ordered every placement boundary three times: its
+/// event queue held every arrival, start and completion, the committed
+/// layer's expiry heap its own copy of each end, and the energy
+/// integrator a third copy of each start and end.
+#[test]
+fn colliding_boundaries_replay_their_pinned_digests() {
+    // Round-robin, coolest-rack-first, thermal-aware.
+    const OPEN: [u64; 3] = [0x8a2f3a7788ce68fb, 0x20e2aecb9d0fcaea, 0x87e7d23ec4e531b2];
+    // (outcome, trace CSV) per dispatcher.
+    const CLOSED: [(u64, u64); 3] = [
+        (0x8314235f6ae916fd, 0xeb97ea5db797601e),
+        (0xb89aea64ccacd03f, 0x3f0deddef84c2275),
+        (0x5ae083a5ed1bf92f, 0x486463e981243ad4),
+    ];
+    const SERVING: (u64, u64) = (0x17c2ef98ea2891b0, 0xbac355ca37836d0a);
+    let jobs = colliding_jobs();
+    let mut config = FleetConfig::new(3, 2);
+    config.grid_pitch_mm = 3.0;
+    let fleet = Fleet::new(config.clone());
+    let cache = OutcomeCache::new();
+    let dispatchers: [fn() -> Box<dyn FleetDispatcher>; 3] = [
+        || Box::new(RoundRobin::default()),
+        || Box::new(CoolestRackFirst),
+        || Box::new(ThermalAwareDispatch::default()),
+    ];
+    let telemetry = TelemetryConfig {
+        sample_interval: Seconds::new(5.0),
+        capacity: 1024,
+    };
+    let (mut open, mut closed) = ([0; 3], [(0, 0); 3]);
+    for (d, (open, closed)) in dispatchers.iter().zip(open.iter_mut().zip(&mut closed)) {
+        let out = fleet.simulate(&jobs, d().as_mut(), &cache).unwrap();
+        assert_eq!(out.class_placements, vec![jobs.len()]);
+        assert!(out.max_wait.value() > 0.0, "no start queued");
+        *open = fnv1a(format!("{out:?}").as_bytes());
+
+        let mut control = SetpointScheduler::new(vec![
+            (Seconds::ZERO, Celsius::new(70.0)),
+            (Seconds::new(10.0), Celsius::new(45.0)),
+            (Seconds::new(15.0), Celsius::new(60.0)),
+            (Seconds::new(20.0), Celsius::new(70.0)),
+            (Seconds::new(30.0), Celsius::new(45.0)),
+        ]);
+        let result = fleet
+            .simulate_with(&jobs, d().as_mut(), &mut control, Some(&telemetry), &cache)
+            .unwrap();
+        let csv = result.trace.expect("telemetry was on").to_csv();
+        *closed = (
+            fnv1a(format!("{:?}", result.outcome).as_bytes()),
+            fnv1a(csv.as_bytes()),
+        );
+    }
+
+    config.serving = true;
+    let fleet = Fleet::new(config);
+    let mut control = AutoscaleControl::new(Seconds::new(5.0), 2, 2, 0.5, 0.1, Seconds::new(8.0));
+    let result = fleet
+        .simulate_with(
+            &jobs,
+            &mut ThermalAwareDispatch::default(),
+            &mut control,
+            Some(&telemetry),
+            &cache,
+        )
+        .unwrap();
+    assert!(result.outcome.serving.is_some());
+    let csv = result.trace.expect("telemetry was on").to_csv();
+    let serving = (
+        fnv1a(format!("{:?}", result.outcome).as_bytes()),
+        fnv1a(csv.as_bytes()),
+    );
+    assert_eq!(
+        (open, closed, serving),
+        (OPEN, CLOSED, SERVING),
+        "{:#x?}",
+        (open, closed, serving)
     );
 }
 

@@ -194,7 +194,8 @@ pub struct SweepReport {
     /// fetch each.
     pub lock_acquisitions: usize,
     /// Deepest the event queue got on any grid point (diagnostic only —
-    /// never part of the determinism surface).
+    /// never part of the determinism surface). Arrivals and in-place
+    /// starts never enter the queue, so an open-loop grid reads 0.
     pub peak_queue_depth: usize,
     /// Largest event-arena footprint on any grid point, in slots.
     pub arena_high_water: usize,
