@@ -904,7 +904,7 @@ pub(crate) fn run(
         .expire(Seconds::new(f64::INFINITY), |end, load| {
             energy.end(end, load)
         });
-    let qstats = queue.stats();
+    let peak_depth = queue.peak_depth();
     let mut outcome = energy.finish(dispatcher.name(), control.name(), state.shed);
     if serving {
         // Time-weighted mean of the active-server timeline over the run,
@@ -944,8 +944,8 @@ pub(crate) fn run(
         trace,
         stats: KernelStats {
             events,
-            peak_queue_depth: qstats.peak_depth,
-            arena_high_water: qstats.arena_high_water,
+            peak_queue_depth: peak_depth,
+            arena_high_water: peak_depth,
             ..KernelStats::default()
         },
     })

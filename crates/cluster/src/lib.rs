@@ -127,4 +127,4 @@ pub use metrics::{
     ServingSample, SimResult, TelemetryConfig,
 };
 pub use plan::{PlanSolver, PlannerControl};
-pub use queue::{EventQueue, QueueStats};
+pub use queue::EventQueue;

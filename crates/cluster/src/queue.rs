@@ -23,21 +23,6 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use tps_units::Seconds;
 
-/// Depth and storage counters a queue accumulates over a run, surfaced
-/// through [`KernelStats`](crate::KernelStats) so bench regressions are
-/// diagnosable from CI logs. They count this heap alone: the kernel's
-/// arrivals and in-place starts never enter it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueStats {
-    /// Events pushed over the queue's lifetime.
-    pub pushed: u64,
-    /// Highest number of events pending at once.
-    pub peak_depth: usize,
-    /// Most entries the queue's storage ever held: the heap's peak
-    /// length, so always equal to `peak_depth`.
-    pub arena_high_water: usize,
-}
-
 /// One scheduled event, ordered by its key alone.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -83,7 +68,7 @@ impl Ord for Entry {
 /// assert_eq!(q.pop(), Some((Seconds::new(5.0), Event::JobArrival(1))));
 /// assert_eq!(q.pop(), None);
 /// assert_eq!(q.peek_time(), None);
-/// assert_eq!(q.stats().peak_depth, 3);
+/// assert_eq!(q.peak_depth(), 3);
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
@@ -98,14 +83,12 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Lifetime depth/storage counters. Every push takes a fresh `seq`,
-    /// so the push count is the sequence counter.
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            pushed: self.seq,
-            peak_depth: self.peak_depth,
-            arena_high_water: self.peak_depth,
-        }
+    /// The most events pending at once over the queue's lifetime,
+    /// surfaced through [`KernelStats`](crate::KernelStats). It counts
+    /// this heap alone: the kernel's arrivals and in-place starts never
+    /// enter it.
+    pub fn peak_depth(&self) -> usize {
+        self.peak_depth
     }
 
     /// Pending events.
@@ -149,7 +132,7 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
-    //! Several test names say "calendar", "overflow" or "cursor": they
+    //! Three test names say "overflow", "cursor" or "calendar": they
     //! come from the bucketed calendar queue this heap replaced. The
     //! regimes they name — far-future events, pushes behind the last
     //! pop, re-arms that never let the queue drain — still pin the pop
@@ -185,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn calendar_orders_by_time_then_class_then_push_order() {
+    fn pops_by_time_then_class_then_push_order() {
         let mut q = EventQueue::new();
         let t = Seconds::new(10.0);
         q.push(t, Event::JobArrival(0));
@@ -211,14 +194,11 @@ mod tests {
         assert_eq!(q.pop(), Some((t, Event::TelemetrySample)));
         assert_eq!(q.pop(), Some((t, Event::JobArrival(0))));
         assert!(q.is_empty());
-        let stats = q.stats();
-        assert_eq!(stats.pushed, 7);
-        assert_eq!(stats.peak_depth, 7);
-        assert!(stats.arena_high_water <= 7);
+        assert_eq!(q.peak_depth(), 7);
     }
 
     #[test]
-    fn calendar_matches_the_reference_on_an_interleaved_stream() {
+    fn matches_the_reference_on_an_interleaved_stream() {
         // Deterministic pseudo-random interleaving (SplitMix64).
         fn mix(seed: u64, i: u64) -> u64 {
             let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
@@ -379,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_slots_are_recycled() {
+    fn peak_depth_is_the_steady_state_depth() {
         let mut q = EventQueue::new();
         for round in 0..50usize {
             for i in 0..8usize {
@@ -389,20 +369,13 @@ mod tests {
                 q.pop().unwrap();
             }
         }
-        let stats = q.stats();
-        assert_eq!(stats.pushed, 400);
-        // Steady-state depth 8: the arena never grows past the peak.
-        assert!(
-            stats.arena_high_water <= stats.peak_depth,
-            "arena {} vs peak depth {}",
-            stats.arena_high_water,
-            stats.peak_depth
-        );
+        // 400 pushes drained in rounds of 8 never hold more than 8.
+        assert_eq!(q.peak_depth(), 8);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn calendar_rejects_negative_times() {
+    fn rejects_negative_times() {
         EventQueue::new().push(Seconds::new(-1.0), Event::ControlTick);
     }
 }

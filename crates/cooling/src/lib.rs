@@ -20,11 +20,12 @@
 //! use tps_cooling::{pue, Chiller, Rack, ServerCoolingLoad};
 //! use tps_units::{Celsius, KgPerHour, Watts};
 //!
-//! let rack = Rack::from_loads([ServerCoolingLoad {
+//! let mut rack = Rack::new();
+//! rack.add_server(ServerCoolingLoad {
 //!     heat: Watts::new(79.0),
 //!     max_water_temp: Celsius::new(64.0),
 //!     flow: KgPerHour::new(7.0),
-//! }]);
+//! });
 //! // A heat-recovery condenser loop at 60 °C: the chiller must lift the
 //! // rack heat up to the reuse temperature unless the rack tolerates
 //! // warmer water than the loop provides.

@@ -58,28 +58,6 @@ impl Rack {
         self
     }
 
-    /// A rack pre-populated from an iterator of per-server loads.
-    pub fn from_loads<I: IntoIterator<Item = ServerCoolingLoad>>(loads: I) -> Self {
-        Self {
-            servers: loads.into_iter().collect(),
-        }
-    }
-
-    /// The servers registered so far.
-    pub fn servers(&self) -> &[ServerCoolingLoad] {
-        &self.servers
-    }
-
-    /// The number of registered servers.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Whether no server has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
     /// Total heat into the rack's water loop.
     pub fn total_heat(&self) -> Watts {
         self.servers.iter().map(|s| s.heat).sum()
@@ -96,7 +74,7 @@ impl Rack {
     }
 
     /// Total water flow through the rack manifold.
-    pub fn total_flow(&self) -> KgPerHour {
+    pub(crate) fn total_flow(&self) -> KgPerHour {
         self.servers.iter().map(|s| s.flow).sum()
     }
 

@@ -37,7 +37,7 @@ pub struct RuntimeController {
 impl RuntimeController {
     /// A controller with the paper's 85 °C limit, an 8 K relax band and the
     /// prototype valve.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self::new(crate::T_CASE_MAX, TempDelta::new(8.0), FlowValve::paper())
     }
 
@@ -55,18 +55,13 @@ impl RuntimeController {
         }
     }
 
-    /// The configured case-temperature limit.
-    pub fn t_case_max(&self) -> Celsius {
-        self.t_case_max
-    }
-
     /// Current valve flow.
     pub fn flow(&self) -> KgPerHour {
         self.valve.flow()
     }
 
     /// `true` if `t_case` constitutes a thermal emergency.
-    pub fn is_emergency(&self, t_case: Celsius) -> bool {
+    pub(crate) fn is_emergency(&self, t_case: Celsius) -> bool {
         t_case >= self.t_case_max
     }
 

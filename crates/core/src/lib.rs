@@ -8,9 +8,12 @@
 //! 2. [`MinPowerSelector`] sorts the profiled `(Nc, Nt, f)` space by power
 //!    and picks the first configuration meeting the QoS constraint,
 //! 3. [`heat::breakdown_for_mapping`] estimates per-component heat,
-//! 4. a [`MappingPolicy`] places the threads: the paper's C-state-aware
-//!    [`ProposedMapping`], or the baselines — [`CoskunBalancing`] \[9\],
-//!    [`InletFirstMapping`] \[7\], [`PackedMapping`] (the naive scenario 3),
+//! 4. a [`MappingPolicy`] places the threads of the one application a
+//!    server runs (Algorithm 1 assigns `A_i` to `CPU_i`, so the
+//!    [`MappingContext`] describes an otherwise idle die): the paper's
+//!    C-state-aware [`ProposedMapping`], or the baselines —
+//!    [`CoskunBalancing`] \[9\], [`InletFirstMapping`] \[7\],
+//!    [`PackedMapping`] (the naive scenario 3),
 //! 5. [`Server::run`] closes the loop through the coupled
 //!    thermosyphon/thermal simulation and reports the die/package metrics
 //!    of Table II,
@@ -40,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod colocate;
 mod controller;
 pub mod heat;
 mod mapping;
@@ -48,7 +50,6 @@ mod rack;
 mod select;
 mod server;
 
-pub use colocate::{AppAssignment, ColocatedOutcome};
 pub use controller::{ControlAction, RuntimeController};
 pub use mapping::{
     CoskunBalancing, InletFirstMapping, MappingContext, MappingPolicy, PackedMapping,

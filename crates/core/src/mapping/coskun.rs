@@ -1,13 +1,14 @@
 //! The temperature-aware MPSoC scheduling baseline of Coskun et al.
 //! (DATE'07, the paper's reference [9]).
 
-use super::{check_core_count, greedy_spread, MappingContext, MappingPolicy};
+use super::{greedy_spread, MappingContext, MappingPolicy};
 
-/// Conventional thermal-aware balancing: spread load from the corners and
-/// prefer historically cool cores, *independent of the idle C-state and of
-/// the cooling technology*. This is Fig. 6 scenario 2 applied always —
-/// optimal when idle cores poll, but blind to the micro-channel bands that
-/// matter once idle cores are clock-gated.
+/// Conventional thermal-aware balancing: spread load from the corners,
+/// *independent of the idle C-state and of the cooling technology*. This is
+/// Fig. 6 scenario 2 applied always — optimal when idle cores poll, but
+/// blind to the micro-channel bands that matter once idle cores are
+/// clock-gated. Coskun et al. also rank cores by temperature history; one
+/// application on an idle die has none, so the spread alone decides.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoskunBalancing;
 
@@ -17,28 +18,7 @@ impl MappingPolicy for CoskunBalancing {
     }
 
     fn select_cores(&self, n: usize, ctx: &MappingContext<'_>) -> Vec<u8> {
-        check_core_count(n);
-        match ctx.core_temps {
-            // Temperature history available: coolest cores first
-            // (0.5 °C buckets), ties broken by the balanced spread order.
-            Some(temps) => {
-                let spread_order = greedy_spread(8, ctx, false);
-                let rank = |c: u8| {
-                    spread_order
-                        .iter()
-                        .position(|&o| o == c)
-                        .expect("spread order covers all cores")
-                };
-                let mut cores: Vec<u8> = (1..=8).collect();
-                cores.sort_by_key(|&c| {
-                    let bucket = (temps[c as usize - 1] * 2.0).round() as i64;
-                    (bucket, rank(c))
-                });
-                cores.truncate(n);
-                cores
-            }
-            None => greedy_spread(n, ctx, false),
-        }
+        greedy_spread(n, ctx, false)
     }
 }
 
@@ -80,20 +60,5 @@ mod tests {
         let mut four = CoskunBalancing.select_cores(4, &ctx);
         four.sort_unstable();
         assert_eq!(four, vec![1, 4, 5, 8]);
-    }
-
-    #[test]
-    fn prefers_cool_cores_when_history_is_available() {
-        let topo = CoreTopology::xeon();
-        let mut ctx = MappingContext::new(&topo, Orientation::InletEast, CState::Poll);
-        // Cores 1, 4, 5, 8 (the corners) are hot; 2, 6 are coolest.
-        let mut temps = [60.0; 8];
-        temps[1] = 45.0; // core 2
-        temps[5] = 45.0; // core 6
-        ctx.core_temps = Some(temps);
-        let two = CoskunBalancing.select_cores(2, &ctx);
-        let mut sorted = two.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![2, 6], "coolest cores must be picked: {two:?}");
     }
 }

@@ -23,8 +23,7 @@ impl MappingPolicy for InletFirstMapping {
     fn select_cores(&self, n: usize, ctx: &MappingContext<'_>) -> Vec<u8> {
         check_core_count(n);
         let topo = ctx.topology;
-        let mut cores: Vec<u8> = (1..=8).filter(|c| !ctx.occupied.contains(c)).collect();
-        assert!(cores.len() >= n, "not enough free cores for {n} threads");
+        let mut cores: Vec<u8> = (1..=8).collect();
         // Distance from the inlet along the flow axis, ascending; ties by
         // the perpendicular coordinate then index for determinism.
         cores.sort_by(|&a, &b| {

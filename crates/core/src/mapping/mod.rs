@@ -23,45 +23,21 @@ pub struct MappingContext<'a> {
     pub orientation: Orientation,
     /// The C-state idle cores will sit in (drives the paper's policy).
     pub idle_cstate: CState,
-    /// Most recent per-core temperatures (°C, index 0 = Core1), when the
-    /// runtime has them — used by temperature-history policies like \[9\].
-    pub core_temps: Option<[f64; 8]>,
-    /// Cores already running other applications (co-scheduling): policies
-    /// must not select them and should treat them as active heat sources.
-    pub occupied: Vec<u8>,
 }
 
 impl<'a> MappingContext<'a> {
-    /// A context with no temperature history and no occupied cores.
+    /// The context for one application on an otherwise idle die.
     pub fn new(topology: &'a CoreTopology, orientation: Orientation, idle_cstate: CState) -> Self {
         Self {
             topology,
             orientation,
             idle_cstate,
-            core_temps: None,
-            occupied: Vec::new(),
         }
-    }
-
-    /// This context with cores already claimed by other applications.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `occupied` holds duplicates or indices outside `1..=8`.
-    pub fn with_occupied(mut self, occupied: Vec<u8>) -> Self {
-        let mut seen = [false; 8];
-        for &c in &occupied {
-            assert!((1..=8).contains(&c), "occupied core {c} outside 1..=8");
-            assert!(!seen[c as usize - 1], "occupied core {c} duplicated");
-            seen[c as usize - 1] = true;
-        }
-        self.occupied = occupied;
-        self
     }
 
     /// The channel band a core belongs to: its row for east–west channels,
     /// its column for north–south channels.
-    pub fn band_of(&self, core: u8) -> usize {
+    pub(crate) fn band_of(&self, core: u8) -> usize {
         let slot = self.topology.slot_of(core);
         if self.orientation.is_horizontal() {
             slot.row
@@ -102,21 +78,10 @@ pub(crate) fn check_core_count(n: usize) {
 /// line").
 pub(crate) fn greedy_spread(n: usize, ctx: &MappingContext<'_>, banded: bool) -> Vec<u8> {
     check_core_count(n);
-    assert!(
-        n + ctx.occupied.len() <= 8,
-        "cannot place {n} cores with {} already occupied",
-        ctx.occupied.len()
-    );
     let topo = ctx.topology;
-    // Occupied cores seed the active set: they are heat sources to avoid
-    // and they already load their channel bands.
-    let mut active: Vec<u8> = ctx.occupied.clone();
+    let mut active: Vec<u8> = Vec::with_capacity(n);
     let mut band_occupancy = [0usize; 5];
-    for &c in &ctx.occupied {
-        band_occupancy[ctx.band_of(c)] += 1;
-    }
-    let target = n + ctx.occupied.len();
-    while active.len() < target {
+    while active.len() < n {
         let best = topo
             .cores()
             .filter(|c| !active.contains(c))
@@ -145,7 +110,7 @@ pub(crate) fn greedy_spread(n: usize, ctx: &MappingContext<'_>, banded: bool) ->
         band_occupancy[ctx.band_of(best)] += 1;
         active.push(best);
     }
-    active.split_off(ctx.occupied.len())
+    active
 }
 
 #[cfg(test)]
@@ -209,6 +174,43 @@ mod tests {
         let mut four = greedy_spread(4, &ctx, false);
         four.sort_unstable();
         assert_eq!(four, vec![1, 4, 5, 8]);
+    }
+
+    /// Every selection the shipped policies make through
+    /// [`MappingContext::new`]: four policies × `n` in 1..=8 × every
+    /// orientation × every C-state, 640 selections in order, hashed with
+    /// FNV-1a.
+    #[test]
+    fn every_shipped_selection_matches_its_pinned_digest() {
+        let topo = CoreTopology::xeon();
+        let policies: [&dyn MappingPolicy; 4] = [
+            &crate::ProposedMapping,
+            &crate::CoskunBalancing,
+            &crate::InletFirstMapping,
+            &crate::PackedMapping,
+        ];
+        let mut bytes = Vec::new();
+        let mut selections = 0;
+        for policy in policies {
+            for orientation in Orientation::ALL {
+                for cstate in CState::ALL {
+                    let ctx = MappingContext::new(&topo, orientation, cstate);
+                    for n in 1..=8 {
+                        bytes.extend(policy.select_cores(n, &ctx));
+                        bytes.push(0);
+                        selections += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(selections, 640);
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            digest, 0x8376_6632_ad87_bf1d,
+            "mapping selections moved: {digest:#018x}"
+        );
     }
 
     #[test]

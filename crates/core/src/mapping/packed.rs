@@ -17,14 +17,9 @@ impl MappingPolicy for PackedMapping {
         "packed (scenario 3)"
     }
 
-    fn select_cores(&self, n: usize, ctx: &MappingContext<'_>) -> Vec<u8> {
+    fn select_cores(&self, n: usize, _ctx: &MappingContext<'_>) -> Vec<u8> {
         check_core_count(n);
-        let free: Vec<u8> = PACK_ORDER
-            .into_iter()
-            .filter(|c| !ctx.occupied.contains(c))
-            .collect();
-        assert!(free.len() >= n, "not enough free cores for {n} threads");
-        free[..n].to_vec()
+        PACK_ORDER[..n].to_vec()
     }
 }
 

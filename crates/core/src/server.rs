@@ -145,19 +145,9 @@ impl Server {
         Self::builder().grid_pitch_mm(grid_pitch_mm).build()
     }
 
-    /// The die floorplan.
-    pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
-    }
-
     /// The core-slot topology.
     pub fn topology(&self) -> &CoreTopology {
         &self.topology
-    }
-
-    /// The package geometry.
-    pub fn package(&self) -> &PackageGeometry {
-        &self.package
     }
 
     /// The coupled simulation (design, operating point, thermal model).
@@ -279,35 +269,17 @@ impl Server {
     }
 
     /// Die metrics: die layer restricted to the die outline.
-    pub fn die_metrics(&self, solution: &CoupledSolution) -> ThermalMetrics {
+    pub(crate) fn die_metrics(&self, solution: &CoupledSolution) -> ThermalMetrics {
         ThermalMetrics::in_rect(solution.thermal.die_layer(), &self.package.die_rect())
     }
 
     /// Package metrics: spreader layer over the whole spreader.
-    pub fn package_metrics(&self, solution: &CoupledSolution) -> ThermalMetrics {
+    pub(crate) fn package_metrics(&self, solution: &CoupledSolution) -> ThermalMetrics {
         let layer = solution
             .thermal
             .layer_by_name("spreader")
             .unwrap_or_else(|| solution.thermal.top_layer());
         ThermalMetrics::of_field(layer)
-    }
-
-    /// Mean temperature of each core's footprint on the die layer
-    /// (°C, index 0 = Core1) — the history input for \[9\]-style policies.
-    pub fn core_temperatures(&self, solution: &CoupledSolution) -> [f64; 8] {
-        let die = solution.thermal.die_layer();
-        let (ox, oy) = self.package.die_offset();
-        let mut out = [0.0; 8];
-        for (i, t) in out.iter_mut().enumerate() {
-            let rect = self
-                .floorplan
-                .core(i as u8 + 1)
-                .expect("xeon floorplan has cores 1..=8")
-                .rect()
-                .translated(ox, oy);
-            *t = die.mean_in_rect(&rect).expect("core rect lies on the grid");
-        }
-        out
     }
 }
 
@@ -482,7 +454,15 @@ mod tests {
                 &ProposedMapping,
             )
             .unwrap();
-        let temps = server.core_temperatures(&out.solution);
+        // Mean temperature of each core's footprint on the die layer.
+        let die = out.solution.thermal.die_layer();
+        let (ox, oy) = server.package.die_offset();
+        let temps: Vec<f64> = (1..=8u8)
+            .map(|c| {
+                let rect = server.floorplan.core(c).unwrap().rect().translated(ox, oy);
+                die.mean_in_rect(&rect).unwrap()
+            })
+            .collect();
         let active_mean: f64 = out
             .mapping
             .iter()

@@ -5,18 +5,10 @@ use core::fmt;
 
 /// Identifier of a block within its [`Floorplan`](crate::Floorplan).
 ///
-/// Stable for the lifetime of the floorplan (assigned in insertion order by
-/// [`FloorplanBuilder`](crate::FloorplanBuilder)).
+/// Stable for the lifetime of the floorplan (assigned in insertion order
+/// as the floorplan is built).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub(crate) usize);
-
-impl BlockId {
-    /// Returns the raw index of this block in the floorplan's block list.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
 
 impl fmt::Display for BlockId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -50,16 +42,11 @@ pub enum ComponentKind {
 
 impl ComponentKind {
     /// Returns the 1-based core index if this is a [`ComponentKind::Core`].
-    pub fn core_index(self) -> Option<u8> {
+    pub(crate) fn core_index(self) -> Option<u8> {
         match self {
             ComponentKind::Core(i) => Some(i),
             _ => None,
         }
-    }
-
-    /// Returns `true` for components that can dissipate power.
-    pub fn is_powered(self) -> bool {
-        !matches!(self, ComponentKind::ReservedCore | ComponentKind::Filler)
     }
 }
 
@@ -92,12 +79,6 @@ impl Block {
         self.id
     }
 
-    /// The block's human-readable name (e.g. `"core1"`, `"llc"`).
-    #[inline]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The architectural function of the block.
     #[inline]
     pub fn kind(&self) -> ComponentKind {
@@ -126,15 +107,10 @@ mod tests {
         assert_eq!(ComponentKind::Core(3).to_string(), "Core3");
         assert_eq!(ComponentKind::Core(3).core_index(), Some(3));
         assert_eq!(ComponentKind::LastLevelCache.core_index(), None);
-        assert!(ComponentKind::Core(1).is_powered());
-        assert!(ComponentKind::LastLevelCache.is_powered());
-        assert!(!ComponentKind::ReservedCore.is_powered());
-        assert!(!ComponentKind::Filler.is_powered());
     }
 
     #[test]
     fn block_id_display() {
         assert_eq!(BlockId(4).to_string(), "block#4");
-        assert_eq!(BlockId(4).index(), 4);
     }
 }

@@ -4,7 +4,7 @@ use core::fmt;
 
 /// Error produced while building or validating a [`Floorplan`](crate::Floorplan).
 #[derive(Debug, Clone, PartialEq)]
-pub enum FloorplanError {
+pub(crate) enum FloorplanError {
     /// A block extends beyond the die outline.
     OutOfBounds {
         /// Name of the offending block.

@@ -1,7 +1,5 @@
 //! Regular simulation grids and scalar fields defined on them.
 
-use crate::block::Block;
-use crate::plan::Floorplan;
 use crate::rect::Rect;
 
 /// A regular `nx × ny` grid of rectangular cells tiling a [`Rect`].
@@ -148,11 +146,6 @@ impl GridSpec {
         })
     }
 
-    /// Iterates over all cell coordinates in flat-index order.
-    pub fn cells(&self) -> impl Iterator<Item = CellIndex> + '_ {
-        (0..self.ny).flat_map(move |iy| (0..self.nx).map(move |ix| CellIndex { ix, iy }))
-    }
-
     /// The inclusive-exclusive range of cell columns/rows overlapping `rect`.
     ///
     /// Returns `(ix_range, iy_range)`; empty ranges if disjoint.
@@ -222,7 +215,7 @@ impl ScalarField {
 
     /// Adds `value` to cell `(ix, iy)`.
     #[inline]
-    pub fn add(&mut self, ix: usize, iy: usize, value: f64) {
+    pub(crate) fn add(&mut self, ix: usize, iy: usize, value: f64) {
         let i = self.spec.idx(ix, iy);
         self.data[i] += value;
     }
@@ -268,11 +261,6 @@ impl ScalarField {
         self.reduce_in_rect(rect, f64::NEG_INFINITY, f64::max)
     }
 
-    /// Minimum over the cells whose centres lie within `rect`.
-    pub fn min_in_rect(&self, rect: &Rect) -> Option<f64> {
-        self.reduce_in_rect(rect, f64::INFINITY, f64::min)
-    }
-
     /// Mean over the cells whose centres lie within `rect`.
     pub fn mean_in_rect(&self, rect: &Rect) -> Option<f64> {
         let mut n = 0usize;
@@ -306,21 +294,6 @@ impl ScalarField {
         }
     }
 
-    /// Adds another field of the same grid, element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids differ.
-    pub fn accumulate(&mut self, other: &ScalarField) {
-        assert_eq!(
-            self.spec, other.spec,
-            "cannot accumulate fields on different grids"
-        );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Multiplies every value by `factor`.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.data {
@@ -346,46 +319,12 @@ impl ScalarField {
     }
 }
 
-/// Distributes per-block quantities onto a grid by exact area overlap.
-///
-/// For every block `b`, `per_block(b)` (e.g. its power in watts) is spread
-/// over the grid cells proportionally to the overlap area, so that the grid
-/// total equals the sum over blocks (conservative rasterization). `offset`
-/// translates block coordinates into grid coordinates — e.g. the die origin
-/// within the package.
-///
-/// ```
-/// use tps_floorplan::{rasterize, xeon_e5_v4, GridSpec, Rect};
-/// let fp = xeon_e5_v4();
-/// let grid = GridSpec::new(36, 28, *fp.outline());
-/// let field = rasterize(&fp, &grid, (0.0, 0.0), |b| b.rect().area().to_mm2());
-/// // Conservation: rasterized total equals the summed block areas.
-/// assert!((field.total() - 246.0).abs() < 1.0);
-/// ```
-pub fn rasterize(
-    fp: &Floorplan,
-    grid: &GridSpec,
-    offset: (f64, f64),
-    per_block: impl Fn(&Block) -> f64,
-) -> ScalarField {
-    let mut field = ScalarField::zeros(grid.clone());
-    for block in fp.blocks() {
-        let value = per_block(block);
-        if value == 0.0 {
-            continue;
-        }
-        let rect = block.rect().translated(offset.0, offset.1);
-        rasterize_rect(&mut field, &rect, value);
-    }
-    field
-}
-
 /// Spreads `total` over the cells of `field` proportionally to their overlap
 /// with `rect` (conservative: the field gains exactly `total` as long as the
 /// rectangle lies within the grid).
 ///
-/// Building block of [`rasterize`]; also used to place sub-block structures
-/// such as a core's execution-cluster hot spot.
+/// Places each floorplan block's power on the grid, and sub-block
+/// structures such as a core's execution-cluster hot spot.
 pub fn rasterize_rect(field: &mut ScalarField, rect: &Rect, total: f64) {
     let grid = field.spec().clone();
     let area = rect.area().value();
@@ -406,8 +345,6 @@ pub fn rasterize_rect(field: &mut ScalarField, rect: &Rect, total: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::ComponentKind;
-    use crate::plan::FloorplanBuilder;
     use proptest::prelude::*;
 
     fn grid_10x10_mm() -> GridSpec {
@@ -465,11 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_scale() {
+    fn scale_and_max_abs_diff() {
         let g = grid_10x10_mm();
-        let mut a = ScalarField::filled(g.clone(), 1.0);
+        let mut a = ScalarField::filled(g.clone(), 3.0);
         let b = ScalarField::filled(g, 2.0);
-        a.accumulate(&b);
         a.scale(2.0);
         assert_eq!(a.at(0, 0), 6.0);
         assert_eq!(a.max_abs_diff(&b), 4.0);
@@ -477,48 +413,28 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different grids")]
-    fn accumulate_rejects_mismatched_grids() {
-        let mut a = ScalarField::zeros(grid_10x10_mm());
+    fn max_abs_diff_rejects_mismatched_grids() {
+        let a = ScalarField::zeros(grid_10x10_mm());
         let b = ScalarField::zeros(GridSpec::new(5, 5, Rect::from_mm(0.0, 0.0, 10.0, 10.0)));
-        a.accumulate(&b);
+        a.max_abs_diff(&b);
     }
 
     #[test]
     fn rasterize_conserves_total() {
-        let fp = FloorplanBuilder::new("t", 10.0, 10.0)
-            .block(
-                "a",
-                ComponentKind::Core(1),
-                Rect::from_mm(0.5, 0.5, 4.0, 4.0),
-            )
-            .block(
-                "b",
-                ComponentKind::Core(2),
-                Rect::from_mm(5.0, 5.0, 4.5, 4.5),
-            )
-            .build()
-            .unwrap();
         let grid = GridSpec::new(7, 9, Rect::from_mm(0.0, 0.0, 10.0, 10.0));
-        let f = rasterize(&fp, &grid, (0.0, 0.0), |b| match b.kind() {
-            ComponentKind::Core(1) => 10.0,
-            _ => 5.0,
-        });
+        let mut f = ScalarField::zeros(grid);
+        rasterize_rect(&mut f, &Rect::from_mm(0.5, 0.5, 4.0, 4.0), 10.0);
+        rasterize_rect(&mut f, &Rect::from_mm(5.0, 5.0, 4.5, 4.5), 5.0);
         assert!((f.total() - 15.0).abs() < 1e-9);
     }
 
     #[test]
     fn rasterize_respects_offset() {
-        let fp = FloorplanBuilder::new("t", 2.0, 2.0)
-            .block(
-                "a",
-                ComponentKind::Core(1),
-                Rect::from_mm(0.0, 0.0, 2.0, 2.0),
-            )
-            .build()
-            .unwrap();
         let grid = GridSpec::new(10, 10, Rect::from_mm(0.0, 0.0, 10.0, 10.0));
-        // Shift the 2×2 mm block to the middle of the 10×10 mm grid.
-        let f = rasterize(&fp, &grid, (4e-3, 4e-3), |_| 1.0);
+        let mut f = ScalarField::zeros(grid);
+        // Shift a 2×2 mm block to the middle of the 10×10 mm grid.
+        let block = Rect::from_mm(0.0, 0.0, 2.0, 2.0).translated(4e-3, 4e-3);
+        rasterize_rect(&mut f, &block, 1.0);
         assert!((f.total() - 1.0).abs() < 1e-9);
         assert_eq!(f.at(0, 0), 0.0);
         assert!(f.at(4, 4) > 0.0);
@@ -532,12 +448,9 @@ mod tests {
             nx in 3usize..20, ny in 3usize..20,
             value in 0.1f64..100.0,
         ) {
-            let fp = FloorplanBuilder::new("t", 10.0, 10.0)
-                .block("a", ComponentKind::Core(1), Rect::from_mm(bx, by, bw, bh))
-                .build()
-                .unwrap();
             let grid = GridSpec::new(nx, ny, Rect::from_mm(0.0, 0.0, 10.0, 10.0));
-            let f = rasterize(&fp, &grid, (0.0, 0.0), |_| value);
+            let mut f = ScalarField::zeros(grid);
+            rasterize_rect(&mut f, &Rect::from_mm(bx, by, bw, bh), value);
             prop_assert!((f.total() - value).abs() < 1e-9 * value.max(1.0));
             prop_assert!(f.min() >= 0.0);
         }

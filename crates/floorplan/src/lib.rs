@@ -14,14 +14,16 @@
 //! * [`GridSpec`]/[`ScalarField`] — regular simulation grids and the fields
 //!   (power, temperature, heat-transfer coefficient) exchanged between the
 //!   power, thermal and thermosyphon crates,
-//! * rasterization of block-level quantities onto grids ([`rasterize`]).
+//! * conservative rasterization of rectangles onto grids
+//!   ([`rasterize_rect`]).
 //!
 //! ```
 //! use tps_floorplan::xeon_e5_v4;
 //!
 //! let fp = xeon_e5_v4();
 //! assert_eq!(fp.cores().count(), 8);
-//! assert!((fp.die_area().to_mm2() - 246.0).abs() < 1.0);
+//! let die = fp.outline();
+//! assert!((die.width().to_mm() * die.height().to_mm() - 246.0).abs() < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,9 +38,8 @@ mod rect;
 mod xeon;
 
 pub use block::{Block, BlockId, ComponentKind};
-pub use error::FloorplanError;
-pub use grid::{rasterize, rasterize_rect, CellIndex, GridSpec, ScalarField};
+pub use grid::{rasterize_rect, CellIndex, GridSpec, ScalarField};
 pub use package::PackageGeometry;
-pub use plan::{Floorplan, FloorplanBuilder};
+pub use plan::Floorplan;
 pub use rect::Rect;
-pub use xeon::{xeon_e5_v4, CoreSlot, CoreTopology, XEON_CORE_COLS, XEON_CORE_ROWS};
+pub use xeon::{xeon_e5_v4, CoreSlot, CoreTopology};

@@ -34,7 +34,7 @@ impl PackageGeometry {
     /// # Panics
     ///
     /// Panics if the spreader is smaller than the die.
-    pub fn centered(die: &Floorplan, spreader_w_mm: f64, spreader_h_mm: f64) -> Self {
+    pub(crate) fn centered(die: &Floorplan, spreader_w_mm: f64, spreader_h_mm: f64) -> Self {
         let dw = die.width().to_mm();
         let dh = die.height().to_mm();
         assert!(

@@ -3,24 +3,19 @@
 use crate::block::{Block, BlockId, ComponentKind};
 use crate::error::FloorplanError;
 use crate::rect::Rect;
-use tps_units::{Meters, SquareMeters};
+use tps_units::Meters;
 
 /// A validated die floorplan: an outline plus non-overlapping [`Block`]s.
 ///
-/// Construct with [`FloorplanBuilder`]; validation guarantees that every
-/// block lies within the outline, no two blocks overlap, and core indices
-/// are unique.
+/// [`xeon_e5_v4`](crate::xeon_e5_v4) builds the paper's die; validation
+/// guarantees that every block lies within the outline, no two blocks
+/// overlap, and core indices are unique.
 ///
 /// ```
-/// use tps_floorplan::{ComponentKind, FloorplanBuilder, Rect};
-/// # fn main() -> Result<(), tps_floorplan::FloorplanError> {
-/// let fp = FloorplanBuilder::new("demo", 10.0, 10.0)
-///     .block("core1", ComponentKind::Core(1), Rect::from_mm(0.0, 0.0, 5.0, 10.0))
-///     .block("llc", ComponentKind::LastLevelCache, Rect::from_mm(5.0, 0.0, 5.0, 10.0))
-///     .build()?;
-/// assert_eq!(fp.blocks().len(), 2);
-/// # Ok(())
-/// # }
+/// use tps_floorplan::{xeon_e5_v4, ComponentKind};
+/// let fp = xeon_e5_v4();
+/// assert_eq!(fp.core(1).map(|b| b.kind()), Some(ComponentKind::Core(1)));
+/// assert!(fp.blocks().iter().all(|b| b.rect().within(fp.outline())));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
@@ -30,32 +25,22 @@ pub struct Floorplan {
 }
 
 impl Floorplan {
-    /// The floorplan's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The die outline (origin at the south-west corner).
     pub fn outline(&self) -> &Rect {
         &self.outline
     }
 
     /// Die width (east–west extent).
-    pub fn width(&self) -> Meters {
+    pub(crate) fn width(&self) -> Meters {
         self.outline.width()
     }
 
     /// Die height (north–south extent).
-    pub fn height(&self) -> Meters {
+    pub(crate) fn height(&self) -> Meters {
         self.outline.height()
     }
 
-    /// Total die area.
-    pub fn die_area(&self) -> SquareMeters {
-        self.outline.area()
-    }
-
-    /// All blocks, in insertion order (indexable by [`BlockId::index`]).
+    /// All blocks, in insertion order (the position a [`BlockId`] names).
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
     }
@@ -87,16 +72,6 @@ impl Floorplan {
             .find(|b| b.kind().core_index() == Some(index))
     }
 
-    /// Returns the first block of the given kind, if any.
-    pub fn block_of_kind(&self, kind: ComponentKind) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.kind() == kind)
-    }
-
-    /// Returns the block containing the point `(x, y)` in metres, if any.
-    pub fn block_at(&self, x: f64, y: f64) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.rect().contains(x, y))
-    }
-
     /// Fraction of the die outline covered by blocks (1.0 = fully tiled).
     pub fn coverage(&self) -> f64 {
         let covered: f64 = self.blocks.iter().map(|b| b.rect().area().value()).sum();
@@ -125,7 +100,7 @@ impl core::fmt::Display for Floorplan {
 ///
 /// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
 #[derive(Debug, Clone)]
-pub struct FloorplanBuilder {
+pub(crate) struct FloorplanBuilder {
     name: String,
     outline: Rect,
     blocks: Vec<Block>,
@@ -134,7 +109,7 @@ pub struct FloorplanBuilder {
 impl FloorplanBuilder {
     /// Starts a floorplan with the given name and outline size in
     /// millimetres.
-    pub fn new(name: impl Into<String>, width_mm: f64, height_mm: f64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, width_mm: f64, height_mm: f64) -> Self {
         Self {
             name: name.into(),
             outline: Rect::from_mm(0.0, 0.0, width_mm, height_mm),
@@ -143,7 +118,12 @@ impl FloorplanBuilder {
     }
 
     /// Adds a block. Validation happens in [`FloorplanBuilder::build`].
-    pub fn block(mut self, name: impl Into<String>, kind: ComponentKind, rect: Rect) -> Self {
+    pub(crate) fn block(
+        mut self,
+        name: impl Into<String>,
+        kind: ComponentKind,
+        rect: Rect,
+    ) -> Self {
         let id = BlockId(self.blocks.len());
         self.blocks.push(Block {
             id,
@@ -160,7 +140,7 @@ impl FloorplanBuilder {
     ///
     /// Returns [`FloorplanError`] if the floorplan is empty, a block leaves
     /// the outline, two blocks overlap, or a core index repeats.
-    pub fn build(self) -> Result<Floorplan, FloorplanError> {
+    pub(crate) fn build(self) -> Result<Floorplan, FloorplanError> {
         if self.blocks.is_empty() {
             return Err(FloorplanError::Empty);
         }
@@ -224,15 +204,10 @@ mod tests {
     #[test]
     fn build_and_query() {
         let fp = two_block_plan();
-        assert_eq!(fp.name(), "t");
+        assert_eq!(fp.name, "t");
         assert_eq!(fp.blocks().len(), 2);
-        assert_eq!(fp.core(1).unwrap().name(), "c1");
+        assert_eq!(fp.core(1).unwrap().name, "c1");
         assert!(fp.core(2).is_none());
-        assert_eq!(
-            fp.block_at(0.007, 0.005).unwrap().kind(),
-            ComponentKind::LastLevelCache
-        );
-        assert!(fp.block_at(0.02, 0.005).is_none());
         assert!((fp.coverage() - 1.0).abs() < 1e-12);
     }
 

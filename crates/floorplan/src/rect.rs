@@ -11,7 +11,7 @@ use tps_units::{Meters, SquareMeters};
 /// ```
 /// use tps_floorplan::Rect;
 /// let r = Rect::from_mm(0.0, 0.0, 18.0, 13.67); // the Broadwell-EP die
-/// assert!((r.area().to_mm2() - 246.06).abs() < 0.01);
+/// assert!((r.width().to_mm() * r.height().to_mm() - 246.06).abs() < 0.01);
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Rect {
@@ -22,15 +22,6 @@ pub struct Rect {
 }
 
 impl Rect {
-    /// Creates a rectangle from SI lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width or height is negative or non-finite.
-    pub fn new(x: Meters, y: Meters, w: Meters, h: Meters) -> Self {
-        Self::from_m(x.value(), y.value(), w.value(), h.value())
-    }
-
     /// Creates a rectangle from raw metre coordinates.
     ///
     /// # Panics
@@ -61,7 +52,7 @@ impl Rect {
 
     /// East (maximum-x) edge in metres.
     #[inline]
-    pub fn x_max(&self) -> f64 {
+    pub(crate) fn x_max(&self) -> f64 {
         self.x + self.w
     }
 
@@ -73,7 +64,7 @@ impl Rect {
 
     /// North (maximum-y) edge in metres.
     #[inline]
-    pub fn y_max(&self) -> f64 {
+    pub(crate) fn y_max(&self) -> f64 {
         self.y + self.h
     }
 
@@ -91,7 +82,7 @@ impl Rect {
 
     /// Area of the rectangle.
     #[inline]
-    pub fn area(&self) -> SquareMeters {
+    pub(crate) fn area(&self) -> SquareMeters {
         SquareMeters::new(self.w * self.h)
     }
 
@@ -114,7 +105,7 @@ impl Rect {
     }
 
     /// Area of the intersection of two rectangles (zero if disjoint).
-    pub fn intersection_area(&self, other: &Rect) -> SquareMeters {
+    pub(crate) fn intersection_area(&self, other: &Rect) -> SquareMeters {
         let dx = self.x_max().min(other.x_max()) - self.x_min().max(other.x_min());
         let dy = self.y_max().min(other.y_max()) - self.y_min().max(other.y_min());
         if dx > 0.0 && dy > 0.0 {
@@ -141,13 +132,6 @@ impl Rect {
             && self.y_min() >= outer.y_min() - EPS
             && self.x_max() <= outer.x_max() + EPS
             && self.y_max() <= outer.y_max() + EPS
-    }
-
-    /// Euclidean distance between the centres of two rectangles, in metres.
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        let (ax, ay) = self.center();
-        let (bx, by) = other.center();
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 }
 

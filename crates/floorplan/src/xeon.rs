@@ -21,9 +21,9 @@ const STRIP_H_MM: f64 = 1.2;
 const CORE_COL_W_MM: f64 = 4.5;
 
 /// Number of core-slot rows (row 4 holds the two reserved slots).
-pub const XEON_CORE_ROWS: usize = 5;
+pub(crate) const XEON_CORE_ROWS: usize = 5;
 /// Number of core-slot columns.
-pub const XEON_CORE_COLS: usize = 2;
+pub(crate) const XEON_CORE_COLS: usize = 2;
 
 /// A core-slot position on the die: `col` 0 is the western column, `row` 0 is
 /// the northern row. Rows 0–3 hold Core1–Core8; row 4 holds the two reserved
@@ -73,7 +73,7 @@ fn slot_of_core(index: u8) -> CoreSlot {
 /// use tps_floorplan::{xeon_e5_v4, ComponentKind};
 /// let fp = xeon_e5_v4();
 /// assert!((fp.coverage() - 1.0).abs() < 1e-9); // fully tiled
-/// assert!(fp.block_of_kind(ComponentKind::LastLevelCache).is_some());
+/// assert!(fp.blocks().iter().any(|b| b.kind() == ComponentKind::LastLevelCache));
 /// ```
 pub fn xeon_e5_v4() -> Floorplan {
     let mut b = FloorplanBuilder::new("xeon-e5-v4-broadwell-ep", DIE_W_MM, DIE_H_MM);
@@ -163,19 +163,6 @@ impl CoreTopology {
         slot_of_core(core)
     }
 
-    /// The core occupying a slot (rows 0–3 only; row 4 is reserved).
-    pub fn core_at(&self, slot: CoreSlot) -> Option<u8> {
-        if slot.row >= 4 || slot.col >= XEON_CORE_COLS {
-            return None;
-        }
-        let core = match slot.col {
-            1 => slot.row as u8 + 1,
-            0 => slot.row as u8 + 5,
-            _ => return None,
-        };
-        Some(core)
-    }
-
     /// Geometric centre of a core in die coordinates (metres).
     ///
     /// # Panics
@@ -190,14 +177,6 @@ impl CoreTopology {
     /// array (rows 0 and 3).
     pub fn is_corner(&self, slot: CoreSlot) -> bool {
         (slot.row == 0 || slot.row == 3) && slot.col < XEON_CORE_COLS
-    }
-
-    /// Cores sharing the given row — i.e. sharing the same east–west
-    /// micro-channel band when the thermosyphon flows east/west.
-    pub fn cores_in_row(&self, row: usize) -> Vec<u8> {
-        (0..XEON_CORE_COLS)
-            .filter_map(|col| self.core_at(CoreSlot { col, row }))
-            .collect()
     }
 
     /// Number of active cores per row for a given active set.
@@ -227,7 +206,7 @@ mod tests {
     #[test]
     fn die_area_matches_paper() {
         let fp = xeon_e5_v4();
-        assert!((fp.die_area().to_mm2() - 246.06).abs() < 0.1);
+        assert!((fp.outline().area().to_mm2() - 246.06).abs() < 0.1);
     }
 
     #[test]
@@ -251,7 +230,11 @@ mod tests {
     #[test]
     fn llc_occupies_east_half() {
         let fp = xeon_e5_v4();
-        let llc = fp.block_of_kind(ComponentKind::LastLevelCache).unwrap();
+        let llc = fp
+            .blocks()
+            .iter()
+            .find(|b| b.kind() == ComponentKind::LastLevelCache)
+            .unwrap();
         assert!(llc.rect().x_min() >= 8.9e-3);
         assert!((llc.rect().x_max() - 18.0e-3).abs() < 1e-9);
         // The LLC is half the die: the "dead" low-power east side.
@@ -267,12 +250,6 @@ mod tests {
         // Column 0 (west) holds cores 5–8 top to bottom.
         assert_eq!(topo.slot_of(5), CoreSlot { col: 0, row: 0 });
         assert_eq!(topo.slot_of(8), CoreSlot { col: 0, row: 3 });
-        // Inverse mapping agrees.
-        for c in 1..=8u8 {
-            assert_eq!(topo.core_at(topo.slot_of(c)), Some(c));
-        }
-        // Row 4 is reserved.
-        assert_eq!(topo.core_at(CoreSlot { col: 0, row: 4 }), None);
     }
 
     #[test]
@@ -291,7 +268,6 @@ mod tests {
         // Cores 1 and 5 share the north row.
         assert_eq!(topo.row_occupancy(&[1, 5]), [2, 0, 0, 0]);
         assert_eq!(topo.row_occupancy(&[1, 2, 3, 4]), [1, 1, 1, 1]);
-        assert_eq!(topo.cores_in_row(0), vec![5, 1]);
     }
 
     #[test]

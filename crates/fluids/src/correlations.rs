@@ -9,33 +9,15 @@
 //! (dryout), which makes the channel outlet run hotter than the inlet and
 //! penalizes co-linear hot spots that share channels.
 
-use tps_units::{
-    Density, DynamicViscosity, Fraction, HeatFlux, HeatTransferCoeff, SpecificHeat,
-    ThermalConductivity,
-};
+use tps_units::{Density, DynamicViscosity, Fraction, HeatFlux, HeatTransferCoeff};
 
-/// Cooper's pool-boiling correlation (1984):
+/// The flux-independent factor of Cooper's pool-boiling correlation (1984),
 /// `h = 55 · p_r^(0.12−0.2·log10 Rp) · (−log10 p_r)^(−0.55) · M^(−0.5) · q″^0.67`
-/// with surface roughness `Rp` in µm and molar mass `M` in kg/kmol.
+/// with surface roughness `Rp` in µm and molar mass `M` in kg/kmol, for
+/// callers that evaluate many fluxes at one pressure.
 ///
 /// Valid for `0.001 < p_r < 0.9` and fluxes up to several hundred kW/m² —
 /// comfortably covering the evaporator's ~10–200 kW/m² envelope.
-///
-/// # Panics
-///
-/// Panics if `p_reduced` is outside `(0, 1)` or inputs are non-positive.
-pub fn cooper_pool_boiling(
-    p_reduced: f64,
-    molar_mass: f64,
-    q: HeatFlux,
-    roughness_um: f64,
-) -> HeatTransferCoeff {
-    cooper_with_prefactor(cooper_prefactor(p_reduced, molar_mass, roughness_um), q)
-}
-
-/// The flux-independent factor of [`cooper_pool_boiling`],
-/// `55 · p_r^(0.12−0.2·log10 Rp) · (−log10 p_r)^(−0.55) · M^(−0.5)`, for
-/// callers that evaluate many fluxes at one pressure.
 ///
 /// # Panics
 ///
@@ -50,7 +32,7 @@ pub fn cooper_prefactor(p_reduced: f64, molar_mass: f64, roughness_um: f64) -> f
     55.0 * p_reduced.powf(exp_pr) * (-p_reduced.log10()).powf(-0.55) * molar_mass.powf(-0.5)
 }
 
-/// [`cooper_pool_boiling`] from its [`cooper_prefactor`]:
+/// Cooper's correlation from its [`cooper_prefactor`]:
 /// `prefactor · q″^0.67`, with the flux floored at 1 W/m² so that zero flux
 /// does not give `h = 0`. Multiplying in this order rounds exactly like the
 /// correlation's single left-to-right product.
@@ -75,64 +57,6 @@ pub fn flow_boiling_factor(x: Fraction, x_crit: Fraction) -> f64 {
         (-12.0 * (x - x_crit.value())).exp()
     };
     (enhancement * dry).max(0.05)
-}
-
-/// Fully developed laminar Nusselt number for a circular duct with constant
-/// heat flux (`Nu = 4.36`); micro-channel liquid flow is laminar
-/// (`Re ~ 100–1000`).
-pub fn laminar_nusselt() -> f64 {
-    4.36
-}
-
-/// Single-phase convective coefficient `h = Nu·k/D_h` for laminar duct flow.
-///
-/// # Panics
-///
-/// Panics if the hydraulic diameter is not positive.
-pub fn laminar_htc(k: ThermalConductivity, hydraulic_diameter_m: f64) -> HeatTransferCoeff {
-    assert!(
-        hydraulic_diameter_m > 0.0,
-        "hydraulic diameter must be positive"
-    );
-    HeatTransferCoeff::new(laminar_nusselt() * k.value() / hydraulic_diameter_m)
-}
-
-/// Dittus–Boelter correlation `Nu = 0.023·Re^0.8·Pr^0.4` (heating) for
-/// turbulent duct flow (`Re > 4000`), used on the condenser's water side
-/// when the flow turns turbulent.
-///
-/// # Panics
-///
-/// Panics if `re` or `pr` is not positive.
-pub fn dittus_boelter_nusselt(re: f64, pr: f64) -> f64 {
-    assert!(re > 0.0 && pr > 0.0, "Re and Pr must be positive");
-    0.023 * re.powf(0.8) * pr.powf(0.4)
-}
-
-/// Reynolds number from mass flux `G` (kg/m²s), hydraulic diameter and
-/// viscosity.
-///
-/// # Panics
-///
-/// Panics if the viscosity is not positive.
-pub fn reynolds(mass_flux: f64, hydraulic_diameter_m: f64, mu: DynamicViscosity) -> f64 {
-    assert!(mu.value() > 0.0, "viscosity must be positive");
-    mass_flux * hydraulic_diameter_m / mu.value()
-}
-
-/// Prandtl number `c_p·μ/k`.
-pub fn prandtl(cp: SpecificHeat, mu: DynamicViscosity, k: ThermalConductivity) -> f64 {
-    cp.value() * mu.value() / k.value()
-}
-
-/// Darcy friction factor for laminar duct flow, `f = 64/Re`.
-///
-/// # Panics
-///
-/// Panics if `re` is not positive.
-pub fn laminar_friction_factor(re: f64) -> f64 {
-    assert!(re > 0.0, "Re must be positive");
-    64.0 / re
 }
 
 /// Lockhart–Martinelli two-phase frictional multiplier `φ_l²` on the
@@ -183,6 +107,16 @@ mod tests {
     use crate::refrigerant::Refrigerant;
     use proptest::prelude::*;
     use tps_units::Celsius;
+
+    /// Cooper's pool-boiling correlation through the shipped split form.
+    fn cooper_pool_boiling(
+        p_reduced: f64,
+        molar_mass: f64,
+        q: HeatFlux,
+        roughness_um: f64,
+    ) -> HeatTransferCoeff {
+        cooper_with_prefactor(cooper_prefactor(p_reduced, molar_mass, roughness_um), q)
+    }
 
     #[test]
     fn cooper_magnitude_for_r236fa() {
@@ -242,25 +176,6 @@ mod tests {
         let low = flow_boiling_factor(x, Fraction::new(0.3).unwrap());
         let high = flow_boiling_factor(x, Fraction::new(0.6).unwrap());
         assert!(low < high);
-    }
-
-    #[test]
-    fn laminar_htc_scale() {
-        // k = 0.0744 W/mK, D_h = 0.8 mm ⇒ h ≈ 405 W/m²K.
-        let h = laminar_htc(ThermalConductivity::new(0.0744), 0.8e-3);
-        assert!((h.value() - 405.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn dittus_boelter_magnitude() {
-        // Re = 10⁴, Pr = 6 ⇒ Nu ≈ 75.
-        let nu = dittus_boelter_nusselt(1e4, 6.0);
-        assert!((nu - 74.6).abs() < 2.0, "Nu = {nu}");
-    }
-
-    #[test]
-    fn friction_factor_laminar() {
-        assert!((laminar_friction_factor(640.0) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   alternatives explored by the design optimizer (R134a, R245fa),
 //! * [`Water`] — liquid-water properties for the condenser/chiller loop,
 //! * [`correlations`] — Cooper pool boiling, flow-boiling enhancement with
-//!   dryout, laminar/turbulent single-phase convection, Lockhart–Martinelli
-//!   two-phase friction and the homogeneous void fraction.
+//!   dryout, Lockhart–Martinelli two-phase friction and the homogeneous void
+//!   fraction.
 //!
 //! Property fits are anchored to tabulated data at 0–50 °C (the operating
 //! envelope of a 20–35 °C water loop) and documented per method; they are
@@ -19,11 +19,11 @@
 //!
 //! ```
 //! use tps_fluids::Refrigerant;
-//! use tps_units::Celsius;
+//! use tps_units::Pascals;
 //!
 //! let r = Refrigerant::R236fa;
-//! let p = r.saturation_pressure(Celsius::new(25.0));
-//! assert!((p.to_kpa() - 272.0).abs() < 15.0); // ≈ 2.7 bar at 25 °C
+//! let t = r.saturation_temperature(Pascals::from_kpa(272.0));
+//! assert!((t.value() - 25.0).abs() < 1.5); // ≈ 2.7 bar at 25 °C
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,8 +1,6 @@
 //! Refrigerant property correlations.
 
-use tps_units::{
-    Celsius, Density, DynamicViscosity, JoulesPerKg, Pascals, SpecificHeat, ThermalConductivity,
-};
+use tps_units::{Celsius, Density, DynamicViscosity, JoulesPerKg, Pascals};
 
 /// Universal gas constant, J/(mol·K).
 const R_GAS: f64 = 8.314_462;
@@ -37,7 +35,7 @@ impl Refrigerant {
     }
 
     /// Critical pressure.
-    pub fn critical_pressure(self) -> Pascals {
+    pub(crate) fn critical_pressure(self) -> Pascals {
         match self {
             Refrigerant::R236fa => Pascals::from_kpa(3200.0),
             Refrigerant::R134a => Pascals::from_kpa(4059.0),
@@ -46,7 +44,7 @@ impl Refrigerant {
     }
 
     /// Critical temperature (kelvin).
-    pub fn critical_temperature_k(self) -> f64 {
+    pub(crate) fn critical_temperature_k(self) -> f64 {
         match self {
             Refrigerant::R236fa => 398.07,
             Refrigerant::R134a => 374.21,
@@ -69,7 +67,7 @@ impl Refrigerant {
     /// # Panics
     ///
     /// Panics if `t_sat` is outside the fitted −20…80 °C envelope.
-    pub fn saturation_pressure(self, t_sat: Celsius) -> Pascals {
+    pub(crate) fn saturation_pressure(self, t_sat: Celsius) -> Pascals {
         self.assert_envelope(t_sat);
         let (a, b, c) = self.antoine();
         Pascals::from_kpa(10f64.powf(a - b / (t_sat.value() + c)))
@@ -123,28 +121,6 @@ impl Refrigerant {
         let p = self.saturation_pressure(t_sat).value();
         let m_kg_per_mol = self.molar_mass() * 1e-3;
         Density::new(p * m_kg_per_mol / (0.9 * R_GAS * t_sat.to_kelvin().value()))
-    }
-
-    /// Saturated-liquid specific heat.
-    pub fn liquid_specific_heat(self, t_sat: Celsius) -> SpecificHeat {
-        self.assert_envelope(t_sat);
-        let cp25 = match self {
-            Refrigerant::R236fa => 1220.0,
-            Refrigerant::R134a => 1425.0,
-            Refrigerant::R245fa => 1322.0,
-        };
-        SpecificHeat::new(cp25 + 3.0 * (t_sat.value() - 25.0))
-    }
-
-    /// Saturated-liquid thermal conductivity.
-    pub fn liquid_conductivity(self, t_sat: Celsius) -> ThermalConductivity {
-        self.assert_envelope(t_sat);
-        let k25 = match self {
-            Refrigerant::R236fa => 0.0744,
-            Refrigerant::R134a => 0.0824,
-            Refrigerant::R245fa => 0.0870,
-        };
-        ThermalConductivity::new(k25 - 0.0004 * (t_sat.value() - 25.0))
     }
 
     /// Saturated-liquid dynamic viscosity (exponential decline with T).
@@ -264,8 +240,6 @@ mod tests {
                 prop_assert!(r.liquid_density(tc).value() > 0.0);
                 prop_assert!(r.vapor_density(tc).value() > 0.0);
                 prop_assert!(r.latent_heat(tc).value() > 0.0);
-                prop_assert!(r.liquid_specific_heat(tc).value() > 0.0);
-                prop_assert!(r.liquid_conductivity(tc).value() > 0.0);
                 prop_assert!(r.liquid_viscosity(tc).value() > 0.0);
                 prop_assert!(r.reduced_pressure(tc) > 0.0 && r.reduced_pressure(tc) < 1.0);
             }

@@ -1,6 +1,6 @@
 //! Liquid-water properties for the condenser / chiller loop.
 
-use tps_units::{Celsius, Density, DynamicViscosity, SpecificHeat, ThermalConductivity};
+use tps_units::{Celsius, Density, SpecificHeat};
 
 /// Liquid water in the 5–60 °C chiller envelope.
 ///
@@ -26,23 +26,6 @@ impl Water {
         SpecificHeat::new(4181.0)
     }
 
-    /// Thermal conductivity.
-    pub fn conductivity(t: Celsius) -> ThermalConductivity {
-        Self::assert_envelope(t);
-        ThermalConductivity::new(0.606 + 0.0011 * (t.value() - 25.0))
-    }
-
-    /// Dynamic viscosity (exponential fit: 0.89 mPa·s at 25 °C).
-    pub fn viscosity(t: Celsius) -> DynamicViscosity {
-        Self::assert_envelope(t);
-        DynamicViscosity::new(0.89e-3 * (-0.02 * (t.value() - 25.0)).exp())
-    }
-
-    /// Prandtl number.
-    pub fn prandtl(t: Celsius) -> f64 {
-        Self::specific_heat(t).value() * Self::viscosity(t).value() / Self::conductivity(t).value()
-    }
-
     fn assert_envelope(t: Celsius) {
         assert!(
             (0.0..=80.0).contains(&t.value()),
@@ -58,22 +41,6 @@ mod tests {
     #[test]
     fn anchors() {
         assert!((Water::density(Celsius::new(25.0)).value() - 997.0).abs() < 0.1);
-        assert!((Water::viscosity(Celsius::new(25.0)).value() - 0.89e-3).abs() < 1e-6);
-        assert!((Water::conductivity(Celsius::new(25.0)).value() - 0.606).abs() < 1e-6);
-    }
-
-    #[test]
-    fn prandtl_near_6_at_25c() {
-        let pr = Water::prandtl(Celsius::new(25.0));
-        assert!((pr - 6.1).abs() < 0.3, "Pr = {pr}");
-    }
-
-    #[test]
-    fn viscosity_decreases_with_temperature() {
-        assert!(
-            Water::viscosity(Celsius::new(40.0)).value()
-                < Water::viscosity(Celsius::new(20.0)).value()
-        );
     }
 
     #[test]

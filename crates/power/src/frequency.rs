@@ -37,7 +37,7 @@ impl CoreFrequency {
     /// The core supply voltage at this operating point (approximate
     /// Broadwell-EP V/f curve; used only through the relative
     /// [`CoreFrequency::dvfs_scale`]).
-    pub fn voltage(self) -> Volts {
+    pub(crate) fn voltage(self) -> Volts {
         match self {
             CoreFrequency::F2_6 => Volts::new(0.95),
             CoreFrequency::F2_9 => Volts::new(1.05),
@@ -46,13 +46,7 @@ impl CoreFrequency {
     }
 
     /// Dynamic-power scale relative to `f_max`: `(f·V²) / (f_max·V_max²)`.
-    ///
-    /// ```
-    /// use tps_power::CoreFrequency;
-    /// assert_eq!(CoreFrequency::F3_2.dvfs_scale(), 1.0);
-    /// assert!(CoreFrequency::F2_6.dvfs_scale() < 0.6);
-    /// ```
-    pub fn dvfs_scale(self) -> f64 {
+    pub(crate) fn dvfs_scale(self) -> f64 {
         let fv2 = |f: CoreFrequency| f.ghz().value() * f.voltage().value().powi(2);
         fv2(self) / fv2(CoreFrequency::MAX)
     }
@@ -100,22 +94,17 @@ impl UncoreFrequency {
     }
 
     /// The lowest operating point.
-    pub fn min() -> Self {
+    pub(crate) fn min() -> Self {
         Self(GigaHertz::new(Self::MIN_GHZ))
     }
 
     /// The highest operating point.
-    pub fn max() -> Self {
+    pub(crate) fn max() -> Self {
         Self(GigaHertz::new(Self::MAX_GHZ))
     }
 
-    /// The clock frequency.
-    pub fn ghz(self) -> GigaHertz {
-        self.0
-    }
-
     /// Position of this frequency within the range, in `[0, 1]`.
-    pub fn range_fraction(self) -> f64 {
+    pub(crate) fn range_fraction(self) -> f64 {
         (self.0.value() - Self::MIN_GHZ) / (Self::MAX_GHZ - Self::MIN_GHZ)
     }
 }
@@ -155,8 +144,8 @@ mod tests {
 
     #[test]
     fn uncore_clamps() {
-        assert_eq!(UncoreFrequency::new(GigaHertz::new(5.0)).ghz().value(), 2.8);
-        assert_eq!(UncoreFrequency::new(GigaHertz::new(0.5)).ghz().value(), 1.2);
+        assert_eq!(UncoreFrequency::new(GigaHertz::new(5.0)).0.value(), 2.8);
+        assert_eq!(UncoreFrequency::new(GigaHertz::new(0.5)).0.value(), 1.2);
         assert_eq!(UncoreFrequency::min().range_fraction(), 0.0);
         assert_eq!(UncoreFrequency::max().range_fraction(), 1.0);
     }

@@ -47,7 +47,7 @@ impl DiePowerBreakdown {
     }
 
     /// The power assigned to a component kind.
-    pub fn power_of(&self, kind: ComponentKind) -> Watts {
+    pub(crate) fn power_of(&self, kind: ComponentKind) -> Watts {
         match kind {
             ComponentKind::Core(i) if (1..=8).contains(&i) => self.core[i as usize - 1],
             ComponentKind::Core(_) => Watts::ZERO,

@@ -46,16 +46,6 @@ impl UncorePowerModel {
         }
     }
 
-    /// The constant (static) uncore component.
-    pub fn static_power(&self) -> Watts {
-        Watts::new(self.static_w)
-    }
-
-    /// The worst-case LLC power.
-    pub fn llc_max_power(&self) -> Watts {
-        Watts::new(self.llc_max_w)
-    }
-
     /// Memory-controller + IO power at an uncore operating point
     /// (excluding the LLC contribution).
     pub fn mem_io_power(&self, freq: UncoreFrequency) -> Watts {
@@ -77,7 +67,7 @@ impl UncorePowerModel {
     }
 
     /// Total uncore power: memory controller + IO + LLC.
-    pub fn total_power(&self, freq: UncoreFrequency, llc_activity: f64) -> Watts {
+    pub(crate) fn total_power(&self, freq: UncoreFrequency, llc_activity: f64) -> Watts {
         self.mem_io_power(freq) + self.llc_power(llc_activity)
     }
 }
@@ -108,13 +98,12 @@ impl IdlePowerModel {
         }
     }
 
-    /// The uncore sub-model.
-    pub fn uncore(&self) -> &UncorePowerModel {
-        &self.uncore
-    }
-
     /// Uncore frequency assumed while the package idles in `cstate`.
-    pub fn idle_uncore_frequency(&self, cstate: CState, freq: CoreFrequency) -> UncoreFrequency {
+    pub(crate) fn idle_uncore_frequency(
+        &self,
+        cstate: CState,
+        freq: CoreFrequency,
+    ) -> UncoreFrequency {
         match cstate {
             CState::Poll | CState::C1 => {
                 let ghz = match freq {
@@ -129,7 +118,7 @@ impl IdlePowerModel {
     }
 
     /// Uncore power while the package idles in `cstate`.
-    pub fn uncore_idle_power(&self, cstate: CState, freq: CoreFrequency) -> Watts {
+    pub(crate) fn uncore_idle_power(&self, cstate: CState, freq: CoreFrequency) -> Watts {
         self.uncore
             .total_power(self.idle_uncore_frequency(cstate, freq), 0.0)
     }
@@ -181,18 +170,13 @@ pub struct ActiveCorePower {
 
 impl ActiveCorePower {
     /// SMT activity factor for two hardware threads per core.
-    pub const SMT_FACTOR: f64 = 1.15;
+    pub(crate) const SMT_FACTOR: f64 = 1.15;
 
     /// The Xeon E5 v4 model.
     pub fn xeon_e5_v4() -> Self {
         Self {
             idle: IdlePowerModel::xeon_e5_v4(),
         }
-    }
-
-    /// The idle sub-model.
-    pub fn idle(&self) -> &IdlePowerModel {
-        &self.idle
     }
 
     /// Power of one active core.
@@ -289,7 +273,7 @@ mod tests {
         let smt = a.power(CoreFrequency::F3_2, dyn_fmax, 1.0, 2);
         assert!(low < high && high < smt);
         // At f_max, 1 thread, full utilization: POLL idle + dyn.
-        let expected = a.idle().core_idle_power(CState::Poll, CoreFrequency::F3_2) + dyn_fmax;
+        let expected = a.idle.core_idle_power(CState::Poll, CoreFrequency::F3_2) + dyn_fmax;
         assert!((high.value() - expected.value()).abs() < 1e-12);
     }
 

@@ -26,10 +26,9 @@ pub enum RaplDomain {
 ///
 /// let mut rapl = RaplCounter::new();
 /// rapl.advance(Seconds::new(2.0), Watts::new(50.0), Watts::new(35.0));
-/// assert_eq!(rapl.energy_joules(RaplDomain::Package), 100.0);
-/// assert_eq!(rapl.energy_joules(RaplDomain::Uncore), 30.0);
-/// let avg = rapl.average_power(RaplDomain::Cores);
-/// assert_eq!(avg, Watts::new(35.0));
+/// assert_eq!(rapl.average_power(RaplDomain::Package), Watts::new(50.0));
+/// assert_eq!(rapl.average_power(RaplDomain::Uncore), Watts::new(15.0));
+/// assert_eq!(rapl.average_power(RaplDomain::Cores), Watts::new(35.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RaplCounter {
@@ -60,13 +59,8 @@ impl RaplCounter {
         self.cores_j += cores.value() * dt.value();
     }
 
-    /// Total elapsed simulated time.
-    pub fn elapsed(&self) -> Seconds {
-        Seconds::new(self.elapsed_s)
-    }
-
     /// Accumulated energy of a domain, in joules.
-    pub fn energy_joules(&self, domain: RaplDomain) -> f64 {
+    pub(crate) fn energy_joules(&self, domain: RaplDomain) -> f64 {
         match domain {
             RaplDomain::Package => self.pkg_j,
             RaplDomain::Cores => self.cores_j,
@@ -82,17 +76,6 @@ impl RaplCounter {
             Watts::new(self.energy_joules(domain) / self.elapsed_s)
         }
     }
-
-    /// Difference to an earlier snapshot, as a window-average power.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not actually earlier.
-    pub fn window_power(&self, earlier: &RaplCounter, domain: RaplDomain) -> Watts {
-        let dt = self.elapsed_s - earlier.elapsed_s;
-        assert!(dt > 0.0, "window must have positive duration");
-        Watts::new((self.energy_joules(domain) - earlier.energy_joules(domain)) / dt)
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +89,7 @@ mod tests {
         let e1 = r.energy_joules(RaplDomain::Package);
         r.advance(Seconds::new(1.0), Watts::new(40.0), Watts::new(30.0));
         assert!(r.energy_joules(RaplDomain::Package) > e1);
-        assert_eq!(r.elapsed(), Seconds::new(2.0));
-    }
-
-    #[test]
-    fn window_power() {
-        let mut r = RaplCounter::new();
-        r.advance(Seconds::new(1.0), Watts::new(40.0), Watts::new(30.0));
-        let snap = r.clone();
-        r.advance(Seconds::new(2.0), Watts::new(70.0), Watts::new(55.0));
-        assert_eq!(r.window_power(&snap, RaplDomain::Package), Watts::new(70.0));
-        assert_eq!(r.window_power(&snap, RaplDomain::Cores), Watts::new(55.0));
-        assert_eq!(r.window_power(&snap, RaplDomain::Uncore), Watts::new(15.0));
+        assert_eq!(r.elapsed_s, 2.0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl TopBoundary {
     }
 
     /// The per-cell fluid temperature (°C).
-    pub fn fluid_temp(&self) -> &ScalarField {
+    pub(crate) fn fluid_temp(&self) -> &ScalarField {
         &self.fluid_temp
     }
 }

@@ -1,18 +1,18 @@
-//! A 3-D compact RC thermal simulator in the spirit of 3D-ICE.
+//! A 3-D compact steady-state thermal simulator in the spirit of 3D-ICE.
 //!
 //! The paper obtains die temperatures with the 3D-ICE compact transient
-//! thermal simulator \[20\]\[21\]; this crate is our from-scratch substitute.
+//! thermal simulator \[20\]\[21\]; this crate is our from-scratch substitute,
+//! and, like the paper's evaluation, it solves the steady state only.
 //! The chip stack (silicon die → TIM → copper heat spreader → TIM → evaporator
 //! base) is discretized into a regular 3-D grid of finite-volume cells
 //! connected by thermal conductances. The top surface exchanges heat with the
 //! thermosyphon refrigerant through a per-cell heat-transfer-coefficient
 //! field; power enters at the die's device layer.
 //!
-//! * [`Material`], [`Layer`], [`LayerStack`] — stack description,
+//! * [`Material`], [`LayerStack`] — stack description,
 //! * [`ThermalModel`] — assembled conductance network,
 //! * [`ThermalModel::steady_state`] — Jacobi-preconditioned conjugate
 //!   gradient on the (symmetric positive definite) conduction system,
-//! * [`ThermalModel::transient_step`] — implicit-Euler time stepping,
 //! * [`ThermalMetrics`] — θ_max, θ_avg and the maximum spatial gradient
 //!   ∇θ_max (°C/mm) the paper reports in Figs. 2/5/6 and Table II,
 //! * [`render_ascii`] — terminal heat maps for the figure binaries.
@@ -49,8 +49,8 @@ mod stack;
 
 pub use boundary::{BottomBoundary, TopBoundary};
 pub use material::Material;
-pub use metrics::{gradient_field, hotspot_count, ThermalMetrics};
-pub use model::{ThermalModel, ThermalSolution, TransientState};
+pub use metrics::ThermalMetrics;
+pub use model::{ThermalModel, ThermalSolution};
 pub use render::{render_ascii, write_csv};
 pub use solver::{CgSolver, SolveStats, SolverError};
-pub use stack::{Layer, LayerStack, StackBuilder, StackError};
+pub use stack::{LayerStack, StackBuilder, StackError};

@@ -1,20 +1,26 @@
 //! Solid materials of the chip stack.
 
-use tps_units::{Density, SpecificHeat, ThermalConductivity};
+use tps_units::ThermalConductivity;
 
-/// A homogeneous solid material: conductivity plus volumetric heat capacity.
+/// A homogeneous solid material: a name and a thermal conductivity.
 ///
 /// ```
-/// use tps_thermal::Material;
-/// let si = Material::silicon();
-/// assert!((si.conductivity().value() - 120.0).abs() < 1.0);
+/// use tps_floorplan::{GridSpec, Rect};
+/// use tps_thermal::{LayerStack, Material, ThermalModel};
+///
+/// let extent = Rect::from_mm(0.0, 0.0, 10.0, 10.0);
+/// let stack = LayerStack::builder(extent)
+///     .layer("die", Material::silicon(), 0.7e-3)
+///     .layer("spreader", Material::copper(), 2.0e-3)
+///     .build()?;
+/// let model = ThermalModel::new(&stack, GridSpec::new(10, 10, extent));
+/// assert_eq!(model.n_layers(), 2);
+/// # Ok::<(), tps_thermal::StackError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Material {
     name: &'static str,
     k: ThermalConductivity,
-    rho: Density,
-    cp: SpecificHeat,
 }
 
 impl Material {
@@ -22,91 +28,51 @@ impl Material {
     ///
     /// # Panics
     ///
-    /// Panics if any property is non-positive.
-    pub fn new(name: &'static str, k: ThermalConductivity, rho: Density, cp: SpecificHeat) -> Self {
+    /// Panics if the conductivity is non-positive.
+    pub(crate) fn new(name: &'static str, k: ThermalConductivity) -> Self {
         assert!(
-            k.value() > 0.0 && rho.value() > 0.0 && cp.value() > 0.0,
+            k.value() > 0.0,
             "material `{name}` must have positive properties"
         );
-        Self { name, k, rho, cp }
+        Self { name, k }
     }
 
     /// Bulk silicon at operating temperature (k ≈ 120 W/mK around 60 °C).
     pub fn silicon() -> Self {
-        Self::new(
-            "silicon",
-            ThermalConductivity::new(120.0),
-            Density::new(2330.0),
-            SpecificHeat::new(712.0),
-        )
+        Self::new("silicon", ThermalConductivity::new(120.0))
     }
 
     /// Copper (heat spreader, evaporator base).
     pub fn copper() -> Self {
-        Self::new(
-            "copper",
-            ThermalConductivity::new(390.0),
-            Density::new(8960.0),
-            SpecificHeat::new(385.0),
-        )
+        Self::new("copper", ThermalConductivity::new(390.0))
     }
 
     /// Thermal grease at the die ↔ spreader interface (TIM1). The value is
     /// calibrated so the full-load die-to-case temperature drop matches the
     /// paper's reported hot spots (ARCHITECTURE.md §7).
     pub fn tim_grease() -> Self {
-        Self::new(
-            "tim-grease",
-            ThermalConductivity::new(3.2),
-            Density::new(2500.0),
-            SpecificHeat::new(1000.0),
-        )
+        Self::new("tim-grease", ThermalConductivity::new(3.2))
     }
 
     /// Grease interface between spreader and evaporator base (TIM2);
     /// slightly better than TIM1 thanks to the clamped flat surfaces.
-    pub fn tim_mount() -> Self {
-        Self::new(
-            "tim-mount",
-            ThermalConductivity::new(5.0),
-            Density::new(2500.0),
-            SpecificHeat::new(1000.0),
-        )
+    pub(crate) fn tim_mount() -> Self {
+        Self::new("tim-mount", ThermalConductivity::new(5.0))
     }
 
     /// Organic package fill surrounding the die (low conductivity).
-    pub fn underfill() -> Self {
-        Self::new(
-            "underfill",
-            ThermalConductivity::new(0.9),
-            Density::new(1700.0),
-            SpecificHeat::new(1100.0),
-        )
+    pub(crate) fn underfill() -> Self {
+        Self::new("underfill", ThermalConductivity::new(0.9))
     }
 
     /// The material's name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Thermal conductivity.
-    pub fn conductivity(&self) -> ThermalConductivity {
+    pub(crate) fn conductivity(&self) -> ThermalConductivity {
         self.k
-    }
-
-    /// Mass density.
-    pub fn density(&self) -> Density {
-        self.rho
-    }
-
-    /// Specific heat capacity.
-    pub fn specific_heat(&self) -> SpecificHeat {
-        self.cp
-    }
-
-    /// Volumetric heat capacity ρ·c_p in J/(m³·K).
-    pub fn volumetric_heat_capacity(&self) -> f64 {
-        self.rho.value() * self.cp.value()
     }
 }
 
@@ -123,8 +89,7 @@ mod tests {
             Material::tim_mount(),
             Material::underfill(),
         ] {
-            assert!(m.conductivity().value() > 0.0);
-            assert!(m.volumetric_heat_capacity() > 1e5, "{}", m.name());
+            assert!(m.conductivity().value() > 0.0, "{}", m.name());
         }
         assert!(Material::copper().conductivity() > Material::silicon().conductivity());
         assert!(Material::underfill().conductivity() < Material::tim_grease().conductivity());
@@ -133,11 +98,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive properties")]
     fn rejects_nonpositive() {
-        let _ = Material::new(
-            "bad",
-            ThermalConductivity::new(0.0),
-            Density::new(1.0),
-            SpecificHeat::new(1.0),
-        );
+        let _ = Material::new("bad", ThermalConductivity::new(0.0));
     }
 }

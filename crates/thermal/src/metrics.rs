@@ -14,8 +14,8 @@ pub struct ThermalMetrics {
     /// Maximum spatial gradient ∇θ_max in °C/mm, computed between
     /// face-adjacent cells within the region.
     pub max_gradient_c_per_mm: f64,
-    /// Number of distinct hot spots: local maxima at least
-    /// [`ThermalMetrics::HOTSPOT_PROMINENCE_C`] above the region average
+    /// Number of distinct hot spots: local maxima at least 3 °C above the
+    /// region average
     /// (the paper's mapping objective minimises "the number and magnitude
     /// of hot spots").
     pub hotspots: usize,
@@ -24,7 +24,7 @@ pub struct ThermalMetrics {
 impl ThermalMetrics {
     /// Prominence above the region average for a local maximum to count as
     /// a hot spot.
-    pub const HOTSPOT_PROMINENCE_C: f64 = 3.0;
+    pub(crate) const HOTSPOT_PROMINENCE_C: f64 = 3.0;
 
     /// Computes metrics over the cells whose centres lie in `region`.
     ///
@@ -68,7 +68,7 @@ impl core::fmt::Display for ThermalMetrics {
 /// °C above the region average. Plateaus of equal-temperature cells count
 /// once per connected run along x (a practical tie-break that keeps the
 /// count stable under grid refinement).
-pub fn hotspot_count(field: &ScalarField, region: &Rect, prominence: f64) -> usize {
+pub(crate) fn hotspot_count(field: &ScalarField, region: &Rect, prominence: f64) -> usize {
     let spec = field.spec();
     let avg = match field.mean_in_rect(region) {
         Some(a) => a,
@@ -121,7 +121,7 @@ pub fn hotspot_count(field: &ScalarField, region: &Rect, prominence: f64) -> usi
 
 /// Maximum |ΔT|/distance between face-adjacent cells whose centres both lie
 /// in `region`, in °C/mm.
-pub fn max_gradient_in_rect(field: &ScalarField, region: &Rect) -> f64 {
+pub(crate) fn max_gradient_in_rect(field: &ScalarField, region: &Rect) -> f64 {
     let spec = field.spec();
     let dx_mm = spec.cell_w() * 1e3;
     let dy_mm = spec.cell_h() * 1e3;
@@ -148,35 +148,6 @@ pub fn max_gradient_in_rect(field: &ScalarField, region: &Rect) -> f64 {
     g
 }
 
-/// The per-cell gradient-magnitude field in °C/mm (central differences;
-/// one-sided at the walls). Useful for visualising where gradients peak.
-pub fn gradient_field(field: &ScalarField) -> ScalarField {
-    let spec = field.spec().clone();
-    let dx_mm = spec.cell_w() * 1e3;
-    let dy_mm = spec.cell_h() * 1e3;
-    let nx = spec.nx();
-    let ny = spec.ny();
-    ScalarField::from_fn(spec.clone(), |x, y| {
-        let c = spec
-            .cell_at(x, y)
-            .expect("from_fn evaluates at cell centres");
-        let (ix, iy) = (c.ix, c.iy);
-        let (x0, x1, lx) = match ix {
-            0 => (ix, ix + 1, dx_mm),
-            i if i + 1 == nx => (ix - 1, ix, dx_mm),
-            _ => (ix - 1, ix + 1, 2.0 * dx_mm),
-        };
-        let gx = (field.at(x1, iy) - field.at(x0, iy)) / lx;
-        let (y0, y1, ly) = match iy {
-            0 => (iy, iy + 1, dy_mm),
-            i if i + 1 == ny => (iy - 1, iy, dy_mm),
-            _ => (iy - 1, iy + 1, 2.0 * dy_mm),
-        };
-        let gy = (field.at(ix, y1) - field.at(ix, y0)) / ly;
-        (gx * gx + gy * gy).sqrt()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,9 +172,6 @@ mod tests {
         let f = ScalarField::from_fn(grid(), |x, _| 1000.0 * x);
         let m = ThermalMetrics::of_field(&f);
         assert!((m.max_gradient_c_per_mm - 1.0).abs() < 1e-9);
-        let g = gradient_field(&f);
-        assert!((g.max() - 1.0).abs() < 1e-9);
-        assert!((g.min() - 1.0).abs() < 1e-9);
     }
 
     #[test]

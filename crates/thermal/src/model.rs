@@ -1,10 +1,10 @@
-//! The assembled 3-D RC network and its steady/transient solvers.
+//! The assembled 3-D conduction network and its steady-state solver.
 
 use crate::boundary::{BottomBoundary, TopBoundary};
 use crate::solver::{CgSolver, SolveStats, SolverError};
 use crate::stack::LayerStack;
 use tps_floorplan::{GridSpec, ScalarField};
-use tps_units::{Celsius, Seconds, Watts};
+use tps_units::{Celsius, Watts};
 
 /// A finite-volume conduction model: one cell per (layer, grid cell), with
 /// harmonic-mean conductances between face-sharing neighbours, a convective
@@ -25,8 +25,6 @@ pub struct ThermalModel {
     gz: Vec<Vec<f64>>,
     /// Sum of all inter-cell conductances per cell (diagonal base).
     diag_base: Vec<f64>,
-    /// Heat capacity per cell, J/K.
-    capacity: Vec<f64>,
     /// Conductivity of the bottom-layer cells (for the half-cell series
     /// resistance of the bottom boundary).
     k_bottom: Vec<f64>,
@@ -52,7 +50,7 @@ impl ThermalModel {
     /// # Panics
     ///
     /// Panics if the grid extent differs from the stack extent.
-    pub fn with_options(
+    pub(crate) fn with_options(
         stack: &LayerStack,
         grid: GridSpec,
         bottom: BottomBoundary,
@@ -69,9 +67,8 @@ impl ThermalModel {
         let (dx, dy) = (grid.cell_w(), grid.cell_h());
         let area = grid.cell_area();
 
-        // Per-layer per-cell conductivity and heat capacity.
+        // Per-layer per-cell conductivity.
         let mut k = vec![vec![0.0; nc]; nl];
-        let mut capacity = vec![0.0; nl * nc];
         let mut dz = Vec::with_capacity(nl);
         for (l, layer) in stack.layers().iter().enumerate() {
             dz.push(layer.thickness_m());
@@ -81,8 +78,6 @@ impl ThermalModel {
                     let m = layer.material_at(x, y);
                     let i = grid.idx(ix, iy);
                     k[l][i] = m.conductivity().value();
-                    capacity[l * nc + i] =
-                        m.volumetric_heat_capacity() * area * layer.thickness_m();
                 }
             }
         }
@@ -147,7 +142,6 @@ impl ThermalModel {
             gy,
             gz,
             diag_base,
-            capacity,
             k_bottom,
             k_top,
             bottom,
@@ -155,19 +149,9 @@ impl ThermalModel {
         }
     }
 
-    /// The lateral grid.
-    pub fn grid(&self) -> &GridSpec {
-        &self.grid
-    }
-
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layer_names.len()
-    }
-
-    /// Layer names, bottom first.
-    pub fn layer_names(&self) -> &[String] {
-        &self.layer_names
     }
 
     /// Index of a layer by name.
@@ -176,7 +160,7 @@ impl ThermalModel {
     }
 
     /// Total number of unknowns.
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.n_layers() * self.grid.n_cells()
     }
 
@@ -218,14 +202,7 @@ impl ThermalModel {
     }
 
     /// Builds the full diagonal and right-hand side for a solve.
-    ///
-    /// `dt_capacity` adds the implicit-Euler `C/dt` term when `Some`.
-    fn assemble(
-        &self,
-        power: &ScalarField,
-        top: &TopBoundary,
-        dt_capacity: Option<(f64, &[f64])>,
-    ) -> (Vec<f64>, Vec<f64>) {
+    fn assemble(&self, power: &ScalarField, top: &TopBoundary) -> (Vec<f64>, Vec<f64>) {
         let nc = self.grid.n_cells();
         let nl = self.n_layers();
         let area = self.grid.cell_area();
@@ -260,14 +237,6 @@ impl ThermalModel {
                 b[top_base + i] += g * top.fluid_temp().values()[i];
             }
         }
-        // Implicit Euler: C/dt on the diagonal, C/dt·T_old on the RHS.
-        if let Some((dt, t_old)) = dt_capacity {
-            for i in 0..nl * nc {
-                let c_dt = self.capacity[i] / dt;
-                diag[i] += c_dt;
-                b[i] += c_dt * t_old[i];
-            }
-        }
         (diag, b)
     }
 
@@ -289,7 +258,7 @@ impl ThermalModel {
         top: &TopBoundary,
     ) -> Result<ThermalSolution, SolverError> {
         self.check_grids(power, top);
-        let (diag, b) = self.assemble(power, top, None);
+        let (diag, b) = self.assemble(power, top);
         // Start from the mean fluid temperature — a good guess that keeps
         // iteration counts low across coupling iterations.
         let mut x = vec![top.fluid_temp().mean() + 10.0; self.n_cells()];
@@ -297,59 +266,6 @@ impl ThermalModel {
             self.solver
                 .solve(|v, y| self.apply(&diag, v, y), &diag, b.as_slice(), &mut x)?;
         Ok(self.split_solution(x, stats))
-    }
-
-    /// Advances a transient state by `dt` (implicit Euler).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] if the conjugate gradient fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if grids mismatch, the state belongs to another model, or
-    /// `dt` is not positive.
-    pub fn transient_step(
-        &self,
-        state: &mut TransientState,
-        dt: Seconds,
-        power: &ScalarField,
-        top: &TopBoundary,
-    ) -> Result<SolveStats, SolverError> {
-        self.check_grids(power, top);
-        assert!(dt.value() > 0.0, "time step must be positive");
-        assert_eq!(
-            state.temps.len(),
-            self.n_cells(),
-            "state does not belong to this model"
-        );
-        let (diag, b) = self.assemble(power, top, Some((dt.value(), state.temps.as_slice())));
-        let mut x = state.temps.clone();
-        let stats =
-            self.solver
-                .solve(|v, y| self.apply(&diag, v, y), &diag, b.as_slice(), &mut x)?;
-        state.temps = x;
-        state.elapsed += dt;
-        Ok(stats)
-    }
-
-    /// A transient state at a uniform start temperature.
-    pub fn initial_state(&self, t: Celsius) -> TransientState {
-        TransientState {
-            temps: vec![t.value(); self.n_cells()],
-            elapsed: Seconds::ZERO,
-        }
-    }
-
-    /// Snapshot of a transient state as a [`ThermalSolution`].
-    pub fn snapshot(&self, state: &TransientState) -> ThermalSolution {
-        self.split_solution(
-            state.temps.clone(),
-            SolveStats {
-                iterations: 0,
-                residual: 0.0,
-            },
-        )
     }
 
     fn check_grids(&self, power: &ScalarField, top: &TopBoundary) {
@@ -376,11 +292,6 @@ impl ThermalModel {
     /// The bottom boundary in effect.
     pub fn bottom(&self) -> BottomBoundary {
         self.bottom
-    }
-
-    /// Layer thicknesses (metres, bottom first).
-    pub fn layer_thicknesses(&self) -> &[f64] {
-        &self.dz
     }
 
     /// Heat flow from the top layer into the fluid (per-cell watts), through
@@ -511,25 +422,6 @@ impl ThermalSolution {
     }
 }
 
-/// Evolving temperatures for transient simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransientState {
-    temps: Vec<f64>,
-    elapsed: Seconds,
-}
-
-impl TransientState {
-    /// Simulated time accumulated so far.
-    pub fn elapsed(&self) -> Seconds {
-        self.elapsed
-    }
-
-    /// Maximum temperature across all layers (°C).
-    pub fn max_temp(&self) -> Celsius {
-        Celsius::new(self.temps.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +474,7 @@ mod tests {
         power: &ScalarField,
         top: &TopBoundary,
     ) -> Result<ThermalSolution, SolverError> {
-        let (diag, b) = model.assemble(power, top, None);
+        let (diag, b) = model.assemble(power, top);
         let mut x = vec![top.fluid_temp().mean() + 10.0; model.n_cells()];
         let stats = model.solver.solve_unfused(
             |v, y| apply_cellwise(model, &diag, v, y),
@@ -591,27 +483,6 @@ mod tests {
             &mut x,
         )?;
         Ok(model.split_solution(x, stats))
-    }
-
-    /// [`ThermalModel::transient_step`] on the oracle stencil and CG loop.
-    fn transient_step_oracle(
-        model: &ThermalModel,
-        state: &mut TransientState,
-        dt: Seconds,
-        power: &ScalarField,
-        top: &TopBoundary,
-    ) -> Result<SolveStats, SolverError> {
-        let (diag, b) = model.assemble(power, top, Some((dt.value(), state.temps.as_slice())));
-        let mut x = state.temps.clone();
-        let stats = model.solver.solve_unfused(
-            |v, y| apply_cellwise(model, &diag, v, y),
-            &diag,
-            &b,
-            &mut x,
-        )?;
-        state.temps = x;
-        state.elapsed += dt;
-        Ok(stats)
     }
 
     /// A solve's outcome with its floats as bits, so that NaN residuals
@@ -657,16 +528,13 @@ mod tests {
         }
     }
 
-    /// Runs `steady_state` and then three chained `transient_step`s on the
-    /// shipped kernels and on their oracles, asserts that every field bit,
-    /// iteration count and residual bit agrees, and returns the steady
-    /// outcome.
+    /// Runs `steady_state` on the shipped kernels and on their oracles,
+    /// asserts that every field bit, the iteration count and the residual
+    /// bits agree, and returns the outcome.
     fn assert_matches_oracle(
         model: &ThermalModel,
         power: &ScalarField,
         top: &TopBoundary,
-        start: Celsius,
-        dt: Seconds,
     ) -> Outcome {
         let steady = steady_bits(&model.steady_state(power, top));
         assert_eq!(
@@ -674,21 +542,6 @@ mod tests {
             steady_bits(&steady_state_oracle(model, power, top)),
             "steady state differs from the oracle"
         );
-        let (mut shipped, mut oracle) = (model.initial_state(start), model.initial_state(start));
-        for step in 0..3 {
-            let a = model.transient_step(&mut shipped, dt, power, top);
-            let b = transient_step_oracle(model, &mut oracle, dt, power, top);
-            assert_eq!(
-                outcome(a.as_ref().copied()),
-                outcome(b.as_ref().copied()),
-                "transient step {step} outcome differs from the oracle"
-            );
-            assert_eq!(
-                bits(&shipped.temps),
-                bits(&oracle.temps),
-                "transient step {step} field differs from the oracle"
-            );
-        }
         steady.1
     }
 
@@ -729,8 +582,7 @@ mod tests {
     fn xeon_stack_matches_oracle_at_sweep_pitches() {
         for pitch in [1.5, 3.0] {
             let (model, power, top) = xeon_case(pitch, CgSolver::default());
-            let steady =
-                assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+            let steady = assert_matches_oracle(&model, &power, &top);
             assert!(
                 matches!(steady, Outcome::Solved { .. }),
                 "{pitch} mm: {steady:?}"
@@ -741,8 +593,7 @@ mod tests {
     #[test]
     fn iteration_cap_matches_oracle() {
         let (model, power, top) = xeon_case(3.0, CgSolver::new(1e-12, 1));
-        let steady =
-            assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+        let steady = assert_matches_oracle(&model, &power, &top);
         assert!(
             matches!(steady, Outcome::NoConvergence { iterations: 1, .. }),
             "{steady:?}"
@@ -753,8 +604,7 @@ mod tests {
     fn nan_power_breaks_down_like_oracle() {
         let (model, mut power, top) = xeon_case(3.0, CgSolver::default());
         power.values_mut()[7] = f64::NAN;
-        let steady =
-            assert_matches_oracle(&model, &power, &top, Celsius::new(40.0), Seconds::new(0.05));
+        let steady = assert_matches_oracle(&model, &power, &top);
         assert_eq!(steady, Outcome::Breakdown);
     }
 
@@ -770,7 +620,6 @@ mod tests {
             die_frac in 0.2f64..=1.0,
             total_w in 0.0f64..150.0,
             zero_htc_share in 0.0f64..0.5,
-            dt in 1e-4f64..1.0,
             seed in 0u64..u64::MAX,
         ) {
             let extent = Rect::from_mm(0.0, 0.0, 20.0, 16.0);
@@ -810,8 +659,7 @@ mod tests {
             });
             let fluid = ScalarField::from_fn(grid.clone(), |_, _| 20.0 + 30.0 * u());
             let top = TopBoundary::new(htc, fluid);
-            let start = Celsius::new(20.0 + 30.0 * u());
-            assert_matches_oracle(&model, &power, &top, start, Seconds::new(dt));
+            assert_matches_oracle(&model, &power, &top);
         }
     }
 
@@ -896,42 +744,6 @@ mod tests {
         assert!(sol.layer(0).mean() > sol.layer(1).mean());
         assert!(sol.layer(1).mean() > sol.layer(2).mean());
         assert!(sol.layer(2).mean() > 30.0);
-    }
-
-    #[test]
-    fn transient_approaches_steady_state() {
-        let (model, grid) = slab_model(8, 8);
-        let power = ScalarField::filled(grid.clone(), 0.4);
-        let top = TopBoundary::uniform(&grid, HeatTransferCoeff::new(5000.0), Celsius::new(30.0));
-        let steady = model.steady_state(&power, &top).unwrap();
-        let mut state = model.initial_state(Celsius::new(30.0));
-        for _ in 0..300 {
-            model
-                .transient_step(&mut state, Seconds::new(0.05), &power, &top)
-                .unwrap();
-        }
-        let snap = model.snapshot(&state);
-        let diff = snap.die_layer().max_abs_diff(steady.die_layer());
-        assert!(diff < 0.2, "transient end-state differs by {diff} °C");
-        assert!((state.elapsed().value() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transient_monotonic_warmup() {
-        let (model, grid) = slab_model(8, 8);
-        let power = ScalarField::filled(grid.clone(), 0.4);
-        let top = TopBoundary::uniform(&grid, HeatTransferCoeff::new(5000.0), Celsius::new(30.0));
-        let mut state = model.initial_state(Celsius::new(30.0));
-        let mut last = state.max_temp();
-        for _ in 0..20 {
-            model
-                .transient_step(&mut state, Seconds::new(0.1), &power, &top)
-                .unwrap();
-            let now = state.max_temp();
-            assert!(now.value() >= last.value() - 1e-9, "cooling without cause");
-            last = now;
-        }
-        assert!(last > Celsius::new(30.5));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl CgSolver {
         }
     }
 
-    /// The relative tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
     /// Solves `A·x = b` in place (`x` holds the initial guess on entry and
     /// the solution on success), with Jacobi preconditioner `diag`.
     ///
@@ -109,7 +104,7 @@ impl CgSolver {
     /// # Panics
     ///
     /// Panics if slice lengths differ or `diag` has non-positive entries.
-    pub fn solve(
+    pub(crate) fn solve(
         &self,
         apply: impl Fn(&[f64], &mut [f64]),
         diag: &[f64],

@@ -9,7 +9,7 @@ use tps_floorplan::{PackageGeometry, Rect};
 ///
 /// A `window` of `None` means the primary material fills the whole extent.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Layer {
+pub(crate) struct Layer {
     name: String,
     material: Material,
     filler: Material,
@@ -19,32 +19,27 @@ pub struct Layer {
 
 impl Layer {
     /// The layer's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The primary material.
-    pub fn material(&self) -> &Material {
+    pub(crate) fn material(&self) -> &Material {
         &self.material
     }
 
-    /// The filler material outside the window.
-    pub fn filler(&self) -> &Material {
-        &self.filler
-    }
-
     /// Slab thickness in metres.
-    pub fn thickness_m(&self) -> f64 {
+    pub(crate) fn thickness_m(&self) -> f64 {
         self.thickness_m
     }
 
     /// The window within which the primary material applies.
-    pub fn window(&self) -> Option<&Rect> {
+    pub(crate) fn window(&self) -> Option<&Rect> {
         self.window.as_ref()
     }
 
     /// The material at a lateral position.
-    pub fn material_at(&self, x: f64, y: f64) -> &Material {
+    pub(crate) fn material_at(&self, x: f64, y: f64) -> &Material {
         match &self.window {
             Some(w) if !w.contains(x, y) => &self.filler,
             _ => &self.material,
@@ -127,17 +122,12 @@ impl LayerStack {
     }
 
     /// The layers, bottom first.
-    pub fn layers(&self) -> &[Layer] {
+    pub(crate) fn layers(&self) -> &[Layer] {
         &self.layers
     }
 
-    /// Index of the layer with the given name.
-    pub fn layer_index(&self, name: &str) -> Option<usize> {
-        self.layers.iter().position(|l| l.name() == name)
-    }
-
     /// Total stack height in metres.
-    pub fn total_thickness_m(&self) -> f64 {
+    pub(crate) fn total_thickness_m(&self) -> f64 {
         self.layers.iter().map(Layer::thickness_m).sum()
     }
 }
@@ -249,9 +239,8 @@ mod tests {
         let pkg = PackageGeometry::xeon(&xeon_e5_v4());
         let s = LayerStack::xeon_thermosyphon(&pkg);
         assert_eq!(s.layers().len(), 5);
-        assert_eq!(s.layer_index("die"), Some(0));
-        assert_eq!(s.layer_index("evap-base"), Some(4));
-        assert!(s.layer_index("nope").is_none());
+        assert_eq!(s.layers()[0].name(), "die");
+        assert_eq!(s.layers()[4].name(), "evap-base");
         assert!((s.total_thickness_m() - 3.88e-3).abs() < 1e-9);
     }
 

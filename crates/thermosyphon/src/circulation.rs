@@ -106,7 +106,7 @@ fn residual(design: &ThermosyphonDesign, t_sat: Celsius, q: Watts, m_dot: f64) -
 /// # Panics
 ///
 /// Panics if `q` is negative.
-pub fn circulation_flow(
+pub(crate) fn circulation_flow(
     design: &ThermosyphonDesign,
     t_sat: Celsius,
     q: Watts,
@@ -150,24 +150,28 @@ pub fn circulation_flow(
     Ok(KgPerSecond::new(0.5 * (lo + hi)))
 }
 
-/// The loop's exit vapour quality at a given flow and load.
-pub fn loop_exit_quality(
-    design: &ThermosyphonDesign,
-    t_sat: Celsius,
-    q: Watts,
-    m_dot: KgPerSecond,
-) -> Fraction {
-    let h_fg = design.refrigerant().latent_heat(t_sat).value();
-    exit_quality(q, m_dot.value(), h_fg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tps_floorplan::{xeon_e5_v4, PackageGeometry};
 
+    fn pkg() -> PackageGeometry {
+        PackageGeometry::xeon(&xeon_e5_v4())
+    }
+
     fn design() -> ThermosyphonDesign {
-        ThermosyphonDesign::paper_design(&PackageGeometry::xeon(&xeon_e5_v4()))
+        ThermosyphonDesign::paper_design(&pkg())
+    }
+
+    /// The loop's exit vapour quality at a given flow and load.
+    fn loop_exit_quality(
+        design: &ThermosyphonDesign,
+        t_sat: Celsius,
+        q: Watts,
+        m_dot: KgPerSecond,
+    ) -> Fraction {
+        let h_fg = design.refrigerant().latent_heat(t_sat).value();
+        exit_quality(q, m_dot.value(), h_fg)
     }
 
     #[test]
@@ -209,7 +213,9 @@ mod tests {
     #[test]
     fn underfilled_loop_circulates_less() {
         let d = design();
-        let starved = d.with_filling_ratio(tps_units::Fraction::new(0.15).unwrap());
+        let starved = ThermosyphonDesign::builder(&pkg())
+            .filling_ratio(Fraction::new(0.15).unwrap())
+            .build();
         let t = Celsius::new(40.0);
         let q = Watts::new(70.0);
         let m_ok = circulation_flow(&d, t, q).unwrap();

@@ -14,46 +14,33 @@ use tps_units::{Celsius, TempDelta, Watts, WattsPerKelvin};
 /// `Q = ε·ṁ_w·c_p·(T_sat − T_w,in)` — solving for the saturation
 /// temperature the evaporator sees.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Condenser {
+pub(crate) struct Condenser {
     ua: WattsPerKelvin,
 }
 
 impl Condenser {
-    /// A condenser with the given nominal (unflooded) UA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ua` is not positive.
-    pub fn new(ua: WattsPerKelvin) -> Self {
-        assert!(ua.value() > 0.0, "condenser UA must be positive");
-        Self { ua }
-    }
-
     /// The prototype's condenser: UA ≈ 13 W/K, sized so that the paper's
     /// worst case (≈ 79 W at 7 kg/h, 30 °C water) condenses around 42 °C.
-    pub fn paper_prototype() -> Self {
-        Self::new(WattsPerKelvin::new(13.0))
-    }
-
-    /// Nominal UA.
-    pub fn ua(&self) -> WattsPerKelvin {
-        self.ua
+    pub(crate) fn paper_prototype() -> Self {
+        Self {
+            ua: WattsPerKelvin::new(13.0),
+        }
     }
 
     /// Effective UA after the filling-ratio flooding penalty.
-    pub fn effective_ua(&self, design: &ThermosyphonDesign) -> WattsPerKelvin {
+    pub(crate) fn effective_ua(&self, design: &ThermosyphonDesign) -> WattsPerKelvin {
         self.ua * filling::condenser_flood_factor(design.filling_ratio())
     }
 
     /// Effectiveness at an operating point (isothermal hot side).
-    pub fn effectiveness(&self, design: &ThermosyphonDesign, op: &OperatingPoint) -> f64 {
+    pub(crate) fn effectiveness(&self, design: &ThermosyphonDesign, op: &OperatingPoint) -> f64 {
         let c_w = self.water_capacity_rate(op);
         let ntu = self.effective_ua(design).value() / c_w.value();
         1.0 - (-ntu).exp()
     }
 
     /// Water capacity rate `ṁ_w·c_p`.
-    pub fn water_capacity_rate(&self, op: &OperatingPoint) -> WattsPerKelvin {
+    pub(crate) fn water_capacity_rate(&self, op: &OperatingPoint) -> WattsPerKelvin {
         op.water_flow_si()
             .capacity_rate(Water::specific_heat(op.water_inlet()))
     }
@@ -64,7 +51,7 @@ impl Condenser {
     /// # Panics
     ///
     /// Panics if `q` is negative.
-    pub fn saturation_temperature(
+    pub(crate) fn saturation_temperature(
         &self,
         design: &ThermosyphonDesign,
         op: &OperatingPoint,
@@ -77,15 +64,9 @@ impl Condenser {
     }
 
     /// Water outlet temperature for a heat load `q` (energy balance).
-    pub fn water_outlet(&self, op: &OperatingPoint, q: Watts) -> Celsius {
+    pub(crate) fn water_outlet(&self, op: &OperatingPoint, q: Watts) -> Celsius {
         let c_w = self.water_capacity_rate(op);
         op.water_inlet() + q / c_w
-    }
-}
-
-impl Default for Condenser {
-    fn default() -> Self {
-        Self::paper_prototype()
     }
 }
 
@@ -137,7 +118,9 @@ mod tests {
     fn overfill_raises_saturation_temperature() {
         let c = Condenser::paper_prototype();
         let d = design();
-        let flooded = d.with_filling_ratio(Fraction::new(0.85).unwrap());
+        let flooded = ThermosyphonDesign::builder(&PackageGeometry::xeon(&xeon_e5_v4()))
+            .filling_ratio(Fraction::new(0.85).unwrap())
+            .build();
         let q = Watts::new(70.0);
         let t_ok = c.saturation_temperature(&d, &OperatingPoint::paper(), q);
         let t_flooded = c.saturation_temperature(&flooded, &OperatingPoint::paper(), q);

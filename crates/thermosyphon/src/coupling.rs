@@ -13,7 +13,7 @@ use crate::evaporator::{Evaporator, EvaporatorSolution};
 use crate::operating::OperatingPoint;
 use core::fmt;
 use tps_floorplan::{xeon_e5_v4, GridSpec, PackageGeometry, ScalarField};
-use tps_thermal::{CgSolver, LayerStack, SolverError, ThermalModel, ThermalSolution, TopBoundary};
+use tps_thermal::{LayerStack, SolverError, ThermalModel, ThermalSolution, TopBoundary};
 use tps_units::{Celsius, KgPerSecond, Watts};
 
 /// Error from a coupled solve.
@@ -68,6 +68,13 @@ impl From<SolverError> for CouplingError {
     }
 }
 
+/// The fixed point's iteration cap.
+const MAX_ITERATIONS: usize = 40;
+
+/// The fixed point stops once the die moves less than this between
+/// iterations, °C.
+const TOLERANCE_C: f64 = 0.05;
+
 /// A ready-to-run coupled thermosyphon + chip-stack simulation.
 #[derive(Debug, Clone)]
 pub struct CoupledSimulation {
@@ -79,8 +86,6 @@ pub struct CoupledSimulation {
     grid: GridSpec,
     case_layer: usize,
     case_point: (f64, f64),
-    max_iterations: usize,
-    tolerance_c: f64,
 }
 
 /// Builder for [`CoupledSimulation`].
@@ -88,30 +93,20 @@ pub struct CoupledSimulation {
 pub struct CoupledSimulationBuilder {
     design: ThermosyphonDesign,
     op: OperatingPoint,
-    condenser: Condenser,
     package: Option<PackageGeometry>,
-    stack: Option<LayerStack>,
     grid_pitch_mm: f64,
-    solver: CgSolver,
-    max_iterations: usize,
-    tolerance_c: f64,
 }
 
 impl CoupledSimulation {
-    /// Starts a builder. Defaults: the Xeon E5 v4 package/stack, the
-    /// prototype condenser, a 0.5 mm grid, and a 0.05 °C fixed-point
-    /// tolerance.
+    /// Starts a builder. Defaults: the Xeon E5 v4 package/stack and a
+    /// 0.5 mm grid. The loop closes through the prototype condenser, and the
+    /// fixed point stops at a 0.05 °C die change.
     pub fn builder(design: ThermosyphonDesign, op: OperatingPoint) -> CoupledSimulationBuilder {
         CoupledSimulationBuilder {
             design,
             op,
-            condenser: Condenser::paper_prototype(),
             package: None,
-            stack: None,
             grid_pitch_mm: 0.5,
-            solver: CgSolver::default(),
-            max_iterations: 40,
-            tolerance_c: 0.05,
         }
     }
 
@@ -134,31 +129,6 @@ impl CoupledSimulation {
     /// assembled thermal model).
     pub fn with_operating_point(&self, op: OperatingPoint) -> Self {
         Self { op, ..self.clone() }
-    }
-
-    /// The underlying thermal model.
-    pub fn thermal_model(&self) -> &ThermalModel {
-        &self.model
-    }
-
-    /// The condenser model.
-    pub fn condenser(&self) -> &Condenser {
-        &self.condenser
-    }
-
-    /// The evaporator model.
-    pub fn evaporator(&self) -> &Evaporator {
-        &self.evaporator
-    }
-
-    /// The `T_CASE` probe point (spreader centre), package coordinates.
-    pub fn case_probe_point(&self) -> (f64, f64) {
-        self.case_point
-    }
-
-    /// The stack layer used for case-temperature probing.
-    pub fn case_layer_index(&self) -> usize {
-        self.case_layer
     }
 
     /// Solves the coupled steady state for a power map (watts per cell on
@@ -190,7 +160,7 @@ impl CoupledSimulation {
         let mut iterations = 0;
         let mut delta = f64::INFINITY;
 
-        for iter in 0..self.max_iterations {
+        for iter in 0..MAX_ITERATIONS {
             iterations = iter + 1;
             let evap = self.evaporator.solve(&wall_heat, t_sat, m_dot);
             let boundary = match &last {
@@ -210,7 +180,7 @@ impl CoupledSimulation {
             let die = thermal.die_layer().clone();
             if let Some(prev) = &prev_die {
                 delta = die.max_abs_diff(prev);
-                if delta < self.tolerance_c {
+                if delta < TOLERANCE_C {
                     let wall_flux = self.model.heat_to_top(&thermal, &boundary);
                     return Ok(self.finish(
                         thermal, boundary, evap, t_sat, m_dot, q_total, wall_flux, iterations,
@@ -263,12 +233,6 @@ impl CoupledSimulationBuilder {
         self
     }
 
-    /// Uses an explicit layer stack (default: the Xeon thermosyphon stack).
-    pub fn stack(mut self, stack: LayerStack) -> Self {
-        self.stack = Some(stack);
-        self
-    }
-
     /// Sets the lateral grid pitch in millimetres (default 0.5).
     ///
     /// # Panics
@@ -277,30 +241,6 @@ impl CoupledSimulationBuilder {
     pub fn grid_pitch_mm(mut self, pitch: f64) -> Self {
         assert!(pitch > 0.0, "grid pitch must be positive");
         self.grid_pitch_mm = pitch;
-        self
-    }
-
-    /// Replaces the condenser model.
-    pub fn condenser(mut self, condenser: Condenser) -> Self {
-        self.condenser = condenser;
-        self
-    }
-
-    /// Replaces the linear solver configuration.
-    pub fn solver(mut self, solver: CgSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Sets the fixed-point iteration cap and tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cap is zero or the tolerance non-positive.
-    pub fn fixed_point(mut self, max_iterations: usize, tolerance_c: f64) -> Self {
-        assert!(max_iterations > 0 && tolerance_c > 0.0);
-        self.max_iterations = max_iterations;
-        self.tolerance_c = tolerance_c;
         self
     }
 
@@ -318,16 +258,9 @@ impl CoupledSimulationBuilder {
             package.spreader_rect(),
             "design footprint must match the package spreader"
         );
-        let stack = self
-            .stack
-            .unwrap_or_else(|| LayerStack::xeon_thermosyphon(&package));
+        let stack = LayerStack::xeon_thermosyphon(&package);
         let grid = GridSpec::with_pitch(*stack.extent(), self.grid_pitch_mm * 1e-3);
-        let model = ThermalModel::with_options(
-            &stack,
-            grid.clone(),
-            tps_thermal::BottomBoundary::default(),
-            self.solver,
-        );
+        let model = ThermalModel::new(&stack, grid.clone());
         let case_layer = model
             .layer_index("spreader")
             .unwrap_or(model.n_layers() / 2);
@@ -335,13 +268,11 @@ impl CoupledSimulationBuilder {
             evaporator: Evaporator::new(self.design.clone()),
             design: self.design,
             op: self.op,
-            condenser: self.condenser,
+            condenser: Condenser::paper_prototype(),
             model,
             grid,
             case_layer,
             case_point: package.case_probe_point(),
-            max_iterations: self.max_iterations,
-            tolerance_c: self.tolerance_c,
         }
     }
 }

@@ -98,7 +98,7 @@ impl ThermosyphonDesign {
     }
 
     /// The evaporator footprint (= package spreader outline).
-    pub fn footprint(&self) -> &Rect {
+    pub(crate) fn footprint(&self) -> &Rect {
         &self.footprint
     }
 
@@ -108,7 +108,7 @@ impl ThermosyphonDesign {
     }
 
     /// The working fluid.
-    pub fn refrigerant(&self) -> Refrigerant {
+    pub(crate) fn refrigerant(&self) -> Refrigerant {
         self.refrigerant
     }
 
@@ -118,17 +118,17 @@ impl ThermosyphonDesign {
     }
 
     /// Channel pitch (channel + fin) in metres.
-    pub fn channel_pitch_m(&self) -> f64 {
+    pub(crate) fn channel_pitch_m(&self) -> f64 {
         self.channel_width_m + self.fin_width_m
     }
 
     /// Channel cross-section area in m².
-    pub fn channel_area_m2(&self) -> f64 {
+    pub(crate) fn channel_area_m2(&self) -> f64 {
         self.channel_width_m * self.channel_height_m
     }
 
     /// Channel hydraulic diameter in metres.
-    pub fn hydraulic_diameter_m(&self) -> f64 {
+    pub(crate) fn hydraulic_diameter_m(&self) -> f64 {
         2.0 * self.channel_width_m * self.channel_height_m
             / (self.channel_width_m + self.channel_height_m)
     }
@@ -138,7 +138,7 @@ impl ThermosyphonDesign {
     /// East–west channels stack along the (32 mm) height, north–south ones
     /// along the (36 mm) width — the orientation changes the channel count,
     /// as noted in Sec. VI-A.
-    pub fn n_channels(&self) -> usize {
+    pub(crate) fn n_channels(&self) -> usize {
         let perpendicular = if self.orientation.is_horizontal() {
             self.footprint.height().value()
         } else {
@@ -148,7 +148,7 @@ impl ThermosyphonDesign {
     }
 
     /// Channel length along the flow axis, metres.
-    pub fn channel_length_m(&self) -> f64 {
+    pub(crate) fn channel_length_m(&self) -> f64 {
         if self.orientation.is_horizontal() {
             self.footprint.width().value()
         } else {
@@ -157,43 +157,19 @@ impl ThermosyphonDesign {
     }
 
     /// Riser (gravity head) height, metres.
-    pub fn riser_height_m(&self) -> f64 {
+    pub(crate) fn riser_height_m(&self) -> f64 {
         self.riser_height_m
     }
 
     /// Riser/downcomer pipe inner diameter, metres.
-    pub fn pipe_diameter_m(&self) -> f64 {
+    pub(crate) fn pipe_diameter_m(&self) -> f64 {
         self.pipe_diameter_m
     }
 
     /// Boiling-area enhancement of the finned micro-channel surface over the
     /// projected base area.
-    pub fn fin_factor(&self) -> f64 {
+    pub(crate) fn fin_factor(&self) -> f64 {
         self.fin_factor
-    }
-
-    /// Returns this design with a different orientation (cheap copy).
-    pub fn with_orientation(&self, orientation: Orientation) -> Self {
-        Self {
-            orientation,
-            ..self.clone()
-        }
-    }
-
-    /// Returns this design with a different refrigerant.
-    pub fn with_refrigerant(&self, refrigerant: Refrigerant) -> Self {
-        Self {
-            refrigerant,
-            ..self.clone()
-        }
-    }
-
-    /// Returns this design with a different filling ratio.
-    pub fn with_filling_ratio(&self, filling_ratio: Fraction) -> Self {
-        Self {
-            filling_ratio,
-            ..self.clone()
-        }
     }
 }
 
@@ -227,7 +203,7 @@ impl ThermosyphonDesignBuilder {
     }
 
     /// Sets the working fluid.
-    pub fn refrigerant(mut self, r: Refrigerant) -> Self {
+    pub(crate) fn refrigerant(mut self, r: Refrigerant) -> Self {
         self.design.refrigerant = r;
         self
     }
@@ -235,32 +211,6 @@ impl ThermosyphonDesignBuilder {
     /// Sets the filling ratio.
     pub fn filling_ratio(mut self, fr: Fraction) -> Self {
         self.design.filling_ratio = fr;
-        self
-    }
-
-    /// Sets channel width and fin width (metres).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either is non-positive.
-    pub fn channel_geometry(mut self, channel_width_m: f64, fin_width_m: f64) -> Self {
-        assert!(
-            channel_width_m > 0.0 && fin_width_m > 0.0,
-            "channel geometry must be positive"
-        );
-        self.design.channel_width_m = channel_width_m;
-        self.design.fin_width_m = fin_width_m;
-        self
-    }
-
-    /// Sets the riser height (metres).
-    ///
-    /// # Panics
-    ///
-    /// Panics if non-positive.
-    pub fn riser_height_m(mut self, h: f64) -> Self {
-        assert!(h > 0.0, "riser height must be positive");
-        self.design.riser_height_m = h;
         self
     }
 
@@ -290,7 +240,9 @@ mod tests {
     #[test]
     fn orientation_changes_channel_count_and_length() {
         let d1 = ThermosyphonDesign::paper_design(&pkg());
-        let d2 = d1.with_orientation(Orientation::InletNorth);
+        let d2 = ThermosyphonDesign::builder(&pkg())
+            .orientation(Orientation::InletNorth)
+            .build();
         // 32 mm / 0.5 mm = 64 channels of 36 mm (design 1);
         // 36 mm / 0.5 mm = 72 channels of 32 mm (design 2).
         assert_eq!(d1.n_channels(), 64);
@@ -312,17 +264,10 @@ mod tests {
             .orientation(Orientation::InletSouth)
             .refrigerant(Refrigerant::R134a)
             .filling_ratio(Fraction::new(0.4).unwrap())
-            .riser_height_m(0.3)
             .build();
         assert_eq!(d.orientation(), Orientation::InletSouth);
         assert_eq!(d.refrigerant(), Refrigerant::R134a);
-        assert!((d.riser_height_m() - 0.3).abs() < 1e-12);
+        assert!((d.filling_ratio().value() - 0.4).abs() < 1e-12);
         assert!(!d.orientation().is_horizontal());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_channel_geometry_panics() {
-        let _ = ThermosyphonDesign::builder(&pkg()).channel_geometry(0.0, 0.1e-3);
     }
 }

@@ -14,12 +14,11 @@
 //! * orientation matters: north–south channels (Design 2) chain up to four
 //!   cores per band, east–west ones (Design 1) at most two.
 
-use crate::circulation;
 use crate::design::{Orientation, ThermosyphonDesign};
 use crate::filling;
 use tps_floorplan::{GridSpec, ScalarField};
 use tps_fluids::correlations::{cooper_prefactor, cooper_with_prefactor, flow_boiling_factor};
-use tps_units::{Celsius, Fraction, HeatFlux, KgPerSecond, Watts};
+use tps_units::{Celsius, Fraction, HeatFlux, KgPerSecond};
 
 /// HTC of a fully dried-out (vapour-cooled) cell, before the fin factor.
 const VAPOR_HTC: f64 = 300.0;
@@ -40,7 +39,7 @@ const MALDISTRIBUTION_GAIN: f64 = 3.0;
 
 /// The evaporator of a [`ThermosyphonDesign`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Evaporator {
+pub(crate) struct Evaporator {
     design: ThermosyphonDesign,
 }
 
@@ -50,20 +49,20 @@ pub struct EvaporatorSolution {
     htc: ScalarField,
     fluid_temp: ScalarField,
     quality: ScalarField,
-    dryout_cells: usize,
+    /// Exit quality of each channel band, in band order (south→north for
+    /// east–west channels, west→east for north–south ones).
     band_exit_quality: Vec<f64>,
-    exit_quality_max: Fraction,
 }
 
 impl EvaporatorSolution {
     /// Per-cell effective heat-transfer coefficient (W/m²K, on the base
     /// area, fin enhancement included).
-    pub fn htc(&self) -> &ScalarField {
+    pub(crate) fn htc(&self) -> &ScalarField {
         &self.htc
     }
 
     /// Per-cell fluid (saturation) temperature, °C.
-    pub fn fluid_temp(&self) -> &ScalarField {
+    pub(crate) fn fluid_temp(&self) -> &ScalarField {
         &self.fluid_temp
     }
 
@@ -71,33 +70,12 @@ impl EvaporatorSolution {
     pub fn quality(&self) -> &ScalarField {
         &self.quality
     }
-
-    /// Number of cells past the dryout quality.
-    pub fn dryout_cells(&self) -> usize {
-        self.dryout_cells
-    }
-
-    /// Exit quality of each channel band, in band order (south→north for
-    /// east–west channels, west→east for north–south ones).
-    pub fn band_exit_quality(&self) -> &[f64] {
-        &self.band_exit_quality
-    }
-
-    /// The highest channel-exit quality.
-    pub fn exit_quality_max(&self) -> Fraction {
-        self.exit_quality_max
-    }
 }
 
 impl Evaporator {
     /// Creates the evaporator for a design.
-    pub fn new(design: ThermosyphonDesign) -> Self {
+    pub(crate) fn new(design: ThermosyphonDesign) -> Self {
         Self { design }
-    }
-
-    /// The underlying design.
-    pub fn design(&self) -> &ThermosyphonDesign {
-        &self.design
     }
 
     /// Marches all channel bands once.
@@ -105,13 +83,14 @@ impl Evaporator {
     /// * `wall_heat` — watts per grid cell entering the refrigerant (from
     ///   the thermal model's top boundary, or a first-guess distribution),
     /// * `t_sat` — saturation temperature set by the condenser,
-    /// * `m_dot` — loop mass flow from [`circulation::circulation_flow`].
+    /// * `m_dot` — loop mass flow from
+    ///   [`circulation_flow`](crate::circulation::circulation_flow).
     ///
     /// # Panics
     ///
     /// Panics if the grid extent differs from the evaporator footprint or
     /// the flow is non-positive.
-    pub fn solve(
+    pub(crate) fn solve(
         &self,
         wall_heat: &ScalarField,
         t_sat: Celsius,
@@ -170,7 +149,6 @@ impl Evaporator {
         let mut htc = ScalarField::zeros(grid.clone());
         let mut quality = ScalarField::zeros(grid.clone());
         let fluid_temp = ScalarField::filled(grid.clone(), t_sat.value());
-        let mut dryout_cells = 0usize;
         let mut band_exit_quality = Vec::with_capacity(m_bands.len());
 
         let band_len = if self.design.orientation().is_horizontal() {
@@ -197,21 +175,15 @@ impl Evaporator {
                 };
                 htc.set(ix, iy, h * fin);
                 quality.set(ix, iy, x_cell.value());
-                if x_cell > x_crit {
-                    dryout_cells += 1;
-                }
             }
             band_exit_quality.push(x);
         }
 
-        let exit_quality_max = band_exit_quality.iter().copied().fold(0.0, f64::max);
         EvaporatorSolution {
             htc,
             fluid_temp,
             quality,
-            dryout_cells,
             band_exit_quality,
-            exit_quality_max: Fraction::saturating(exit_quality_max),
         }
     }
 
@@ -223,20 +195,6 @@ impl Evaporator {
             Orientation::InletNorth => (band, grid.ny() - 1 - step),
             Orientation::InletSouth => (band, step),
         }
-    }
-
-    /// Convenience: loop flow for a total load at `t_sat`
-    /// (see [`circulation::circulation_flow`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`circulation::CirculationError`].
-    pub fn loop_flow(
-        &self,
-        t_sat: Celsius,
-        q_total: Watts,
-    ) -> Result<KgPerSecond, circulation::CirculationError> {
-        circulation::circulation_flow(&self.design, t_sat, q_total)
     }
 }
 
@@ -250,6 +208,21 @@ mod tests {
         let design = ThermosyphonDesign::paper_design(&pkg);
         let grid = GridSpec::new(36, 32, *design.footprint());
         (Evaporator::new(design), grid)
+    }
+
+    /// The highest channel-exit quality.
+    fn exit_quality_max(sol: &EvaporatorSolution) -> f64 {
+        sol.band_exit_quality.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Cells past the dryout quality of the evaporator's fill.
+    fn dryout_cells(evap: &Evaporator, sol: &EvaporatorSolution) -> usize {
+        let x_crit = filling::dryout_quality(evap.design.filling_ratio());
+        sol.quality
+            .values()
+            .iter()
+            .filter(|&&x| Fraction::saturating(x) > x_crit)
+            .count()
     }
 
     /// A westside hot strip (like the core columns) on an otherwise mild map.
@@ -275,7 +248,7 @@ mod tests {
         let q_east = sol.quality().at(35, 16);
         let q_west = sol.quality().at(0, 16);
         assert!(q_west > q_east, "west {q_west} <= east {q_east}");
-        assert!(sol.exit_quality_max().value() > 0.0);
+        assert!(exit_quality_max(&sol) > 0.0);
     }
 
     #[test]
@@ -287,7 +260,10 @@ mod tests {
         let heat = ScalarField::filled(grid.clone(), 75.0 / grid.n_cells() as f64);
         // Low flow to push exit quality past dryout.
         let sol = evap.solve(&heat, Celsius::new(41.0), KgPerSecond::new(8e-4));
-        assert!(sol.dryout_cells() > 0, "expected dryout at starved flow");
+        assert!(
+            dryout_cells(&evap, &sol) > 0,
+            "expected dryout at starved flow"
+        );
         let west_outlet = Rect::from_mm(0.0, 0.0, 6.0, 32.0);
         let east_inlet = Rect::from_mm(30.0, 0.0, 6.0, 32.0);
         let h_out = sol.htc().mean_in_rect(&west_outlet).unwrap();
@@ -302,7 +278,7 @@ mod tests {
         let (evap, grid) = setup();
         let heat = ScalarField::filled(grid.clone(), 75.0 / grid.n_cells() as f64);
         let sol = evap.solve(&heat, Celsius::new(41.0), KgPerSecond::new(3e-3));
-        assert_eq!(sol.dryout_cells(), 0);
+        assert_eq!(dryout_cells(&evap, &sol), 0);
         let mid = Rect::from_mm(8.0, 0.0, 8.0, 32.0);
         let inlet = Rect::from_mm(33.0, 0.0, 3.0, 32.0);
         assert!(sol.htc().mean_in_rect(&mid).unwrap() > sol.htc().mean_in_rect(&inlet).unwrap());
@@ -314,17 +290,18 @@ mod tests {
         // same total load must produce a higher peak quality than Design 1.
         let pkg = PackageGeometry::xeon(&xeon_e5_v4());
         let d1 = ThermosyphonDesign::paper_design(&pkg);
-        let d2 = d1.with_orientation(Orientation::InletNorth);
+        let d2 = ThermosyphonDesign::builder(&pkg)
+            .orientation(Orientation::InletNorth)
+            .build();
         let grid = GridSpec::new(36, 32, *d1.footprint());
         let heat = west_loaded(&grid, 75.0);
         let m = KgPerSecond::new(3e-3);
         let s1 = Evaporator::new(d1).solve(&heat, Celsius::new(41.0), m);
         let s2 = Evaporator::new(d2).solve(&heat, Celsius::new(41.0), m);
+        let (x1, x2) = (exit_quality_max(&s1), exit_quality_max(&s2));
         assert!(
-            s2.exit_quality_max() > s1.exit_quality_max(),
-            "design 2 exit quality {} should exceed design 1 {}",
-            s2.exit_quality_max(),
-            s1.exit_quality_max()
+            x2 > x1,
+            "design 2 exit quality {x2} should exceed design 1 {x1}"
         );
     }
 

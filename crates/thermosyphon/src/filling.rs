@@ -13,14 +13,14 @@
 use tps_units::Fraction;
 
 /// The paper's filling-ratio design point for R236fa.
-pub const OPTIMAL_FILLING_RATIO: f64 = 0.55;
+pub(crate) const OPTIMAL_FILLING_RATIO: f64 = 0.55;
 
 /// Critical (dryout) vapour quality as a function of the filling ratio.
 ///
 /// At the optimal fill, dryout starts around x ≈ 0.50; an under-filled loop
 /// loses wall wetting much earlier — the 3/2-power shape makes dryout the
 /// dominant penalty of under-filling (down to x ≈ 0.05 when nearly empty).
-pub fn dryout_quality(filling_ratio: Fraction) -> Fraction {
+pub(crate) fn dryout_quality(filling_ratio: Fraction) -> Fraction {
     let fr = filling_ratio.value();
     let x = 0.05 + 0.45 * (fr / OPTIMAL_FILLING_RATIO).min(1.0).powf(1.5);
     Fraction::saturating(x)
@@ -31,7 +31,7 @@ pub fn dryout_quality(filling_ratio: Fraction) -> Fraction {
 /// The driving head scales with the liquid column in the downcomer; the
 /// square-root shape reflects that even a modest inventory keeps a usable
 /// column, and it saturates once the loop holds enough liquid.
-pub fn head_factor(filling_ratio: Fraction) -> f64 {
+pub(crate) fn head_factor(filling_ratio: Fraction) -> f64 {
     (filling_ratio.value() / OPTIMAL_FILLING_RATIO)
         .max(0.0)
         .sqrt()
@@ -41,7 +41,7 @@ pub fn head_factor(filling_ratio: Fraction) -> f64 {
 /// Condenser-area availability factor in `(0, 1]`: over-filling floods the
 /// condenser and removes effective area (linear penalty past 60 % fill,
 /// down to 40 % of the area at 100 % fill).
-pub fn condenser_flood_factor(filling_ratio: Fraction) -> f64 {
+pub(crate) fn condenser_flood_factor(filling_ratio: Fraction) -> f64 {
     let fr = filling_ratio.value();
     if fr <= 0.60 {
         1.0

@@ -7,17 +7,16 @@
 //!
 //! * [`Orientation`] — micro-channel flow axis (Design 1: east↔west,
 //!   Design 2: north↔south; Sec. VI-A),
-//! * [`Refrigerant`](tps_fluids::Refrigerant) choice and [`filling`] ratio
-//!   (Sec. VI-B; R236fa at 55 %),
+//! * [`Refrigerant`](tps_fluids::Refrigerant) choice and filling ratio
+//!   ([`ThermosyphonDesign`], Sec. VI-B; R236fa at 55 %),
 //! * water inlet temperature and flow rate ([`OperatingPoint`], Sec. VI-C),
-//! * per-channel quality marching with Cooper boiling + dryout
-//!   ([`Evaporator`]) — this produces the inlet-cooler-than-outlet asymmetry
-//!   and the penalty for co-linear hot spots that the mapping policy
-//!   exploits,
-//! * natural-circulation mass flow ([`circulation_flow`]),
-//! * ε-NTU condenser closing the loop ([`Condenser`]),
 //! * fixed-point thermal coupling ([`CoupledSimulation`]) against the
-//!   `tps-thermal` RC model,
+//!   `tps-thermal` steady-state conduction model. Each solve closes three
+//!   crate-private models: per-channel quality marching with Cooper boiling
+//!   and dryout in the evaporator ([`EvaporatorSolution`]), which produces
+//!   the inlet-cooler-than-outlet asymmetry and the penalty for co-linear
+//!   hot spots that the mapping policy exploits; the natural-circulation
+//!   mass flow; and the ε-NTU condenser closing the loop,
 //! * a workload-aware design optimizer ([`DesignOptimizer`], Sec. VI).
 //!
 //! ```no_run
@@ -41,16 +40,14 @@ mod condenser;
 mod coupling;
 mod design;
 mod evaporator;
-pub mod filling;
+mod filling;
 mod operating;
 mod optimize;
-mod transient;
 
-pub use circulation::{circulation_flow, loop_exit_quality, CirculationError};
-pub use condenser::Condenser;
+pub use circulation::CirculationError;
 pub use coupling::{CoupledSimulation, CoupledSimulationBuilder, CoupledSolution, CouplingError};
 pub use design::{Orientation, ThermosyphonDesign, ThermosyphonDesignBuilder};
-pub use evaporator::{Evaporator, EvaporatorSolution};
+pub use evaporator::EvaporatorSolution;
+
 pub use operating::{FlowValve, OperatingPoint};
 pub use optimize::{DesignObjective, DesignOptimizer, DesignReport};
-pub use transient::{TransientCoupling, TransientReport};

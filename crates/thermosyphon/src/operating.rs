@@ -42,7 +42,7 @@ impl OperatingPoint {
     }
 
     /// Water mass flow in SI units.
-    pub fn water_flow_si(&self) -> KgPerSecond {
+    pub(crate) fn water_flow_si(&self) -> KgPerSecond {
         self.water_flow.into()
     }
 
@@ -94,7 +94,7 @@ impl FlowValve {
     ///
     /// Panics if `levels` is empty, not strictly ascending, or `start` is
     /// out of range.
-    pub fn new(levels: Vec<KgPerHour>, start: usize) -> Self {
+    pub(crate) fn new(levels: Vec<KgPerHour>, start: usize) -> Self {
         assert!(!levels.is_empty(), "valve needs at least one level");
         assert!(
             levels.windows(2).all(|w| w[0] < w[1]),
@@ -143,11 +143,6 @@ impl FlowValve {
             false
         }
     }
-
-    /// `true` if the valve cannot open further.
-    pub fn is_fully_open(&self) -> bool {
-        self.current + 1 == self.levels.len()
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +170,7 @@ mod tests {
         assert!(v.increase());
         assert_eq!(v.flow(), KgPerHour::new(8.5));
         while v.increase() {}
-        assert!(v.is_fully_open());
+        assert_eq!(v.current + 1, v.levels.len(), "valve fully open");
         assert_eq!(v.flow(), KgPerHour::new(14.0));
         assert!(!v.increase());
         assert!(v.decrease());

@@ -79,13 +79,6 @@ impl Default for DesignOptimizer {
 }
 
 impl DesignOptimizer {
-    /// Restricts the candidate orientations.
-    pub fn orientations(mut self, o: Vec<Orientation>) -> Self {
-        assert!(!o.is_empty(), "need at least one orientation");
-        self.orientations = o;
-        self
-    }
-
     /// Restricts the candidate refrigerants.
     pub fn refrigerants(mut self, r: Vec<Refrigerant>) -> Self {
         assert!(!r.is_empty(), "need at least one refrigerant");
@@ -121,7 +114,7 @@ impl DesignOptimizer {
     }
 
     /// Evaluates one design against the worst-case power map.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         design: &ThermosyphonDesign,
         pkg: &PackageGeometry,

@@ -39,20 +39,6 @@ impl From<KgPerSecond> for KgPerHour {
     }
 }
 
-impl VolumetricFlow {
-    /// Creates a volumetric flow from litres per second.
-    #[inline]
-    pub const fn from_litres_per_second(lps: f64) -> Self {
-        Self::new(lps * 1e-3)
-    }
-
-    /// Returns the flow in litres per second.
-    #[inline]
-    pub fn to_litres_per_second(self) -> f64 {
-        self.value() * 1e3
-    }
-}
-
 impl KgPerSecond {
     /// Capacity rate `ṁ·c_p` of this stream.
     #[inline]
@@ -64,14 +50,6 @@ impl KgPerSecond {
     #[inline]
     pub fn to_volumetric(self, density: Density) -> VolumetricFlow {
         VolumetricFlow::new(self.value() / density.value())
-    }
-}
-
-impl VolumetricFlow {
-    /// Mass flow of this volumetric flow at the given density.
-    #[inline]
-    pub fn to_mass_flow(self, density: Density) -> KgPerSecond {
-        KgPerSecond::new(self.value() * density.value())
     }
 }
 
@@ -98,6 +76,6 @@ mod tests {
         let rho = Density::new(997.0);
         let m = KgPerSecond::new(0.002);
         let v = m.to_volumetric(rho);
-        assert!((v.to_mass_flow(rho).value() - 0.002).abs() < 1e-15);
+        assert!((v.value() * rho.value() - 0.002).abs() < 1e-15);
     }
 }

@@ -59,18 +59,6 @@ impl Fraction {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Returns `1 - self`.
-    #[inline]
-    pub fn complement(self) -> Self {
-        Self(1.0 - self.0)
-    }
-
-    /// Returns the value as a percentage in `[0, 100]`.
-    #[inline]
-    pub fn as_percent(self) -> f64 {
-        self.0 * 100.0
-    }
 }
 
 impl fmt::Display for Fraction {
@@ -124,8 +112,6 @@ mod tests {
     #[test]
     fn complement_and_percent() {
         let f = Fraction::new(0.25).unwrap();
-        assert_eq!(f.complement(), Fraction::new(0.75).unwrap());
-        assert_eq!(f.as_percent(), 25.0);
         assert_eq!(format!("{:.0}", f), "25%");
     }
 
@@ -140,12 +126,6 @@ mod tests {
         fn valid_fractions_round_trip(v in 0.0f64..=1.0) {
             let f = Fraction::new(v).unwrap();
             prop_assert_eq!(f.value(), v);
-        }
-
-        #[test]
-        fn complement_is_involution(v in 0.0f64..=1.0) {
-            let f = Fraction::new(v).unwrap();
-            prop_assert!((f.complement().complement().value() - v).abs() < 1e-15);
         }
 
         #[test]

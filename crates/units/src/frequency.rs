@@ -7,36 +7,3 @@ quantity! {
     /// spans 1.2–2.8 GHz.
     GigaHertz, "GHz"
 }
-
-impl GigaHertz {
-    /// Creates a frequency from MHz.
-    #[inline]
-    pub const fn from_mhz(mhz: f64) -> Self {
-        Self::new(mhz * 1e-3)
-    }
-
-    /// Returns the frequency in MHz.
-    #[inline]
-    pub fn to_mhz(self) -> f64 {
-        self.value() * 1e3
-    }
-
-    /// Returns the frequency in Hz.
-    #[inline]
-    pub fn to_hz(self) -> f64 {
-        self.value() * 1e9
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn conversions() {
-        let f = GigaHertz::new(3.2);
-        assert_eq!(f.to_mhz(), 3200.0);
-        assert_eq!(f.to_hz(), 3.2e9);
-        assert_eq!(GigaHertz::from_mhz(2600.0), GigaHertz::new(2.6));
-    }
-}

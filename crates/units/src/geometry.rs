@@ -36,45 +36,13 @@ impl Meters {
     pub fn to_mm(self) -> f64 {
         self.value() * 1e3
     }
-
-    /// Creates a length from micrometres.
-    #[inline]
-    pub const fn from_um(um: f64) -> Self {
-        Self::new(um * 1e-6)
-    }
 }
 
 impl SquareMeters {
-    /// Creates an area from square millimetres.
-    #[inline]
-    pub const fn from_mm2(mm2: f64) -> Self {
-        Self::new(mm2 * 1e-6)
-    }
-
     /// Returns the area in square millimetres.
     #[inline]
     pub fn to_mm2(self) -> f64 {
         self.value() * 1e6
-    }
-
-    /// Returns the area in square centimetres.
-    #[inline]
-    pub fn to_cm2(self) -> f64 {
-        self.value() * 1e4
-    }
-}
-
-impl CubicMeters {
-    /// Creates a volume from litres.
-    #[inline]
-    pub const fn from_litres(l: f64) -> Self {
-        Self::new(l * 1e-3)
-    }
-
-    /// Returns the volume in litres.
-    #[inline]
-    pub fn to_litres(self) -> f64 {
-        self.value() * 1e3
     }
 }
 
@@ -122,14 +90,9 @@ mod tests {
 
     #[test]
     fn area_length_algebra() {
-        let a = SquareMeters::from_mm2(100.0);
+        let a = SquareMeters::new(100e-6);
         let l = Meters::from_mm(10.0);
         assert!(((a / l).to_mm() - 10.0).abs() < 1e-9);
-        assert!(((a * l).to_litres() - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn litres() {
-        assert!((CubicMeters::from_litres(1.0).value() - 1e-3).abs() < 1e-15);
+        assert!(((a * l).value() - 1e-6).abs() < 1e-15);
     }
 }

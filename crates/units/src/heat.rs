@@ -46,20 +46,6 @@ quantity! {
     WattsPerKelvin, "W/K"
 }
 
-impl HeatFlux {
-    /// Creates a heat flux from W/cm² (the natural unit for die power density).
-    #[inline]
-    pub const fn from_w_per_cm2(w_per_cm2: f64) -> Self {
-        Self::new(w_per_cm2 * 1e4)
-    }
-
-    /// Returns the flux in W/cm².
-    #[inline]
-    pub fn to_w_per_cm2(self) -> f64 {
-        self.value() * 1e-4
-    }
-}
-
 impl core::ops::Mul<SquareMeters> for HeatFlux {
     type Output = Watts;
     #[inline]
@@ -123,8 +109,8 @@ mod tests {
 
     #[test]
     fn flux_times_area_is_power() {
-        let q = HeatFlux::from_w_per_cm2(30.0);
-        let a = SquareMeters::from_mm2(100.0);
+        let q = HeatFlux::new(30e4);
+        let a = SquareMeters::new(100e-6);
         assert!(((q * a).value() - 30.0).abs() < 1e-9);
     }
 

@@ -9,7 +9,7 @@
 //! use tps_units::{Celsius, HeatFlux, HeatTransferCoeff, SquareMeters, Watts};
 //!
 //! let power = Watts::new(79.3);
-//! let area = SquareMeters::from_mm2(246.0);
+//! let area = SquareMeters::new(246.0e-6);
 //! let flux: HeatFlux = power / area;
 //! let htc = HeatTransferCoeff::new(12_000.0);
 //! let superheat = flux / htc; // a temperature *delta*, not a temperature

@@ -42,12 +42,6 @@ impl Joules {
     pub fn to_kwh(self) -> f64 {
         self.value() / 3.6e6
     }
-
-    /// Returns the energy in watt-hours.
-    #[inline]
-    pub fn to_wh(self) -> f64 {
-        self.value() / 3.6e3
-    }
 }
 
 impl core::ops::Mul<Seconds> for Watts {
@@ -74,20 +68,6 @@ impl core::ops::Div<Seconds> for Joules {
     }
 }
 
-impl Watts {
-    /// Creates a power from milliwatts.
-    #[inline]
-    pub const fn from_mw(mw: f64) -> Self {
-        Self::new(mw * 1e-3)
-    }
-
-    /// Returns the power in kilowatts.
-    #[inline]
-    pub fn to_kw(self) -> f64 {
-        self.value() * 1e-3
-    }
-}
-
 impl core::ops::Div<SquareMeters> for Watts {
     type Output = HeatFlux;
     #[inline]
@@ -104,13 +84,8 @@ mod tests {
     #[test]
     fn power_over_area_is_flux() {
         // 79.3 W over the 246 mm² die ≈ 32.2 W/cm².
-        let flux = Watts::new(79.3) / SquareMeters::from_mm2(246.0);
-        assert!((flux.to_w_per_cm2() - 32.24).abs() < 0.01);
-    }
-
-    #[test]
-    fn milliwatts() {
-        assert_eq!(Watts::from_mw(1500.0), Watts::new(1.5));
+        let flux = Watts::new(79.3) / SquareMeters::new(246e-6);
+        assert!((flux.value() * 1e-4 - 32.24).abs() < 0.01);
     }
 
     #[test]
@@ -118,7 +93,7 @@ mod tests {
         let e = Watts::new(100.0) * Seconds::new(36.0);
         assert_eq!(e, Joules::new(3600.0));
         assert_eq!(e, Seconds::new(36.0) * Watts::new(100.0));
-        assert_eq!(e.to_wh(), 1.0);
+        assert_eq!(e.to_kwh(), 1e-3);
         assert_eq!(e / Seconds::new(36.0), Watts::new(100.0));
     }
 }

@@ -64,31 +64,9 @@ impl Celsius {
             self
         }
     }
-
-    /// Returns the hotter of two temperatures (NaN-safe).
-    #[inline]
-    pub fn max(self, other: Self) -> Self {
-        if other.0.total_cmp(&self.0).is_gt() {
-            other
-        } else {
-            self
-        }
-    }
-
-    /// Returns `true` if the magnitude is neither NaN nor infinite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
-    }
 }
 
 impl Kelvin {
-    /// Creates a kelvin temperature.
-    #[inline]
-    pub const fn new(kelvin: f64) -> Self {
-        Self(kelvin)
-    }
-
     /// Returns the magnitude in kelvin.
     #[inline]
     pub const fn value(self) -> f64 {
@@ -97,7 +75,7 @@ impl Kelvin {
 
     /// Converts to the Celsius scale.
     #[inline]
-    pub fn to_celsius(self) -> Celsius {
+    pub(crate) fn to_celsius(self) -> Celsius {
         Celsius(self.0 - 273.15)
     }
 }
@@ -202,18 +180,14 @@ mod tests {
 
     #[test]
     fn kelvin_delta() {
-        let d = Kelvin::new(310.0) - Kelvin::new(300.0);
+        let d = Kelvin(310.0) - Kelvin(300.0);
         assert_eq!(d, TempDelta::new(10.0));
-        assert_eq!(Kelvin::new(300.0) + d, Kelvin::new(310.0));
+        assert_eq!(Kelvin(300.0) + d, Kelvin(310.0));
     }
 
     #[test]
     fn ordering_matches_physical_intuition() {
         assert!(Celsius::new(85.0) > Celsius::new(30.0));
-        assert_eq!(
-            Celsius::new(85.0).max(Celsius::new(30.0)),
-            Celsius::new(85.0)
-        );
         assert_eq!(
             Celsius::new(85.0).min(Celsius::new(30.0)),
             Celsius::new(30.0)
@@ -223,6 +197,6 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(format!("{:.1}", Celsius::new(66.12)), "66.1 °C");
-        assert_eq!(format!("{:.0}", Kelvin::new(303.15)), "303 K");
+        assert_eq!(format!("{:.0}", Kelvin(303.15)), "303 K");
     }
 }

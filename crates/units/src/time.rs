@@ -3,7 +3,7 @@
 quantity! {
     /// A duration in seconds.
     ///
-    /// Execution times, C-state wake latencies and transient time steps.
+    /// Execution times and C-state wake latencies.
     Seconds, "s"
 }
 
@@ -19,12 +19,6 @@ impl Seconds {
     pub fn to_us(self) -> f64 {
         self.value() * 1e6
     }
-
-    /// Creates a duration from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: f64) -> Self {
-        Self::new(ms * 1e-3)
-    }
 }
 
 #[cfg(test)]
@@ -35,6 +29,5 @@ mod tests {
     fn microseconds() {
         assert!((Seconds::from_us(10.0).value() - 1e-5).abs() < 1e-18);
         assert!((Seconds::new(2e-6).to_us() - 2.0).abs() < 1e-12);
-        assert_eq!(Seconds::from_ms(1.5).value(), 0.0015);
     }
 }

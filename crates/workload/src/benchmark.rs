@@ -69,7 +69,7 @@ impl Benchmark {
     pub fn profile(self) -> BenchProfile {
         // (serial, mem, smt_gain, comm, bw_sat, dyn W @fmax, llc activity)
         let p = |serial, mem, smt, comm, bw, dynp, llc| {
-            BenchProfile::new(self, serial, mem, smt, comm, bw, dynp, llc)
+            BenchProfile::new(serial, mem, smt, comm, bw, dynp, llc)
         };
         match self {
             Benchmark::Blackscholes => p(0.02, 0.10, 1.25, 0.005, 6.0, 3.6, 0.3),
@@ -145,15 +145,5 @@ mod tests {
         let swaptions = Benchmark::Swaptions.profile();
         assert!(canneal.dyn_core_power_fmax() < swaptions.dyn_core_power_fmax());
         assert!(canneal.mem_fraction() > swaptions.mem_fraction());
-    }
-
-    #[test]
-    fn profiles_are_valid() {
-        for b in Benchmark::ALL {
-            let p = b.profile();
-            assert!(p.serial_fraction() > 0.0 && p.serial_fraction() < 0.2);
-            assert!(p.mem_fraction() >= 0.0 && p.mem_fraction() <= 0.7);
-            assert!(p.smt_gain() >= 1.0 && p.smt_gain() <= 1.5);
-        }
     }
 }

@@ -109,7 +109,7 @@ impl WorkloadConfig {
 
     /// Enumerates the full configuration space of Algorithm 1:
     /// `Nc ∈ 1..=8 × Nt ∈ {1,2} × f ∈ {2.6, 2.9, 3.2}` — 48 configurations.
-    pub fn enumerate_all() -> Vec<WorkloadConfig> {
+    pub(crate) fn enumerate_all() -> Vec<WorkloadConfig> {
         let mut v = Vec::with_capacity(48);
         for n_cores in 1..=8u8 {
             for tpc in 1..=2u8 {

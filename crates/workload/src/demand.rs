@@ -86,11 +86,6 @@ impl DiurnalDemand {
         assert!(period.value() > 0.0, "period must be positive");
         Self { base, peak, period }
     }
-
-    /// The oscillation period.
-    pub fn period(&self) -> Seconds {
-        self.period
-    }
 }
 
 impl DemandModel for DiurnalDemand {
@@ -189,24 +184,19 @@ impl DemandModel for BurstyDemand {
 }
 
 /// An unbounded, lazily evaluated stream of arrival times drawn from a
-/// demand model — the event-source form the fleet's discrete-event
-/// kernel consumes: pull the next arrival when the simulation needs it
-/// instead of materializing a fixed-length batch up front.
-///
-/// Produced by [`arrival_source`]; [`synthesize_arrivals`] is the
-/// batched convenience over the same generator, so `source.take(n)`
-/// yields byte-identical times to `synthesize_arrivals(demand, n, seed)`.
+/// demand model, produced by [`arrival_source`]; [`synthesize_arrivals`]
+/// takes its first `n` times, so a longer batch extends a shorter one.
 ///
 /// ```
 /// use tps_units::Seconds;
-/// use tps_workload::{arrival_source, synthesize_arrivals, DiurnalDemand};
+/// use tps_workload::{synthesize_arrivals, DiurnalDemand};
 ///
 /// let day = DiurnalDemand::new(0.2, 1.0, Seconds::new(600.0));
-/// let streamed: Vec<Seconds> = arrival_source(&day, 7).take(50).collect();
-/// assert_eq!(streamed, synthesize_arrivals(&day, 50, 7));
+/// let long = synthesize_arrivals(&day, 50, 7);
+/// assert_eq!(long[..20], synthesize_arrivals(&day, 20, 7)[..]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ArrivalSource<'a, D: DemandModel + ?Sized> {
+pub(crate) struct ArrivalSource<'a, D: DemandModel + ?Sized> {
     demand: &'a D,
     thinning: Thinning,
 }
@@ -272,7 +262,10 @@ impl Thinning {
 /// # Panics
 ///
 /// Panics if the model's peak rate is not positive and finite.
-pub fn arrival_source<D: DemandModel + ?Sized>(demand: &D, seed: u64) -> ArrivalSource<'_, D> {
+pub(crate) fn arrival_source<D: DemandModel + ?Sized>(
+    demand: &D,
+    seed: u64,
+) -> ArrivalSource<'_, D> {
     ArrivalSource {
         demand,
         thinning: Thinning::new(demand, seed),
@@ -280,7 +273,8 @@ pub fn arrival_source<D: DemandModel + ?Sized>(demand: &D, seed: u64) -> Arrival
 }
 
 /// Samples `count` arrival times from a demand model, deterministically
-/// from `seed` — the batched form of [`arrival_source`].
+/// from `seed`, by thinning a homogeneous Poisson process at the model's
+/// peak rate.
 ///
 /// The returned times are non-decreasing and start at the model's time
 /// origin (`t = 0`).
@@ -353,7 +347,7 @@ impl ServingDemand {
     }
 
     /// Whether `t` falls inside a flash-crowd surge window.
-    pub fn in_surge(&self, t: Seconds) -> bool {
+    pub(crate) fn in_surge(&self, t: Seconds) -> bool {
         self.window.rate_at(t) > 0.0
     }
 }
@@ -388,9 +382,9 @@ pub struct Request {
 /// deterministic in the seed.
 ///
 /// The arrival times are byte-identical to
-/// [`arrival_source`]`(demand, seed)` — the service draws come from an
-/// independent generator, so adding them does not perturb the arrival
-/// process.
+/// [`synthesize_arrivals`]`(demand, n, seed)` — the service draws come
+/// from an independent generator, so adding them does not perturb the
+/// arrival process.
 ///
 /// ```
 /// use tps_units::Seconds;
@@ -477,7 +471,7 @@ mod tests {
             let t = Seconds::new(f64::from(i) * 7.3);
             let r = d.rate_at(t);
             assert!((0.1..=1.0).contains(&r), "rate {r} escaped [base, peak]");
-            let shifted = d.rate_at(t + d.period());
+            let shifted = d.rate_at(t + d.period);
             assert!(
                 (r - shifted).abs() < 1e-9,
                 "period broken: {r} vs {shifted}"

@@ -1,6 +1,5 @@
 //! The analytic execution-time model behind the paper's Fig. 3.
 
-use crate::benchmark::Benchmark;
 use crate::config::WorkloadConfig;
 use tps_power::{CoreFrequency, UncoreFrequency};
 use tps_units::{GigaHertz, Watts};
@@ -22,7 +21,6 @@ use tps_units::{GigaHertz, Watts};
 /// Times are normalized to the `(8,16,f_max)` baseline of the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchProfile {
-    bench: Benchmark,
     serial: f64,
     mem: f64,
     smt_gain: f64,
@@ -33,14 +31,12 @@ pub struct BenchProfile {
 }
 
 impl BenchProfile {
-    /// Builds a profile; used by [`Benchmark::profile`].
+    /// Builds a profile; used by [`Benchmark::profile`](crate::Benchmark::profile).
     ///
     /// # Panics
     ///
     /// Panics if any fraction leaves its physical range.
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the table
     pub(crate) fn new(
-        bench: Benchmark,
         serial: f64,
         mem: f64,
         smt_gain: f64,
@@ -60,7 +56,6 @@ impl BenchProfile {
             "LLC activity out of range"
         );
         Self {
-            bench,
             serial,
             mem,
             smt_gain,
@@ -71,62 +66,36 @@ impl BenchProfile {
         }
     }
 
-    /// The benchmark this profile describes.
-    pub fn benchmark(&self) -> Benchmark {
-        self.bench
-    }
-
-    /// Amdahl serial fraction.
-    pub fn serial_fraction(&self) -> f64 {
-        self.serial
-    }
-
     /// Memory-bound share of the work (frequency-insensitive).
-    pub fn mem_fraction(&self) -> f64 {
+    pub(crate) fn mem_fraction(&self) -> f64 {
         self.mem
     }
 
-    /// Throughput gain of a second hardware thread per core.
-    pub fn smt_gain(&self) -> f64 {
-        self.smt_gain
-    }
-
-    /// Per-core synchronization/communication overhead per extra core.
-    pub fn comm_overhead(&self) -> f64 {
-        self.comm
-    }
-
-    /// Memory parallelism at which extra cores stop helping the
-    /// memory-bound share.
-    pub fn bw_saturation(&self) -> f64 {
-        self.bw_saturation
-    }
-
     /// Per-core dynamic power at `f_max` with one thread.
-    pub fn dyn_core_power_fmax(&self) -> Watts {
+    pub(crate) fn dyn_core_power_fmax(&self) -> Watts {
         Watts::new(self.dyn_core_power_fmax)
     }
 
     /// LLC activity in `[0,1]` (1.0 = the 2 W worst case of Sec. IV-C2).
-    pub fn llc_activity(&self) -> f64 {
+    pub(crate) fn llc_activity(&self) -> f64 {
         self.llc_activity
     }
 
     /// Core busy fraction: memory stalls reduce switching activity.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         1.0 - 0.25 * self.mem
     }
 
     /// The uncore operating point the workload drives: memory-bound
     /// workloads push the uncore towards its maximum frequency.
-    pub fn uncore_frequency(&self) -> UncoreFrequency {
+    pub(crate) fn uncore_frequency(&self) -> UncoreFrequency {
         let ghz = UncoreFrequency::MIN_GHZ
             + (UncoreFrequency::MAX_GHZ - UncoreFrequency::MIN_GHZ) * (0.4 + 0.6 * self.mem);
         UncoreFrequency::new(GigaHertz::new(ghz))
     }
 
     /// Parallel speedup of the CPU-bound share at a configuration.
-    pub fn cpu_speedup(&self, cfg: WorkloadConfig) -> f64 {
+    pub(crate) fn cpu_speedup(&self, cfg: WorkloadConfig) -> f64 {
         let nc = f64::from(cfg.n_cores());
         let smt = if cfg.threads_per_core() == 2 {
             self.smt_gain
@@ -137,7 +106,7 @@ impl BenchProfile {
     }
 
     /// Execution time in baseline-work units (serial @ `f_max` = 1.0).
-    pub fn execution_time_units(&self, cfg: WorkloadConfig) -> f64 {
+    pub(crate) fn execution_time_units(&self, cfg: WorkloadConfig) -> f64 {
         let fscale = CoreFrequency::MAX.ghz().value() / cfg.frequency().ghz().value();
         let s_cpu = self.cpu_speedup(cfg);
         let s_mem = s_cpu.min(self.bw_saturation);
@@ -159,10 +128,21 @@ impl BenchProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmark::Benchmark;
     use proptest::prelude::*;
 
     fn cfg(nc: u8, tpc: u8, f: CoreFrequency) -> WorkloadConfig {
         WorkloadConfig::new(nc, tpc, f).unwrap()
+    }
+
+    #[test]
+    fn profiles_are_valid() {
+        for b in Benchmark::ALL {
+            let p = b.profile();
+            assert!(p.serial > 0.0 && p.serial < 0.2);
+            assert!(p.mem >= 0.0 && p.mem <= 0.7);
+            assert!(p.smt_gain >= 1.0 && p.smt_gain <= 1.5);
+        }
     }
 
     #[test]

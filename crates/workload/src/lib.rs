@@ -38,10 +38,10 @@ mod trace;
 pub use benchmark::Benchmark;
 pub use config::{ConfigError, WorkloadConfig};
 pub use demand::{
-    arrival_source, request_stream, synthesize_arrivals, ArrivalSource, BurstyDemand,
-    ConstantDemand, DemandModel, DiurnalDemand, Request, RequestStream, ServingDemand,
+    request_stream, synthesize_arrivals, BurstyDemand, ConstantDemand, DemandModel, DiurnalDemand,
+    Request, RequestStream, ServingDemand,
 };
 pub use exec::BenchProfile;
 pub use profiler::{profile_application, profile_config, ConfigProfile};
 pub use qos::QosClass;
-pub use trace::{Phase, WorkloadTrace};
+pub use trace::WorkloadTrace;

@@ -1,9 +1,9 @@
-//! Phase-based workload traces for transient simulation.
+//! Phase-based workload traces.
 //!
 //! Real PARSEC executions alternate between compute-heavy and memory-heavy
 //! phases (the paper's runtime controller reacts to the resulting thermal
 //! transients). [`WorkloadTrace::synthesize`] generates a reproducible
-//! phase sequence per benchmark for the transient examples and tests, and
+//! phase sequence per benchmark for the runtime-control example, and
 //! [`WorkloadTrace::synthesized_duration`] replays the same sequence for
 //! its total alone, without storing it.
 
@@ -15,7 +15,7 @@ use tps_units::Seconds;
 /// One execution phase: a duration and a dynamic-power scale factor relative
 /// to the benchmark's average dynamic power.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Phase duration.
     pub duration: Seconds,
     /// Dynamic-power multiplier in `[0.3, 1.5]` (1.0 = profile average).
@@ -25,7 +25,6 @@ pub struct Phase {
 /// A sequence of phases approximating one benchmark execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTrace {
-    bench: Benchmark,
     phases: Vec<Phase>,
 }
 
@@ -37,7 +36,6 @@ impl WorkloadTrace {
     /// alternate faster between cooler stall phases and bursts.
     pub fn synthesize(bench: Benchmark, total: Seconds, seed: u64) -> Self {
         Self {
-            bench,
             phases: Phases::new(bench, total, seed).collect(),
         }
     }
@@ -48,16 +46,6 @@ impl WorkloadTrace {
     /// same sum (an empty trace is `-0.0` s in both).
     pub fn synthesized_duration(bench: Benchmark, total: Seconds, seed: u64) -> Seconds {
         Phases::new(bench, total, seed).map(|p| p.duration).sum()
-    }
-
-    /// The benchmark this trace belongs to.
-    pub fn benchmark(&self) -> Benchmark {
-        self.bench
-    }
-
-    /// The phases in execution order.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
     }
 
     /// Total trace duration.
@@ -75,19 +63,6 @@ impl WorkloadTrace {
             }
         }
         self.phases.last().map_or(1.0, |p| p.power_scale)
-    }
-
-    /// Time-weighted average power scale (≈ 1.0 by construction).
-    pub fn average_power_scale(&self) -> f64 {
-        let total = self.duration().value();
-        if total == 0.0 {
-            return 1.0;
-        }
-        self.phases
-            .iter()
-            .map(|p| p.power_scale * p.duration.value())
-            .sum::<f64>()
-            / total
     }
 }
 
@@ -165,11 +140,17 @@ mod tests {
     #[test]
     fn scales_are_bounded() {
         let t = WorkloadTrace::synthesize(Benchmark::Streamcluster, Seconds::new(60.0), 3);
-        for p in t.phases() {
+        for p in &t.phases {
             assert!((0.3..=1.5).contains(&p.power_scale));
             assert!(p.duration.value() > 0.0);
         }
-        let avg = t.average_power_scale();
+        // Time-weighted, the scales average ≈ 1.0 by construction.
+        let weighted: f64 = t
+            .phases
+            .iter()
+            .map(|p| p.power_scale * p.duration.value())
+            .sum();
+        let avg = weighted / t.duration().value();
         assert!((0.7..=1.3).contains(&avg), "average scale {avg}");
     }
 
@@ -177,16 +158,15 @@ mod tests {
     fn memory_bound_traces_have_more_phases() {
         let mem = WorkloadTrace::synthesize(Benchmark::Canneal, Seconds::new(60.0), 4);
         let cpu = WorkloadTrace::synthesize(Benchmark::Swaptions, Seconds::new(60.0), 4);
-        assert!(mem.phases().len() > cpu.phases().len());
+        assert!(mem.phases.len() > cpu.phases.len());
     }
 
     #[test]
     fn zero_total_yields_an_empty_trace() {
         let t = WorkloadTrace::synthesize(Benchmark::X264, Seconds::ZERO, 1);
-        assert!(t.phases().is_empty());
+        assert!(t.phases.is_empty());
         assert_eq!(t.duration(), Seconds::ZERO);
         // Degenerate lookups still answer something sane.
-        assert_eq!(t.average_power_scale(), 1.0);
         assert_eq!(t.power_scale_at(Seconds::new(5.0)), 1.0);
     }
 
@@ -196,7 +176,7 @@ mod tests {
         // 0.1 s request must be clipped into a single phase of that length.
         for b in [Benchmark::Swaptions, Benchmark::Canneal] {
             let t = WorkloadTrace::synthesize(b, Seconds::new(0.1), 2);
-            assert_eq!(t.phases().len(), 1, "{b}");
+            assert_eq!(t.phases.len(), 1, "{b}");
             assert!((t.duration().value() - 0.1).abs() < 1e-12, "{b}");
         }
     }
@@ -217,7 +197,7 @@ mod tests {
         // same total duration contract.
         let a = WorkloadTrace::synthesize(Benchmark::Blackscholes, Seconds::new(25.0), 6);
         let b = WorkloadTrace::synthesize(Benchmark::Streamcluster, Seconds::new(25.0), 6);
-        assert_ne!(a.phases(), b.phases());
+        assert_ne!(a.phases, b.phases);
         assert!((a.duration().value() - 25.0).abs() < 1e-9);
         assert!((b.duration().value() - 25.0).abs() < 1e-9);
     }
@@ -225,10 +205,10 @@ mod tests {
     #[test]
     fn power_scale_lookup() {
         let t = WorkloadTrace::synthesize(Benchmark::Ferret, Seconds::new(10.0), 5);
-        let first = t.phases()[0];
+        let first = t.phases[0];
         assert_eq!(t.power_scale_at(Seconds::new(0.0)), first.power_scale);
         // Past the end: last phase's scale.
-        let last = *t.phases().last().unwrap();
+        let last = *t.phases.last().unwrap();
         assert_eq!(t.power_scale_at(Seconds::new(1e6)), last.power_scale);
     }
 }

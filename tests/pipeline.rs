@@ -186,24 +186,3 @@ fn spread_mappings_produce_distinct_hotspots() {
     // And the packed blob is the hotter one.
     assert!(packed.die.max > spread.die.max);
 }
-
-#[test]
-fn colocation_respects_qos_of_both_tenants() {
-    let server = server();
-    let out = server
-        .run_colocated(
-            &[
-                (Benchmark::Dedup, QosClass::ThreeX),
-                (Benchmark::Bodytrack, QosClass::ThreeX),
-            ],
-            &ProposedMapping,
-        )
-        .expect("two 3x apps fit on one package");
-    assert_eq!(out.assignments.len(), 2);
-    for a in &out.assignments {
-        assert!(a.qos.is_met_by(a.profile.normalized_time));
-    }
-    // The combined map still respects the case limit at the paper
-    // operating point.
-    assert!(out.solution.t_case.value() < 85.0);
-}
