@@ -16,28 +16,37 @@
 //!
 //! Enumerating every `(rack, class)` slot per arrival would be the
 //! simulator's whole runtime at 100 k servers, so every [`FleetView`]
-//! carries a [`FleetIndex`]: the committed racks ordered by heat and the
-//! idle racks grouped by class pattern. The full enumeration survives
-//! only as the oracle in this module's tests and in
-//! `tests/properties.rs`. Two facts make the indexed walk
-//! *bit-identical* to it:
+//! carries a [`FleetIndex`]: one entry per distinct committed rack state
+//! `(heat, supply, class pattern)`, ordered by heat, with the state's
+//! member racks beside it, and the idle racks grouped by class pattern.
+//! The full enumeration survives only as the oracle in this module's
+//! tests and in `tests/properties.rs`, and as [`PlannedDispatch`]'s slow
+//! path. Two facts make the indexed walk *bit-identical* to it:
 //!
-//! * every idle rack of one class pattern has the exact same
-//!   [`RackView`] (`0.0` heat — drained racks are pinned to exact zero —
-//!   no supply, nothing committed), hence the exact same marginal-power
-//!   score: one group representative stands in for all of them, and
-//!   because an idle rack's servers are all free (`wait = 0`), either the
-//!   group's lowest-index rack is accepted or every member would have
-//!   been rejected;
+//! * every rack of one state has the exact same [`RackView`] heat and
+//!   supply and the same classes — idle racks of one class pattern
+//!   included, since drained racks are pinned to exact zero heat and no
+//!   supply — hence the exact same marginal-power score per class
+//!   (`marginal_power` reads nothing else). So the state's lowest rack
+//!   wins every score tie and one representative stands in for all of
+//!   them. It is in the active prefix exactly when any member is, since
+//!   the members ascend and the prefix is `0..active_racks`;
 //! * the ranking's sort key `(power, heat, rack, class)` is a total
 //!   order, so scoring racks from the index instead of in rack order
 //!   cannot change the sorted result.
 //!
-//! Each occupied entry carries its rack's COP and chiller draw inline
-//! (kept by [`RackLoads`](crate::RackLoads), the owner of the chiller),
-//! so [`ThermalAwareDispatch`] scores an occupied rack with one division.
-//! Its sorted slow path, taken only when the cheapest slot would blow
-//! its wait budget, scores every candidate afresh.
+//! Only the fold's winner is checked against its wait budget. An idle
+//! rack's servers are all free (`wait = 0`), so either an idle group's
+//! lowest rack is accepted or every member would have been rejected.
+//! The members of a committed state wait on their own servers, so when
+//! the winner fails its budget, the sorted slow path expands every member
+//! of every state, scores each afresh and walks them in order.
+//!
+//! Each state entry carries its COP and chiller draw inline (kept by
+//! [`RackLoads`](crate::RackLoads), the owner of the chiller), so an
+//! arrival scores an occupied state with one division.
+//! [`PlannedDispatch`] folds the same representatives under its energy
+//! score.
 //!
 //! # Activation: the serving-mode capacity mask
 //!
@@ -243,24 +252,29 @@ impl ServerTable {
     }
 }
 
-/// The kernel's incremental dispatch index over the rack state: who is
-/// committed (ordered by heat) and who is idle (grouped by class
-/// pattern).
+/// The kernel's incremental dispatch index over the rack state: the
+/// distinct committed states (ordered by heat) with their member racks,
+/// and the idle racks (grouped by class pattern).
 ///
 /// Maintained by [`RackLoads`](crate::RackLoads) as placements commit and
 /// expire; see the module docs for why walking this index is
 /// bit-identical to enumerating every rack.
 #[derive(Debug)]
 pub struct FleetIndex<'a> {
-    /// Racks with committed load, an ascending sorted slice keyed
-    /// `(heat bits, rack)` — the heat key is the rack's *view* heat
-    /// (clamped non-negative), so `f64::to_bits` is monotone and the
-    /// first element is exactly the coolest-then-lowest rack. Each entry
-    /// carries the rack's fold inputs inline
+    /// One entry per distinct committed rack state `(heat bits, supply
+    /// bits, group)`, an ascending sorted slice keyed `(heat bits,
+    /// representative)`, where the representative is the state's lowest
+    /// member rack. The heat key is the members' *view* heat (clamped
+    /// non-negative), so `f64::to_bits` is monotone and the first element
+    /// represents exactly the coolest-then-lowest rack. Each entry carries
+    /// the fold inputs its members share inline
     /// ([`OccupiedRack`](crate::OccupiedRack)), its COP and chiller draw
-    /// under [`FleetView::chiller`] included, so the candidate scan is
-    /// one contiguous read.
+    /// under [`FleetView::chiller`] included, so the candidate scan is one
+    /// contiguous read.
     pub occupied: &'a [OccupiedRack],
+    /// Per rack: the racks of the state it represents, ascending (the
+    /// representative first), or an empty list when it represents none.
+    pub members: &'a [Vec<u32>],
     /// Per-group lowest idle rack (`None` while the group has no idle
     /// racks). The sets themselves stay inside
     /// [`RackLoads`](crate::RackLoads): every dispatch decision only ever
@@ -287,8 +301,9 @@ pub struct FleetView<'a> {
     /// [`racks`](FleetView::racks), which the ranking dispatchers walk
     /// instead of enumerating every rack. A hand-assembled view must keep
     /// it consistent with the rack views (idle racks have nothing
-    /// committed and every server free) and the occupied entries' COP
-    /// terms consistent with [`chiller`](FleetView::chiller).
+    /// committed and every server free, and racks that share a committed
+    /// state share one entry) and the state entries' COP terms
+    /// consistent with [`chiller`](FleetView::chiller).
     pub index: FleetIndex<'a>,
 }
 
@@ -388,13 +403,13 @@ impl FleetDispatcher for CoolestRackFirst {
         let active_racks = view.servers.active_racks();
         let ix = &view.index;
         // The coolest rack in O(log racks): the lowest-index idle rack
-        // (exact 0.0 heat) versus the occupied set's first element,
+        // (exact 0.0 heat) versus the state set's first element,
         // compared on the (heat bits, rack) key a linear scan would
         // minimize — `0.0f64.to_bits() == 0`, so an idle rack wins any tie
         // an occupied zero-heat rack doesn't win by index. Candidates past
-        // the active prefix are skipped (each idle set and the occupied set
-        // ascend by their key, so the first in-prefix element is the set's
-        // in-prefix minimum).
+        // the active prefix are skipped (each idle set and the state set
+        // ascend by their key, and a state's key carries its lowest member,
+        // so the first in-prefix element is the set's in-prefix minimum).
         let idle_min = ix
             .idle_min
             .iter()
@@ -432,12 +447,11 @@ impl FleetDispatcher for CoolestRackFirst {
     }
 }
 
-/// One ranked `(rack, class)` candidate of the indexed thermal-aware
-/// walk. Group entries represent *every* idle rack of their group: the
-/// stored rack is the group's lowest index, and if it fails the wait
-/// check (only possible on a negative budget, since idle servers wait 0)
-/// every other member fails identically, so no per-entry marker is
-/// needed — the walk treats both kinds uniformly.
+/// One ranked `(rack, class)` candidate of an indexed walk, `p` its
+/// score. The fold's candidates represent *every* rack of their idle
+/// group or state by its lowest member; the slow path expands a state's
+/// members, which wait on their own servers, but not an idle group's,
+/// which all wait 0.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     p: f64,
@@ -448,7 +462,7 @@ struct Candidate {
 
 /// The fold's initial accumulator: loses to every real candidate (`p`
 /// compares by `total_cmp`, and a real fold never produces a non-finite
-/// power), and its `rack` doubles as the "no candidates at all" marker.
+/// score), and its `rack` doubles as the "no candidates at all" marker.
 const SENTINEL: Candidate = Candidate {
     p: f64::INFINITY,
     h: f64::INFINITY,
@@ -457,9 +471,9 @@ const SENTINEL: Candidate = Candidate {
 };
 
 /// Folds one candidate into the running minimum under the exact total
-/// key the ranked walk sorts by — `(power, heat, rack, class)`. The
-/// power comparison almost always decides, so the tie keys are only
-/// evaluated on an exact power tie.
+/// key the ranked walk sorts by — `(score, heat, rack, class)`. The
+/// score comparison almost always decides, so the tie keys are only
+/// evaluated on an exact tie.
 #[inline]
 fn consider(cand: Candidate, best: &mut Candidate) {
     use std::cmp::Ordering;
@@ -478,6 +492,157 @@ fn consider(cand: Candidate, best: &mut Candidate) {
     }
 }
 
+/// One class's fold inputs for the arriving job under the chiller in
+/// force: the class's added heat, its water ceiling, `cop(max_water_temp)`,
+/// and the (rack-independent) idle-rack marginal power.
+#[derive(Debug, Clone, Copy)]
+struct ClassInputs {
+    heat: f64,
+    mwt: f64,
+    cop_mwt: f64,
+    idle_p: f64,
+}
+
+/// The arriving job's [`ClassInputs`] on every catalog class, in class
+/// order.
+fn class_inputs<'a>(
+    demand: &'a JobDemand<'_>,
+    chiller: &'a Chiller,
+) -> impl Iterator<Item = ClassInputs> + 'a {
+    let idle_view = idle_rack_view();
+    demand.classes.iter().map(move |cd| ClassInputs {
+        heat: cd.state.heat.value(),
+        mwt: cd.state.max_water_temp.value(),
+        cop_mwt: chiller.cop(cd.state.max_water_temp),
+        idle_p: marginal_power(chiller, &idle_view, &cd.state),
+    })
+}
+
+/// The least representative `(rack, class)` candidate in the active
+/// prefix under the `(score, heat, rack, class)` total key, where
+/// `score(c, p)` maps class `c`'s marginal chiller power `p` to the
+/// ranking score; [`SENTINEL`] when no rack is active.
+///
+/// The candidates are one representative per idle group and per
+/// committed state. Every member of one of them has the same view heat
+/// and supply and the same classes, so the same score per class, and
+/// loses the `rack` tie to the representative: the fold's minimum is
+/// exactly the full `(rack, class)` enumeration's first element. A
+/// representative is in the active prefix exactly when any member is,
+/// because it is the lowest.
+///
+/// The fold reads only the contiguous entries — heat, group, supply and
+/// the state's COP terms travel with the representative — so scoring an
+/// occupied state costs one division and no rack-indexed load.
+fn fold_representatives(
+    ix: &FleetIndex<'_>,
+    active_racks: usize,
+    lab: &[ClassInputs],
+    score: impl Fn(usize, f64) -> f64,
+) -> Candidate {
+    let mut best = SENTINEL;
+    // Idle representatives first — their scores are rack-independent
+    // input reads. The fold's minimum under the strict `(p, h, rack,
+    // class)` total order is the same whatever the visit order, since
+    // every candidate's `(rack, class)` is unique.
+    for (g, &m) in ix.idle_min.iter().enumerate() {
+        let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
+            continue;
+        };
+        for &c in &ix.group_classes[g] {
+            let cand = Candidate {
+                p: score(c, lab[c].idle_p),
+                h: 0.0,
+                rack: first,
+                class: c as u32,
+            };
+            consider(cand, &mut best);
+        }
+    }
+    // `heat()`/`supply()` replay the members' view fields bit-for-bit
+    // (the entry caches their raw bits), and `group_classes[e.group]` is
+    // `classes_in_rack(r)` of every member by construction (groups are
+    // keyed on exact slice equality). Bit-identical unrolling of
+    // `marginal_power`: the entry's `draw` is `electrical_power(heat,
+    // supply)`, and both branches of `min(supply, max_water_temp)` replay
+    // the same pure COP on the same input (a tie gives equal COP bits
+    // either way). A missing supply reads as the NaN `NO_SUPPLY` bits,
+    // fails the comparison and selects `cop_mwt` against a `0.0` draw,
+    // like the `None` arms of `marginal_power`.
+    //
+    // The entries ascend by `(heat bits, representative)` and each rack's
+    // classes by id, so the walk visits them in exactly the `(h, rack,
+    // class)` tie order (view heats are non-negative, where `total_cmp`
+    // orders like the bits): the first candidate reaching the least score
+    // is their total-key minimum, and a strict less-than on the score
+    // alone finds it without evaluating the tie keys. The uniform
+    // catalog's single `(group, class)` is hoisted so the class constants
+    // live in registers across the whole walk.
+    let mut occ = SENTINEL;
+    match ix.group_classes {
+        [single] if single.len() == 1 => {
+            let c = single[0];
+            let sc = lab[c];
+            for e in ix.occupied.iter() {
+                if e.rack as usize >= active_racks {
+                    continue;
+                }
+                let h = e.heat();
+                let joint_cop = if f64::from_bits(e.supply_bits) <= sc.mwt {
+                    e.cop
+                } else {
+                    sc.cop_mwt
+                };
+                let p = score(c, (h + sc.heat) / joint_cop - e.draw);
+                if p.total_cmp(&occ.p).is_lt() {
+                    occ = Candidate {
+                        p,
+                        h,
+                        rack: e.rack,
+                        class: c as u32,
+                    };
+                }
+            }
+        }
+        _ => {
+            for e in ix.occupied.iter() {
+                if e.rack as usize >= active_racks {
+                    continue;
+                }
+                let h = e.heat();
+                let supply = f64::from_bits(e.supply_bits);
+                for &c in &ix.group_classes[e.group as usize] {
+                    let sc = &lab[c];
+                    let joint_cop = if supply <= sc.mwt { e.cop } else { sc.cop_mwt };
+                    let p = score(c, (h + sc.heat) / joint_cop - e.draw);
+                    if p.total_cmp(&occ.p).is_lt() {
+                        occ = Candidate {
+                            p,
+                            h,
+                            rack: e.rack,
+                            class: c as u32,
+                        };
+                    }
+                }
+            }
+        }
+    }
+    consider(occ, &mut best);
+    best
+}
+
+/// The fold winner's earliest free server, if there is a winner and that
+/// server meets its class's wait budget.
+fn accept(best: Candidate, demand: &JobDemand<'_>, view: &FleetView<'_>) -> Option<usize> {
+    if best.rack == u32::MAX {
+        return None;
+    }
+    let (server, _) = view
+        .earliest_free_of_class(best.rack as usize, best.class as usize)
+        .expect("the index only lists hosted classes");
+    (view.wait_on(server) <= demand.class(best.class as usize).wait_budget).then_some(server)
+}
+
 /// The paper's policy, lifted to the fleet: rank `(rack, class)` slots by
 /// the *marginal chiller electrical power* of accepting the job there —
 /// accounting for the class-specific heat, the supply-temperature drop
@@ -490,7 +655,7 @@ fn consider(cand: Candidate, best: &mut Candidate) {
 /// or run at high COP, while the few jobs that need cold supply are
 /// concentrated instead of contaminating every rack.
 ///
-/// The ranking is built from the [`FleetIndex`]'s occupied racks, each
+/// The ranking is built from the [`FleetIndex`]'s committed states, each
 /// carrying its COP terms inline, plus one representative per idle rack
 /// group — bit-identical to the full `(rack, class)` enumeration (see the
 /// module docs).
@@ -503,168 +668,47 @@ pub struct ThermalAwareDispatch {
     inputs: Vec<ClassInputs>,
 }
 
-/// One class's fold inputs for the arriving job under the chiller in
-/// force: the class's added heat, its water ceiling, `cop(max_water_temp)`,
-/// and the (rack-independent) idle-rack marginal power.
-#[derive(Debug, Clone, Copy)]
-struct ClassInputs {
-    heat: f64,
-    mwt: f64,
-    cop_mwt: f64,
-    idle_p: f64,
-}
-
 impl ThermalAwareDispatch {
     /// Scores candidates from the incremental index and picks the
     /// cheapest slot meeting its wait budget.
     ///
-    /// Fast path first: a single-pass minimum fold over the contiguous
-    /// [`OccupiedRack`] entries plus one representative per idle group,
-    /// reduced under the `(power, heat, rack, class)` total key. The key
-    /// is a total order, so the fold's minimum is exactly the sorted
-    /// ranking's first element. When that winner meets its wait budget
-    /// (the overwhelmingly common case) no ranking is materialized at
-    /// all; otherwise [`walk_indexed`](Self::walk_indexed) rebuilds and
-    /// walks the full sorted ranking, bit-identical to the fold's order.
-    ///
-    /// The fold reads only the contiguous entries — heat, group, supply
-    /// and the rack's COP terms travel with the rack id — so scoring an
-    /// occupied rack costs one division and no rack-indexed load.
+    /// Fast path first: [`fold_representatives`] under the marginal
+    /// power itself. The key is a total order, so the fold's minimum is
+    /// exactly the sorted ranking's first element. When that winner meets
+    /// its wait budget (the overwhelmingly common case) no ranking is
+    /// materialized at all; otherwise [`walk_indexed`](Self::walk_indexed)
+    /// rebuilds and walks the full sorted ranking, bit-identical to the
+    /// fold's order.
     fn place_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        let ix = &view.index;
-        let active_racks = view.servers.active_racks();
-        let idle_view = idle_rack_view();
         self.inputs.clear();
-        self.inputs
-            .extend(demand.classes.iter().map(|cd| ClassInputs {
-                heat: cd.state.heat.value(),
-                mwt: cd.state.max_water_temp.value(),
-                cop_mwt: view.chiller.cop(cd.state.max_water_temp),
-                idle_p: marginal_power(view.chiller, &idle_view, &cd.state),
-            }));
-        let lab = &self.inputs;
-        let mut best = SENTINEL;
-        // Idle representatives first — their scores are rack-independent
-        // input reads. The fold's minimum under the strict `(p, h, rack,
-        // class)` total order is the same whatever the visit order, since
-        // every candidate's `(rack, class)` is unique.
-        for (g, &m) in ix.idle_min.iter().enumerate() {
-            let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
-                continue;
-            };
-            for &c in &ix.group_classes[g] {
-                consider(
-                    Candidate {
-                        p: lab[c].idle_p,
-                        h: 0.0,
-                        rack: first,
-                        class: c as u32,
-                    },
-                    &mut best,
-                );
-            }
-        }
-        // `heat()`/`supply()` replay the rack view's fields bit-for-bit
-        // (the entry caches their raw bits), and `group_classes[e.group]`
-        // is `classes_in_rack(r)` by construction (groups are keyed on
-        // exact slice equality). Bit-identical unrolling of
-        // `marginal_power`: the entry's `draw` is `electrical_power(heat,
-        // supply)`, and both branches of `min(supply, max_water_temp)`
-        // replay the same pure COP on the same input (a tie gives equal
-        // COP bits either way). A missing supply reads as the NaN
-        // `NO_SUPPLY` bits, fails the comparison and selects `cop_mwt`
-        // against a `0.0` draw, like the `None` arms of `marginal_power`.
-        //
-        // The occupied entries ascend by `(heat bits, rack)` and each
-        // rack's classes by id, so the walk visits them in exactly the
-        // `(h, rack, class)` tie order (view heats are non-negative, where
-        // `total_cmp` orders like the bits): the first candidate reaching
-        // the least power is their total-key minimum, and a strict
-        // less-than on power alone finds it without evaluating the tie
-        // keys. The uniform catalog's single `(group, class)` is hoisted
-        // so the class constants live in registers across the whole walk.
-        let mut occ = SENTINEL;
-        match ix.group_classes {
-            [single] if single.len() == 1 => {
-                let c = single[0];
-                let sc = lab[c];
-                for e in ix.occupied.iter() {
-                    if e.rack as usize >= active_racks {
-                        continue;
-                    }
-                    let h = e.heat();
-                    let joint_cop = if f64::from_bits(e.supply_bits) <= sc.mwt {
-                        e.cop
-                    } else {
-                        sc.cop_mwt
-                    };
-                    let p = (h + sc.heat) / joint_cop - e.draw;
-                    if p.total_cmp(&occ.p).is_lt() {
-                        occ = Candidate {
-                            p,
-                            h,
-                            rack: e.rack,
-                            class: c as u32,
-                        };
-                    }
-                }
-            }
-            _ => {
-                for e in ix.occupied.iter() {
-                    if e.rack as usize >= active_racks {
-                        continue;
-                    }
-                    let h = e.heat();
-                    let supply = f64::from_bits(e.supply_bits);
-                    for &c in &ix.group_classes[e.group as usize] {
-                        let sc = &lab[c];
-                        let joint_cop = if supply <= sc.mwt { e.cop } else { sc.cop_mwt };
-                        let p = (h + sc.heat) / joint_cop - e.draw;
-                        if p.total_cmp(&occ.p).is_lt() {
-                            occ = Candidate {
-                                p,
-                                h,
-                                rack: e.rack,
-                                class: c as u32,
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        consider(occ, &mut best);
-        if best.rack != u32::MAX {
-            let (server, _) = view
-                .earliest_free_of_class(best.rack as usize, best.class as usize)
-                .expect("the index only lists hosted classes");
-            if view.wait_on(server) <= demand.class(best.class as usize).wait_budget {
-                return server;
-            }
-        }
-        self.walk_indexed(demand, view)
+        self.inputs.extend(class_inputs(demand, view.chiller));
+        let active_racks = view.servers.active_racks();
+        let best = fold_representatives(&view.index, active_racks, &self.inputs, |_, p| p);
+        accept(best, demand, view).unwrap_or_else(|| self.walk_indexed(demand, view))
     }
 
     /// The indexed slow path, taken only when the fold's winner blows its
-    /// wait budget: materialize the full candidate list (same entries as
-    /// the fold), score each with [`marginal_power`], sort it under the
-    /// same key, and walk it in order.
+    /// wait budget: materialize the full candidate list (every active
+    /// member of every state, plus the idle representatives), score each
+    /// with [`marginal_power`], sort it under the fold's key, and walk it
+    /// in order. The members of one state score alike but wait on their
+    /// own servers, so each is a candidate of its own.
     fn walk_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         let ix = &view.index;
         let active_racks = view.servers.active_racks();
         self.ranked.clear();
         for e in ix.occupied.iter() {
-            let r = e.rack as usize;
-            if r >= active_racks {
-                continue;
-            }
-            let rack = &view.racks[r];
-            for &c in view.servers.classes_in_rack(r) {
-                self.ranked.push(Candidate {
-                    p: marginal_power(view.chiller, rack, &demand.class(c).state),
-                    h: rack.heat.value(),
-                    rack: e.rack,
-                    class: c as u32,
-                });
+            let members = ix.members[e.rack as usize].iter();
+            for &m in members.take_while(|&&m| (m as usize) < active_racks) {
+                let rack = &view.racks[m as usize];
+                for &c in view.servers.classes_in_rack(m as usize) {
+                    self.ranked.push(Candidate {
+                        p: marginal_power(view.chiller, rack, &demand.class(c).state),
+                        h: rack.heat.value(),
+                        rack: m,
+                        class: c as u32,
+                    });
+                }
             }
         }
         let idle_view = idle_rack_view();
@@ -734,6 +778,11 @@ impl FleetDispatcher for ThermalAwareDispatch {
 /// class can win even at a worse instantaneous COP. It is what the
 /// planner degrades to on a one-job horizon, and the natural companion
 /// dispatcher when `PlannerControl` hints miss (`dispatcher = "planned"`).
+///
+/// It ranks on the same index as [`ThermalAwareDispatch`]: the energy
+/// reads a slot's rack only through its marginal power, so one
+/// representative stands for every member of an idle group or committed
+/// state here too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlannedDispatch;
 
@@ -743,6 +792,18 @@ impl FleetDispatcher for PlannedDispatch {
     }
 
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        // Fast path: the representatives' least energy under the full
+        // `(energy, heat, rack, class)` key, which is the enumeration's
+        // first element below.
+        let inputs: Vec<ClassInputs> = class_inputs(demand, view.chiller).collect();
+        let energy = |c: usize, p: f64| {
+            let d = demand.class(c);
+            d.runtime.value() * (d.state.package_power.value() + p)
+        };
+        let best = fold_representatives(&view.index, view.servers.active_racks(), &inputs, energy);
+        if let Some(server) = accept(best, demand, view) {
+            return server;
+        }
         let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
         for i in 0..view.servers.active_racks() {
             let rack = &view.racks[i];
@@ -818,10 +879,12 @@ mod tests {
     }
 
     /// Owns the [`FleetIndex`] the kernel would maintain for hand-built
-    /// rack views: committed racks ordered by `(heat bits, rack)` and the
-    /// lowest idle rack of each class pattern.
+    /// rack views: one entry per distinct committed `(heat bits, supply
+    /// bits, group)` state ordered by `(heat bits, representative)`, each
+    /// state's members, and the lowest idle rack of each class pattern.
     struct Index {
         occupied: Vec<OccupiedRack>,
+        members: Vec<Vec<u32>>,
         idle_min: Vec<Option<u32>>,
         group_classes: Vec<Vec<ClassId>>,
     }
@@ -842,18 +905,31 @@ mod tests {
                 group_of.push(g as u32);
             }
             let mut idle_min = vec![None; group_classes.len()];
-            let mut occupied = Vec::new();
+            let mut occupied: Vec<OccupiedRack> = Vec::new();
+            let mut members = vec![Vec::new(); racks.len()];
             for (r, v) in racks.iter().enumerate() {
                 let group = group_of[r];
                 if v.committed == 0 {
                     idle_min[group as usize].get_or_insert(r as u32);
-                } else {
-                    occupied.push(OccupiedRack::new(r as u32, group, v, chiller));
+                    continue;
+                }
+                let entry = OccupiedRack::new(r as u32, group, v, chiller);
+                let same = |e: &&OccupiedRack| {
+                    (e.heat_bits, e.supply_bits, e.group)
+                        == (entry.heat_bits, entry.supply_bits, group)
+                };
+                match occupied.iter().find(same) {
+                    Some(e) => members[e.rack as usize].push(r as u32),
+                    None => {
+                        occupied.push(entry);
+                        members[r].push(r as u32);
+                    }
                 }
             }
             occupied.sort_by_key(OccupiedRack::key);
             Self {
                 occupied,
+                members,
                 idle_min,
                 group_classes,
             }
@@ -872,6 +948,7 @@ mod tests {
                 chiller,
                 index: FleetIndex {
                     occupied: &self.occupied,
+                    members: &self.members,
                     idle_min: &self.idle_min,
                     group_classes: &self.group_classes,
                 },

@@ -58,7 +58,7 @@ use crate::metrics::{
 };
 use crate::queue::EventQueue;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use tps_cooling::Chiller;
 use tps_core::RunError;
 use tps_units::{Celsius, Seconds, Watts};
@@ -157,7 +157,7 @@ impl Eq for Ending {}
 
 /// Incremental per-rack committed load: every placement that has not
 /// finished (running or still queued) counts against its rack until its
-/// end time expires. Keeps dispatch O(racks + log jobs) per arrival
+/// end time expires. Keeps dispatch O(states + log jobs) per arrival
 /// instead of rescanning all placements.
 ///
 /// Its end heap, keyed `(end, rack, commit order)`, is the kernel's only
@@ -166,15 +166,17 @@ impl Eq for Ending {}
 /// each end on to the energy integrator.
 ///
 /// Beyond the per-rack sums, the structure maintains the kernel's
-/// *dispatch index* incrementally: the current [`RackView`] per rack, the
-/// occupied racks ordered by `(heat bits, rack)` and the idle racks per
-/// rack group. Each placement or expiry touches exactly one rack, so the
-/// index updates in O(log racks) — this is what lets dispatchers skip the
-/// per-arrival full-fleet rescan.
+/// *dispatch index* incrementally: the current [`RackView`] per rack, one
+/// entry per distinct committed rack state `(view-heat bits, supply bits,
+/// rack group)` ordered by `(heat bits, representative)`, each state's
+/// member racks, and the idle racks per rack group. Each placement or
+/// expiry touches exactly one rack, so the index updates in O(log racks)
+/// plus a shift of the entries and members in between — this is what
+/// lets dispatchers skip the per-arrival full-fleet rescan.
 ///
-/// It also owns the run's chiller: every occupied entry carries its
-/// rack's COP and chiller draw under that chiller ([`OccupiedRack::cop`],
-/// [`OccupiedRack::draw`]), refreshed when the rack mutates and, for
+/// It also owns the run's chiller: every state entry carries its COP and
+/// chiller draw under that chiller ([`OccupiedRack::cop`],
+/// [`OccupiedRack::draw`]), computed when the state is created and, for
 /// every entry, on [`set_chiller`](Self::set_chiller).
 #[derive(Debug)]
 pub struct RackLoads {
@@ -187,49 +189,62 @@ pub struct RackLoads {
     /// from-scratch rebuild would produce (heat clamped non-negative,
     /// coldest committed water, committed count).
     views: Vec<RackView>,
-    /// Racks with committed load, an ascending sorted vector keyed
-    /// `(view-heat bits, rack)` — the clamped heat is non-negative, so
-    /// `to_bits` sorts like the float. A vector, not a tree: dispatchers
-    /// scan it on every arrival, and membership churn moves only a few
-    /// dozen in-flight entries per mutation. Each entry carries the
-    /// rack's fold inputs (heat, supply, group) inline, so the dispatch
-    /// hot loop reads one contiguous array instead of chasing four
-    /// rack-indexed arrays across the cache.
+    /// One entry per distinct committed state, an ascending sorted vector
+    /// keyed `(view-heat bits, representative)` — the clamped heat is
+    /// non-negative, so `to_bits` sorts like the float, and the
+    /// representative is the state's lowest member. A vector, not a tree:
+    /// dispatchers scan it on every arrival, and a mutation shifts only
+    /// the few states between a key's old and new slots.
     occupied: Vec<OccupiedRack>,
-    /// Idle racks per rack group, ascending by rack index.
-    idle: Vec<BTreeSet<u32>>,
-    /// Cached per-group minimum idle rack — always exactly
-    /// `idle[g].first()`, so the dispatch hot path reads each group's
-    /// representative in O(1) instead of chasing B-tree nodes per
-    /// arrival.
+    /// `members[r]` lists the racks of the state `r` represents,
+    /// ascending, and is empty for every other rack. A list moves with
+    /// its representative by a swap of slots, so its buffer is reused.
+    members: Vec<Vec<u32>>,
+    /// Idle racks per rack group.
+    idle: Vec<IdleRacks>,
+    /// Each group's lowest idle rack, read in O(1) on every arrival.
     idle_min: Vec<Option<u32>>,
     /// Rack → rack-group id.
     group_of: Vec<u32>,
+    /// Rack → its position in its group's [`IdleRacks::racks`].
+    slot_of: Vec<u32>,
     chiller: Chiller,
 }
 
-/// One entry of the occupied-rack index: the sort key `(heat bits,
-/// rack)` plus the rack's dispatch-fold inputs, denormalized inline so a
-/// per-arrival candidate scan is a single contiguous read. The fields
-/// replay the rack's [`RackView`] bit-for-bit: `heat_bits` is the view
-/// heat's `to_bits` (clamped non-negative, so the sort order matches the
-/// float) and `supply_bits` the view supply's, with [`Self::NO_SUPPLY`]
-/// standing in for `None`. `cop` and `draw` are the chiller terms of
-/// that view under the [`RackLoads`]' chiller (see [`Self::new`]).
+/// One rack group's idle racks: a bitset over the group's racks, whose
+/// ascending order makes bit order rack order.
+#[derive(Debug, Default)]
+struct IdleRacks {
+    /// The group's racks, ascending.
+    racks: Vec<u32>,
+    /// Bit `i` is set while `racks[i]` is idle.
+    bits: Vec<u64>,
+}
+
+/// One entry of the dispatch index: a distinct committed rack state, its
+/// sort key `(heat bits, representative)` plus the fold inputs every
+/// member shares, denormalized inline so a per-arrival candidate scan is
+/// a single contiguous read. The fields replay each member's
+/// [`RackView`] bit-for-bit: `heat_bits` is the view heat's `to_bits`
+/// (clamped non-negative, so the sort order matches the float) and
+/// `supply_bits` the view supply's, with [`Self::NO_SUPPLY`] standing in
+/// for `None`. `cop` and `draw` are the chiller terms of that view under
+/// the [`RackLoads`]' chiller (see [`Self::new`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupiedRack {
-    /// `to_bits` of the rack's clamped committed heat (key, major).
+    /// `to_bits` of the members' clamped committed heat (key, major).
     pub heat_bits: u64,
-    /// The rack id (key, minor — makes the key total).
+    /// The state's representative: its lowest member rack (key, minor —
+    /// makes the key total).
     pub rack: u32,
-    /// The rack's group id (its class pattern).
+    /// The members' group id (their class pattern).
     pub group: u32,
-    /// `to_bits` of the coldest committed water demand, or
-    /// [`Self::NO_SUPPLY`] when the rack has none.
+    /// `to_bits` of the members' coldest committed water demand, or
+    /// [`Self::NO_SUPPLY`] when they have none.
     pub supply_bits: u64,
     /// `chiller.cop(supply)`, `NaN` without a supply.
     pub cop: f64,
-    /// The rack's current chiller draw `heat / cop` — bit-for-bit
+    /// A member's current chiller draw `heat / cop` — bit-for-bit
     /// `chiller.electrical_power(heat, supply)` — or `0.0` without a
     /// supply.
     pub draw: f64,
@@ -240,8 +255,9 @@ impl OccupiedRack {
     /// temperature produces.
     pub const NO_SUPPLY: u64 = u64::MAX;
 
-    /// The entry for `rack` (in `group`) with view `view`, its chiller
-    /// terms evaluated under `chiller`.
+    /// The entry of the state represented by `rack` (in `group`) whose
+    /// members' view is `view`, its chiller terms evaluated under
+    /// `chiller`.
     pub fn new(rack: u32, group: u32, view: &RackView, chiller: &Chiller) -> Self {
         let mut entry = Self {
             heat_bits: view.heat.value().to_bits(),
@@ -273,13 +289,13 @@ impl OccupiedRack {
         (self.heat_bits, self.rack)
     }
 
-    /// The rack's committed heat, exactly the [`RackView`]'s.
+    /// The members' committed heat, exactly their [`RackView`]'s.
     #[inline]
     pub fn heat(&self) -> f64 {
         f64::from_bits(self.heat_bits)
     }
 
-    /// The rack's supply, exactly the [`RackView`]'s.
+    /// The members' supply, exactly their [`RackView`]'s.
     #[inline]
     pub fn supply(&self) -> Option<Celsius> {
         (self.supply_bits != Self::NO_SUPPLY)
@@ -297,8 +313,8 @@ impl RackLoads {
     /// Empty loads over `racks` racks partitioned into `groups` rack
     /// groups (`group_of[rack]` names each rack's group), cooled by
     /// `chiller`. Racks in one group must host the same class pattern —
-    /// the dispatch fast path treats any idle rack of a group as
-    /// interchangeable with the rest.
+    /// the dispatch fast path treats racks of a group that share a
+    /// committed state (idle included) as interchangeable.
     ///
     /// # Panics
     ///
@@ -310,12 +326,15 @@ impl RackLoads {
             group_of.iter().all(|&g| (g as usize) < groups.max(1)),
             "rack group out of range"
         );
-        let mut idle = vec![BTreeSet::new(); groups.max(1)];
+        let mut idle: Vec<IdleRacks> = (0..groups.max(1)).map(|_| IdleRacks::default()).collect();
+        let mut slot_of = Vec::with_capacity(racks);
         for (r, &g) in group_of.iter().enumerate() {
-            idle[g as usize].insert(r as u32);
+            let set = &mut idle[g as usize];
+            slot_of.push(set.racks.len() as u32);
+            set.racks.push(r as u32);
+            set.bits.resize(set.racks.len().div_ceil(64), 0);
         }
-        let idle_min = idle.iter().map(|s| s.first().copied()).collect();
-        Self {
+        let mut loads = Self {
             racks: vec![RackLoad::default(); racks],
             ends: BinaryHeap::new(),
             seq: 0,
@@ -329,20 +348,26 @@ impl RackLoads {
                 racks
             ],
             occupied: Vec::new(),
+            members: vec![Vec::new(); racks],
+            idle_min: vec![None; idle.len()],
             idle,
-            idle_min,
             group_of,
+            slot_of,
             chiller,
+        };
+        for r in 0..racks as u32 {
+            loads.set_idle(r);
         }
+        loads
     }
 
-    /// The chiller the occupied entries' COP terms are evaluated under.
+    /// The chiller the state entries' COP terms are evaluated under.
     pub fn chiller(&self) -> &Chiller {
         &self.chiller
     }
 
     /// Swaps the chiller (a set-point change) and re-evaluates every
-    /// occupied entry's COP terms under it.
+    /// state entry's COP terms under it.
     pub fn set_chiller(&mut self, chiller: Chiller) {
         self.chiller = chiller;
         for e in &mut self.occupied {
@@ -363,59 +388,141 @@ impl RackLoads {
     /// Re-derives `rack`'s view and index membership after a mutation.
     /// The view expressions are exactly those of a from-scratch rebuild,
     /// so the maintained views stay bit-identical to it.
-    fn sync_rack(&mut self, rack: usize, was_occupied: bool, old_bits: u64) {
+    fn sync_rack(&mut self, rack: usize) {
         let load = &self.racks[rack];
         let view = RackView {
             heat: Watts::new(load.heat()),
             supply: load.supply(),
             committed: load.count(),
         };
-        let now_occupied = view.committed > 0;
-        let r = rack as u32;
-        let g = self.group_of[rack] as usize;
-        let entry = OccupiedRack::new(r, self.group_of[rack], &view, &self.chiller);
-        self.views[rack] = view;
-        let find = |occupied: &[OccupiedRack], bits| {
-            occupied.binary_search_by_key(&(bits, r), OccupiedRack::key)
-        };
-        match (was_occupied, now_occupied) {
-            (false, true) => {
-                self.idle[g].remove(&r);
-                if self.idle_min[g] == Some(r) {
-                    self.idle_min[g] = self.idle[g].first().copied();
+        let old = std::mem::replace(&mut self.views[rack], view);
+        let (old_key, new_key) = (state_key(&old), state_key(&view));
+        if old_key == new_key {
+            return;
+        }
+        let (r, g) = (rack as u32, self.group_of[rack]);
+        // Leave the old state. The entry of a state the rack held alone is
+        // vacated: re-keyed in place if the rack moves to a state nobody
+        // holds, dropped otherwise.
+        let mut vacated = None;
+        match old_key {
+            None => self.set_busy(r),
+            Some((bits, supply)) => {
+                let at = self
+                    .find_state(bits, supply, g)
+                    .expect("occupied racks have a state");
+                let rep = self.occupied[at].rack;
+                let list = &mut self.members[rep as usize];
+                if list.len() == 1 {
+                    vacated = Some(at);
+                } else {
+                    let i = list.binary_search(&r).expect("a state lists its members");
+                    list.remove(i);
+                    if i == 0 {
+                        let next = list[0];
+                        self.members.swap(rep as usize, next as usize);
+                        let entry = OccupiedRack {
+                            rack: next,
+                            ..self.occupied[at]
+                        };
+                        self.slide(at, entry);
+                    }
                 }
-                let at =
-                    find(&self.occupied, entry.heat_bits).expect_err("idle racks have no entry");
-                self.occupied.insert(at, entry);
             }
-            (true, false) => {
-                let at = find(&self.occupied, old_bits).expect("occupied racks have an entry");
+        }
+        let Some((bits, supply)) = new_key else {
+            if let Some(at) = vacated {
                 self.occupied.remove(at);
-                self.idle[g].insert(r);
-                if self.idle_min[g].map_or(true, |m| r < m) {
-                    self.idle_min[g] = Some(r);
+                self.members[rack].clear();
+            }
+            self.set_idle(r);
+            return;
+        };
+        match (self.find_state(bits, supply, g), vacated) {
+            (None, Some(at)) => self.slide(at, OccupiedRack::new(r, g, &view, &self.chiller)),
+            (None, None) => {
+                let entry = OccupiedRack::new(r, g, &view, &self.chiller);
+                let at = self.occupied.partition_point(|e| e.key() < entry.key());
+                self.occupied.insert(at, entry);
+                self.members[rack].push(r);
+            }
+            (Some(mut at), vacated) => {
+                if let Some(v) = vacated {
+                    self.occupied.remove(v);
+                    self.members[rack].clear();
+                    at -= usize::from(v < at);
+                }
+                let rep = self.occupied[at].rack;
+                let list = &mut self.members[rep as usize];
+                let i = list.binary_search(&r).expect_err("a rack is in one state");
+                list.insert(i, r);
+                if i == 0 {
+                    self.members.swap(rep as usize, rack);
+                    let entry = OccupiedRack {
+                        rack: r,
+                        ..self.occupied[at]
+                    };
+                    self.slide(at, entry);
                 }
             }
-            (true, true) => {
-                // Slide the entry to its new key, shifting only the
-                // entries between its old and new slots. An unchanged key
-                // still takes the new entry: a zero-heat placement can move
-                // the supply (and with it the COP terms) alone.
-                let from = find(&self.occupied, old_bits).expect("occupied racks have an entry");
-                let to = match find(&self.occupied, entry.heat_bits) {
-                    Ok(at) => at,
-                    Err(at) if at > from => {
-                        self.occupied[from..at].rotate_left(1);
-                        at - 1
-                    }
-                    Err(at) => {
-                        self.occupied[at..=from].rotate_right(1);
-                        at
-                    }
-                };
-                self.occupied[to] = entry;
+        }
+    }
+
+    /// The entry of the state `(heat bits, supply bits, group)`, if any
+    /// rack holds it.
+    fn find_state(&self, bits: u64, supply: u64, group: u32) -> Option<usize> {
+        let from = self.occupied.partition_point(|e| e.heat_bits < bits);
+        self.occupied[from..]
+            .iter()
+            .take_while(|e| e.heat_bits == bits)
+            .position(|e| e.supply_bits == supply && e.group == group)
+            .map(|i| from + i)
+    }
+
+    /// Moves the entry at `from`, whose stored key still sorts there, to
+    /// `entry`'s key and stores `entry` in its new slot, shifting only the
+    /// entries between the two slots.
+    fn slide(&mut self, from: usize, entry: OccupiedRack) {
+        let to = match self
+            .occupied
+            .binary_search_by_key(&entry.key(), OccupiedRack::key)
+        {
+            Ok(at) => at,
+            Err(at) if at > from => {
+                self.occupied[from..at].rotate_left(1);
+                at - 1
             }
-            (false, false) => {}
+            Err(at) => {
+                self.occupied[at..=from].rotate_right(1);
+                at
+            }
+        };
+        self.occupied[to] = entry;
+    }
+
+    /// Marks `rack` idle in its group.
+    fn set_idle(&mut self, rack: u32) {
+        let g = self.group_of[rack as usize] as usize;
+        let i = self.slot_of[rack as usize] as usize;
+        self.idle[g].bits[i / 64] |= 1 << (i % 64);
+        if self.idle_min[g].map_or(true, |m| rack < m) {
+            self.idle_min[g] = Some(rack);
+        }
+    }
+
+    /// Marks `rack` busy in its group. When it was the group's minimum,
+    /// every lower bit is clear, so the next minimum is the first set bit
+    /// from its word on.
+    fn set_busy(&mut self, rack: u32) {
+        let g = self.group_of[rack as usize] as usize;
+        let i = self.slot_of[rack as usize] as usize;
+        let set = &mut self.idle[g];
+        set.bits[i / 64] &= !(1 << (i % 64));
+        if self.idle_min[g] == Some(rack) {
+            self.idle_min[g] = set.bits[i / 64..].iter().position(|&w| w != 0).map(|w| {
+                let w = i / 64 + w;
+                set.racks[64 * w + set.bits[w].trailing_zeros() as usize]
+            });
         }
     }
 
@@ -432,8 +539,6 @@ impl RackLoads {
     /// of an `integrates` placement on to the energy integrator.
     pub(crate) fn commit(&mut self, load: Load, integrates: bool, end: Seconds) {
         let rack = load.rack;
-        let was_occupied = self.racks[rack].count() > 0;
-        let old_bits = self.views[rack].heat.value().to_bits();
         self.racks[rack].add(load.heat, load.water);
         self.total += 1;
         self.ends.push(Ending {
@@ -443,7 +548,7 @@ impl RackLoads {
             integrates,
         });
         self.seq += 1;
-        self.sync_rack(rack, was_occupied, old_bits);
+        self.sync_rack(rack);
     }
 
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
@@ -465,11 +570,9 @@ impl RackLoads {
                 load, integrates, ..
             } = self.ends.pop().expect("peeked above");
             let rack = load.rack;
-            let was_occupied = self.racks[rack].count() > 0;
-            let old_bits = self.views[rack].heat.value().to_bits();
             self.racks[rack].remove(load.heat, load.water);
             self.total -= 1;
-            self.sync_rack(rack, was_occupied, old_bits);
+            self.sync_rack(rack);
             if integrates {
                 ended(end, &load);
             }
@@ -482,10 +585,19 @@ impl RackLoads {
         &self.views
     }
 
-    /// Racks with committed load, ordered `(view-heat bits, rack)`, each
-    /// entry carrying its fold inputs inline (see [`OccupiedRack`]).
+    /// One entry per distinct committed rack state `(view-heat bits,
+    /// supply bits, group)`, ordered `(view-heat bits, representative)`,
+    /// each carrying the fold inputs its members share (see
+    /// [`OccupiedRack`]); [`state_members`](Self::state_members) lists
+    /// each state's racks.
     pub fn occupied_racks(&self) -> &[OccupiedRack] {
         &self.occupied
+    }
+
+    /// Per rack: the racks of the state it represents, ascending, or an
+    /// empty list when it represents none.
+    pub fn state_members(&self) -> &[Vec<u32>] {
+        &self.members
     }
 
     /// Each rack group's lowest-indexed idle rack (`None` while the group
@@ -493,6 +605,17 @@ impl RackLoads {
     pub fn idle_group_mins(&self) -> &[Option<u32>] {
         &self.idle_min
     }
+}
+
+/// A view's dispatch-index state `(heat bits, supply bits)` within its
+/// group, `None` while the rack is idle.
+fn state_key(view: &RackView) -> Option<(u64, u64)> {
+    (view.committed > 0).then(|| {
+        let supply = view
+            .supply
+            .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits());
+        (view.heat.value().to_bits(), supply)
+    })
 }
 
 /// The kernel's mutable fleet state: per-rack committed load (which owns
@@ -557,8 +680,9 @@ pub(crate) fn run(
     // flat columns indexed by server id.
     let servers = ServerTable::new(class_of.to_vec(), per_rack);
     // Rack groups: racks hosting the same class pattern are
-    // interchangeable while idle, which is what collapses the dispatch
-    // ranking from O(racks) to O(occupied + groups) per arrival.
+    // interchangeable while they share a committed state (idle
+    // included), which is what collapses the dispatch ranking from
+    // O(racks) to O(states + groups) per arrival.
     let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
     let group_of: Vec<u32> = (0..config.racks)
         .map(|r| {
@@ -837,6 +961,7 @@ pub(crate) fn run(
                     chiller: loads.chiller(),
                     index: FleetIndex {
                         occupied: loads.occupied_racks(),
+                        members: loads.state_members(),
                         idle_min: loads.idle_group_mins(),
                         group_classes: &group_classes,
                     },
@@ -1079,40 +1204,85 @@ mod tests {
         assert_eq!(loads.total_committed(), 0);
     }
 
+    /// The idle racks of group `g`, ascending, read off its bitset.
+    fn idle_racks(loads: &RackLoads, g: usize) -> Vec<u32> {
+        let set = &loads.idle[g];
+        let idle = |&(i, _): &(usize, &u32)| set.bits[i / 64] >> (i % 64) & 1 == 1;
+        set.racks
+            .iter()
+            .enumerate()
+            .filter(idle)
+            .map(|(_, &r)| r)
+            .collect()
+    }
+
     #[test]
     fn rack_loads_maintain_the_occupancy_index() {
         let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::default());
         assert_eq!(loads.occupied_racks().len(), 0);
-        assert_eq!(loads.idle[0].len(), 2);
-        assert_eq!(loads.idle[1].len(), 2);
+        assert_eq!(idle_racks(&loads, 0), vec![0, 1]);
+        assert_eq!(idle_racks(&loads, 1), vec![2, 3]);
 
-        let state = |heat: f64| SteadyState {
-            package_power: Watts::new(heat),
-            heat: Watts::new(heat),
-            max_water_temp: Celsius::new(70.0),
-            normalized_time: 1.0,
-            n_cores: 8,
-            die_max: Celsius::new(70.0),
-        };
         loads.add(2, &state(50.0), Seconds::new(10.0));
         loads.add(0, &state(30.0), Seconds::new(20.0));
         // Occupied orders by heat (bits), not rack index.
         let occ: Vec<u32> = loads.occupied_racks().iter().map(|e| e.rack).collect();
         assert_eq!(occ, vec![0, 2]);
-        assert_eq!(loads.idle[0].iter().copied().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(loads.idle[1].iter().copied().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(idle_racks(&loads, 0), vec![1]);
+        assert_eq!(idle_racks(&loads, 1), vec![3]);
+        assert_eq!(loads.idle_group_mins(), &[Some(1), Some(3)]);
 
         loads.expire_until(Seconds::new(15.0));
         // Rack 2 drained: back to its group's idle set.
         assert_eq!(loads.occupied_racks().len(), 1);
-        assert_eq!(
-            loads.idle[1].iter().copied().collect::<Vec<_>>(),
-            vec![2, 3]
-        );
+        assert_eq!(idle_racks(&loads, 1), vec![2, 3]);
+        assert_eq!(loads.idle_group_mins(), &[Some(1), Some(2)]);
         // Maintained views match a naive read of the drained state.
         assert_eq!(loads.view_slice()[2].heat.value(), 0.0);
         assert_eq!(loads.view_slice()[2].committed, 0);
         assert_eq!(loads.view_slice()[0].heat, Watts::new(30.0));
+    }
+
+    #[test]
+    fn racks_that_share_a_state_share_one_entry() {
+        // 70 racks in one group, so the idle bitset spans two words.
+        let mut loads = RackLoads::new(70, Chiller::default());
+        let states = |loads: &RackLoads| -> Vec<(f64, Vec<u32>)> {
+            let members = loads.state_members();
+            let of = |e: &OccupiedRack| (e.heat(), members[e.rack as usize].clone());
+            loads.occupied_racks().iter().map(of).collect()
+        };
+        for rack in [3, 1, 2] {
+            loads.add(rack, &state(30.0), Seconds::new(10.0));
+        }
+        assert_eq!(states(&loads), vec![(30.0, vec![1, 2, 3])]);
+        // A lower rack joining takes over as representative.
+        loads.add(0, &state(30.0), Seconds::new(5.0));
+        assert_eq!(states(&loads), vec![(30.0, vec![0, 1, 2, 3])]);
+        // A second placement moves rack 2 to a state of its own.
+        loads.add(2, &state(30.0), Seconds::new(20.0));
+        assert_eq!(states(&loads), vec![(30.0, vec![0, 1, 3]), (60.0, vec![2])]);
+        // The representative leaves: the next member takes over.
+        loads.expire_until(Seconds::new(5.0));
+        assert_eq!(states(&loads), vec![(30.0, vec![1, 3]), (60.0, vec![2])]);
+        assert_eq!(loads.idle_group_mins(), &[Some(0)]);
+        // Fill the first word's idle racks, then drain one past it.
+        for rack in (0..64).filter(|r| ![1, 2, 3].contains(r)) {
+            loads.add(rack, &state(30.0), Seconds::new(30.0));
+        }
+        assert_eq!(loads.idle_group_mins(), &[Some(64)]);
+        // Racks 1 and 3 drain, and rack 2 drops back to the shared state.
+        loads.expire_until(Seconds::new(10.0));
+        assert_eq!(loads.idle_group_mins(), &[Some(1)]);
+        let idle: Vec<u32> = [1, 3].into_iter().chain(64..70).collect();
+        assert_eq!(idle_racks(&loads, 0), idle);
+        let shared: Vec<u32> = (0..64).filter(|r| ![1, 3].contains(r)).collect();
+        assert_eq!(states(&loads), vec![(30.0, shared)]);
+        // Every placement ends: the state empties.
+        loads.expire_until(Seconds::new(30.0));
+        assert!(states(&loads).is_empty());
+        assert!(loads.state_members().iter().all(Vec::is_empty));
+        assert_eq!(idle_racks(&loads, 0), (0..70).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! interleaved `add`/`expire_until` must never leave negative rack heat,
 //! stale occupancy or a wrong shared-supply cap, no matter the order of
 //! magnitudes or expiry times — the invariants every dispatch decision
-//! and energy window depends on. The occupied entries' inline chiller
-//! terms must match a fresh evaluation after every add, expiry and
-//! chiller change. The indexed dispatchers are checked against
-//! full-enumeration oracles over the same bookkeeping.
+//! and energy window depends on. Every committed rack must sit in exactly
+//! one state entry of the dispatch index, whose inline chiller terms
+//! match a fresh evaluation after every add, expiry and chiller change.
+//! The indexed dispatchers are checked against full-enumeration oracles
+//! over the same bookkeeping, on fleets whose racks share states.
 
 use proptest::prelude::*;
 use tps_cluster::{
     ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, Job, JobDemand,
-    RackLoads, RackView, ServerTable, SteadyState, ThermalAwareDispatch,
+    PlannedDispatch, RackLoads, RackView, ServerTable, SteadyState, ThermalAwareDispatch,
 };
 use tps_cooling::Chiller;
 use tps_units::{Celsius, Seconds, Watts};
@@ -227,39 +228,74 @@ proptest! {
     }
 }
 
-/// Every occupied entry matches its rack's view, and its inline COP terms
-/// equal a fresh `cop(supply)` and `electrical_power(heat, supply)` under
-/// the loads' chiller, bit for bit; the entries are exactly the committed
-/// racks.
-fn assert_fresh_chiller_terms(loads: &RackLoads) {
+/// The dispatch index's contract, where `group_of` names each rack's
+/// group: every committed rack is in exactly one state and no idle rack
+/// is in any; the state's key `(heat bits, supply bits, group)` equals
+/// each member's view and group, and no two states share a key; members
+/// ascend, the representative is the first member, and no state is
+/// empty; the entries ascend by `(heat bits, representative)`; each
+/// entry's inline COP terms equal a fresh `cop(supply)` and
+/// `electrical_power(heat, supply)` under the loads' chiller, bit for
+/// bit; and each group's cached idle minimum is its lowest idle rack.
+fn assert_fresh_chiller_terms(loads: &RackLoads, group_of: &[u32]) {
     let views = loads.view_slice();
     let chiller = loads.chiller();
     let occupied = loads.occupied_racks();
-    assert_eq!(
-        occupied.len(),
-        views.iter().filter(|v| v.committed > 0).count(),
-        "occupied entries vs committed racks"
+    let members = loads.state_members();
+    let mut states_of = vec![0usize; views.len()];
+    for (i, e) in occupied.iter().enumerate() {
+        let list = &members[e.rack as usize];
+        assert_eq!(list.first(), Some(&e.rack), "representative of state {i}");
+        assert!(list.windows(2).all(|w| w[0] < w[1]), "members ascend");
+        assert!(
+            occupied[..i]
+                .iter()
+                .all(|o| (o.heat_bits, o.supply_bits, o.group)
+                    != (e.heat_bits, e.supply_bits, e.group)),
+            "two entries hold state {i}"
+        );
+        for &m in list {
+            states_of[m as usize] += 1;
+            let view = &views[m as usize];
+            let supply = view.supply.expect("a committed rack has a supply");
+            assert_eq!(e.heat_bits, view.heat.value().to_bits());
+            assert_eq!(e.supply_bits, supply.value().to_bits());
+            assert_eq!(e.group, group_of[m as usize]);
+            assert_eq!(
+                e.cop.to_bits(),
+                chiller.cop(supply).to_bits(),
+                "stale COP on rack {m}"
+            );
+            assert_eq!(
+                e.draw.to_bits(),
+                chiller
+                    .electrical_power(view.heat, supply)
+                    .value()
+                    .to_bits(),
+                "stale draw on rack {m}"
+            );
+        }
+    }
+    assert!(
+        occupied.windows(2).all(|w| w[0].key() < w[1].key()),
+        "entries ascend by (heat bits, representative)"
     );
-    for e in occupied {
-        let view = &views[e.rack as usize];
-        let supply = view.supply.expect("a committed rack has a supply");
-        assert_eq!(e.heat_bits, view.heat.value().to_bits());
-        assert_eq!(e.supply_bits, supply.value().to_bits());
+    assert_eq!(
+        members.iter().filter(|l| !l.is_empty()).count(),
+        occupied.len(),
+        "member lists vs states"
+    );
+    for (r, v) in views.iter().enumerate() {
         assert_eq!(
-            e.cop.to_bits(),
-            chiller.cop(supply).to_bits(),
-            "stale COP on rack {}",
-            e.rack
+            states_of[r],
+            usize::from(v.committed > 0),
+            "states of rack {r}"
         );
-        assert_eq!(
-            e.draw.to_bits(),
-            chiller
-                .electrical_power(view.heat, supply)
-                .value()
-                .to_bits(),
-            "stale draw on rack {}",
-            e.rack
-        );
+    }
+    for (g, &min) in loads.idle_group_mins().iter().enumerate() {
+        let lowest =
+            (0..views.len()).find(|&r| group_of[r] as usize == g && views[r].committed == 0);
+        assert_eq!(min, lowest.map(|r| r as u32), "idle minimum of group {g}");
     }
 }
 
@@ -294,7 +330,7 @@ proptest! {
                 let end = now + unit(seed, 4 * i + 3) * 40.0;
                 loads.add(rack, &state(heat, water), Seconds::new(end));
             }
-            assert_fresh_chiller_terms(&loads);
+            assert_fresh_chiller_terms(&loads, &vec![0; racks]);
         }
     }
 }
@@ -314,18 +350,17 @@ fn marginal_power(chiller: &Chiller, rack: &RackView, state: &SteadyState) -> f6
     (joint - current).value()
 }
 
-/// The full `(rack, class)` enumeration the indexed thermal-aware walk
-/// must reproduce: every active slot ranked by marginal chiller power
-/// (lighter rack, then rack index, then class id on ties), the cheapest
-/// one within its class's wait budget taken, else the active server that
-/// frees up soonest.
-fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+/// Every active `(rack, class)` slot as `(score, heat, rack, class)`,
+/// scored by `score(rack view, class)` and sorted by that total key.
+fn ranking(
+    view: &FleetView<'_>,
+    score: impl Fn(&RackView, usize) -> f64,
+) -> Vec<(f64, f64, usize, usize)> {
     let mut ranked: Vec<(f64, f64, usize, usize)> = Vec::new();
     for r in 0..view.servers.active_racks() {
         let rack = &view.racks[r];
         for &class in view.classes_in_rack(r) {
-            let p = marginal_power(view.chiller, rack, &demand.class(class).state);
-            ranked.push((p, rack.heat.value(), r, class));
+            ranked.push((score(rack, class), rack.heat.value(), r, class));
         }
     }
     ranked.sort_by(|a, b| {
@@ -334,7 +369,17 @@ fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
             .then(a.2.cmp(&b.2))
             .then(a.3.cmp(&b.3))
     });
-    for &(_, _, rack, class) in &ranked {
+    ranked
+}
+
+/// The first slot of `ranked` within its class's wait budget, else the
+/// active server that frees up soonest.
+fn first_within_budget(
+    ranked: &[(f64, f64, usize, usize)],
+    demand: &JobDemand<'_>,
+    view: &FleetView<'_>,
+) -> usize {
+    for &(_, _, rack, class) in ranked {
         let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
         if view.wait_on(server) <= demand.class(class).wait_budget {
             return server;
@@ -344,6 +389,35 @@ fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
     (0..view.servers.active_servers())
         .min_by(|&a, &b| free[a].value().total_cmp(&free[b].value()))
         .unwrap()
+}
+
+/// The marginal chiller power of every active slot.
+fn thermal_ranking(demand: &JobDemand<'_>, view: &FleetView<'_>) -> Vec<(f64, f64, usize, usize)> {
+    ranking(view, |rack, c| {
+        marginal_power(view.chiller, rack, &demand.class(c).state)
+    })
+}
+
+/// The full `(rack, class)` enumeration the indexed thermal-aware walk
+/// must reproduce: every active slot ranked by marginal chiller power
+/// (lighter rack, then rack index, then class id on ties), the cheapest
+/// one within its class's wait budget taken, else the active server that
+/// frees up soonest.
+fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    first_within_budget(&thermal_ranking(demand, view), demand, view)
+}
+
+/// The full enumeration the planned dispatcher ranked on every arrival
+/// before it folded the index: every active slot by the job's total
+/// energy `runtime × (package power + marginal chiller power)`, under
+/// the same tie order and budget walk.
+fn scan_planned(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    let ranked = ranking(view, |rack, c| {
+        let d = demand.class(c);
+        d.runtime.value()
+            * (d.state.package_power.value() + marginal_power(view.chiller, rack, &d.state))
+    });
+    first_within_budget(&ranked, demand, view)
 }
 
 /// The linear scan coolest-rack-first's index lookup must reproduce: the
@@ -440,6 +514,7 @@ proptest! {
                         chiller: loads.chiller(),
                         index: FleetIndex {
                             occupied: loads.occupied_racks(),
+                            members: loads.state_members(),
                             idle_min: loads.idle_group_mins(),
                             group_classes: &group_classes,
                         },
@@ -466,7 +541,174 @@ proptest! {
                     servers.set_free_at(chosen, Seconds::new(end));
                 }
             }
-            assert_fresh_chiller_terms(&loads);
+            assert_fresh_chiller_terms(&loads, &[0, 0, 1, 1]);
         }
     }
+}
+
+/// A state's key and members, as the index lists it.
+type StateList = Vec<((u64, u64, u32), Vec<u32>)>;
+
+fn state_list(loads: &RackLoads) -> StateList {
+    let members = loads.state_members();
+    let key = |e: &tps_cluster::OccupiedRack| (e.heat_bits, e.supply_bits, e.group);
+    loads
+        .occupied_racks()
+        .iter()
+        .map(|e| (key(e), members[e.rack as usize].clone()))
+        .collect()
+}
+
+/// One random run over 6–12 racks of two rack groups (class 0 only, or
+/// classes 0 and 1), 2–3 servers per rack, where dyadic heats and a few
+/// waters make racks share committed states. Each step adds a job, lets
+/// time pass, moves the set-point or moves the active prefix. After every
+/// step the index's contract holds, and the next arrival's indexed
+/// thermal-aware, coolest-rack-first and planned picks equal their full
+/// enumerations; an add step commits one of the picks checked after the
+/// step before it. Returns which of the regimes the representative
+/// argument has to survive the run reached: a state with ≥ 2 members, a
+/// representative replaced by the next member, a state straddling the
+/// active prefix, and a multi-member winner over its wait budget.
+fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
+    let mut hit = [false; 4];
+    let racks = 6 + (mix(seed, 0) % 7) as usize;
+    let per_rack = 2 + (mix(seed, 1) % 2) as usize;
+    // Rack 0 hosts class 0 only and rack 1 both, the rest at random.
+    let both = |r: usize| r == 1 || (r > 1 && mix(seed, 2 + r as u64) % 2 == 0);
+    let class_of: Vec<usize> = (0..racks * per_rack)
+        .map(|s| usize::from(both(s / per_rack) && s % per_rack == 1))
+        .collect();
+    let group_of: Vec<u32> = (0..racks).map(|r| u32::from(both(r))).collect();
+    let group_classes = vec![vec![0usize], vec![0, 1]];
+    let mut servers = ServerTable::new(class_of, per_rack);
+    let mut loads =
+        RackLoads::with_groups(racks, group_of.clone(), 2, Chiller::new(Celsius::new(55.0)));
+    let mut thermal = ThermalAwareDispatch::default();
+    let job = Job {
+        id: 0,
+        bench: Benchmark::X264,
+        qos: QosClass::TwoX,
+        arrival: Seconds::ZERO,
+        service: Seconds::new(8.0),
+    };
+    let mut now = 0.0f64;
+    // The arrival checked after the last step: its demand and its
+    // verified thermal-aware and planned picks.
+    let mut arrival: Option<([ClassDemand; 2], [usize; 2])> = None;
+    // Step 0 only checks the empty fleet.
+    for i in 0..=ops {
+        let before = state_list(&loads);
+        let r = mix(seed, 100 + i);
+        match (i > 0).then_some(r % 8) {
+            None => {}
+            Some(0) => {
+                now += [1.0, 2.0, 4.0][((r >> 8) % 3) as usize];
+                loads.expire_until(Seconds::new(now));
+            }
+            Some(1) => {
+                let ambient = [40.0, 55.0, 65.0][((r >> 8) % 3) as usize];
+                loads.set_chiller(loads.chiller().with_ambient(Celsius::new(ambient)));
+            }
+            Some(2) => {
+                let active = 1 + ((r >> 8) % racks as u64) as usize;
+                servers.set_active_servers(active * per_rack);
+            }
+            Some(_) => {
+                // Commit like the kernel, along either verified pick.
+                let (classes, picks) = arrival.expect("checked after every step");
+                let placed = picks[(r >> 8) as usize % 2];
+                let cd = classes[servers.class_of(placed)];
+                let end = now.max(servers.free_at(placed).value()) + cd.runtime.value();
+                loads.add(servers.rack_of(placed), &cd.state, Seconds::new(end));
+                servers.set_free_at(placed, Seconds::new(end));
+            }
+        }
+        assert_fresh_chiller_terms(&loads, &group_of);
+        let after = state_list(&loads);
+        hit[0] |= after.iter().any(|(_, m)| m.len() > 1);
+        hit[1] |= before
+            .iter()
+            .any(|(key, m)| m.len() > 1 && after.iter().any(|(k, n)| k == key && n[0] == m[1]));
+
+        let d = mix(seed, 1_000_000 + i);
+        let heat = [16.0, 32.0, 48.0][(d % 3) as usize];
+        let water = [50.0, 60.0, 70.0][((d >> 8) % 3) as usize];
+        let runtime = [4.0, 8.0, 16.0][((d >> 16) % 3) as usize];
+        let budget = [0.0, 1.0, 4.0, 64.0][((d >> 24) % 4) as usize];
+        let classes = [
+            (state(heat, water), runtime),
+            (state(heat / 2.0, water + 8.0), runtime * 2.0),
+        ]
+        .map(|(state, runtime)| ClassDemand {
+            state,
+            runtime: Seconds::new(runtime),
+            wait_budget: Seconds::new(budget),
+        });
+        let demand = JobDemand {
+            job: &job,
+            classes: &classes,
+        };
+        let view = FleetView {
+            now: Seconds::new(now),
+            racks: loads.view_slice(),
+            servers: &servers,
+            chiller: loads.chiller(),
+            index: FleetIndex {
+                occupied: loads.occupied_racks(),
+                members: loads.state_members(),
+                idle_min: loads.idle_group_mins(),
+                group_classes: &group_classes,
+            },
+        };
+        let picks = [
+            thermal.place(&demand, &view),
+            PlannedDispatch.place(&demand, &view),
+        ];
+        assert_eq!(picks[0], scan_thermal(&demand, &view), "thermal, step {i}");
+        assert_eq!(picks[1], scan_planned(&demand, &view), "planned, step {i}");
+        assert_eq!(
+            CoolestRackFirst.place(&demand, &view),
+            scan_coolest(&demand, &view),
+            "coolest, step {i}"
+        );
+        let active = servers.active_racks();
+        hit[2] |= after
+            .iter()
+            .any(|(_, m)| (m[0] as usize) < active && *m.last().unwrap() as usize >= active);
+        let &(_, _, rack, class) = &thermal_ranking(&demand, &view)[0];
+        let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+        let shared = after
+            .iter()
+            .any(|(_, m)| m.len() > 1 && m.contains(&(rack as u32)));
+        hit[3] |= shared && view.wait_on(server) > demand.class(class).wait_budget;
+        arrival = Some((classes, picks));
+    }
+    hit
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// On fleets whose racks share committed states, every indexed pick
+    /// equals its full enumeration after any interleaving of adds,
+    /// expiries, set-point changes and active-prefix moves, and the index
+    /// keeps its contract.
+    #[test]
+    fn shared_states_rank_like_a_full_enumeration(seed in 0u64..1_000_000, ops in 1u64..120) {
+        shared_state_run(seed, ops);
+    }
+}
+
+/// The shared-state runs really reach every regime the representative
+/// argument has to survive.
+#[test]
+fn shared_state_runs_cover_every_regime() {
+    let mut hit = [false; 4];
+    for seed in 0..40 {
+        let run = shared_state_run(seed, 120);
+        for (h, r) in hit.iter_mut().zip(run) {
+            *h |= r;
+        }
+    }
+    assert_eq!(hit, [true; 4]);
 }

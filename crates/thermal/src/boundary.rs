@@ -60,7 +60,7 @@ impl TopBoundary {
 /// reference prototype, so the default is a weak 10 W/m²K path to 35 °C
 /// server-internal air.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BottomBoundary {
+pub(crate) struct BottomBoundary {
     /// Heat-transfer coefficient towards the board/air (W/m²K).
     pub htc: HeatTransferCoeff,
     /// Far-side air temperature.

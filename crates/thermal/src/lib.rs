@@ -47,10 +47,10 @@ mod render;
 mod solver;
 mod stack;
 
-pub use boundary::{BottomBoundary, TopBoundary};
+pub use boundary::TopBoundary;
 pub use material::Material;
 pub use metrics::ThermalMetrics;
 pub use model::{ThermalModel, ThermalSolution};
 pub use render::{render_ascii, write_csv};
-pub use solver::{CgSolver, SolveStats, SolverError};
+pub use solver::{SolveStats, SolverError};
 pub use stack::{LayerStack, StackBuilder, StackError};

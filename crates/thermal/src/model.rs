@@ -36,7 +36,8 @@ pub struct ThermalModel {
 
 impl ThermalModel {
     /// Assembles the network for `stack` discretized on `grid` with the
-    /// default bottom boundary and solver.
+    /// default bottom boundary (a weak 10 W/m²K path to 35 °C
+    /// server-internal air) and solver.
     ///
     /// # Panics
     ///
@@ -287,11 +288,6 @@ impl ThermalModel {
             layers,
             stats,
         }
-    }
-
-    /// The bottom boundary in effect.
-    pub fn bottom(&self) -> BottomBoundary {
-        self.bottom
     }
 
     /// Heat flow from the top layer into the fluid (per-cell watts), through

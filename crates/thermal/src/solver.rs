@@ -53,7 +53,7 @@ pub struct SolveStats {
 /// network is, as long as every cell has a positive coupling to a boundary
 /// or to another cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgSolver {
+pub(crate) struct CgSolver {
     tolerance: f64,
     max_iterations: usize,
 }
@@ -73,7 +73,8 @@ impl CgSolver {
     /// # Panics
     ///
     /// Panics if `tolerance` is not in `(0, 1)` or the cap is zero.
-    pub fn new(tolerance: f64, max_iterations: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(tolerance: f64, max_iterations: usize) -> Self {
         assert!(
             tolerance > 0.0 && tolerance < 1.0,
             "tolerance {tolerance} outside (0, 1)"

@@ -1,6 +1,6 @@
 //! Natural-circulation loop: gravity head vs. friction losses.
 
-use crate::design::ThermosyphonDesign;
+use crate::design::{ThermosyphonDesign, PIPE_DIAMETER_M, RISER_HEIGHT_M};
 use crate::filling;
 use core::fmt;
 use tps_fluids::correlations::{homogeneous_void_fraction, lockhart_martinelli_multiplier};
@@ -59,7 +59,7 @@ fn residual(design: &ThermosyphonDesign, t_sat: Celsius, q: Watts, m_dot: f64) -
     let alpha = homogeneous_void_fraction(x_exit, rho_l, rho_v);
     let rho_riser = alpha.value() * rho_v.value() + (1.0 - alpha.value()) * rho_l.value();
     let driving = G
-        * design.riser_height_m()
+        * RISER_HEIGHT_M
         * (rho_l.value() - rho_riser)
         * filling::head_factor(design.filling_ratio());
 
@@ -75,14 +75,12 @@ fn residual(design: &ThermosyphonDesign, t_sat: Celsius, q: Watts, m_dot: f64) -
     let dp_channels = dp_l * phi2;
 
     // Riser: liquid-only gradient times the multiplier at exit quality.
-    let a_pipe = core::f64::consts::FRAC_PI_4 * design.pipe_diameter_m().powi(2);
+    let a_pipe = core::f64::consts::FRAC_PI_4 * PIPE_DIAMETER_M.powi(2);
     let g_riser = m_dot / a_pipe;
-    let re_riser = g_riser * design.pipe_diameter_m() / mu_l.value();
-    let dp_riser_l = friction_factor(re_riser)
-        * (design.riser_height_m() / design.pipe_diameter_m())
-        * g_riser
-        * g_riser
-        / (2.0 * rho_l.value());
+    let re_riser = g_riser * PIPE_DIAMETER_M / mu_l.value();
+    let dp_riser_l =
+        friction_factor(re_riser) * (RISER_HEIGHT_M / PIPE_DIAMETER_M) * g_riser * g_riser
+            / (2.0 * rho_l.value());
     let dp_riser = dp_riser_l * lockhart_martinelli_multiplier(x_exit, rho_l, rho_v, mu_l, mu_v);
 
     // Local losses (headers, bends, charge valve).

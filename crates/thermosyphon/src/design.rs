@@ -53,7 +53,23 @@ impl fmt::Display for Orientation {
     }
 }
 
+/// Micro-channel width, metres.
+const CHANNEL_WIDTH_M: f64 = 0.35e-3;
+/// Fin width between two micro-channels, metres.
+const FIN_WIDTH_M: f64 = 0.15e-3;
+/// Micro-channel height, metres.
+const CHANNEL_HEIGHT_M: f64 = 1.5e-3;
+/// Riser (gravity head) height, metres.
+pub(crate) const RISER_HEIGHT_M: f64 = 0.25;
+/// Riser/downcomer pipe inner diameter, metres.
+pub(crate) const PIPE_DIAMETER_M: f64 = 3.0e-3;
+/// Boiling-area enhancement of the finned micro-channel surface over the
+/// projected base area.
+pub(crate) const FIN_FACTOR: f64 = 2.5;
+
 /// A complete thermosyphon design: everything fixed at manufacturing time.
+/// The prototype's channel, riser and pipe geometry are this module's
+/// constants; a design chooses its orientation, fluid and charge.
 ///
 /// Use [`ThermosyphonDesign::paper_design`] for the paper's choice
 /// (Design 1, R236fa, 55 % filling ratio) or the
@@ -64,12 +80,6 @@ pub struct ThermosyphonDesign {
     orientation: Orientation,
     refrigerant: Refrigerant,
     filling_ratio: Fraction,
-    channel_width_m: f64,
-    fin_width_m: f64,
-    channel_height_m: f64,
-    riser_height_m: f64,
-    pipe_diameter_m: f64,
-    fin_factor: f64,
 }
 
 impl ThermosyphonDesign {
@@ -82,12 +92,6 @@ impl ThermosyphonDesign {
                 orientation: Orientation::InletEast,
                 refrigerant: Refrigerant::R236fa,
                 filling_ratio: Fraction::new(0.55).expect("0.55 is a valid fraction"),
-                channel_width_m: 0.35e-3,
-                fin_width_m: 0.15e-3,
-                channel_height_m: 1.5e-3,
-                riser_height_m: 0.25,
-                pipe_diameter_m: 3.0e-3,
-                fin_factor: 2.5,
             },
         }
     }
@@ -119,18 +123,17 @@ impl ThermosyphonDesign {
 
     /// Channel pitch (channel + fin) in metres.
     pub(crate) fn channel_pitch_m(&self) -> f64 {
-        self.channel_width_m + self.fin_width_m
+        CHANNEL_WIDTH_M + FIN_WIDTH_M
     }
 
     /// Channel cross-section area in m².
     pub(crate) fn channel_area_m2(&self) -> f64 {
-        self.channel_width_m * self.channel_height_m
+        CHANNEL_WIDTH_M * CHANNEL_HEIGHT_M
     }
 
     /// Channel hydraulic diameter in metres.
     pub(crate) fn hydraulic_diameter_m(&self) -> f64 {
-        2.0 * self.channel_width_m * self.channel_height_m
-            / (self.channel_width_m + self.channel_height_m)
+        2.0 * CHANNEL_WIDTH_M * CHANNEL_HEIGHT_M / (CHANNEL_WIDTH_M + CHANNEL_HEIGHT_M)
     }
 
     /// Number of parallel micro-channels: perpendicular extent / pitch.
@@ -154,22 +157,6 @@ impl ThermosyphonDesign {
         } else {
             self.footprint.height().value()
         }
-    }
-
-    /// Riser (gravity head) height, metres.
-    pub(crate) fn riser_height_m(&self) -> f64 {
-        self.riser_height_m
-    }
-
-    /// Riser/downcomer pipe inner diameter, metres.
-    pub(crate) fn pipe_diameter_m(&self) -> f64 {
-        self.pipe_diameter_m
-    }
-
-    /// Boiling-area enhancement of the finned micro-channel surface over the
-    /// projected base area.
-    pub(crate) fn fin_factor(&self) -> f64 {
-        self.fin_factor
     }
 }
 

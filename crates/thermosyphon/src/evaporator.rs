@@ -14,7 +14,7 @@
 //! * orientation matters: north–south channels (Design 2) chain up to four
 //!   cores per band, east–west ones (Design 1) at most two.
 
-use crate::design::{Orientation, ThermosyphonDesign};
+use crate::design::{Orientation, ThermosyphonDesign, FIN_FACTOR};
 use crate::filling;
 use tps_floorplan::{GridSpec, ScalarField};
 use tps_fluids::correlations::{cooper_prefactor, cooper_with_prefactor, flow_boiling_factor};
@@ -143,7 +143,7 @@ impl Evaporator {
         // Only Cooper's flux term varies from cell to cell.
         let cooper = cooper_prefactor(r.reduced_pressure(t_sat), r.molar_mass(), ROUGHNESS_UM);
         let x_crit = filling::dryout_quality(self.design.filling_ratio());
-        let fin = self.design.fin_factor();
+        let fin = FIN_FACTOR;
         let cell_area = grid.cell_area();
 
         let mut htc = ScalarField::zeros(grid.clone());
