@@ -11,6 +11,8 @@
 //! racks *and* hardware bins — while [`RoundRobin`] stays class-blind as
 //! the baseline and [`CoolestRackFirst`] balances heat across racks
 //! before picking the cheapest class within the winner.
+//! [`ThermalAwareDispatch::planned`] ranks the same slots on the same
+//! path by the job's energy instead of the marginal power.
 //!
 //! # Scaling: the indexed ranking
 //!
@@ -18,10 +20,11 @@
 //! simulator's whole runtime at 100 k servers, so every [`FleetView`]
 //! carries a [`FleetIndex`]: one entry per distinct committed rack state
 //! `(heat, supply, class pattern)`, ordered by heat, with the state's
-//! member racks beside it, and the idle racks grouped by class pattern.
-//! The full enumeration survives only as the oracle in this module's
-//! tests and in `tests/properties.rs`, and as [`PlannedDispatch`]'s slow
-//! path. Two facts make the indexed walk *bit-identical* to it:
+//! member racks beside it, and the idle racks grouped by class pattern
+//! (the [`ServerTable`]'s rack groups). The full enumeration survives
+//! only as the oracle in this module's tests and in
+//! `tests/properties.rs`. Two facts make the indexed walk
+//! *bit-identical* to it:
 //!
 //! * every rack of one state has the exact same [`RackView`] heat and
 //!   supply and the same classes — idle racks of one class pattern
@@ -31,22 +34,22 @@
 //!   wins every score tie and one representative stands in for all of
 //!   them. It is in the active prefix exactly when any member is, since
 //!   the members ascend and the prefix is `0..active_racks`;
-//! * the ranking's sort key `(power, heat, rack, class)` is a total
+//! * the ranking's sort key `(score, heat, rack, class)` is a total
 //!   order, so scoring racks from the index instead of in rack order
-//!   cannot change the sorted result.
+//!   cannot change the sorted result. The energy score reads a slot's
+//!   rack only through its marginal power, so both arguments hold for
+//!   it too.
 //!
 //! Only the fold's winner is checked against its wait budget. An idle
 //! rack's servers are all free (`wait = 0`), so either an idle group's
 //! lowest rack is accepted or every member would have been rejected.
 //! The members of a committed state wait on their own servers, so when
-//! the winner fails its budget, the sorted slow path expands every member
-//! of every state, scores each afresh and walks them in order.
+//! the winner fails its budget, the sorted slow path lists every member
+//! of every state under its state's score and walks them in order.
 //!
 //! Each state entry carries its COP and chiller draw inline (kept by
 //! [`RackLoads`](crate::RackLoads), the owner of the chiller), so an
 //! arrival scores an occupied state with one division.
-//! [`PlannedDispatch`] folds the same representatives under its energy
-//! score.
 //!
 //! # Activation: the serving-mode capacity mask
 //!
@@ -108,12 +111,18 @@ pub struct RackView {
 }
 
 /// Structure-of-arrays server state: availability and class ids as flat
-/// vectors indexed by global server id, plus the per-rack distinct-class
-/// lists derived from them.
+/// vectors indexed by global server id, plus the rack groups derived from
+/// them.
 ///
 /// This is the kernel's mutable per-server state *and* the dispatchers'
 /// read-only lookup table — one contiguous layout instead of a
 /// per-server struct walk.
+///
+/// A *rack group* is the set of racks hosting one class pattern (the
+/// same distinct classes). Racks of one group that share a committed
+/// state — idle included — are interchangeable to every ranking, which
+/// is what collapses the dispatch index from one entry per rack to one
+/// per state and group.
 #[derive(Debug, Clone)]
 pub struct ServerTable {
     /// Earliest availability per server.
@@ -121,10 +130,12 @@ pub struct ServerTable {
     /// Catalog class per server.
     class_of: Vec<ClassId>,
     servers_per_rack: usize,
-    /// Distinct classes hosted by each rack, ascending by class id —
-    /// immutable for a run, so precomputed once (the dispatch hot path
+    /// Rack → its group, groups numbered in order of first appearance.
+    group_of: Vec<u32>,
+    /// Group → the distinct classes its racks host, ascending by class id
+    /// — immutable for a run, so precomputed once (the dispatch hot path
     /// must not allocate per placement).
-    rack_classes: Vec<Vec<ClassId>>,
+    group_classes: Vec<Vec<ClassId>>,
     /// Servers eligible for placement: always a whole-rack prefix
     /// (`active / servers_per_rack` leading racks). Starts at the full
     /// fleet; only the autoscaler moves it.
@@ -132,8 +143,8 @@ pub struct ServerTable {
 }
 
 impl ServerTable {
-    /// Builds the table from a per-server class map; every server starts
-    /// free at `t = 0`.
+    /// Builds the table from a per-server class map, grouping the racks
+    /// by class pattern; every server starts free at `t = 0`.
     ///
     /// # Panics
     ///
@@ -146,17 +157,18 @@ impl ServerTable {
             0,
             "server count must be a whole number of racks"
         );
-        let rack_classes = class_of
+        let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
+        let group_of = class_of
             .chunks(servers_per_rack)
             .map(|rack| {
-                let mut out: Vec<ClassId> = Vec::new();
-                for &c in rack {
-                    if !out.contains(&c) {
-                        out.push(c);
-                    }
-                }
-                out.sort_unstable();
-                out
+                let mut classes = rack.to_vec();
+                classes.sort_unstable();
+                classes.dedup();
+                let g = group_classes.iter().position(|g| *g == classes);
+                g.unwrap_or_else(|| {
+                    group_classes.push(classes);
+                    group_classes.len() - 1
+                }) as u32
             })
             .collect();
         let active = class_of.len();
@@ -164,7 +176,8 @@ impl ServerTable {
             free_at: vec![Seconds::ZERO; class_of.len()],
             class_of,
             servers_per_rack,
-            rack_classes,
+            group_of,
+            group_classes,
             active,
         }
     }
@@ -203,7 +216,7 @@ impl ServerTable {
 
     /// Number of racks.
     pub fn racks(&self) -> usize {
-        self.rack_classes.len()
+        self.group_of.len()
     }
 
     /// Servers per rack (global index = `rack · servers_per_rack + slot`).
@@ -236,9 +249,14 @@ impl ServerTable {
         &self.free_at
     }
 
+    /// Each rack's group, numbered in order of first appearance.
+    pub fn group_of(&self) -> &[u32] {
+        &self.group_of
+    }
+
     /// The distinct classes hosted by `rack`, ascending by class id.
     pub fn classes_in_rack(&self, rack: usize) -> &[ClassId] {
-        &self.rack_classes[rack]
+        &self.group_classes[self.group_of[rack] as usize]
     }
 
     /// The `class` server of `rack` that frees up first (lowest index on
@@ -276,13 +294,11 @@ pub struct FleetIndex<'a> {
     /// representative first), or an empty list when it represents none.
     pub members: &'a [Vec<u32>],
     /// Per-group lowest idle rack (`None` while the group has no idle
-    /// racks). The sets themselves stay inside
-    /// [`RackLoads`](crate::RackLoads): every dispatch decision only ever
-    /// needs each group's representative — its minimum — and the cached
-    /// minimum is read in O(1).
+    /// racks), over the [`ServerTable`]'s rack groups. The sets themselves
+    /// stay inside [`RackLoads`](crate::RackLoads): every dispatch
+    /// decision only ever needs each group's representative — its
+    /// minimum — and the cached minimum is read in O(1).
     pub idle_min: &'a [Option<u32>],
-    /// Rack-group → distinct classes hosted, ascending by class id.
-    pub group_classes: &'a [Vec<ClassId>],
 }
 
 /// A read-only snapshot of the fleet as one job arrives.
@@ -308,17 +324,6 @@ pub struct FleetView<'a> {
 }
 
 impl FleetView<'_> {
-    /// The `class` server of `rack` that frees up first (lowest index on
-    /// ties), `None` if the rack hosts no server of that class.
-    pub fn earliest_free_of_class(&self, rack: usize, class: ClassId) -> Option<(usize, Seconds)> {
-        self.servers.earliest_free_of_class(rack, class)
-    }
-
-    /// The distinct classes hosted by `rack`, ascending by class id.
-    pub fn classes_in_rack(&self, rack: usize) -> &[ClassId] {
-        self.servers.classes_in_rack(rack)
-    }
-
     /// The wait a job dispatched to `server` right now would incur.
     pub fn wait_on(&self, server: usize) -> Seconds {
         Seconds::new((self.servers.free_at(server).value() - self.now.value()).max(0.0))
@@ -430,6 +435,7 @@ impl FleetDispatcher for CoolestRackFirst {
         // One marginal-power evaluation per class (not per comparison);
         // ties break toward the lower class id.
         let class = view
+            .servers
             .classes_in_rack(rack)
             .iter()
             .map(|&c| {
@@ -441,7 +447,8 @@ impl FleetDispatcher for CoolestRackFirst {
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .expect("racks have at least one class")
             .1;
-        view.earliest_free_of_class(rack, class)
+        view.servers
+            .earliest_free_of_class(rack, class)
             .expect("classes_in_rack only returns hosted classes")
             .0
     }
@@ -460,6 +467,19 @@ struct Candidate {
     class: u32,
 }
 
+impl Candidate {
+    /// The ranking's total order `(score, heat, rack, class)`, which the
+    /// fold minimizes and the slow path sorts by. The score almost always
+    /// decides, so the tie keys are only evaluated on an exact tie.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.p
+            .total_cmp(&other.p)
+            .then_with(|| self.h.total_cmp(&other.h))
+            .then_with(|| self.rack.cmp(&other.rack))
+            .then_with(|| self.class.cmp(&other.class))
+    }
+}
+
 /// The fold's initial accumulator: loses to every real candidate (`p`
 /// compares by `total_cmp`, and a real fold never produces a non-finite
 /// score), and its `rack` doubles as the "no candidates at all" marker.
@@ -470,24 +490,10 @@ const SENTINEL: Candidate = Candidate {
     class: u32::MAX,
 };
 
-/// Folds one candidate into the running minimum under the exact total
-/// key the ranked walk sorts by — `(score, heat, rack, class)`. The
-/// score comparison almost always decides, so the tie keys are only
-/// evaluated on an exact tie.
+/// Folds one candidate into the running minimum under the total key.
 #[inline]
 fn consider(cand: Candidate, best: &mut Candidate) {
-    use std::cmp::Ordering;
-    let replace = match best.p.total_cmp(&cand.p) {
-        Ordering::Greater => true,
-        Ordering::Less => false,
-        Ordering::Equal => best
-            .h
-            .total_cmp(&cand.h)
-            .then(best.rack.cmp(&cand.rack))
-            .then(best.class.cmp(&cand.class))
-            .is_gt(),
-    };
-    if replace {
+    if cand.cmp(best).is_lt() {
         *best = cand;
     }
 }
@@ -518,6 +524,27 @@ fn class_inputs<'a>(
     })
 }
 
+/// The marginal chiller power of a job with class inputs `sc` on any
+/// member of the committed state `e`, read off the entry's inline terms.
+///
+/// A bit-identical unrolling of [`marginal_power`]: `heat()`/`supply()`
+/// replay the members' view fields bit-for-bit (the entry caches their
+/// raw bits), the entry's `draw` is `electrical_power(heat, supply)`, and
+/// both branches of `min(supply, max_water_temp)` replay the same pure
+/// COP on the same input (a tie gives equal COP bits either way). A
+/// missing supply reads as the NaN `NO_SUPPLY` bits, fails the comparison
+/// and selects `cop_mwt` against a `0.0` draw, like the `None` arms of
+/// `marginal_power`.
+#[inline]
+fn state_power(e: &OccupiedRack, sc: &ClassInputs) -> f64 {
+    let joint_cop = if f64::from_bits(e.supply_bits) <= sc.mwt {
+        e.cop
+    } else {
+        sc.cop_mwt
+    };
+    (e.heat() + sc.heat) / joint_cop - e.draw
+}
+
 /// The least representative `(rack, class)` candidate in the active
 /// prefix under the `(score, heat, rack, class)` total key, where
 /// `score(c, p)` maps class `c`'s marginal chiller power `p` to the
@@ -535,11 +562,13 @@ fn class_inputs<'a>(
 /// the state's COP terms travel with the representative — so scoring an
 /// occupied state costs one division and no rack-indexed load.
 fn fold_representatives(
-    ix: &FleetIndex<'_>,
-    active_racks: usize,
+    view: &FleetView<'_>,
     lab: &[ClassInputs],
     score: impl Fn(usize, f64) -> f64,
 ) -> Candidate {
+    let ix = &view.index;
+    let active_racks = view.servers.active_racks();
+    let groups = view.servers.group_classes.as_slice();
     let mut best = SENTINEL;
     // Idle representatives first — their scores are rack-independent
     // input reads. The fold's minimum under the strict `(p, h, rack,
@@ -549,7 +578,7 @@ fn fold_representatives(
         let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
             continue;
         };
-        for &c in &ix.group_classes[g] {
+        for &c in &groups[g] {
             let cand = Candidate {
                 p: score(c, lab[c].idle_p),
                 h: 0.0,
@@ -559,27 +588,17 @@ fn fold_representatives(
             consider(cand, &mut best);
         }
     }
-    // `heat()`/`supply()` replay the members' view fields bit-for-bit
-    // (the entry caches their raw bits), and `group_classes[e.group]` is
-    // `classes_in_rack(r)` of every member by construction (groups are
-    // keyed on exact slice equality). Bit-identical unrolling of
-    // `marginal_power`: the entry's `draw` is `electrical_power(heat,
-    // supply)`, and both branches of `min(supply, max_water_temp)` replay
-    // the same pure COP on the same input (a tie gives equal COP bits
-    // either way). A missing supply reads as the NaN `NO_SUPPLY` bits,
-    // fails the comparison and selects `cop_mwt` against a `0.0` draw,
-    // like the `None` arms of `marginal_power`.
-    //
-    // The entries ascend by `(heat bits, representative)` and each rack's
-    // classes by id, so the walk visits them in exactly the `(h, rack,
-    // class)` tie order (view heats are non-negative, where `total_cmp`
-    // orders like the bits): the first candidate reaching the least score
-    // is their total-key minimum, and a strict less-than on the score
-    // alone finds it without evaluating the tie keys. The uniform
-    // catalog's single `(group, class)` is hoisted so the class constants
-    // live in registers across the whole walk.
+    // `groups[e.group]` is `classes_in_rack(r)` of every member by
+    // construction. The entries ascend by `(heat bits, representative)`
+    // and each rack's classes by id, so the walk visits them in exactly
+    // the `(h, rack, class)` tie order (view heats are non-negative,
+    // where `total_cmp` orders like the bits): the first candidate
+    // reaching the least score is their total-key minimum, and a strict
+    // less-than on the score alone finds it without evaluating the tie
+    // keys. The uniform catalog's single `(group, class)` is hoisted so
+    // the class constants live in registers across the whole walk.
     let mut occ = SENTINEL;
-    match ix.group_classes {
+    match groups {
         [single] if single.len() == 1 => {
             let c = single[0];
             let sc = lab[c];
@@ -587,17 +606,11 @@ fn fold_representatives(
                 if e.rack as usize >= active_racks {
                     continue;
                 }
-                let h = e.heat();
-                let joint_cop = if f64::from_bits(e.supply_bits) <= sc.mwt {
-                    e.cop
-                } else {
-                    sc.cop_mwt
-                };
-                let p = score(c, (h + sc.heat) / joint_cop - e.draw);
+                let p = score(c, state_power(e, &sc));
                 if p.total_cmp(&occ.p).is_lt() {
                     occ = Candidate {
                         p,
-                        h,
+                        h: e.heat(),
                         rack: e.rack,
                         class: c as u32,
                     };
@@ -609,16 +622,12 @@ fn fold_representatives(
                 if e.rack as usize >= active_racks {
                     continue;
                 }
-                let h = e.heat();
-                let supply = f64::from_bits(e.supply_bits);
-                for &c in &ix.group_classes[e.group as usize] {
-                    let sc = &lab[c];
-                    let joint_cop = if supply <= sc.mwt { e.cop } else { sc.cop_mwt };
-                    let p = score(c, (h + sc.heat) / joint_cop - e.draw);
+                for &c in &groups[e.group as usize] {
+                    let p = score(c, state_power(e, &lab[c]));
                     if p.total_cmp(&occ.p).is_lt() {
                         occ = Candidate {
                             p,
-                            h,
+                            h: e.heat(),
                             rack: e.rack,
                             class: c as u32,
                         };
@@ -631,16 +640,28 @@ fn fold_representatives(
     best
 }
 
-/// The fold winner's earliest free server, if there is a winner and that
-/// server meets its class's wait budget.
-fn accept(best: Candidate, demand: &JobDemand<'_>, view: &FleetView<'_>) -> Option<usize> {
-    if best.rack == u32::MAX {
+/// The candidate's earliest free server, if it is a real candidate and
+/// that server meets its class's wait budget.
+fn accept(cand: Candidate, demand: &JobDemand<'_>, view: &FleetView<'_>) -> Option<usize> {
+    if cand.rack == u32::MAX {
         return None;
     }
     let (server, _) = view
-        .earliest_free_of_class(best.rack as usize, best.class as usize)
+        .servers
+        .earliest_free_of_class(cand.rack as usize, cand.class as usize)
         .expect("the index only lists hosted classes");
-    (view.wait_on(server) <= demand.class(best.class as usize).wait_budget).then_some(server)
+    (view.wait_on(server) <= demand.class(cand.class as usize).wait_budget).then_some(server)
+}
+
+/// What [`ThermalAwareDispatch`] ranks a slot by.
+#[derive(Debug, Clone, Copy, Default)]
+enum Objective {
+    /// The marginal chiller power itself (`"thermal-aware"`).
+    #[default]
+    MarginalPower,
+    /// The job's energy `runtime × (package power + marginal chiller
+    /// power)` (`"planned"`).
+    Energy,
 }
 
 /// The paper's policy, lifted to the fleet: rank `(rack, class)` slots by
@@ -658,9 +679,11 @@ fn accept(best: Candidate, demand: &JobDemand<'_>, view: &FleetView<'_>) -> Opti
 /// The ranking is built from the [`FleetIndex`]'s committed states, each
 /// carrying its COP terms inline, plus one representative per idle rack
 /// group — bit-identical to the full `(rack, class)` enumeration (see the
-/// module docs).
+/// module docs). [`planned`](Self::planned) ranks by energy on the same
+/// path.
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
+    objective: Objective,
     ranked: Vec<Candidate>,
     /// The arriving job's per-class fold inputs, refilled on every
     /// arrival. Flattening them into one contiguous record keeps the hot
@@ -669,49 +692,70 @@ pub struct ThermalAwareDispatch {
 }
 
 impl ThermalAwareDispatch {
-    /// Scores candidates from the incremental index and picks the
-    /// cheapest slot meeting its wait budget.
+    /// Per-arrival total-energy dispatch (`"planned"`), the greedy
+    /// one-job projection of the planner's objective: slots rank by the
+    /// job's *energy* `runtime × (package power + marginal chiller
+    /// power)` instead of the marginal power, so a faster class can win
+    /// even at a worse instantaneous COP.
+    pub fn planned() -> Self {
+        Self {
+            objective: Objective::Energy,
+            ..Self::default()
+        }
+    }
+
+    /// Picks the cheapest slot under `score(class, marginal power)` that
+    /// meets its wait budget.
     ///
-    /// Fast path first: [`fold_representatives`] under the marginal
-    /// power itself. The key is a total order, so the fold's minimum is
-    /// exactly the sorted ranking's first element. When that winner meets
-    /// its wait budget (the overwhelmingly common case) no ranking is
-    /// materialized at all; otherwise [`walk_indexed`](Self::walk_indexed)
-    /// rebuilds and walks the full sorted ranking, bit-identical to the
-    /// fold's order.
-    fn place_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    /// Fast path first: [`fold_representatives`]. The key is a total
+    /// order, so the fold's minimum is exactly the sorted ranking's first
+    /// element. When that winner meets its wait budget (the overwhelmingly
+    /// common case) no ranking is materialized at all; otherwise
+    /// [`walk_indexed`](Self::walk_indexed) walks the full sorted ranking
+    /// under the same score.
+    fn rank(
+        &mut self,
+        demand: &JobDemand<'_>,
+        view: &FleetView<'_>,
+        score: impl Fn(usize, f64) -> f64,
+    ) -> usize {
         self.inputs.clear();
         self.inputs.extend(class_inputs(demand, view.chiller));
-        let active_racks = view.servers.active_racks();
-        let best = fold_representatives(&view.index, active_racks, &self.inputs, |_, p| p);
-        accept(best, demand, view).unwrap_or_else(|| self.walk_indexed(demand, view))
+        let best = fold_representatives(view, &self.inputs, &score);
+        accept(best, demand, view).unwrap_or_else(|| self.walk_indexed(demand, view, score))
     }
 
     /// The indexed slow path, taken only when the fold's winner blows its
     /// wait budget: materialize the full candidate list (every active
-    /// member of every state, plus the idle representatives), score each
-    /// with [`marginal_power`], sort it under the fold's key, and walk it
-    /// in order. The members of one state score alike but wait on their
-    /// own servers, so each is a candidate of its own.
-    fn walk_indexed(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    /// member of every state, plus the idle representatives), sort it
+    /// under the fold's key, and walk it in order. The members of one
+    /// state score alike, so each state is scored once per class, but
+    /// they wait on their own servers, so each is a candidate of its own.
+    fn walk_indexed(
+        &mut self,
+        demand: &JobDemand<'_>,
+        view: &FleetView<'_>,
+        score: impl Fn(usize, f64) -> f64,
+    ) -> usize {
         let ix = &view.index;
         let active_racks = view.servers.active_racks();
-        self.ranked.clear();
+        let groups = view.servers.group_classes.as_slice();
+        let (ranked, lab) = (&mut self.ranked, &self.inputs);
+        ranked.clear();
         for e in ix.occupied.iter() {
-            let members = ix.members[e.rack as usize].iter();
-            for &m in members.take_while(|&&m| (m as usize) < active_racks) {
-                let rack = &view.racks[m as usize];
-                for &c in view.servers.classes_in_rack(m as usize) {
-                    self.ranked.push(Candidate {
-                        p: marginal_power(view.chiller, rack, &demand.class(c).state),
-                        h: rack.heat.value(),
+            let members = &ix.members[e.rack as usize];
+            for &c in &groups[e.group as usize] {
+                let p = score(c, state_power(e, &lab[c]));
+                for &m in members.iter().take_while(|&&m| (m as usize) < active_racks) {
+                    ranked.push(Candidate {
+                        p,
+                        h: e.heat(),
                         rack: m,
                         class: c as u32,
                     });
                 }
             }
         }
-        let idle_view = idle_rack_view();
         for (g, &m) in ix.idle_min.iter().enumerate() {
             // The group representative is its lowest *active* rack: the
             // representative argument (bit-identical views, identical
@@ -721,34 +765,23 @@ impl ThermalAwareDispatch {
             let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
                 continue;
             };
-            for &c in &ix.group_classes[g] {
-                self.ranked.push(Candidate {
-                    p: marginal_power(view.chiller, &idle_view, &demand.class(c).state),
+            for &c in &groups[g] {
+                ranked.push(Candidate {
+                    p: score(c, lab[c].idle_p),
                     h: 0.0,
                     rack: first,
                     class: c as u32,
                 });
             }
         }
-        // The same total order the full enumeration sorts by — within an
-        // equal (power, heat) run, a group entry stands at its lowest
-        // rack's position, and skipping the rest of a failed group is
-        // sound because its members fail the wait check identically.
-        self.ranked.sort_unstable_by(|a, b| {
-            a.p.total_cmp(&b.p)
-                .then(a.h.total_cmp(&b.h))
-                .then(a.rack.cmp(&b.rack))
-                .then(a.class.cmp(&b.class))
-        });
-        for c in &self.ranked {
-            let (server, _) = view
-                .earliest_free_of_class(c.rack as usize, c.class as usize)
-                .expect("the index only lists hosted classes");
-            if view.wait_on(server) <= demand.class(c.class as usize).wait_budget {
-                return server;
-            }
-        }
-        fallback_min_free(view)
+        // Within an equal (score, heat) run, a group entry stands at its
+        // lowest rack's position, and skipping the rest of a failed group
+        // is sound because its members fail the wait check identically.
+        ranked.sort_unstable_by(Candidate::cmp);
+        ranked
+            .iter()
+            .find_map(|&c| accept(c, demand, view))
+            .unwrap_or_else(|| fallback_min_free(view))
     }
 }
 
@@ -763,76 +796,20 @@ fn fallback_min_free(view: &FleetView<'_>) -> usize {
 
 impl FleetDispatcher for ThermalAwareDispatch {
     fn name(&self) -> &'static str {
-        "thermal-aware"
+        match self.objective {
+            Objective::MarginalPower => "thermal-aware",
+            Objective::Energy => "planned",
+        }
     }
 
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        self.place_indexed(demand, view)
-    }
-}
-
-/// Per-arrival total-energy dispatch: the greedy single-job projection of
-/// the planner's objective. Where [`ThermalAwareDispatch`] ranks slots by
-/// marginal chiller *power*, this ranks them by the job's total *energy*
-/// — `runtime × (package power + marginal chiller power)` — so a faster
-/// class can win even at a worse instantaneous COP. It is what the
-/// planner degrades to on a one-job horizon, and the natural companion
-/// dispatcher when `PlannerControl` hints miss (`dispatcher = "planned"`).
-///
-/// It ranks on the same index as [`ThermalAwareDispatch`]: the energy
-/// reads a slot's rack only through its marginal power, so one
-/// representative stands for every member of an idle group or committed
-/// state here too.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlannedDispatch;
-
-impl FleetDispatcher for PlannedDispatch {
-    fn name(&self) -> &'static str {
-        "planned"
-    }
-
-    fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        // Fast path: the representatives' least energy under the full
-        // `(energy, heat, rack, class)` key, which is the enumeration's
-        // first element below.
-        let inputs: Vec<ClassInputs> = class_inputs(demand, view.chiller).collect();
-        let energy = |c: usize, p: f64| {
-            let d = demand.class(c);
-            d.runtime.value() * (d.state.package_power.value() + p)
-        };
-        let best = fold_representatives(&view.index, view.servers.active_racks(), &inputs, energy);
-        if let Some(server) = accept(best, demand, view) {
-            return server;
+        match self.objective {
+            Objective::MarginalPower => self.rank(demand, view, |_, p| p),
+            Objective::Energy => self.rank(demand, view, |c, p| {
+                let d = demand.class(c);
+                d.runtime.value() * (d.state.package_power.value() + p)
+            }),
         }
-        let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
-        for i in 0..view.servers.active_racks() {
-            let rack = &view.racks[i];
-            for &class in view.classes_in_rack(i) {
-                let d = demand.class(class);
-                let energy = d.runtime.value()
-                    * (d.state.package_power.value()
-                        + marginal_power(view.chiller, rack, &d.state));
-                ranked.push((energy, rack.heat.value(), i, class));
-            }
-        }
-        // Cheapest total energy first; lighter rack, then rack index, then
-        // class id, on ties — the same deterministic total order the
-        // thermal-aware ranking uses.
-        ranked.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        for &(_, _, rack, class) in &ranked {
-            let (server, _) = view
-                .earliest_free_of_class(rack, class)
-                .expect("classes_in_rack only returns hosted classes");
-            if view.wait_on(server) <= demand.class(class).wait_budget {
-                return server;
-            }
-        }
-        fallback_min_free(view)
     }
 }
 
@@ -879,32 +856,20 @@ mod tests {
     }
 
     /// Owns the [`FleetIndex`] the kernel would maintain for hand-built
-    /// rack views: one entry per distinct committed `(heat bits, supply
-    /// bits, group)` state ordered by `(heat bits, representative)`, each
-    /// state's members, and the lowest idle rack of each class pattern.
+    /// rack views over the table's rack groups: one entry per distinct
+    /// committed `(heat bits, supply bits, group)` state ordered by
+    /// `(heat bits, representative)`, each state's members, and the lowest
+    /// idle rack of each group.
     struct Index {
         occupied: Vec<OccupiedRack>,
         members: Vec<Vec<u32>>,
         idle_min: Vec<Option<u32>>,
-        group_classes: Vec<Vec<ClassId>>,
     }
 
     impl Index {
         fn of(racks: &[RackView], servers: &ServerTable, chiller: &Chiller) -> Self {
-            let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
-            let mut group_of = Vec::new();
-            for r in 0..racks.len() {
-                let classes = servers.classes_in_rack(r);
-                let g = match group_classes.iter().position(|g| g.as_slice() == classes) {
-                    Some(g) => g,
-                    None => {
-                        group_classes.push(classes.to_vec());
-                        group_classes.len() - 1
-                    }
-                };
-                group_of.push(g as u32);
-            }
-            let mut idle_min = vec![None; group_classes.len()];
+            let group_of = servers.group_of();
+            let mut idle_min = vec![None; servers.group_classes.len()];
             let mut occupied: Vec<OccupiedRack> = Vec::new();
             let mut members = vec![Vec::new(); racks.len()];
             for (r, v) in racks.iter().enumerate() {
@@ -931,7 +896,6 @@ mod tests {
                 occupied,
                 members,
                 idle_min,
-                group_classes,
             }
         }
 
@@ -950,7 +914,6 @@ mod tests {
                     occupied: &self.occupied,
                     members: &self.members,
                     idle_min: &self.idle_min,
-                    group_classes: &self.group_classes,
                 },
             }
         }
@@ -964,7 +927,7 @@ mod tests {
         let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
         for i in 0..view.servers.active_racks() {
             let rack = &view.racks[i];
-            for &class in view.classes_in_rack(i) {
+            for &class in view.servers.classes_in_rack(i) {
                 ranked.push((
                     marginal_power(view.chiller, rack, &demand.class(class).state),
                     rack.heat.value(),
@@ -980,7 +943,7 @@ mod tests {
                 .then(a.3.cmp(&b.3))
         });
         for &(_, _, rack, class) in &ranked {
-            let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+            let (server, _) = view.servers.earliest_free_of_class(rack, class).unwrap();
             if view.wait_on(server) <= demand.class(class).wait_budget {
                 return server;
             }
@@ -999,6 +962,7 @@ mod tests {
             })
             .unwrap();
         let class = view
+            .servers
             .classes_in_rack(rack)
             .iter()
             .map(|&c| {
@@ -1008,7 +972,7 @@ mod tests {
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .unwrap()
             .1;
-        view.earliest_free_of_class(rack, class).unwrap().0
+        view.servers.earliest_free_of_class(rack, class).unwrap().0
     }
 
     #[test]
@@ -1059,7 +1023,8 @@ mod tests {
         assert_eq!(scan_thermal(&d, &view), 0);
         assert_eq!(ThermalAwareDispatch::default().place(&d, &view), 0);
         // …but total energy (runtime × power) favors the faster class 1.
-        let mut planned = PlannedDispatch;
+        let mut planned = ThermalAwareDispatch::planned();
+        assert_eq!(planned.name(), "planned");
         assert_eq!(planned.place(&d, &view), 1);
     }
 
@@ -1188,22 +1153,25 @@ mod tests {
 
     #[test]
     fn class_helpers_report_rack_composition() {
-        let racks = vec![idle_rack_view(); 2];
-        let servers = table(vec![1, 1, 0, 1], 2, &[4.0, 2.0, 0.0, 0.0]);
-        let chiller = Chiller::default();
-        let ix = Index::of(&racks, &servers, &chiller);
-        let view = ix.view(&racks, &servers, &chiller);
-        assert_eq!(view.classes_in_rack(0), vec![1]);
-        assert_eq!(view.classes_in_rack(1), vec![0, 1]);
+        let servers = table(vec![1, 1, 0, 1, 1, 0], 2, &[4.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(servers.classes_in_rack(0), vec![1]);
+        assert_eq!(servers.classes_in_rack(1), vec![0, 1]);
+        // Groups are numbered in order of first appearance; rack 2 hosts
+        // rack 1's pattern in another server order.
+        assert_eq!(servers.group_of(), &[0, 1, 1]);
+        assert_eq!(servers.group_classes, vec![vec![1], vec![0, 1]]);
         assert_eq!(
-            view.earliest_free_of_class(0, 1),
+            servers.earliest_free_of_class(0, 1),
             Some((1, Seconds::new(2.0)))
         );
-        assert_eq!(view.earliest_free_of_class(0, 0), None);
-        assert_eq!(view.earliest_free_of_class(1, 0), Some((2, Seconds::ZERO)));
+        assert_eq!(servers.earliest_free_of_class(0, 0), None);
+        assert_eq!(
+            servers.earliest_free_of_class(1, 0),
+            Some((2, Seconds::ZERO))
+        );
         assert_eq!(servers.rack_of(3), 1);
         assert_eq!(servers.class_of(2), 0);
-        assert_eq!(servers.racks(), 2);
+        assert_eq!(servers.racks(), 3);
     }
 
     #[test]
@@ -1276,7 +1244,7 @@ mod tests {
         let servers = table(vec![0, 0, 0, 0, 0, 1, 0, 1], 2, &[0.0; 8]);
         let chiller = Chiller::new(Celsius::new(60.0));
         let ix = Index::of(&racks, &servers, &chiller);
-        assert_eq!(ix.group_classes, vec![vec![0usize], vec![0, 1]]);
+        assert_eq!(servers.group_classes, vec![vec![0usize], vec![0, 1]]);
         assert_eq!(ix.idle_min, vec![Some(0), Some(2)]);
         let view = ix.view(&racks, &servers, &chiller);
         let mut ta = ThermalAwareDispatch::default();

@@ -44,7 +44,6 @@
 //!   no running layer to fold and push neither.
 
 use crate::cache::SteadyState;
-use crate::catalog::ClassId;
 use crate::control::{ControlAction, ControlPolicy, ControlStatus, PlacementHint, RunContext};
 use crate::dispatch::{
     ClassDemand, FleetDispatcher, FleetIndex, FleetView, JobDemand, RackView, ServerTable,
@@ -307,26 +306,18 @@ impl RackLoads {
     /// Empty loads over `racks` racks, all in one rack group, cooled by
     /// `chiller`.
     pub fn new(racks: usize, chiller: Chiller) -> Self {
-        Self::with_groups(racks, vec![0; racks], 1, chiller)
+        Self::with_groups(&vec![0; racks], chiller)
     }
 
-    /// Empty loads over `racks` racks partitioned into `groups` rack
-    /// groups (`group_of[rack]` names each rack's group), cooled by
-    /// `chiller`. Racks in one group must host the same class pattern —
-    /// the dispatch fast path treats racks of a group that share a
-    /// committed state (idle included) as interchangeable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_of` has the wrong length or names a group out of
-    /// range.
-    pub fn with_groups(racks: usize, group_of: Vec<u32>, groups: usize, chiller: Chiller) -> Self {
-        assert_eq!(group_of.len(), racks, "one group id per rack");
-        assert!(
-            group_of.iter().all(|&g| (g as usize) < groups.max(1)),
-            "rack group out of range"
-        );
-        let mut idle: Vec<IdleRacks> = (0..groups.max(1)).map(|_| IdleRacks::default()).collect();
+    /// Empty loads over one rack per entry of `group_of`, which names each
+    /// rack's group ([`ServerTable::group_of`]), cooled by `chiller`.
+    /// Racks in one group must host the same class pattern — the dispatch
+    /// fast path treats racks of a group that share a committed state
+    /// (idle included) as interchangeable.
+    pub fn with_groups(group_of: &[u32], chiller: Chiller) -> Self {
+        let racks = group_of.len();
+        let groups = group_of.iter().max().map_or(1, |&g| g as usize + 1);
+        let mut idle: Vec<IdleRacks> = (0..groups).map(|_| IdleRacks::default()).collect();
         let mut slot_of = Vec::with_capacity(racks);
         for (r, &g) in group_of.iter().enumerate() {
             let set = &mut idle[g as usize];
@@ -351,7 +342,7 @@ impl RackLoads {
             members: vec![Vec::new(); racks],
             idle_min: vec![None; idle.len()],
             idle,
-            group_of,
+            group_of: group_of.to_vec(),
             slot_of,
             chiller,
         };
@@ -677,31 +668,10 @@ pub(crate) fn run(
     let per_rack = config.servers_per_rack;
 
     // Structure-of-arrays server state: availability and class ids as
-    // flat columns indexed by server id.
+    // flat columns indexed by server id, and the rack groups the dispatch
+    // index ranks through.
     let servers = ServerTable::new(class_of.to_vec(), per_rack);
-    // Rack groups: racks hosting the same class pattern are
-    // interchangeable while they share a committed state (idle
-    // included), which is what collapses the dispatch ranking from
-    // O(racks) to O(states + groups) per arrival.
-    let mut group_classes: Vec<Vec<ClassId>> = Vec::new();
-    let group_of: Vec<u32> = (0..config.racks)
-        .map(|r| {
-            let classes = servers.classes_in_rack(r);
-            match group_classes.iter().position(|g| g.as_slice() == classes) {
-                Some(i) => i as u32,
-                None => {
-                    group_classes.push(classes.to_vec());
-                    (group_classes.len() - 1) as u32
-                }
-            }
-        })
-        .collect();
-    let loads = RackLoads::with_groups(
-        config.racks,
-        group_of,
-        group_classes.len(),
-        config.chiller.clone(),
-    );
+    let loads = RackLoads::with_groups(servers.group_of(), config.chiller.clone());
 
     // Each arrival finds its pair's demand states by direct index into a
     // dense |Benchmark|×|QosClass| table of pair positions — a million
@@ -963,7 +933,6 @@ pub(crate) fn run(
                         occupied: loads.occupied_racks(),
                         members: loads.state_members(),
                         idle_min: loads.idle_group_mins(),
-                        group_classes: &group_classes,
                     },
                 };
                 // A planning control policy may have a placement hint for
@@ -1218,7 +1187,8 @@ mod tests {
 
     #[test]
     fn rack_loads_maintain_the_occupancy_index() {
-        let mut loads = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::default());
+        let servers = ServerTable::new(vec![0, 0, 1, 1], 1);
+        let mut loads = RackLoads::with_groups(servers.group_of(), Chiller::default());
         assert_eq!(loads.occupied_racks().len(), 0);
         assert_eq!(idle_racks(&loads, 0), vec![0, 1]);
         assert_eq!(idle_racks(&loads, 1), vec![2, 3]);

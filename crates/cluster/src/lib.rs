@@ -25,7 +25,8 @@
 //!   through,
 //! * [`FleetDispatcher`] — [`RoundRobin`], [`CoolestRackFirst`] and the
 //!   paper-style [`ThermalAwareDispatch`] that ranks `(rack, class)`
-//!   slots by marginal chiller power,
+//!   slots by marginal chiller power (or, as
+//!   [`planned`](ThermalAwareDispatch::planned), by the job's energy),
 //! * [`EventQueue`]/[`Event`] — the deterministic kernel: typed events
 //!   in a binary heap ordered by a stable `(time, class, seq)` key, so
 //!   results are byte-identical across runs and thread counts,
@@ -116,8 +117,8 @@ pub use control::{
     PlacementHint, RunContext, SetpointScheduler, StaticControl,
 };
 pub use dispatch::{
-    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, JobDemand,
-    PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
+    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, JobDemand, RackView,
+    RoundRobin, ServerTable, ThermalAwareDispatch,
 };
 pub use engine::{Event, OccupiedRack, RackLoads};
 pub use fleet::{Fleet, FleetConfig, PolicyId};

@@ -391,16 +391,24 @@ fn colliding_jobs() -> Vec<tps_cluster::Job> {
 /// the kernel that ordered every placement boundary three times: its
 /// event queue held every arrival, start and completion, the committed
 /// layer's expiry heap its own copy of each end, and the energy
-/// integrator a third copy of each start and end.
+/// integrator a third copy of each start and end. The planned
+/// dispatcher's, whose wait budgets send it down the sorted slow path
+/// here, were taken from its full `(rack, class)` enumeration.
 #[test]
 fn colliding_boundaries_replay_their_pinned_digests() {
-    // Round-robin, coolest-rack-first, thermal-aware.
-    const OPEN: [u64; 3] = [0x8a2f3a7788ce68fb, 0x20e2aecb9d0fcaea, 0x87e7d23ec4e531b2];
+    // Round-robin, coolest-rack-first, thermal-aware, planned.
+    const OPEN: [u64; 4] = [
+        0x8a2f3a7788ce68fb,
+        0x20e2aecb9d0fcaea,
+        0x87e7d23ec4e531b2,
+        0x863ef2363e3e876c,
+    ];
     // (outcome, trace CSV) per dispatcher.
-    const CLOSED: [(u64, u64); 3] = [
+    const CLOSED: [(u64, u64); 4] = [
         (0x8314235f6ae916fd, 0xeb97ea5db797601e),
         (0xb89aea64ccacd03f, 0x3f0deddef84c2275),
         (0x5ae083a5ed1bf92f, 0x486463e981243ad4),
+        (0xcc8def20f118c167, 0x1d599dfd6f49a905),
     ];
     const SERVING: (u64, u64) = (0x17c2ef98ea2891b0, 0xbac355ca37836d0a);
     let jobs = colliding_jobs();
@@ -408,16 +416,17 @@ fn colliding_boundaries_replay_their_pinned_digests() {
     config.grid_pitch_mm = 3.0;
     let fleet = Fleet::new(config.clone());
     let cache = OutcomeCache::new();
-    let dispatchers: [fn() -> Box<dyn FleetDispatcher>; 3] = [
+    let dispatchers: [fn() -> Box<dyn FleetDispatcher>; 4] = [
         || Box::new(RoundRobin::default()),
         || Box::new(CoolestRackFirst),
         || Box::new(ThermalAwareDispatch::default()),
+        || Box::new(ThermalAwareDispatch::planned()),
     ];
     let telemetry = TelemetryConfig {
         sample_interval: Seconds::new(5.0),
         capacity: 1024,
     };
-    let (mut open, mut closed) = ([0; 3], [(0, 0); 3]);
+    let (mut open, mut closed) = ([0; 4], [(0, 0); 4]);
     for (d, (open, closed)) in dispatchers.iter().zip(open.iter_mut().zip(&mut closed)) {
         let out = fleet.simulate(&jobs, d().as_mut(), &cache).unwrap();
         assert_eq!(out.class_placements, vec![jobs.len()]);

@@ -10,7 +10,7 @@
 
 use tps_cluster::{
     synthesize_jobs, Fleet, FleetConfig, FleetDispatcher, FleetOutcome, Job, JobMix, OutcomeCache,
-    PlanSolver, PlannedDispatch, PlannerControl, TelemetryConfig, ThermalAwareDispatch,
+    PlanSolver, PlannerControl, TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_units::Seconds;
 use tps_workload::DiurnalDemand;
@@ -91,7 +91,7 @@ fn run_matrix(
         let cache = OutcomeCache::new();
         let mut control = planner(solver);
         let mut dispatcher: Box<dyn FleetDispatcher> = if planned_dispatch {
-            Box::new(PlannedDispatch)
+            Box::new(ThermalAwareDispatch::planned())
         } else {
             Box::new(ThermalAwareDispatch::default())
         };

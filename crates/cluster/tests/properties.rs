@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use tps_cluster::{
     ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, Job, JobDemand,
-    PlannedDispatch, RackLoads, RackView, ServerTable, SteadyState, ThermalAwareDispatch,
+    RackLoads, RackView, ServerTable, SteadyState, ThermalAwareDispatch,
 };
 use tps_cooling::Chiller;
 use tps_units::{Celsius, Seconds, Watts};
@@ -359,7 +359,7 @@ fn ranking(
     let mut ranked: Vec<(f64, f64, usize, usize)> = Vec::new();
     for r in 0..view.servers.active_racks() {
         let rack = &view.racks[r];
-        for &class in view.classes_in_rack(r) {
+        for &class in view.servers.classes_in_rack(r) {
             ranked.push((score(rack, class), rack.heat.value(), r, class));
         }
     }
@@ -380,7 +380,7 @@ fn first_within_budget(
     view: &FleetView<'_>,
 ) -> usize {
     for &(_, _, rack, class) in ranked {
-        let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+        let (server, _) = view.servers.earliest_free_of_class(rack, class).unwrap();
         if view.wait_on(server) <= demand.class(class).wait_budget {
             return server;
         }
@@ -407,17 +407,21 @@ fn scan_thermal(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
     first_within_budget(&thermal_ranking(demand, view), demand, view)
 }
 
-/// The full enumeration the planned dispatcher ranked on every arrival
-/// before it folded the index: every active slot by the job's total
-/// energy `runtime × (package power + marginal chiller power)`, under
-/// the same tie order and budget walk.
-fn scan_planned(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-    let ranked = ranking(view, |rack, c| {
+/// The job's total energy `runtime × (package power + marginal chiller
+/// power)` on every active slot.
+fn planned_ranking(demand: &JobDemand<'_>, view: &FleetView<'_>) -> Vec<(f64, f64, usize, usize)> {
+    ranking(view, |rack, c| {
         let d = demand.class(c);
         d.runtime.value()
             * (d.state.package_power.value() + marginal_power(view.chiller, rack, &d.state))
-    });
-    first_within_budget(&ranked, demand, view)
+    })
+}
+
+/// The full enumeration the planned dispatcher ranked on every arrival
+/// before it folded the index: every active slot by the job's total
+/// energy, under the same tie order and budget walk.
+fn scan_planned(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+    first_within_budget(&planned_ranking(demand, view), demand, view)
 }
 
 /// The linear scan coolest-rack-first's index lookup must reproduce: the
@@ -429,6 +433,7 @@ fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         .min_by(|&a, &b| heat(a).total_cmp(&heat(b)))
         .unwrap();
     let class = view
+        .servers
         .classes_in_rack(rack)
         .iter()
         .map(|&c| {
@@ -440,7 +445,7 @@ fn scan_coolest(demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .unwrap()
         .1;
-    view.earliest_free_of_class(rack, class).unwrap().0
+    view.servers.earliest_free_of_class(rack, class).unwrap().0
 }
 
 proptest! {
@@ -459,10 +464,9 @@ proptest! {
     ) {
         // Fleet shape: racks {0,1} host class 0 only, racks {2,3} host
         // classes {0,1} — two rack groups, 2 servers per rack.
-        let group_classes = vec![vec![0usize], vec![0, 1]];
         let mut servers = ServerTable::new(vec![0, 0, 0, 0, 0, 1, 0, 1], 2);
         let mut loads =
-            RackLoads::with_groups(4, vec![0, 0, 1, 1], 2, Chiller::new(Celsius::new(60.0)));
+            RackLoads::with_groups(servers.group_of(), Chiller::new(Celsius::new(60.0)));
         let mut warm = ThermalAwareDispatch::default();
         warm.begin_run();
         let job = Job {
@@ -516,7 +520,6 @@ proptest! {
                             occupied: loads.occupied_racks(),
                             members: loads.state_members(),
                             idle_min: loads.idle_group_mins(),
-                            group_classes: &group_classes,
                         },
                     };
                     let chosen = warm.place(&demand, &view);
@@ -541,7 +544,7 @@ proptest! {
                     servers.set_free_at(chosen, Seconds::new(end));
                 }
             }
-            assert_fresh_chiller_terms(&loads, &[0, 0, 1, 1]);
+            assert_fresh_chiller_terms(&loads, servers.group_of());
         }
     }
 }
@@ -569,9 +572,10 @@ fn state_list(loads: &RackLoads) -> StateList {
 /// step before it. Returns which of the regimes the representative
 /// argument has to survive the run reached: a state with ≥ 2 members, a
 /// representative replaced by the next member, a state straddling the
-/// active prefix, and a multi-member winner over its wait budget.
-fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
-    let mut hit = [false; 4];
+/// active prefix, and a multi-member fold winner over its wait budget,
+/// under the marginal-power score and under the energy score.
+fn shared_state_run(seed: u64, ops: u64) -> [bool; 5] {
+    let mut hit = [false; 5];
     let racks = 6 + (mix(seed, 0) % 7) as usize;
     let per_rack = 2 + (mix(seed, 1) % 2) as usize;
     // Rack 0 hosts class 0 only and rack 1 both, the rest at random.
@@ -579,12 +583,10 @@ fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
     let class_of: Vec<usize> = (0..racks * per_rack)
         .map(|s| usize::from(both(s / per_rack) && s % per_rack == 1))
         .collect();
-    let group_of: Vec<u32> = (0..racks).map(|r| u32::from(both(r))).collect();
-    let group_classes = vec![vec![0usize], vec![0, 1]];
     let mut servers = ServerTable::new(class_of, per_rack);
-    let mut loads =
-        RackLoads::with_groups(racks, group_of.clone(), 2, Chiller::new(Celsius::new(55.0)));
+    let mut loads = RackLoads::with_groups(servers.group_of(), Chiller::new(Celsius::new(55.0)));
     let mut thermal = ThermalAwareDispatch::default();
+    let mut planned = ThermalAwareDispatch::planned();
     let job = Job {
         id: 0,
         bench: Benchmark::X264,
@@ -624,7 +626,7 @@ fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
                 servers.set_free_at(placed, Seconds::new(end));
             }
         }
-        assert_fresh_chiller_terms(&loads, &group_of);
+        assert_fresh_chiller_terms(&loads, servers.group_of());
         let after = state_list(&loads);
         hit[0] |= after.iter().any(|(_, m)| m.len() > 1);
         hit[1] |= before
@@ -658,13 +660,9 @@ fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
                 occupied: loads.occupied_racks(),
                 members: loads.state_members(),
                 idle_min: loads.idle_group_mins(),
-                group_classes: &group_classes,
             },
         };
-        let picks = [
-            thermal.place(&demand, &view),
-            PlannedDispatch.place(&demand, &view),
-        ];
+        let picks = [thermal.place(&demand, &view), planned.place(&demand, &view)];
         assert_eq!(picks[0], scan_thermal(&demand, &view), "thermal, step {i}");
         assert_eq!(picks[1], scan_planned(&demand, &view), "planned, step {i}");
         assert_eq!(
@@ -676,19 +674,32 @@ fn shared_state_run(seed: u64, ops: u64) -> [bool; 4] {
         hit[2] |= after
             .iter()
             .any(|(_, m)| (m[0] as usize) < active && *m.last().unwrap() as usize >= active);
-        let &(_, _, rack, class) = &thermal_ranking(&demand, &view)[0];
-        let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
-        let shared = after
-            .iter()
-            .any(|(_, m)| m.len() > 1 && m.contains(&(rack as u32)));
-        hit[3] |= shared && view.wait_on(server) > demand.class(class).wait_budget;
+        // The ranking's first slot is the fold's winner.
+        let shared_winner_over_budget = |ranked: &[(f64, f64, usize, usize)]| {
+            let (_, _, rack, class) = ranked[0];
+            let (server, _) = servers.earliest_free_of_class(rack, class).unwrap();
+            let shared = after
+                .iter()
+                .any(|(_, m)| m.len() > 1 && m.contains(&(rack as u32)));
+            shared && view.wait_on(server) > demand.class(class).wait_budget
+        };
+        hit[3] |= shared_winner_over_budget(&thermal_ranking(&demand, &view));
+        hit[4] |= shared_winner_over_budget(&planned_ranking(&demand, &view));
         arrival = Some((classes, picks));
     }
     hit
 }
 
+/// `PROPTEST_CASES`, else 64.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
     /// On fleets whose racks share committed states, every indexed pick
     /// equals its full enumeration after any interleaving of adds,
     /// expiries, set-point changes and active-prefix moves, and the index
@@ -703,12 +714,12 @@ proptest! {
 /// argument has to survive.
 #[test]
 fn shared_state_runs_cover_every_regime() {
-    let mut hit = [false; 4];
+    let mut hit = [false; 5];
     for seed in 0..40 {
         let run = shared_state_run(seed, 120);
         for (h, r) in hit.iter_mut().zip(run) {
             *h |= r;
         }
     }
-    assert_eq!(hit, [true; 4]);
+    assert_eq!(hit, [true; 5]);
 }

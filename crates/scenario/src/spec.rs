@@ -12,8 +12,8 @@ use std::ops::RangeInclusive;
 use tps_cluster::{
     synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ControlPolicy, CoolestRackFirst,
     FleetCatalog, FleetConfig, FleetDispatcher, Job, JobMix, LoadSheddingControl, PlanSolver,
-    PlannedDispatch, PlannerControl, PolicyId, RoundRobin, ServerClass, SetpointScheduler,
-    StaticControl, TelemetryConfig, ThermalAwareDispatch,
+    PlannerControl, PolicyId, RoundRobin, ServerClass, SetpointScheduler, StaticControl,
+    TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_cooling::Chiller;
 use tps_units::{Celsius, Seconds};
@@ -211,7 +211,7 @@ impl DispatcherKind {
             DispatcherKind::RoundRobin => Box::new(RoundRobin::default()),
             DispatcherKind::CoolestRackFirst => Box::new(CoolestRackFirst),
             DispatcherKind::ThermalAware => Box::new(ThermalAwareDispatch::default()),
-            DispatcherKind::Planned => Box::new(PlannedDispatch),
+            DispatcherKind::Planned => Box::new(ThermalAwareDispatch::planned()),
         }
     }
 
